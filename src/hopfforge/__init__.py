@@ -5,10 +5,9 @@ from .algebra import (Element, Presentation, PresentationMismatchError,
                       check_confluence, check_termination_weights, commutator,
                       multiply)
 from .coideal import (RegistrationError, SubalgebraSpec, antipode_image,
-                      coideal_check, coideal_signature, coinvariants,
-                      containment_check, full_subalgebra, gk_dimension,
-                      is_hopf_subalgebra, primitive_of_coideal,
-                      register_subalgebra, spans_equal)
+                      coideal_check, coinvariants, containment_check,
+                      full_subalgebra, is_hopf_subalgebra,
+                      primitive_of_coideal, register_subalgebra, spans_equal)
 from .grading import (FiltrationCertificate, FiltrationError, PowerSeries,
                       Signature, certify, certify_filtration,
                       graded_coproduct_leading, hilbert_divides, hilbert_series,

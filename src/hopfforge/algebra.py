@@ -23,12 +23,10 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from .linalg import ONE, ZERO, add_term, vec_add_scaled
 from .report import Report
 
 Monomial = tuple  # exponent vector over the presentation's generators
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class PresentationMismatchError(ValueError):
@@ -92,10 +90,8 @@ class Presentation:
             mono = tuple(int(e) for e in mono)
             if len(mono) != len(self.names) or any(e < 0 for e in mono):
                 raise ValueError(f"bad monomial {mono}")
-            c = as_fraction(coeff)
-            if c:
-                out[mono] = out.get(mono, ZERO) + c
-        return {m: c for m, c in out.items() if c}
+            add_term(out, mono, as_fraction(coeff))
+        return out
 
     @property
     def ngens(self) -> int:
@@ -205,12 +201,7 @@ class Presentation:
                 continue
             positions = [p for p in range(len(w) - 1) if w[p] > w[p + 1]]
             if not positions:
-                mono = self._mono_of_sorted_word(w)
-                acc = result.get(mono, ZERO) + c
-                if acc:
-                    result[mono] = acc
-                else:
-                    result.pop(mono, None)
+                add_term(result, self._mono_of_sorted_word(w), c)
                 continue
             p = positions[0] if rng is None else rng.choice(positions)
             j, i = w[p], w[p + 1]
@@ -259,12 +250,7 @@ class Element:
     def __add__(self, other):
         other = self._coerce(other)
         terms = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = terms.get(m, ZERO) + c
-            if acc:
-                terms[m] = acc
-            else:
-                terms.pop(m, None)
+        vec_add_scaled(terms, other.terms)
         return Element(self.algebra, terms)
 
     __radd__ = __add__
@@ -288,13 +274,7 @@ class Element:
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                c = c1 * c2
-                for m, pc in self.algebra.product_terms(m1, m2).items():
-                    acc = out.get(m, ZERO) + c * pc
-                    if acc:
-                        out[m] = acc
-                    else:
-                        out.pop(m, None)
+                vec_add_scaled(out, self.algebra.product_terms(m1, m2), c1 * c2)
         return Element(self.algebra, out)
 
     def __rmul__(self, other):
@@ -416,36 +396,19 @@ def check_confluence(pres: Presentation) -> Report:
     n = pres.ngens
     for k, j, i in itertools.combinations(range(n - 1, -1, -1), 3):
         # first step rewrites (k,j) at position 0, or (j,i) at position 1
-        via_left: dict[Monomial, Fraction] = {}
-        _accumulate(via_left, pres.reduce_word((j, k, i)))
+        via_left = pres.reduce_word((j, k, i))
         for mono, c in pres.table.get((k, j), {}).items():
-            _accumulate(via_left, pres.reduce_word(pres.word_of(mono) + (i,), c))
-        via_right: dict[Monomial, Fraction] = {}
-        _accumulate(via_right, pres.reduce_word((k, i, j)))
+            vec_add_scaled(via_left, pres.reduce_word(pres.word_of(mono) + (i,), c))
+        via_right = pres.reduce_word((k, i, j))
         for mono, c in pres.table.get((j, i), {}).items():
-            _accumulate(via_right, pres.reduce_word((k,) + pres.word_of(mono), c))
+            vec_add_scaled(via_right, pres.reduce_word((k,) + pres.word_of(mono), c))
         ok = via_left == via_right
         diff = ""
         if not ok:
-            delta = dict(via_left)
-            for m, c in via_right.items():
-                acc = delta.get(m, ZERO) - c
-                if acc:
-                    delta[m] = acc
-                else:
-                    delta.pop(m, None)
-            diff = f"normal forms differ by {Element(pres, delta)}"
+            delta = Element(pres, via_left) - Element(pres, via_right)
+            diff = f"normal forms differ by {delta}"
         report.add(
             f"overlap ({pres.names[k]},{pres.names[j]},{pres.names[i]})", ok, diff)
     if pres.ngens < 3:
         report.add("no overlaps", True, "fewer than three generators")
     return report
-
-
-def _accumulate(target: dict, terms: Mapping) -> None:
-    for m, c in terms.items():
-        acc = target.get(m, ZERO) + c
-        if acc:
-            target[m] = acc
-        else:
-            target.pop(m, None)

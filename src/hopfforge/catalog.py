@@ -55,12 +55,6 @@ def build_b_lambda(lam, truncation: int = 6) -> PresentedHopfAlgebra:
     return _b_lambda(as_fraction(lam), truncation)
 
 
-def _b_param(parameter):
-    if parameter in (INF, "infinity", None) and parameter is not None:
-        return INF
-    return as_fraction(parameter)
-
-
 @lru_cache(maxsize=None)
 def _b_coideal(lam: Fraction, which: str, parameter, truncation: int
                ) -> SubalgebraSpec:

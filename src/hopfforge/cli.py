@@ -1,7 +1,8 @@
 """Command-line interface: certify definition files or builtins and report.
 
 Exit codes: 0 all requested checks pass, 1 a requested check failed,
-2 parse failure, 3 certificate failure.
+2 parse failure, 3 certificate failure.  Checks with status "info" are
+informational verdicts and never fail a run.
 """
 
 from __future__ import annotations
@@ -39,6 +40,13 @@ class _CliFailure(Exception):
         self.code = code
 
 
+def _e_params(params: str) -> list[Fraction]:
+    """E parameters a,b,l1,l2; omitted trailing ones default to 1,1,0,0."""
+    values = [as_fraction(p) for p in params.split(",")] if params else []
+    defaults = [Fraction(1), Fraction(1), Fraction(0), Fraction(0)]
+    return (values + defaults[len(values):])[:4]
+
+
 def _parse_builtin(spec: str, truncation: int):
     """Builtin names: B:<lam>, E[:a,b,l1,l2], U:<preset>."""
     head, _, params = spec.partition(":")
@@ -46,10 +54,7 @@ def _parse_builtin(spec: str, truncation: int):
         lam = as_fraction(params or "0")
         return catalog.build_b_lambda(lam, truncation)
     if head == "E":
-        values = [as_fraction(p) for p in params.split(",")] if params else []
-        defaults = [Fraction(1), Fraction(1), Fraction(0), Fraction(0)]
-        values = values + defaults[len(values):]
-        return catalog.build_e(*values[:4], truncation=truncation)
+        return catalog.build_e(*_e_params(params), truncation=truncation)
     if head == "U":
         return catalog.build_enveloping_preset(params or "abelian1", truncation)
     raise _CliFailure(f"unknown builtin {spec!r} (use B:<lam>, E[:a,b,l1,l2], "
@@ -58,10 +63,10 @@ def _parse_builtin(spec: str, truncation: int):
 
 def _builtin_sub(H: PresentedHopfAlgebra, name: str, truncation: int,
                  builtin: str) -> SubalgebraSpec:
-    head = builtin.partition(":")[0]
+    head, _, params = builtin.partition(":")
     which, _, param = name.partition(":")
     if head == "B":
-        lam = as_fraction(builtin.partition(":")[2] or "0")
+        lam = as_fraction(params or "0")
         if which in ("L", "R"):
             return catalog.build_b_coideal(lam, which, param or "inf", truncation)
         if which == "g_alpha":
@@ -69,11 +74,7 @@ def _builtin_sub(H: PresentedHopfAlgebra, name: str, truncation: int,
         if which == "g_inf":
             return catalog.build_b_coideal(lam, "g_inf", truncation=truncation)
     if head == "E" and which == "T":
-        params = builtin.partition(":")[2]
-        values = [as_fraction(p) for p in params.split(",")] if params else []
-        defaults = [Fraction(1), Fraction(1), Fraction(0), Fraction(0)]
-        values = values + defaults[len(values):]
-        return catalog.build_e_coideal(*values[:4], truncation=truncation)
+        return catalog.build_e_coideal(*_e_params(params), truncation=truncation)
     raise _CliFailure(f"builtin {builtin!r} has no subalgebra {name!r}",
                       EXIT_PARSE)
 
@@ -143,14 +144,16 @@ class _Session:
         else:
             raise _CliFailure("give a definition file or --builtin", EXIT_PARSE)
 
-    def _note_report(self, report: Report) -> None:
+    def _note_report(self, report: Report, fail_status: str = "fail") -> None:
         for c in report.checks:
             self.checks.append({"name": c.name,
-                                "status": "pass" if c.passed else "fail",
+                                "status": "pass" if c.passed else fail_status,
                                 "details": c.details})
 
-    def note(self, report: Report) -> bool:
-        self._note_report(report)
+    def note(self, report: Report, fail_status: str = "fail") -> bool:
+        """Record the checks; a failing one gets fail_status ("fail" or
+        "info", an informational verdict that does not fail the run)."""
+        self._note_report(report, fail_status)
         return report.passed
 
     def failed_checks(self) -> bool:
@@ -225,8 +228,15 @@ def _chi_for(session: _Session, target, spec: str):
         if not value:
             raise _CliFailure(
                 f"bad --chi entry {piece!r}; use name=value,...", EXIT_PARSE)
-        values[name.strip()] = as_fraction(value.strip())
-    chi = character(target, values)
+        try:
+            values[name.strip()] = as_fraction(value.strip())
+        except (ValueError, ZeroDivisionError):
+            raise _CliFailure(f"bad --chi value {value.strip()!r}: not an "
+                              "exact rational", EXIT_PARSE)
+    try:
+        chi = character(target, values)
+    except ValueError as exc:
+        raise _CliFailure(f"bad --chi {spec!r}: {exc}", EXIT_PARSE)
     if not chi.report.passed:
         raise _CliFailure("character does not kill the relations:\n"
                           + chi.report.summary(), EXIT_CHECK)
@@ -256,11 +266,15 @@ def _run_nakayama(session: _Session, chi_spec: str) -> None:
     session.data["nakayama"] = out
 
 
-def _run_numerology(session: _Session) -> None:
+def _run_numerology(session: _Session, informational: bool) -> None:
+    """Numerology verdicts; with informational, a failing verdict on a
+    subalgebra (which a proper coideal may legitimately fail) is recorded
+    as "info" rather than "fail"."""
     if session.subs:
         for spec in session.subs:
             sig = spec.signature()
-            session.note(numerology_report(sig))
+            session.note(numerology_report(sig),
+                         "info" if informational else "fail")
             session.data.setdefault("numerology", []).append(
                 {"target": spec.name, "signature": _sig_json(sig)})
     else:
@@ -268,6 +282,9 @@ def _run_numerology(session: _Session) -> None:
         session.note(numerology_report(sig, lantern(session.H)))
         session.data["numerology"] = [{"target": session.H.name,
                                        "signature": _sig_json(sig)}]
+
+
+_MARKS = {"pass": "ok  ", "fail": "FAIL", "info": "info"}
 
 
 def _emit(session: _Session, args, code_hint: int) -> int:
@@ -283,7 +300,7 @@ def _emit(session: _Session, args, code_hint: int) -> int:
     else:
         print(f"algebra {session.H.name} (truncation {session.truncation})")
         for c in session.checks:
-            mark = "ok  " if c["status"] == "pass" else "FAIL"
+            mark = _MARKS[c["status"]]
             line = f"  {mark} {c['name']}"
             if c["details"]:
                 line += f": {c['details']}"
@@ -364,7 +381,7 @@ def run(argv) -> int:
         if cmd == "nakayama":
             _run_nakayama(session, args.chi)
         if cmd in ("numerology", "report"):
-            _run_numerology(session)
+            _run_numerology(session, informational=cmd == "report")
         code_hint = EXIT_CERTIFICATE if cmd in ("verify", "coideal") else EXIT_CHECK
         return _emit(session, args, code_hint)
     except _CliFailure as exc:

@@ -11,10 +11,9 @@ element itself once the host filtration is certified.
 
 from __future__ import annotations
 
-from fractions import Fraction
 
 from . import linalg
-from .algebra import (Element, Monomial, Presentation, ZERO, ONE,
+from .algebra import (Element, Monomial, Presentation, ONE,
                       check_confluence, check_termination_weights, commutator)
 from .grading import Signature
 from .hopf import (CertificateMissingError, HopfAlgebraError,
@@ -52,10 +51,10 @@ class _EmbeddedSpan:
         return cached
 
     def image(self, x: Element) -> Element:
-        out = self.host.zero()
+        out: dict = {}
         for mono, c in x.terms.items():
-            out = out + self.monomial_image(mono) * c
-        return out
+            linalg.vec_add_scaled(out, self.monomial_image(mono).terms, c)
+        return Element(self.host.presentation, out)
 
     def solver(self, max_weight: int):
         w = min(max_weight, self.cutoff)
@@ -192,14 +191,15 @@ def register_subalgebra(host: PresentedHopfAlgebra, name: str,
         img = spec.embedding[i]
         if not img:
             raise RegistrationError(f"{name}: generator {g} embeds to zero")
+        # the cheap weight test first: coradical_degree expands the image
+        if img.weight > cutoff:
+            raise RegistrationError(
+                f"{name}: image of {g} exceeds the certification cutoff")
         deg = host.coradical_degree(img)
         if deg != w:
             raise RegistrationError(
                 f"{name}: reweight {g} to {deg}: declared weight {w} is not "
                 "the coradical degree of its image")
-        if img.weight > cutoff:
-            raise RegistrationError(
-                f"{name}: image of {g} exceeds the certification cutoff")
 
     span = _EmbeddedSpan(host, pres, spec.embedding, cutoff)
     report = Report(f"{name}: morphism")
@@ -313,14 +313,6 @@ def is_hopf_subalgebra(spec: SubalgebraSpec) -> bool:
     return True
 
 
-def coideal_signature(spec: SubalgebraSpec) -> Signature:
-    return spec.signature()
-
-
-def gk_dimension(spec: SubalgebraSpec) -> int:
-    return spec.gk_dimension()
-
-
 def spans_equal(a: SubalgebraSpec, b: SubalgebraSpec) -> bool:
     """Mutual membership of generator images, at the generators' weights."""
     a._require_registered()
@@ -409,18 +401,10 @@ def coinvariants(H: PresentedHopfAlgebra, spec: SubalgebraSpec,
             for v_mono, c in cofactor.terms.items():
                 linalg.vec_add_scaled(acc, pi[v_mono], c)
             for q, c in acc.items():
-                row = rows.setdefault((mono, q), {})
-                row[col] = row.get(col, ZERO) + c
+                linalg.add_term(rows.setdefault((mono, q), {}), col, c)
         for q, c in pi[pres.identity_monomial()].items():
-            key = (m, q)
-            prev = rows.setdefault(key, {}).get(col, ZERO)
-            acc = prev - c
-            if acc:
-                rows[key][col] = acc
-            else:
-                rows[key].pop(col, None)
-    rows = {k: r for k, r in rows.items() if r}
-    basis = linalg.kernel_basis(list(rows.values()), len(monomials))
+            linalg.add_term(rows.setdefault((m, q), {}), col, -c)
+    basis = linalg.kernel_basis([r for r in rows.values() if r], len(monomials))
     out = []
     for vec in basis:
         vec = linalg.clear_denominators(vec)
@@ -449,7 +433,8 @@ def primitive_of_coideal(spec: SubalgebraSpec) -> Element | None:
     if not basis:
         return None
     vec = linalg.clear_denominators(basis[0])
-    out = host.zero()
+    out: dict = {}
     for j, c in vec.items():
-        out = out + spec.span.monomial_image(t_monomials[j]) * c
-    return out
+        image = spec.span.monomial_image(t_monomials[j])
+        linalg.vec_add_scaled(out, image.terms, c)
+    return Element(host.presentation, out)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import linalg
-from .algebra import (Element, Monomial, Presentation, ZERO, ONE,
+from .algebra import (Element, Monomial, Presentation, ONE,
                       check_confluence, check_termination_weights, commutator)
 from .report import Report
 from .tensor import TensorElement, contract, tensor_multiply
@@ -66,6 +66,7 @@ class PresentedHopfAlgebra:
         self._reduced_mono: dict[Monomial, dict] = {}
         self._reduced_iter: dict[tuple[Monomial, int], dict] = {}
         self._antipode_mono: dict[Monomial, Element] = {}
+        self._antipode_solver_cache: dict[int, tuple] = {}
 
     # -- construction-time validation ------------------------------------
 
@@ -189,18 +190,17 @@ class PresentedHopfAlgebra:
         self._coprod_mono[mono] = terms
         return terms
 
+    def _extend(self, x: Element, mono_map, arity: int) -> TensorElement:
+        """Linear extension of a memoized map from monomials to tensor terms."""
+        out: dict = {}
+        for mono, c in x.terms.items():
+            linalg.vec_add_scaled(out, mono_map(mono), c)
+        return TensorElement(self.presentation, arity, out)
+
     def coproduct(self, x: Element) -> TensorElement:
         """Multiplicative extension of the generator coproducts."""
         self._require_confluence()
-        out: dict = {}
-        for mono, c in x.terms.items():
-            for key, v in self._coproduct_monomial(mono).items():
-                acc = out.get(key, ZERO) + c * v
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-        return TensorElement(self.presentation, 2, out)
+        return self._extend(x, self._coproduct_monomial, 2)
 
     def counit(self, x: Element) -> Fraction:
         """Coefficient of the identity monomial."""
@@ -215,11 +215,7 @@ class PresentedHopfAlgebra:
                 raise ValueError("reduced coproduct of the identity monomial")
             cached = dict(self._coproduct_monomial(mono))
             for key in ((one, mono), (mono, one)):
-                acc = cached.get(key, ZERO) - ONE
-                if acc:
-                    cached[key] = acc
-                else:
-                    cached.pop(key, None)
+                linalg.add_term(cached, key, -ONE)
             self._reduced_mono[mono] = cached
         return cached
 
@@ -228,15 +224,7 @@ class PresentedHopfAlgebra:
         self._require_confluence()
         if self.counit(x):
             raise ValueError("reduced coproduct needs counit(x) = 0")
-        out: dict = {}
-        for mono, c in x.terms.items():
-            for key, v in self._reduced_monomial(mono).items():
-                acc = out.get(key, ZERO) + c * v
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-        return TensorElement(self.presentation, 2, out)
+        return self._extend(x, self._reduced_monomial, 2)
 
     def _reduced_iterate_monomial(self, mono: Monomial, n: int) -> dict:
         """Terms of the n-fold reduced coproduct of a monomial (memoized)."""
@@ -248,13 +236,9 @@ class PresentedHopfAlgebra:
             else:
                 out: dict = {}
                 for tkey, c in self._reduced_iterate_monomial(mono, n - 1).items():
-                    for (a, b), v in self._reduced_monomial(tkey[0]).items():
-                        nk = (a, b) + tkey[1:]
-                        acc = out.get(nk, ZERO) + c * v
-                        if acc:
-                            out[nk] = acc
-                        else:
-                            out.pop(nk, None)
+                    rest = tkey[1:]
+                    for head, v in self._reduced_monomial(tkey[0]).items():
+                        linalg.add_term(out, head + rest, c * v)
                 cached = out
             self._reduced_iter[key] = cached
         return cached
@@ -266,15 +250,8 @@ class PresentedHopfAlgebra:
         if self.counit(x):
             raise ValueError("reduced coproduct needs counit(x) = 0")
         self._require_confluence()
-        out: dict = {}
-        for mono, c in x.terms.items():
-            for key, v in self._reduced_iterate_monomial(mono, n).items():
-                acc = out.get(key, ZERO) + c * v
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-        return TensorElement(self.presentation, n + 1, out)
+        return self._extend(
+            x, lambda mono: self._reduced_iterate_monomial(mono, n), n + 1)
 
     def coradical_degree(self, x: Element) -> int:
         """Smallest n with the n-fold reduced coproduct of x - counit(x) zero."""
@@ -298,12 +275,7 @@ class PresentedHopfAlgebra:
         pos = leg - 1
         for key, c in t.terms.items():
             if key[pos] == one:
-                other = key[1 - pos]
-                acc = out.get(other, ZERO) + c
-                if acc:
-                    out[other] = acc
-                else:
-                    out.pop(other, None)
+                linalg.add_term(out, key[1 - pos], c)
         return Element(self.presentation, out)
 
     # -- antipode -----------------------------------------------------------
@@ -326,10 +298,10 @@ class PresentedHopfAlgebra:
     def antipode(self, x: Element) -> Element:
         """Anti-multiplicative extension of the generator antipodes."""
         self._require_antipode()
-        out = self.zero()
+        out: dict = {}
         for mono, c in x.terms.items():
-            out = out + self._antipode_monomial(mono) * c
-        return out
+            linalg.vec_add_scaled(out, self._antipode_monomial(mono).terms, c)
+        return Element(self.presentation, out)
 
     def s_squared(self, x: Element) -> Element:
         return self.antipode(self.antipode(x))
@@ -341,8 +313,8 @@ class PresentedHopfAlgebra:
             return self.zero()
         w = x.weight if weight_cutoff is None else max(weight_cutoff, x.weight)
         self._require_filtration(w)
-        solver, monomials = self._antipode_solver(w)
-        vec = {self._mono_col(w, m): c for m, c in x.terms.items()}
+        solver, monomials, index = self._antipode_solver(w)
+        vec = {index[m]: c for m, c in x.terms.items()}
         coeffs = solver.solve(vec)
         if coeffs is None:
             raise HopfAlgebraError(
@@ -351,9 +323,8 @@ class PresentedHopfAlgebra:
         return Element(self.presentation, terms)
 
     def _antipode_solver(self, w: int):
-        cache = getattr(self, "_antipode_solver_cache", None)
-        if cache is None:
-            cache = self._antipode_solver_cache = {}
+        """(solver over the antipode images, monomials, their column index)."""
+        cache = self._antipode_solver_cache
         if w not in cache:
             monomials = self.presentation.monomials_up_to(w)
             index = {m: i for i, m in enumerate(monomials)}
@@ -361,12 +332,8 @@ class PresentedHopfAlgebra:
             for m in monomials:
                 img = self._antipode_monomial(m)
                 columns.append({index[mm]: c for mm, c in img.terms.items()})
-            cache[w] = (linalg.LinearSolver(columns), monomials)
+            cache[w] = (linalg.LinearSolver(columns), monomials, index)
         return cache[w]
-
-    def _mono_col(self, w: int, mono: Monomial) -> int:
-        _, monomials = self._antipode_solver(w)
-        return monomials.index(mono)
 
     # -- primitives ------------------------------------------------------------
 
@@ -459,10 +426,11 @@ def solve_antipode(H: PresentedHopfAlgebra) -> dict[str, Element]:
     for i in sorted(range(pres.ngens), key=lambda k: (degree[k], k)):
         deg = degree[i]
         g = pres.gen(i)
-        acc = -g
+        acc = dict((-g).terms)
         for (y, z), c in H.reduced_coproduct(g).terms.items():
-            acc = acc - anti_image(y) * pres.monomial(z) * c
-        solved[i] = acc
+            linalg.vec_add_scaled(
+                acc, (anti_image(y) * pres.monomial(z)).terms, -c)
+        solved[i] = Element(pres, acc)
     table = {pres.names[i]: e for i, e in solved.items()}
     H.attach_antipode(table)
     rep = _verify_convolution(H)
@@ -606,8 +574,7 @@ def antipode_eigenbasis(H: PresentedHopfAlgebra, max_weight: int
             for j, col in enumerate(cols):
                 for k, c in col.items():
                     rows.setdefault(k, {})[j] = c
-                rows.setdefault(j, {})[j] = rows.get(j, {}).get(j, ZERO) - sign
-            rows = {k: {j: c for j, c in r.items() if c} for k, r in rows.items()}
+                linalg.add_term(rows.setdefault(j, {}), j, -sign * ONE)
             for vec in linalg.kernel_basis([r for r in rows.values() if r], dim):
                 vec = linalg.clear_denominators(vec)
                 b = Element(pres, {monomials[j]: c for j, c in vec.items()})

@@ -132,12 +132,7 @@ def verify_lie(L: GradedLieAlgebra) -> Report:
                 for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
                     # [u_x, [u_y, u_z]]
                     for e, coeff in L.bracket(y, z).items():
-                        for f, coeff2 in L.bracket(x, e).items():
-                            v = acc.get(f, ZERO) + coeff * coeff2
-                            if v:
-                                acc[f] = v
-                            else:
-                                acc.pop(f, None)
+                        linalg.vec_add_scaled(acc, L.bracket(x, e), coeff)
                 if acc:
                     jacobi_ok = False
                     report.add(

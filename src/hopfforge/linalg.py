@@ -1,4 +1,11 @@
-"""Exact linear algebra over the rationals with deterministic pivoting.
+"""Sparse exact-rational accumulation, and exact linear algebra over the
+rationals with deterministic pivoting.
+
+Every coefficient dict in the package -- ``Element`` and ``TensorElement``
+terms, solver vectors -- stores no zero coefficient.  ``add_term`` and
+``vec_add_scaled`` are the one place that keeps that invariant: all
+accumulation goes through them, and no other module adds into a sparse
+dict by hand.
 
 Vectors are sparse dicts {column index: Fraction}.  Pivot choice is fixed
 once and for all (columns in ascending order; among candidate rows the one
@@ -15,18 +22,56 @@ from typing import Sequence
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-Vector = dict  # {int: Fraction}, no explicit zeros
+Vector = dict  # {key: Fraction}, no explicit zeros
 
 
-def vec_add_scaled(target: Vector, source: Vector, factor: Fraction) -> None:
+def add_term(target: dict, key, value: Fraction) -> None:
+    """target[key] += value in place, dropping the entry if it cancels."""
+    acc = target.get(key)
+    if acc is None:
+        if value:
+            target[key] = value
+    else:
+        acc += value
+        if acc:
+            target[key] = acc
+        else:
+            del target[key]
+
+
+def vec_add_scaled(target: dict, source: dict,
+                   factor: Fraction | None = None) -> None:
+    """target += factor * source in place, dropping entries that cancel.
+
+    factor None adds source unscaled (a Fraction multiply by one costs as
+    much as the add); a zero factor is a no-op.  Keys may be any hashable:
+    column indices, monomials or tensor keys.  Like every sparse vector,
+    source holds no zero, so a key new to target is stored without an add.
+    """
+    if factor is None:
+        for k, v in source.items():
+            acc = target.get(k)
+            if acc is None:
+                target[k] = v
+            else:
+                acc += v
+                if acc:
+                    target[k] = acc
+                else:
+                    del target[k]
+        return
     if not factor:
         return
-    for j, v in source.items():
-        acc = target.get(j, ZERO) + factor * v
-        if acc:
-            target[j] = acc
+    for k, v in source.items():
+        acc = target.get(k)
+        if acc is None:
+            target[k] = factor * v
         else:
-            target.pop(j, None)
+            acc += factor * v
+            if acc:
+                target[k] = acc
+            else:
+                del target[k]
 
 
 def _pivot_size(value: Fraction) -> int:
@@ -131,7 +176,7 @@ class LinearSolver:
         inv = ONE / main[pivot]
         main = {j: v * inv for j, v in main.items()}
         coeffs = {j: v * inv for j, v in coeffs.items()}
-        coeffs[idx] = coeffs.get(idx, ZERO) - inv
+        coeffs[idx] = -inv  # _reduce only touches earlier vectors
         for m, c in self._rows:
             v = m.get(pivot)
             if v:

@@ -15,6 +15,7 @@ from fractions import Fraction
 from .algebra import Element, Presentation, ZERO, as_fraction, commutator
 from .coideal import SubalgebraSpec
 from .hopf import HopfAlgebraError
+from .linalg import add_term, vec_add_scaled
 from .report import Report
 
 
@@ -130,7 +131,7 @@ def winding(chi: Character, x: Element, side: str) -> Element:
             return pres.zero()
         w = hx.weight
         anchor_leg = 2 if side == "left" else 1
-        out = host.zero()
+        out: dict = {}
         for mono, cofactor in host.coproduct(hx).leg_cofactors(anchor_leg):
             rep = target.represent(cofactor, w)
             if rep is None:
@@ -138,24 +139,22 @@ def winding(chi: Character, x: Element, side: str) -> Element:
                     f"winding cofactor {cofactor} is outside the subalgebra "
                     "span; the declared coideal side does not support this "
                     "winding")
-            out = out + host.presentation.monomial(mono) * chi(rep)
-        result = target.represent(out, w)
+            add_term(out, mono, chi(rep))
+        result = target.represent(Element(host.presentation, out), w)
         if result is None:
             raise HopfAlgebraError(
                 "winding image escapes the subalgebra span; stability "
                 "verification failed")
         return result
-    H = target
-    out = H.zero()
-    for (m1, m2), c in H.coproduct(x).terms.items():
+    out = {}
+    for (m1, m2), c in target.coproduct(x).terms.items():
         anchor, evaluated = (m2, m1) if side == "left" else (m1, m2)
         scale = c
         for i, e in enumerate(evaluated):
             if e:
                 scale *= chi.values.get(i, ZERO) ** e
-        if scale:
-            out = out + pres.monomial(anchor) * scale
-    return out
+        add_term(out, anchor, scale)
+    return Element(pres, out)
 
 
 @dataclass
@@ -180,14 +179,14 @@ class GeneratorAutomorphism:
         pres = _presentation_of(self.target)
         if x.algebra is not pres:
             raise ValueError("automorphism applied outside its presentation")
-        out = pres.zero()
+        out: dict = {}
         for mono, c in x.terms.items():
             term = pres.one()
             for i, e in enumerate(mono):
                 for _ in range(e):
                     term = term * self.images[i]
-            out = out + term * c
-        return out
+            vec_add_scaled(out, term.terms, c)
+        return Element(pres, out)
 
     def respects_relations(self) -> Report:
         pres = _presentation_of(self.target)

@@ -26,6 +26,7 @@ from fractions import Fraction
 
 from .algebra import Presentation
 from .hopf import PresentedHopfAlgebra
+from .linalg import add_term
 
 # a polynomial is {mono-key: Fraction}; a mono-key is a tuple of
 # (generator name, exponent) pairs in declaration order, () meaning 1
@@ -192,11 +193,7 @@ def _parse_poly(ts: _TokenStream, declared, order, tensor: bool):
             key = (_mono_key(sides[0], order), _mono_key(sides[1], order))
         else:
             key = _mono_key(sides[0], order)
-        acc = out.get(key, Fraction(0)) + coeff
-        if acc:
-            out[key] = acc
-        else:
-            out.pop(key, None)
+        add_term(out, key, coeff)
         if ts.peek() is None or ts.peek() in (",", "]", "}"):
             break
         if ts.peek() not in ("+", "-"):

@@ -11,7 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .algebra import Element, Monomial, Presentation, PresentationMismatchError, ZERO, as_fraction
+from .algebra import Element, Monomial, Presentation, PresentationMismatchError, as_fraction
+from .linalg import add_term, vec_add_scaled
 
 TensorKey = tuple  # tuple of Monomials, length = arity
 
@@ -45,10 +46,8 @@ class TensorElement:
             key = tuple(tuple(int(e) for e in mono) for mono in key)
             if len(key) != arity:
                 raise ValueError(f"key {key} does not have arity {arity}")
-            c = as_fraction(coeff)
-            if c:
-                out[key] = out.get(key, ZERO) + c
-        return cls(algebra, arity, {k: c for k, c in out.items() if c})
+            add_term(out, key, as_fraction(coeff))
+        return cls(algebra, arity, out)
 
     # -- linear structure ---------------------------------------------------
 
@@ -61,12 +60,7 @@ class TensorElement:
     def __add__(self, other: "TensorElement") -> "TensorElement":
         self._check(other)
         terms = dict(self.terms)
-        for k, c in other.terms.items():
-            acc = terms.get(k, ZERO) + c
-            if acc:
-                terms[k] = acc
-            else:
-                terms.pop(k, None)
+        vec_add_scaled(terms, other.terms)
         return TensorElement(self.algebra, self.arity, terms)
 
     def __neg__(self) -> "TensorElement":
@@ -129,12 +123,7 @@ class TensorElement:
             elif out_arity != self.arity + grown:
                 raise ValueError("leg map returned inconsistent arities")
             for mid, c in pieces.items():
-                new_key = key[:pos] + mid + key[pos + 1:]
-                acc = out.get(new_key, ZERO) + coeff * c
-                if acc:
-                    out[new_key] = acc
-                else:
-                    out.pop(new_key, None)
+                add_term(out, key[:pos] + mid + key[pos + 1:], coeff * c)
         if out_arity is None:
             # zero tensor: probe f on zero to learn the target arity
             probe = f(self.algebra.zero())
@@ -159,13 +148,6 @@ class TensorElement:
         key = self.algebra.monomial_key
         return [(m, Element(self.algebra, grouped[m]))
                 for m in sorted(grouped, key=key)]
-
-    def max_total_weight(self):
-        """Largest sum of leg weights; None for the zero tensor."""
-        if not self.terms:
-            return None
-        mw = self.algebra.monomial_weight
-        return max(sum(mw(m) for m in key) for key in self.terms)
 
     def __repr__(self):
         return f"<tensor {self}>"
@@ -197,11 +179,9 @@ def tensor_product(*factors: Element) -> TensorElement:
     for e in factors:
         if e.algebra is not algebra:
             raise PresentationMismatchError("factors over different presentations")
-        new: dict[TensorKey, Fraction] = {}
-        for key, c in terms.items():
-            for m, cm in e.terms.items():
-                new[key + (m,)] = new.get(key + (m,), ZERO) + c * cm
-        terms = {k: c for k, c in new.items() if c}
+        # distinct (key, m) give distinct keys, and nonzero times nonzero
+        terms = {key + (m,): c * cm
+                 for key, c in terms.items() for m, cm in e.terms.items()}
     return TensorElement(algebra, len(factors), terms)
 
 
@@ -216,19 +196,11 @@ def tensor_multiply(s: TensorElement, t: TensorElement) -> TensorElement:
             partial: dict[TensorKey, Fraction] = {(): c1 * c2}
             for m1, m2 in zip(key1, key2):
                 prod = algebra.product_terms(m1, m2)
-                grown: dict[TensorKey, Fraction] = {}
-                for key, c in partial.items():
-                    for m, pc in prod.items():
-                        grown[key + (m,)] = grown.get(key + (m,), ZERO) + c * pc
-                partial = grown
+                partial = {key + (m,): c * pc
+                           for key, c in partial.items() for m, pc in prod.items()}
                 if not partial:
                     break
-            for key, c in partial.items():
-                acc = out.get(key, ZERO) + c
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
+            vec_add_scaled(out, partial)
     return TensorElement(algebra, s.arity, out)
 
 
@@ -238,10 +210,5 @@ def contract(t: TensorElement) -> Element:
         raise ValueError("contract needs arity 2")
     out: dict[Monomial, Fraction] = {}
     for (m1, m2), c in t.terms.items():
-        for m, pc in t.algebra.product_terms(m1, m2).items():
-            acc = out.get(m, ZERO) + c * pc
-            if acc:
-                out[m] = acc
-            else:
-                out.pop(m, None)
+        vec_add_scaled(out, t.algebra.product_terms(m1, m2), c)
     return Element(t.algebra, out)

@@ -114,3 +114,37 @@ def test_truncation_flag(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "truncation 5" in out
+
+
+def test_report_sub_numerology_is_informational(capsys):
+    # report reflects certificate failures only: the coideal T fails the
+    # gap-free numerology, which a proper coideal may legitimately do
+    code = run(["report", "--builtin", "E", "--sub", "T", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    status = {c["name"]: c["status"] for c in payload["checks"]}
+    assert status["no gaps"] == "info"
+    assert "fail" not in status.values()
+    assert run(["report", "--builtin", "E", "--sub", "T"]) == 0
+    out = capsys.readouterr().out
+    assert "  info no gaps" in out
+    assert "result: pass" in out
+
+
+def test_nakayama_unknown_chi_generator_exit_2(capsys):
+    code = run(["nakayama", "--builtin", "B:1", "--sub", "R:inf",
+                "--chi", "Q=1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "bad --chi 'Q=1': unknown generator 'Q'\n"
+
+
+def test_sub_heavier_than_cutoff_exit_3(capsys, tmp_path):
+    # the weight test runs before the coradical degree, whose expansion of
+    # X^3000*Y would otherwise recurse past the interpreter's limit
+    host = (DATA / "b_lambda.hopf").read_text().split("# rank-2 left")[0]
+    heavy = tmp_path / "heavy.hopf"
+    heavy.write_text(host + "sub A_heavy side hopf {\n  gen A weight 3001\n"
+                     "  embed A = X^3000*Y\n}\n")
+    assert run(["verify", str(heavy)]) == 3
+    assert "exceeds the certification cutoff" in capsys.readouterr().err

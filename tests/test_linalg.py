@@ -1,8 +1,10 @@
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
-from hopfforge.linalg import (LinearSolver, clear_denominators, kernel_basis,
-                              rank, rref, solve)
+from hopfforge.linalg import (LinearSolver, add_term, clear_denominators,
+                              kernel_basis, rank, rref, solve, vec_add_scaled)
 
 F = Fraction
 
@@ -81,3 +83,56 @@ def test_kernel_deterministic():
     rows = [{0: F(1), 1: F(7), 2: F(1, 2)}, {1: F(2), 2: F(4)}]
     assert kernel_basis(rows, 3) == kernel_basis(rows, 3)
     assert solve([{0: F(2)}], {0: F(3)}) == [F(3, 2)]
+
+
+def test_add_term_drops_cancelled_key():
+    vec = {0: F(1), 1: F(2)}
+    add_term(vec, 0, F(-1))
+    add_term(vec, 2, F(1, 3))
+    assert vec == {1: F(2), 2: F(1, 3)}
+    add_term(vec, 5, F(0))
+    assert vec == {1: F(2), 2: F(1, 3)}
+
+
+def test_vec_add_scaled_cancellation_removes_key():
+    vec = {0: F(1), 1: F(1)}
+    vec_add_scaled(vec, {0: F(1, 2), 2: F(1)}, F(-2))
+    assert vec == {1: F(1), 2: F(-2)}
+
+
+def test_vec_add_scaled_none_adds_unscaled():
+    vec = {0: F(1)}
+    vec_add_scaled(vec, {0: F(-1), 1: F(3, 4)})
+    assert vec == {1: F(3, 4)}
+
+
+def test_vec_add_scaled_zero_factor_is_noop():
+    vec = {0: F(1)}
+    vec_add_scaled(vec, {0: F(-1), 1: F(5)}, F(0))
+    assert vec == {0: F(1)}
+
+
+def test_vec_add_scaled_tensor_keys():
+    one, x = (0, 0), (1, 0)
+    vec = {(one, x): F(1), (x, one): F(1)}
+    vec_add_scaled(vec, {(x, one): F(1), (x, x): F(1, 2)}, F(-1))
+    assert vec == {(one, x): F(1), (x, x): F(-1, 2)}
+
+
+# The hand-written accumulate idiom: get a coefficient with a zero default
+# and add to it, or pop a key that cancelled.
+_ACCUMULATE = re.compile(
+    r"\.get\([^()]*,\s*(ZERO|Fraction\(0\))\)\s*[-+]|\.pop\([^()]*,\s*None\)")
+
+
+def test_sparse_accumulate_lives_only_in_linalg():
+    src = Path(__file__).parent.parent / "src" / "hopfforge"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if _ACCUMULATE.search(line):
+                offenders.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert not offenders, "use linalg.add_term / vec_add_scaled:\n" + \
+        "\n".join(offenders)
