@@ -357,6 +357,30 @@ def format_monomial(algebra: Presentation, mono: Monomial) -> str:
     return "*".join(factors) if factors else "1"
 
 
+def memo_peel(memo: dict, mono: Monomial, last: bool, base, step):
+    """Memoized value of a map on monomials defined by peeling one factor.
+
+    value(1) = base(); otherwise, with k the first (last, if last is set)
+    generator occurring in m and m' the monomial with one factor g_k
+    removed, value(m) = step(k, value(m')).  Walks down to the first
+    memoized monomial, then fills memo for every monomial on the way back
+    up, so no exponent is limited by the interpreter's recursion depth.
+    """
+    chain = []
+    while mono not in memo:
+        if not any(mono):
+            memo[mono] = base()
+            break
+        occurring = [i for i, e in enumerate(mono) if e]
+        k = occurring[-1] if last else occurring[0]
+        chain.append((mono, k))
+        mono = tuple(e - 1 if i == k else e for i, e in enumerate(mono))
+    value = memo[mono]
+    for m, k in reversed(chain):
+        value = memo[m] = step(k, value)
+    return value
+
+
 def multiply(a: Element, b: Element) -> Element:
     return a * b
 

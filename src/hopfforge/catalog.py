@@ -215,6 +215,9 @@ def build_enveloping_preset(preset: str, truncation: int = 6
     """Stock enveloping algebras: abelian1..abelian3, nonabelian2, heisenberg."""
     if preset.startswith("abelian"):
         n = int(preset[len("abelian"):] or "1")
+        if n < 1:
+            raise ValueError(f"abelian preset needs at least one generator, "
+                             f"got {n}")
         names = [f"X{i+1}" for i in range(n)]
         return build_enveloping(f"U({preset})", names, {}, truncation)
     if preset == "nonabelian2":

@@ -121,7 +121,10 @@ class _Session:
                 self.H, blocks = build_algebra(df)
             except (ValueError, HopfAlgebraError) as exc:
                 raise _CliFailure(f"bad definition: {exc}", EXIT_PARSE)
-            report = certify(self.H, self.truncation)
+            try:
+                report = certify(self.H, self.truncation)
+            except ValueError as exc:  # truncation below the generator weights
+                raise _CliFailure(str(exc), EXIT_PARSE)
             self._note_report(report)
             if not report.passed:
                 raise _CliFailure(

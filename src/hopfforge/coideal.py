@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from . import linalg
 from .algebra import (Element, Monomial, Presentation, ONE,
-                      check_confluence, check_termination_weights, commutator)
+                      check_confluence, check_termination_weights, commutator,
+                      memo_peel)
 from .grading import Signature
 from .hopf import (CertificateMissingError, HopfAlgebraError,
                    PresentedHopfAlgebra)
@@ -40,14 +41,8 @@ class _EmbeddedSpan:
     def monomial_image(self, mono: Monomial) -> Element:
         cached = self._mono_image.get(mono)
         if cached is None:
-            if not any(mono):
-                cached = self.host.one()
-            else:
-                last = max(k for k, e in enumerate(mono) if e)
-                rest = tuple(e - 1 if k == last else e
-                             for k, e in enumerate(mono))
-                cached = self.monomial_image(rest) * self.images[last]
-            self._mono_image[mono] = cached
+            cached = memo_peel(self._mono_image, mono, True, self.host.one,
+                               lambda last, rest: rest * self.images[last])
         return cached
 
     def image(self, x: Element) -> Element:

@@ -131,11 +131,18 @@ def certify_filtration(H: PresentedHopfAlgebra, truncation: int | None = None
     on the non-identity monomials of weight <= truncation must be exactly
     the span of those of weight <= n; every generator's coradical degree
     must equal its declared weight.  The certificate is attached to H.
+    Below the largest generator weight the check would be vacuous, so a
+    smaller truncation raises ValueError.
     """
+    pres = H.presentation
     if truncation is None:
         truncation = default_truncation(H)
+    least = max(pres.weights, default=0)
+    if truncation < least:
+        raise ValueError(
+            f"truncation {truncation} is below the largest generator weight "
+            f"{least}; the filtration certificate needs truncation >= {least}")
     H._require_confluence()
-    pres = H.presentation
     for i, g in enumerate(pres.names):
         deg = H.coradical_degree(pres.gen(i))
         if deg != pres.weights[i]:

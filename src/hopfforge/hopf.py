@@ -21,7 +21,8 @@ from typing import Mapping
 
 from . import linalg
 from .algebra import (Element, Monomial, Presentation, ONE,
-                      check_confluence, check_termination_weights, commutator)
+                      check_confluence, check_termination_weights, commutator,
+                      memo_peel)
 from .report import Report
 from .tensor import TensorElement, contract, tensor_multiply
 
@@ -179,16 +180,13 @@ class PresentedHopfAlgebra:
         if cached is not None:
             return cached
         pres = self.presentation
-        if not any(mono):
-            terms = {(mono, mono): ONE}
-        else:
-            i = next(k for k, e in enumerate(mono) if e)
-            rest = tuple(e - 1 if k == i else e for k, e in enumerate(mono))
-            head = TensorElement(pres, 2, self._coprod[i])
-            tail = TensorElement(pres, 2, self._coproduct_monomial(rest))
-            terms = tensor_multiply(head, tail).terms
-        self._coprod_mono[mono] = terms
-        return terms
+        one = pres.identity_monomial()
+
+        def step(i, tail):  # Delta(g_i m') = Delta(g_i) Delta(m')
+            return tensor_multiply(TensorElement(pres, 2, self._coprod[i]),
+                                   TensorElement(pres, 2, tail)).terms
+        return memo_peel(self._coprod_mono, mono, False,
+                         lambda: {(one, one): ONE}, step)
 
     def _extend(self, x: Element, mono_map, arity: int) -> TensorElement:
         """Linear extension of a memoized map from monomials to tensor terms."""
@@ -284,16 +282,9 @@ class PresentedHopfAlgebra:
         cached = self._antipode_mono.get(mono)
         if cached is not None:
             return cached
-        pres = self.presentation
-        if not any(mono):
-            result = self.one()
-        else:
-            # S(m' * g_last) = S(g_last) * S(m')
-            last = max(k for k, e in enumerate(mono) if e)
-            rest = tuple(e - 1 if k == last else e for k, e in enumerate(mono))
-            result = self._antipode[last] * self._antipode_monomial(rest)
-        self._antipode_mono[mono] = result
-        return result
+        # S(m' * g_last) = S(g_last) * S(m')
+        return memo_peel(self._antipode_mono, mono, True, self.one,
+                         lambda last, rest: self._antipode[last] * rest)
 
     def antipode(self, x: Element) -> Element:
         """Anti-multiplicative extension of the generator antipodes."""

@@ -12,6 +12,15 @@ once and for all (columns in ascending order; among candidate rows the one
 whose pivot entry has the smallest numerator+denominator bit-length, ties
 by row index) so that reduced forms, kernel bases and membership
 coefficients are bit-for-bit reproducible.
+
+``rank`` alone has a fast path: it first takes the rank modulo the prime
+p = 2^61 - 1 and returns it when it reaches the trivial upper bound
+min(#nonzero rows, #nonzero columns).  That is sound because reduction
+mod p is a ring map on the rationals whose denominators p does not
+divide, so rank mod p <= rank over Q <= the bound, and equality at the
+ends forces the exact rank.  Otherwise (or when p divides some
+denominator) it runs the exact ``rref``.  ``rref``, ``kernel_basis`` and
+``LinearSolver`` are always exact.
 """
 
 from __future__ import annotations
@@ -117,8 +126,71 @@ def rref(rows: Sequence[Vector], ncols: int) -> tuple[list[Vector], dict[int, in
     return rows_sorted, {c: i for i, c in enumerate(order)}
 
 
+RANK_PRIME = (1 << 61) - 1
+
+
 def rank(rows: Sequence[Vector], ncols: int) -> int:
+    """Exact rank over Q of the rows restricted to columns 0..ncols-1.
+
+    Always equal to ``len(rref(rows, ncols)[0])``.  The rank mod
+    RANK_PRIME is returned only when it equals the bound
+    min(#nonzero rows, #nonzero columns): rank mod p <= rank over Q <=
+    bound, so the three are then equal.  When it falls short, or p
+    divides a denominator, the exact rref decides.
+    """
+    support: set = set()
+    nonzero_rows = 0
+    for row in rows:
+        if row:
+            nonzero_rows += 1
+            support.update(row)
+    if not support:
+        return 0
+    # explicit zeros only raise the bound, which keeps the test one-sided
+    bound = min(nonzero_rows, len(support))
+    if min(support) >= 0 and max(support) < ncols \
+            and _rank_mod_p(rows, bound) == bound:
+        return bound
     return len(rref(rows, ncols)[0])
+
+
+def _rank_mod_p(rows: Sequence[Vector], bound: int) -> int | None:
+    """Rank mod RANK_PRIME by sparse row echelon, stopping at bound.
+
+    None when RANK_PRIME divides a denominator.
+    """
+    p = RANK_PRIME
+    inverses = {1: 1}  # denominator -> its inverse mod p
+    pivots: dict[int, dict[int, int]] = {}  # leading column -> monic row
+    for row in rows:
+        vec = {}
+        for j, v in row.items():
+            d = v.denominator
+            inv = inverses.get(d)
+            if inv is None:
+                if not d % p:
+                    return None
+                inv = inverses[d] = pow(d, -1, p)
+            x = v.numerator * inv % p
+            if x:
+                vec[j] = x
+        while vec:
+            lead = min(vec)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(vec[lead], -1, p)
+                pivots[lead] = {j: x * inv % p for j, x in vec.items()}
+                if len(pivots) == bound:
+                    return bound
+                break
+            f = vec[lead]
+            for j, x in pivot.items():
+                y = (vec.get(j, 0) - f * x) % p
+                if y:
+                    vec[j] = y
+                else:
+                    del vec[j]
+    return len(pivots)
 
 
 def kernel_basis(rows: Sequence[Vector], ncols: int) -> list[Vector]:

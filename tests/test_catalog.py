@@ -97,6 +97,12 @@ def test_enveloping_presets():
         assert s_squared_analysis(H).identity
 
 
+@pytest.mark.parametrize("preset", ["abelian0", "abelian-2"])
+def test_abelian_preset_needs_a_generator(preset):
+    with pytest.raises(ValueError, match="at least one generator"):
+        catalog.build_enveloping_preset(preset)
+
+
 def test_enveloping_jacobi_failure_is_caught():
     from hopfforge.hopf import HopfAlgebraError
     with pytest.raises(HopfAlgebraError):

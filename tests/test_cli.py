@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from hopfforge.cli import run
 
 DATA = Path(__file__).parent / "data"
@@ -109,6 +111,27 @@ def test_unknown_builtin(capsys):
     assert run(["signature", "--builtin", "Q:1"]) == 2
 
 
+@pytest.mark.parametrize("truncation", ["0", "1", "-3"])
+def test_truncation_below_generator_weight_exit_2(capsys, truncation):
+    # B(1) has a generator of weight 2, so the filtration certificate
+    # would be vacuous below order 2
+    for source in (["--builtin", "B:1"], [str(DATA / "b_lambda.hopf")]):
+        code = run(["verify", *source, "--truncation", truncation])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1
+        assert f"truncation {truncation} is below" in err
+        assert "needs truncation >= 2" in err
+
+
+@pytest.mark.parametrize("preset", ["U:abelian0", "U:abelian-2"])
+def test_abelian_preset_without_generators_exit_2(capsys, preset):
+    assert run(["verify", "--builtin", preset]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "at least one generator" in err
+
+
 def test_truncation_flag(capsys):
     code = run(["signature", "--builtin", "B:1", "--truncation", "5"])
     out = capsys.readouterr().out
@@ -140,8 +163,8 @@ def test_nakayama_unknown_chi_generator_exit_2(capsys):
 
 
 def test_sub_heavier_than_cutoff_exit_3(capsys, tmp_path):
-    # the weight test runs before the coradical degree, whose expansion of
-    # X^3000*Y would otherwise recurse past the interpreter's limit
+    # the weight test runs before the coradical degree, which would
+    # otherwise expand iterated coproducts of X^3000*Y up to order 3001
     host = (DATA / "b_lambda.hopf").read_text().split("# rank-2 left")[0]
     heavy = tmp_path / "heavy.hopf"
     heavy.write_text(host + "sub A_heavy side hopf {\n  gen A weight 3001\n"

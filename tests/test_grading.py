@@ -46,6 +46,14 @@ def test_overdeclared_weight_yields_reweight_error():
         certify_filtration(H, 4)
 
 
+@pytest.mark.parametrize("truncation", [1, 0, -3])
+def test_truncation_below_largest_weight_rejected(truncation):
+    H = catalog.build_b_lambda(1)
+    with pytest.raises(ValueError, match="needs truncation >= 2"):
+        certify_filtration(H, truncation)
+    assert H.filtration.truncation == 6  # the certificate is untouched
+
+
 def test_underdeclared_weight_rejected_at_construction():
     pres = Presentation([("X", 1), ("Y", 1), ("Z", 1)], {})
     one = pres.one()
@@ -168,7 +176,9 @@ def test_kernel_dimensions_against_independent_route():
                 t = t.apply_to_leg(1, H.reduced_coproduct)
             for key, c in t.terms.items():
                 rows.setdefault(key, {})[col] = c
-        kernel_dim = len(monos) - linalg.rank(list(rows.values()), len(monos))
+        # exact rref, not linalg.rank: the oracle avoids the modular fast path
+        rank = len(linalg.rref(list(rows.values()), len(monos))[0])
+        kernel_dim = len(monos) - rank
         expected = len(pres.monomials_up_to(min(n, 4), include_identity=False))
         assert kernel_dim == expected
 

@@ -1,5 +1,7 @@
 import random
+import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -282,3 +284,32 @@ def test_connectedness_normal_form_enforced():
         PresentedHopfAlgebra(pres2, {
             "X": tp(one2, X2) + tp(X2, one2),
             "Z": tp(one2, Z2) + tp(Z2, one2) + tp(X2, X2)})
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_structure_maps_on_powers_beyond_the_recursion_limit():
+    # the antipode and subalgebra images of a monomial peel one generator
+    # factor per loop step, not per call
+    n = sys.getrecursionlimit() + 50
+    H = catalog.build_enveloping_preset("abelian1")
+    X = H.gen("X1")
+    assert H.antipode(X ** n) == H.scalar((-1) ** n) * X ** n
+    ginf = catalog.build_b_coideal(1, "g_inf")
+    assert ginf.span.monomial_image((n,)) == ginf.host.gen("Y") ** n
+    # Delta(X^m) expands O(m^2) binomial terms, so the coproduct runs at a
+    # smaller exponent under a recursion limit lowered below it
+    m = 150
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 60)
+    try:
+        delta = H.coproduct(X ** m)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert delta.terms == {((k,), (m - k,)): F(comb(m, k))
+                           for k in range(m + 1)}

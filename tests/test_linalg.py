@@ -3,10 +3,16 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
-from hopfforge.linalg import (LinearSolver, add_term, clear_denominators,
-                              kernel_basis, rank, rref, solve, vec_add_scaled)
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hopfforge import linalg
+from hopfforge.linalg import (RANK_PRIME, LinearSolver, add_term,
+                              clear_denominators, kernel_basis, rank, rref,
+                              solve, vec_add_scaled)
 
 F = Fraction
+P = RANK_PRIME
 
 
 def test_rref_identity():
@@ -77,6 +83,111 @@ def test_rank_and_clear_denominators():
     assert rank([{0: F(1)}, {0: F(2)}, {1: F(1, 3)}], 2) == 2
     cleared = clear_denominators({0: F(-2, 3), 2: F(4, 9)})
     assert cleared == {0: F(3), 2: F(-2)}
+
+
+def _sparse_rows(rng, nrows, ncols, density):
+    rows = []
+    for _ in range(nrows):
+        row = {j: F(rng.randint(-5, 5), rng.randint(1, 4))
+               for j in range(ncols) if rng.random() < density}
+        rows.append({j: v for j, v in row.items() if v})
+    return rows
+
+
+def _combine(rng, rows, count):
+    """count rational combinations of the given rows."""
+    out = []
+    for _ in range(count):
+        vec: dict = {}
+        for row in rows:
+            vec_add_scaled(vec, row, F(rng.randint(-3, 3), rng.randint(1, 3)))
+        out.append(vec)
+    return out
+
+
+def _counting_rref(monkeypatch):
+    calls = []
+    exact = linalg.rref
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return exact(rows, ncols)
+    monkeypatch.setattr(linalg, "rref", counted)
+    return calls
+
+
+def _full(rng):
+    return _sparse_rows(rng, 6, 6, 0.6) + [{j: F(1)} for j in range(6)]
+
+
+def _deficient(rng):
+    base = _sparse_rows(rng, 4, 7, 0.6)
+    return base + _combine(rng, base, 5)
+
+
+def _wide(rng):
+    return _sparse_rows(rng, 4, 12, 0.5)
+
+
+def _tall(rng):
+    return _sparse_rows(rng, 30, 5, 0.3)
+
+
+def _with_empty_rows(rng):
+    rows = _sparse_rows(rng, 8, 6, 0.4)
+    return rows[:3] + [{}, {}] + rows[3:] + [{}]
+
+
+@pytest.mark.parametrize("build, shape_ok", [
+    (_full, lambda r: r == 6),
+    (_deficient, lambda r: r <= 4),
+    (_wide, lambda r: r <= 4),
+    (_tall, lambda r: r <= 5),
+    (_with_empty_rows, lambda r: r <= 6),
+])
+def test_rank_matches_rref_on_seeded_sparse_matrices(build, shape_ok,
+                                                     monkeypatch):
+    rng = random.Random(build.__name__)
+    for _ in range(20):
+        rows = build(rng)
+        ncols = 1 + max((j for r in rows for j in r), default=0)
+        exact = len(rref(rows, ncols)[0])
+        assert shape_ok(exact)
+        calls = _counting_rref(monkeypatch)
+        assert rank(rows, ncols) == exact
+        monkeypatch.undo()
+        nonzero_cols = len({j for r in rows for j in r})
+        bound = min(sum(1 for r in rows if r), nonzero_cols)
+        # the modular answer is used exactly when it reaches the bound
+        assert bool(calls) == (exact < bound)
+
+
+@pytest.mark.parametrize("rows, ncols, expected", [
+    ([{0: F(P)}], 1, 1),                            # zero mod p
+    ([{0: F(1, P)}], 1, 1),                         # denominator p
+    ([{0: F(P), 1: F(2)}, {1: F(1, P)}, {0: F(3), 1: F(1)}], 2, 2),
+    ([{0: F(2 * P, 3)}, {1: F(5)}, {0: F(P), 1: F(1)}], 2, 2),
+    ([{0: F(1)}, {2: F(1)}], 2, 1),                 # column 2 is outside
+])
+def test_rank_falls_back_to_rref(rows, ncols, expected, monkeypatch):
+    calls = _counting_rref(monkeypatch)
+    assert rank(rows, ncols) == expected == len(rref(rows, ncols)[0])
+    assert calls, "the exact rref must decide"
+
+
+_entries = st.one_of(
+    st.builds(F, st.integers(1, 6), st.integers(-3, 3).filter(bool)),
+    st.sampled_from([F(P), F(1, P), F(-P, 7), F(3, 2 * P)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda ncols: st.tuples(
+    st.just(ncols),
+    st.lists(st.dictionaries(st.integers(0, ncols - 1), _entries,
+                             max_size=ncols), max_size=9))))
+def test_rank_equals_rref_rank_property(case):
+    ncols, rows = case
+    assert rank(rows, ncols) == len(rref(rows, ncols)[0])
 
 
 def test_kernel_deterministic():
