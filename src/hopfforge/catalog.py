@@ -24,6 +24,7 @@ def _certified(H: PresentedHopfAlgebra, truncation: int) -> PresentedHopfAlgebra
     if not report.passed:
         raise HopfAlgebraError(
             f"catalog object {H.name} failed certification:\n" + report.summary())
+    H.certification = report
     return H
 
 

@@ -105,9 +105,7 @@ class _Session:
                 except (ValueError, ZeroDivisionError) as exc:
                     raise _CliFailure(f"bad subalgebra {args.sub!r}: {exc}",
                                       EXIT_PARSE)
-            self._note_report(Report(f"{self.H.name}: certification (builtin)"))
-            self.checks.append({"name": "certification", "status": "pass",
-                                "details": f"builtin, truncation {self.truncation}"})
+            self._note_report(self.H.certification)
         elif args.file:
             try:
                 text = open(args.file, "r", encoding="utf-8").read()
@@ -356,7 +354,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--sub", help="subalgebra name (builtin: L:inf, R:0, "
                                  "g_alpha:1, g_inf, T; file: sub block name)")
     p.add_argument("--truncation", type=int, default=6,
-                   help="certification order (default 6)")
+                   help="order the graded dimensions are listed to, and the "
+                        "subalgebra weight cutoff (default 6)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--chi", default="eps",
                    help="integral character: eps, auto, or name=value,...")

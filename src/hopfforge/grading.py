@@ -1,21 +1,20 @@
 """Certification that generator weights realize the coalgebra filtration,
 plus signatures, Hilbert series and leading coproducts.
 
-The certificate is the computational witness, up to a truncation order,
-that the span of monomials of weight <= n is exactly the kernel of the
-n-fold reduced coproduct.  Once it holds, weights may be read as degrees:
+The certificate is exact: it proves that the span of monomials of weight
+<= n is the n-th term of the coradical filtration for every n, by one
+rank check per weight 2..max generator weight on the associated graded
+(see certify_filtration).  Once it holds, weights may be read as degrees:
 signatures, graded dimensions and the leading coproduct all become
-weight-level computations.  Every certified result is reported together
-with the truncation order it was verified at.
+weight-level computations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
-from .algebra import ZERO
+from .algebra import Element
 from .hopf import (HopfAlgebraError, PresentedHopfAlgebra, solve_antipode,
                    verify_hopf)
 from .report import Report
@@ -34,7 +33,11 @@ class FiltrationError(HopfAlgebraError):
 
 @dataclass(frozen=True)
 class FiltrationCertificate:
-    """Verified graded dimensions dim H(n) for n <= truncation."""
+    """Exact filtration certificate with the graded dimensions dim H(n).
+
+    The weight filtration is the coradical filtration in every degree;
+    truncation is only the order graded_dims is listed to.
+    """
 
     truncation: int
     graded_dims: tuple[int, ...]
@@ -125,14 +128,27 @@ class PowerSeries:
 
 def certify_filtration(H: PresentedHopfAlgebra, truncation: int | None = None
                        ) -> FiltrationCertificate:
-    """Verify that weight-n monomial spans are the degree-n filtration layers.
+    """Certify that the weight filtration is the coradical filtration.
 
-    For every n <= truncation the kernel of the n-fold reduced coproduct
-    on the non-identity monomials of weight <= truncation must be exactly
-    the span of those of weight <= n; every generator's coradical degree
-    must equal its declared weight.  The certificate is attached to H.
-    Below the largest generator weight the check would be vacuous, so a
-    smaller truncation raises ValueError.
+    Checks that each generator's coradical degree is its weight, and that
+    for each d in 2..max generator weight the leading reduced coproduct
+    (terms of total weight d) is injective on the weight-d monomials.  The
+    truncation, at least the largest generator weight (else ValueError),
+    is only the order the dims are listed to.  Attaches the certificate.
+
+    Soundness: termination and confluence make gr_w H the polynomial ring
+    on the generator symbols, a commutative connected graded Hopf algebra
+    whose reduced coproduct is the leading part.  In characteristic 0 its
+    primitives inject into its indecomposables, which live in degrees <=
+    max weight (Milnor-Moore), so the check passes iff P(gr_w H) sits in
+    degree 1, iff gr_w H is coradically graded (Andruskiewitsch-
+    Schneider), iff the weight filtration is the coradical one, iff the
+    kernel of the n-fold reduced coproduct on the non-identity monomials
+    of weight <= T is spanned by those of weight <= n for all n <= T, at
+    any T >= max weight.  Conversely a primitive symbol of weight d lifts
+    to x in W_d whose reduced coproduct lies in sum_{i+j<=d-1} W_i@W_j, so
+    the (d-1)-fold reduced coproduct of x vanishes with x not in W_{d-1}:
+    the truncated check fails at n = d - 1.
     """
     pres = H.presentation
     if truncation is None:
@@ -149,32 +165,24 @@ def certify_filtration(H: PresentedHopfAlgebra, truncation: int | None = None
             raise FiltrationError(
                 f"reweight {g} to {deg}: declared weight {pres.weights[i]} "
                 "is not its coradical degree")
-    monomials = pres.monomials_up_to(truncation, include_identity=False)
-    ncols = len(monomials)
-    weights = [pres.monomial_weight(m) for m in monomials]
-    dims = [1]
-    for n in range(1, truncation + 1):
-        expected = 0
+    for d in range(2, least + 1):
+        monomials = pres.monomials_of_weight(d)
+        ncols = len(monomials)
         rows: dict = {}
-        for col in range(ncols):
-            terms = H._reduced_iterate_monomial(monomials[col], n)
-            if weights[col] <= n:
-                expected += 1
-                if terms:
-                    raise FiltrationError(
-                        f"monomial of weight {weights[col]} is not in "
-                        f"filtration degree {n}: first failure at degree {n}")
-            else:
-                for key, c in terms.items():
-                    rows.setdefault(key, {})[col] = c
-        kernel_dim = ncols - linalg.rank(list(rows.values()), ncols)
-        if kernel_dim != expected:
+        for col, mono in enumerate(monomials):
+            leading = _leading_terms(pres, H._reduced_monomial(mono), d)
+            for key, c in leading.items():
+                rows.setdefault(key, {})[col] = c
+        matrix = list(rows.values())
+        if linalg.rank(matrix, ncols) < ncols:
+            vec = linalg.clear_denominators(
+                linalg.kernel_basis(matrix, ncols)[0])
+            symbol = Element(pres, {monomials[j]: c for j, c in vec.items()})
             raise FiltrationError(
-                f"kernel of the {n}-fold reduced coproduct has dimension "
-                f"{kernel_dim}, expected {expected}: first failure at "
-                f"degree {n}")
-        dims.append(len(pres.monomials_of_weight(n)))
-    cert = FiltrationCertificate(truncation, tuple(dims))
+                f"{symbol} has a primitive leading symbol of weight {d}: "
+                f"first failure at degree {d}")
+    dims = tuple(len(pres.monomials_of_weight(n)) for n in range(truncation + 1))
+    cert = FiltrationCertificate(truncation, dims)
     H.filtration = cert
     return cert
 
@@ -219,26 +227,11 @@ def signature(H: PresentedHopfAlgebra) -> Signature:
 
 def hilbert_series(sig: Signature, order: int) -> PowerSeries:
     """Truncated expansion of prod_i 1/(1 - t^d)^m over the signature."""
-    coeffs = [Fraction(0)] * (order + 1)
-    coeffs[0] = Fraction(1)
-    for d, m in sig.pairs:
-        for _ in range(m):
-            # multiply by 1/(1 - t^d) = 1 + t^d + t^2d + ...
-            new = [ZERO] * (order + 1)
-            for i, c in enumerate(coeffs):
-                if not c:
-                    continue
-                k = i
-                while k <= order:
-                    new[k] += c
-                    k += d
-            coeffs = new
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise HopfAlgebraError("hilbert series produced a non-integer")
-        out.append(int(c))
-    return PowerSeries(order, tuple(out))
+    coeffs = [1] + [0] * order
+    for d in sig.as_multiset():
+        for k in range(d, order + 1):  # multiply by 1/(1 - t^d)
+            coeffs[k] += coeffs[k - d]
+    return PowerSeries(order, tuple(coeffs))
 
 
 def hilbert_divides(sub: Signature, full: Signature) -> Signature | None:
@@ -252,6 +245,12 @@ def hilbert_divides(sub: Signature, full: Signature) -> Signature | None:
     return Signature.from_weights(remaining)
 
 
+def _leading_terms(pres, terms: dict, d: int) -> dict:
+    """The terms m@m' of an arity-2 tensor with weight(m) + weight(m') = d."""
+    mw = pres.monomial_weight
+    return {key: c for key, c in terms.items() if mw(key[0]) + mw(key[1]) == d}
+
+
 def graded_coproduct_leading(H: PresentedHopfAlgebra, gen) -> TensorElement:
     """Weight-homogeneous top part of a generator coproduct.
 
@@ -262,9 +261,5 @@ def graded_coproduct_leading(H: PresentedHopfAlgebra, gen) -> TensorElement:
     H._require_filtration()
     pres = H.presentation
     i = pres.index(gen)
-    w = pres.weights[i]
-    mw = pres.monomial_weight
     t = H.coproduct(pres.gen(i))
-    terms = {key: c for key, c in t.terms.items()
-             if mw(key[0]) + mw(key[1]) == w}
-    return TensorElement(pres, 2, terms)
+    return TensorElement(pres, 2, _leading_terms(pres, t.terms, pres.weights[i]))

@@ -62,6 +62,7 @@ class PresentedHopfAlgebra:
         self._bialgebra: Report | None = None
         self._hopf: Report | None = None
         self.filtration = None  # grading.FiltrationCertificate
+        self.certification: Report | None = None  # certify() report (catalog)
         # memoized structure maps on monomials
         self._coprod_mono: dict[Monomial, dict] = {}
         self._reduced_mono: dict[Monomial, dict] = {}

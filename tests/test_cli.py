@@ -171,3 +171,25 @@ def test_sub_heavier_than_cutoff_exit_3(capsys, tmp_path):
                      "  embed A = X^3000*Y\n}\n")
     assert run(["verify", str(heavy)]) == 3
     assert "exceeds the certification cutoff" in capsys.readouterr().err
+
+
+def test_builtin_session_shows_catalog_certification(capsys):
+    code = run(["verify", "--builtin", "B:1", "--format", "json"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert code == 0
+    filtration = [c for c in checks if c["name"] == "filtration"]
+    assert [c["status"] for c in filtration] == ["pass"]
+    assert "to order 6" in filtration[0]["details"]
+    assert all(c["name"] != "certification" for c in checks)
+
+
+def test_verify_negative_control_exit_3(capsys, tmp_path):
+    path = tmp_path / "negative_control.hopf"
+    path.write_text("hopf negative_control\n"
+                    "gen X weight 1\ngen Y weight 1\ngen Z weight 2\n"
+                    "coprod X = 1@X + X@1\ncoprod Y = 1@Y + Y@1\n"
+                    "coprod Z = 1@Z + X@Y + Y@X + Z@1\n")
+    assert run(["verify", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "filtration" in err
+    assert "primitive leading symbol of weight 2" in err

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +10,12 @@ from hopfforge.grading import (FiltrationError, PowerSeries, Signature,
                                graded_coproduct_leading, hilbert_divides,
                                hilbert_series, signature)
 from hopfforge.hopf import PresentedHopfAlgebra, solve_antipode, verify_hopf
+from hopfforge.parser import build_algebra, parse
 from hopfforge.tensor import tensor_product as tp
+
+from oracles import truncated_filtration_check
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_b_certificate_dims():
@@ -25,8 +31,8 @@ def test_e_certificate_passes_at_5():
     assert H.filtration.graded_dims == (1, 2, 4, 7, 11, 16)
 
 
-def test_overdeclared_weight_yields_reweight_error():
-    # declare Z in weight 3 while its actual filtration degree is 2
+def _overdeclared():
+    """B(1) with Z declared in weight 3 while its filtration degree is 2."""
     pres = Presentation([("X", 1), ("Y", 1), ("Z", 3)], {
         ("Y", "X"): {(0, 1, 0): -1},
         ("Z", "X"): {(0, 0, 1): -1, (0, 1, 0): 1},
@@ -40,10 +46,85 @@ def test_overdeclared_weight_yields_reweight_error():
         "Z": tp(one, Z) + tp(X, Y) + tp(Z, one),
     }, antipodes={"X": -X, "Y": -Y, "Z": -Z + X * Y})
     H.certify_presentation()
+    return H
+
+
+def _negative_control():
+    """k[X,Y,Z] with D(Z) = 1@Z + X@Y + Y@X + Z@1, so Z - X*Y is primitive."""
+    pres = Presentation([("X", 1), ("Y", 1), ("Z", 2)], {})
+    one = pres.one()
+    X, Y, Z = pres.gen("X"), pres.gen("Y"), pres.gen("Z")
+    H = PresentedHopfAlgebra(pres, {
+        "X": tp(one, X) + tp(X, one),
+        "Y": tp(one, Y) + tp(Y, one),
+        "Z": tp(one, Z) + tp(X, Y) + tp(Y, X) + tp(Z, one),
+    })
+    H.certify_presentation()
+    return H
+
+
+def _b_lambda_file():
+    H, _ = build_algebra(parse((DATA / "b_lambda.hopf").read_text()))
+    H.certify_presentation()
+    return H
+
+
+def test_overdeclared_weight_yields_reweight_error():
+    # declare Z in weight 3 while its actual filtration degree is 2
+    H = _overdeclared()
     solve_antipode(H)
     assert verify_hopf(H).passed
     with pytest.raises(FiltrationError, match="reweight Z to 2"):
         certify_filtration(H, 4)
+
+
+# Uncached catalog instances: re-certifying at another order must not touch
+# the memoized ones other tests share.
+AGREEMENT_CASES = [
+    *[pytest.param(lambda lam=lam: catalog._b_lambda.__wrapped__(
+        Fraction(lam), 6), True, id=f"B({lam})")
+      for lam in ("0", "1", "-2", "1/2", "3")],
+    *[pytest.param(lambda p=p: catalog._e.__wrapped__(
+        *map(Fraction, p), 6), True, id="E({},{},{},{})".format(*p))
+      for p in ((1, 1, 0, 0), (2, -1, 1, 3), (-2, 1, 1, 1))],
+    *[pytest.param(lambda name=name: catalog.build_enveloping_preset.__wrapped__(
+        name, 6), True, id=f"U({name})")
+      for name in catalog.ENVELOPING_PRESETS],
+    pytest.param(_b_lambda_file, True, id="b_lambda.hopf"),
+    pytest.param(_overdeclared, False, id="overdeclared"),
+    pytest.param(_negative_control, False, id="negative_control"),
+]
+
+
+@pytest.mark.parametrize("make, expected", AGREEMENT_CASES)
+def test_exact_certificate_agrees_with_truncated_oracle(make, expected):
+    H = make()
+    for order in (max(H.presentation.weights), 6):
+        assert truncated_filtration_check(H, order) is expected
+        try:
+            certify_filtration(H, order)
+            verdict = True
+        except FiltrationError:
+            verdict = False
+        assert verdict is expected
+
+
+def test_negative_control_names_its_primitive_symbol():
+    report = certify(_negative_control(), 6)
+    failed = report.failures()
+    assert [c.name for c in failed] == ["filtration"]
+    details = failed[0].details
+    assert "-X*Y + Z" in details or "X*Y - Z" in details
+    assert "primitive leading symbol of weight 2" in details
+
+
+def test_e_certifies_at_order_10_without_deep_iterates():
+    # the truncated check expanded 10-fold reduced coproducts here (~1 min)
+    H = catalog.build_e(truncation=10)
+    assert H.certification.passed
+    assert H.filtration.graded_dims == hilbert_series(signature(H), 10).coeffs
+    top = max(H.presentation.weights)
+    assert all(n <= top for _, n in H._reduced_iter)
 
 
 @pytest.mark.parametrize("truncation", [1, 0, -3])
