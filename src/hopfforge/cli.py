@@ -17,8 +17,7 @@ from .algebra import as_fraction
 from .coideal import (SubalgebraSpec, coideal_check, is_hopf_subalgebra,
                       primitive_of_coideal, register_subalgebra)
 from .grading import Signature, certify, hilbert_series, signature
-from .hopf import (HopfAlgebraError, PresentedHopfAlgebra,
-                   s_squared_analysis, verify_hopf)
+from .hopf import HopfAlgebraError, s_squared_analysis
 from .lantern import lantern, numerology_report, verify_lie
 from .nakayama import (character, counit_character, enveloping_integral_character,
                        nakayama_automorphism, s4_identity_check)
@@ -61,8 +60,7 @@ def _parse_builtin(spec: str, truncation: int):
                       f"U:<{'|'.join(catalog.ENVELOPING_PRESETS)}>)", EXIT_PARSE)
 
 
-def _builtin_sub(H: PresentedHopfAlgebra, name: str, truncation: int,
-                 builtin: str) -> SubalgebraSpec:
+def _builtin_sub(name: str, truncation: int, builtin: str) -> SubalgebraSpec:
     head, _, params = builtin.partition(":")
     which, _, param = name.partition(":")
     if head == "B":
@@ -100,7 +98,7 @@ class _Session:
             self.subs: list[SubalgebraSpec] = []
             if args.sub:
                 try:
-                    self.subs = [_builtin_sub(self.H, args.sub, self.truncation,
+                    self.subs = [_builtin_sub(args.sub, self.truncation,
                                               args.builtin)]
                 except (ValueError, ZeroDivisionError) as exc:
                     raise _CliFailure(f"bad subalgebra {args.sub!r}: {exc}",
@@ -367,8 +365,6 @@ def run(argv) -> int:
     try:
         session = _Session(args)
         cmd = args.command
-        if cmd in ("verify", "report"):
-            session.note(session.H.hopf_report or verify_hopf(session.H))
         if cmd in ("signature", "report"):
             _run_signature(session, max(4, args.truncation))
         if cmd in ("lantern", "report"):

@@ -186,7 +186,6 @@ def register_subalgebra(host: PresentedHopfAlgebra, name: str,
         img = spec.embedding[i]
         if not img:
             raise RegistrationError(f"{name}: generator {g} embeds to zero")
-        # the cheap weight test first: coradical_degree expands the image
         if img.weight > cutoff:
             raise RegistrationError(
                 f"{name}: image of {g} exceeds the certification cutoff")
@@ -375,7 +374,7 @@ def coinvariants(H: PresentedHopfAlgebra, spec: SubalgebraSpec,
     subalgebra itself (the quotient correspondence round-trips).
     """
     spec._require_registered()
-    H._require_filtration(weight_cutoff)
+    H._require_filtration()
     pres = H.presentation
     monomials = pres.monomials_up_to(weight_cutoff)
     # span of T+ H up to the cutoff: generator images times all monomials

@@ -160,7 +160,13 @@ def certify_filtration(H: PresentedHopfAlgebra, truncation: int | None = None
             f"{least}; the filtration certificate needs truncation >= {least}")
     H._require_confluence()
     for i, g in enumerate(pres.names):
-        deg = H.coradical_degree(pres.gen(i))
+        # the coradical degree of g, read before the certificate exists
+        deg = next((n for n in range(1, pres.weights[i] + 1)
+                    if not H.iterated_reduced_coproduct(pres.gen(i), n)), None)
+        if deg is None:
+            raise HopfAlgebraError(
+                "reduced coproduct fails to vanish within the weight bound; "
+                "coproduct data is inconsistent with the declared weights")
         if deg != pres.weights[i]:
             raise FiltrationError(
                 f"reweight {g} to {deg}: declared weight {pres.weights[i]} "

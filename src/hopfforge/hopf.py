@@ -60,6 +60,7 @@ class PresentedHopfAlgebra:
         # write-once certificates
         self._confluence: Report | None = None
         self._bialgebra: Report | None = None
+        self._convolution: Report | None = None
         self._hopf: Report | None = None
         self.filtration = None  # grading.FiltrationCertificate
         self.certification: Report | None = None  # certify() report (catalog)
@@ -150,15 +151,10 @@ class PresentedHopfAlgebra:
             raise AntipodeSolveError(
                 f"{self.name}: antipode data absent; solve_antipode first")
 
-    def _require_filtration(self, order: int | None = None) -> None:
-        cert = self.filtration
-        if cert is None:
+    def _require_filtration(self) -> None:
+        if self.filtration is None:
             raise CertificateMissingError(
                 f"{self.name}: filtration certificate absent; certify first")
-        if order is not None and cert.truncation < order:
-            raise CertificateMissingError(
-                f"{self.name}: filtration certified only to order "
-                f"{cert.truncation}, need {order}")
 
     # -- element factories ---------------------------------------------------
 
@@ -253,19 +249,15 @@ class PresentedHopfAlgebra:
             x, lambda mono: self._reduced_iterate_monomial(mono, n), n + 1)
 
     def coradical_degree(self, x: Element) -> int:
-        """Smallest n with the n-fold reduced coproduct of x - counit(x) zero."""
+        """Smallest n with the n-fold reduced coproduct of x - counit(x) zero.
+
+        The filtration certificate makes the weight filtration the
+        coradical one, so this is the weight of x - counit(x).
+        """
+        self._require_filtration()
         if not x:
             raise ValueError("coradical degree of 0 is undefined")
-        y = x - self.scalar(self.counit(x))
-        if not y:
-            return 0
-        cap = y.weight
-        for n in range(1, cap + 1):
-            if not self.iterated_reduced_coproduct(y, n):
-                return n
-        raise HopfAlgebraError(
-            "reduced coproduct fails to vanish within the weight bound; "
-            "coproduct data is inconsistent with the declared weights")
+        return (x - self.scalar(self.counit(x))).weight or 0
 
     def counit_leg(self, t: TensorElement, leg: int) -> Element:
         """Apply the counit to one leg of an arity-2 tensor."""
@@ -304,7 +296,7 @@ class PresentedHopfAlgebra:
         if not x:
             return self.zero()
         w = x.weight if weight_cutoff is None else max(weight_cutoff, x.weight)
-        self._require_filtration(w)
+        self._require_filtration()
         solver, monomials, index = self._antipode_solver(w)
         vec = {index[m]: c for m, c in x.terms.items()}
         coeffs = solver.solve(vec)
@@ -380,10 +372,10 @@ def verify_bialgebra(H: PresentedHopfAlgebra) -> Report:
 def solve_antipode(H: PresentedHopfAlgebra) -> dict[str, Element]:
     """Solve the convolution-inverse recursion for the antipode.
 
-    Generators are processed in ascending coradical degree; the first
-    legs of the reduced coproduct of a generator may only involve
-    generators of strictly smaller degree, which closes the recursion.
-    If antipode data is already attached, it is verified instead.
+    Generators are processed in ascending weight; the first legs of the
+    reduced coproduct of a generator only involve strictly lighter
+    generators (_validate_coproduct), which closes the recursion.  If
+    antipode data is already attached, it is verified instead.
     """
     bire = verify_bialgebra(H)
     if not bire.passed:
@@ -399,24 +391,16 @@ def solve_antipode(H: PresentedHopfAlgebra) -> dict[str, Element]:
                 + "; ".join(c.name for c in rep.failures()))
         return {pres.names[i]: e for i, e in H._antipode.items()}
 
-    degree = {i: H.coradical_degree(pres.gen(i)) for i in range(pres.ngens)}
     solved: dict[int, Element] = {}
 
     def anti_image(mono: Monomial) -> Element:
         result = H.one()
         for k, e in enumerate(mono):
-            if not e:
-                continue
-            if k not in solved:
-                raise AntipodeSolveError(
-                    f"recursion for a degree-{deg} generator hit unsolved "
-                    f"generator {pres.names[k]} of degree {degree[k]}; "
-                    "coproduct data is malformed")
-            result = (solved[k] ** e) * result
+            if e:
+                result = (solved[k] ** e) * result
         return result
 
-    for i in sorted(range(pres.ngens), key=lambda k: (degree[k], k)):
-        deg = degree[i]
+    for i in sorted(range(pres.ngens), key=lambda k: (pres.weights[k], k)):
         g = pres.gen(i)
         acc = dict((-g).terms)
         for (y, z), c in H.reduced_coproduct(g).terms.items():
@@ -433,6 +417,8 @@ def solve_antipode(H: PresentedHopfAlgebra) -> dict[str, Element]:
 
 
 def _verify_convolution(H: PresentedHopfAlgebra) -> Report:
+    if H._convolution is not None:
+        return H._convolution
     report = Report(f"{H.name}: convolution")
     pres = H.presentation
     for g in pres.names:
@@ -440,6 +426,7 @@ def _verify_convolution(H: PresentedHopfAlgebra) -> Report:
         left = contract(t.apply_to_leg(1, H.antipode))
         right = contract(t.apply_to_leg(2, H.antipode))
         report.add(f"antipode axiom on {g}", (not left) and (not right))
+    H._convolution = report
     return report
 
 
@@ -538,7 +525,7 @@ def antipode_eigenbasis(H: PresentedHopfAlgebra, max_weight: int
     returned as (element, sign) pairs and every drop is verified.
     """
     H._require_antipode()
-    H._require_filtration(max_weight)
+    H._require_filtration()
     pres = H.presentation
     out: list[tuple[Element, int]] = []
     for n in range(1, max_weight + 1):

@@ -12,15 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import Element, Presentation, ZERO, as_fraction, commutator
+from .algebra import Element, ZERO, as_fraction, commutator
 from .coideal import SubalgebraSpec
 from .hopf import HopfAlgebraError
 from .linalg import add_term, vec_add_scaled
 from .report import Report
-
-
-def _presentation_of(target) -> Presentation:
-    return target.presentation
 
 
 def _target_name(target) -> str:
@@ -36,12 +32,12 @@ class Character:
     report: Report | None = field(default=None, compare=False)
 
     def value(self, g) -> Fraction:
-        pres = _presentation_of(self.target)
+        pres = self.target.presentation
         i = pres.index(g) if not isinstance(g, int) else g
         return self.values.get(i, ZERO)
 
     def __call__(self, x: Element) -> Fraction:
-        if x.algebra is not _presentation_of(self.target):
+        if x.algebra is not self.target.presentation:
             raise ValueError("character applied outside its target presentation")
         total = ZERO
         for mono, c in x.terms.items():
@@ -63,7 +59,7 @@ class Character:
 
 def character(target, values) -> Character:
     """Build and verify a character from {generator: value}."""
-    pres = _presentation_of(target)
+    pres = target.presentation
     table = {pres.index(g): as_fraction(v) for g, v in values.items()}
     chi = Character(target, table)
     chi.report = verify_character(chi)
@@ -76,7 +72,7 @@ def counit_character(target) -> Character:
 
 def verify_character(chi: Character) -> Report:
     """A character extends to an algebra map iff it kills every relation."""
-    pres = _presentation_of(chi.target)
+    pres = chi.target.presentation
     report = Report(f"character on {_target_name(chi.target)}")
     for (j, i) in sorted(pres.table):
         value = chi(pres.commutator_entry(j, i))
@@ -92,7 +88,7 @@ def compose_with_antipode(chi: Character) -> Character:
     """The convolution inverse of a character: its composition with S."""
     chi._require_verified()
     target = chi.target
-    pres = _presentation_of(target)
+    pres = target.presentation
     values = {}
     if isinstance(target, SubalgebraSpec):
         host = target.host
@@ -121,7 +117,7 @@ def winding(chi: Character, x: Element, side: str) -> Element:
         raise ValueError("side must be 'left' or 'right'")
     chi._require_verified()
     target = chi.target
-    pres = _presentation_of(target)
+    pres = target.presentation
     if x.algebra is not pres:
         raise ValueError("winding input must live in the target presentation")
     if isinstance(target, SubalgebraSpec):
@@ -166,7 +162,7 @@ class GeneratorAutomorphism:
     inverse_images: dict[int, Element] | None = None
 
     def __post_init__(self):
-        pres = _presentation_of(self.target)
+        pres = self.target.presentation
         self.images = {
             (pres.index(g) if not isinstance(g, int) else g):
             (img if isinstance(img, Element) else pres.element(img))
@@ -176,7 +172,7 @@ class GeneratorAutomorphism:
                 raise ValueError(f"missing image for generator {pres.names[i]}")
 
     def apply(self, x: Element) -> Element:
-        pres = _presentation_of(self.target)
+        pres = self.target.presentation
         if x.algebra is not pres:
             raise ValueError("automorphism applied outside its presentation")
         out: dict = {}
@@ -189,7 +185,7 @@ class GeneratorAutomorphism:
         return Element(pres, out)
 
     def respects_relations(self) -> Report:
-        pres = _presentation_of(self.target)
+        pres = self.target.presentation
         report = Report("automorphism respects relations")
         for (j, i) in sorted(pres.table):
             lhs = commutator(self.images[j], self.images[i])
@@ -198,7 +194,7 @@ class GeneratorAutomorphism:
         return report
 
     def describe(self) -> str:
-        pres = _presentation_of(self.target)
+        pres = self.target.presentation
         return ", ".join(
             f"{g} -> {self.images[i]}" for i, g in enumerate(pres.names))
 
@@ -209,7 +205,7 @@ def _s2_on_target(target, x: Element, inverse: bool = False) -> Element:
         host = target.host
         hx = target.embed(x)
         if not hx:
-            return _presentation_of(target).zero()
+            return target.presentation.zero()
         w = hx.weight
         if inverse:
             hy = host.antipode_inverse(host.antipode_inverse(hx))
@@ -240,7 +236,7 @@ def nakayama_automorphism(target, chi: Character) -> GeneratorAutomorphism:
     chi._require_verified()
     if chi.target is not target:
         raise ValueError("character was built for a different target")
-    pres = _presentation_of(target)
+    pres = target.presentation
     side = getattr(target, "side", "hopf")
     images_right = images_left = None
     if side in ("right", "hopf"):
@@ -296,7 +292,7 @@ def s4_identity_check(spec: SubalgebraSpec, chi: Character) -> Report:
 def normal_element_check(b: Element, tau: GeneratorAutomorphism, target=None) -> bool:
     """True iff tau(t)*b = b*t for every generator t of the target."""
     target = target if target is not None else tau.target
-    pres = _presentation_of(target)
+    pres = target.presentation
     if b.algebra is not pres:
         raise ValueError("normal-element candidate must live in the target")
     for i in range(pres.ngens):
@@ -313,7 +309,7 @@ def enveloping_integral_character(target) -> Character:
     already certified); the character sends each generator to the trace
     of its adjoint action.
     """
-    pres = _presentation_of(target)
+    pres = target.presentation
     if any(w != 1 for w in pres.weights):
         raise HopfAlgebraError(
             "adjoint-trace character needs all generators in weight one")

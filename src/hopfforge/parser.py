@@ -388,10 +388,6 @@ def sub_arguments(host: PresentedHopfAlgebra, block: SubBlock) -> dict:
 # -- printing ------------------------------------------------------------------
 
 
-def _format_number(c: Fraction) -> str:
-    return str(c)
-
-
 def _format_mono_key(key: MonoKey) -> str:
     if not key:
         return "1"
@@ -411,11 +407,11 @@ def _format_poly(poly: Poly, order: dict, tensor: bool = False) -> str:
         body = ("@".join(_format_mono_key(s) for s in key) if tensor
                 else _format_mono_key(key))
         if body == "1" and not tensor:
-            piece = _format_number(abs(c))
+            piece = str(abs(c))
         elif abs(c) == 1:
             piece = body
         else:
-            piece = f"{_format_number(abs(c))}*{body}"
+            piece = f"{str(abs(c))}*{body}"
         if not parts:
             parts.append(piece if c > 0 else f"-{piece}")
         else:

@@ -31,3 +31,22 @@ def truncated_filtration_check(H, truncation: int) -> bool:
         if ncols - len(linalg.rref(list(rows.values()), ncols)[0]) != expected:
             return False
     return True
+
+
+def coradical_degree_by_iteration(H, x) -> int:
+    """Smallest n with the n-fold reduced coproduct of x - counit(x) zero.
+
+    The iterative definition that PresentedHopfAlgebra.coradical_degree
+    replaces by the weight on certified hosts; the degree suites use it so
+    they do not check the library against itself.
+    """
+    if not x:
+        raise ValueError("coradical degree of 0 is undefined")
+    y = x - H.scalar(H.counit(x))
+    if not y:
+        return 0
+    for n in range(1, y.weight + 1):
+        if not H.iterated_reduced_coproduct(y, n):
+            return n
+    raise AssertionError("reduced coproduct fails to vanish within the "
+                         "weight bound")

@@ -193,3 +193,17 @@ def test_verify_negative_control_exit_3(capsys, tmp_path):
     err = capsys.readouterr().err
     assert "filtration" in err
     assert "primitive leading symbol of weight 2" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--builtin", "B:1"],
+    ["report", "--builtin", "B:1"],
+    ["verify", str(DATA / "b_lambda.hopf")],
+    # one sub: numerology verdicts are per sub and repeat across subs
+    ["report", str(DATA / "b_lambda.hopf"), "--sub", "L_inf"],
+])
+def test_each_check_listed_once(capsys, argv):
+    assert run(argv + ["--format", "json"]) == 0
+    names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
+    assert "antipode axiom on Z" in names
+    assert len(names) == len(set(names))

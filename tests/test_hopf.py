@@ -1,16 +1,22 @@
+import ast
 import random
 import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from hopfforge import catalog
 from hopfforge.algebra import Presentation
+from hopfforge.coideal import coinvariants
 from hopfforge.hopf import (AntipodeSolveError, CertificateMissingError,
                             PresentedHopfAlgebra, antipode_eigenbasis,
                             s_squared_analysis, solve_antipode, verify_hopf)
 from hopfforge.tensor import tensor_product as tp
+
+from oracles import coradical_degree_by_iteration
+from suites import random_element
 
 F = Fraction
 
@@ -214,7 +220,70 @@ def test_antipode_eigenbasis_structure():
         assert sign in (1, -1)
         r = H.antipode(b) - b * sign
         if r:
-            assert H.coradical_degree(r) < H.coradical_degree(b)
+            assert (coradical_degree_by_iteration(H, r)
+                    < coradical_degree_by_iteration(H, b))
+
+
+@pytest.mark.parametrize("host", ["B:0", "B:1", "B:-2", "B:1/2", "E"] + [
+    f"U:{p}" for p in catalog.ENVELOPING_PRESETS])
+def test_coradical_degree_agrees_with_iteration(host):
+    head, _, param = host.partition(":")
+    H = (catalog.build_b_lambda(param) if head == "B" else catalog.build_e()
+         if head == "E" else catalog.build_enveloping_preset(param))
+    pres = H.presentation
+    rng = random.Random(0x5EED)
+    for _ in range(20):
+        x = random_element(rng, pres, max_weight=4, nonzero=True)
+        assert H.coradical_degree(x) == coradical_degree_by_iteration(H, x)
+    assert H.coradical_degree(pres.scalar(3)) == 0
+
+
+def test_coradical_degree_needs_the_filtration_certificate():
+    pres = Presentation([("X", 1)], {})
+    one, X = pres.one(), pres.gen("X")
+    H = PresentedHopfAlgebra(pres, {"X": tp(one, X) + tp(X, one)})
+    H.certify_presentation()
+    with pytest.raises(CertificateMissingError):
+        H.coradical_degree(X)
+
+
+def test_certified_host_works_above_its_listing_order():
+    # the certificate is exact in every degree; order 6 only lists dims
+    H = catalog.build_b_lambda(1)
+    assert H.filtration.truncation == 6
+    pres = H.presentation
+    Z4 = pres.gen("Z") ** 4
+    assert H.antipode_inverse(H.antipode(Z4)) == Z4
+    basis = antipode_eigenbasis(H, 7)
+    assert len(basis) == len(pres.monomials_up_to(7, include_identity=False))
+    for b, sign in basis:
+        if b.weight == 7:
+            r = H.antipode(b) - b * sign
+            assert not r or coradical_degree_by_iteration(H, r) < 7
+    # the coinvariants of L_inf = k<Y, Z> are its span: no X in any term
+    Linf = catalog.build_b_coideal(1, "L", "inf")
+    invariants = coinvariants(H, Linf, 7)
+    assert len(invariants) == len(Linf.presentation.monomials_up_to(7))
+    assert all(m[0] == 0 for e in invariants for m in e.terms)
+
+
+def test_iterated_coproduct_lives_in_hopf_and_the_filtration_check():
+    # degrees are weights once certified; only the pre-certificate
+    # reweight check in grading.certify_filtration iterates coproducts
+    src = Path(__file__).parent.parent / "src" / "hopfforge"
+    names = ("iterated_reduced_coproduct", "_reduced_iterate_monomial")
+    tree = ast.parse((src / "grading.py").read_text())
+    allowed = next(range(f.lineno, f.end_lineno + 1) for f in tree.body
+                   if getattr(f, "name", None) == "certify_filtration")
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "hopf.py":
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if any(n in line for n in names) and not (
+                    path.name == "grading.py" and lineno in allowed):
+                offenders.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert not offenders, "\n".join(offenders)
 
 
 def test_certificate_gating():
