@@ -22,7 +22,7 @@ from .lantern import lantern, numerology_report, verify_lie
 from .nakayama import (character, counit_character, enveloping_integral_character,
                        nakayama_automorphism, s4_identity_check)
 from .parser import ParseError, build_algebra, parse, sub_arguments
-from .report import Report
+from .report import Check, Report
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -103,7 +103,7 @@ class _Session:
                 except (ValueError, ZeroDivisionError) as exc:
                     raise _CliFailure(f"bad subalgebra {args.sub!r}: {exc}",
                                       EXIT_PARSE)
-            self._note_report(self.H.certification)
+            self.note(self.H.certification)
         elif args.file:
             try:
                 text = open(args.file, "r", encoding="utf-8").read()
@@ -121,7 +121,7 @@ class _Session:
                 report = certify(self.H, self.truncation)
             except ValueError as exc:  # truncation below the generator weights
                 raise _CliFailure(str(exc), EXIT_PARSE)
-            self._note_report(report)
+            self.note(report)
             if not report.passed:
                 raise _CliFailure(
                     "certification failed:\n" + report.summary(),
@@ -143,17 +143,13 @@ class _Session:
         else:
             raise _CliFailure("give a definition file or --builtin", EXIT_PARSE)
 
-    def _note_report(self, report: Report, fail_status: str = "fail") -> None:
+    def note(self, report: Report, fail_status: str = "fail") -> None:
+        """Record the checks; a failing one gets fail_status ("fail" or
+        "info", an informational verdict that does not fail the run)."""
         for c in report.checks:
             self.checks.append({"name": c.name,
                                 "status": "pass" if c.passed else fail_status,
                                 "details": c.details})
-
-    def note(self, report: Report, fail_status: str = "fail") -> bool:
-        """Record the checks; a failing one gets fail_status ("fail" or
-        "info", an informational verdict that does not fail the run)."""
-        self._note_report(report, fail_status)
-        return report.passed
 
     def failed_checks(self) -> bool:
         return any(c["status"] == "fail" for c in self.checks)
@@ -272,8 +268,11 @@ def _run_numerology(session: _Session, informational: bool) -> None:
     if session.subs:
         for spec in session.subs:
             sig = spec.signature()
-            session.note(numerology_report(sig),
-                         "info" if informational else "fail")
+            report = numerology_report(sig)
+            if len(session.subs) > 1:  # tell the subs' verdicts apart
+                report.checks = [Check(f"{spec.name}: {c.name}", c.passed,
+                                       c.details) for c in report.checks]
+            session.note(report, "info" if informational else "fail")
             session.data.setdefault("numerology", []).append(
                 {"target": spec.name, "signature": _sig_json(sig)})
     else:

@@ -3,10 +3,10 @@ plus signatures, Hilbert series and leading coproducts.
 
 The certificate is exact: it proves that the span of monomials of weight
 <= n is the n-th term of the coradical filtration for every n, by one
-rank check per weight 2..max generator weight on the associated graded
-(see certify_filtration).  Once it holds, weights may be read as degrees:
-signatures, graded dimensions and the leading coproduct all become
-weight-level computations.
+rank check per degree layer of the lantern g, the graded Lie algebra with
+U(g) the graded dual of gr_w H (see certify_filtration).  Once it holds,
+weights may be read as degrees: signatures, graded dimensions and the
+leading coproduct all become weight-level computations.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from . import linalg
 from .algebra import Element
 from .hopf import (HopfAlgebraError, PresentedHopfAlgebra, solve_antipode,
                    verify_hopf)
+from .lantern import GradedLieAlgebra, _carnot_layers, _extract_lantern
 from .report import Report
 from .tensor import TensorElement
 
@@ -36,11 +37,13 @@ class FiltrationCertificate:
     """Exact filtration certificate with the graded dimensions dim H(n).
 
     The weight filtration is the coradical filtration in every degree;
-    truncation is only the order graded_dims is listed to.
+    truncation is only the order graded_dims is listed to.  lantern is the
+    graded Lie algebra the certificate was read off.
     """
 
     truncation: int
     graded_dims: tuple[int, ...]
+    lantern: GradedLieAlgebra
 
     def __post_init__(self):
         if len(self.graded_dims) != self.truncation + 1:
@@ -130,25 +133,26 @@ def certify_filtration(H: PresentedHopfAlgebra, truncation: int | None = None
                        ) -> FiltrationCertificate:
     """Certify that the weight filtration is the coradical filtration.
 
-    Checks that each generator's coradical degree is its weight, and that
-    for each d in 2..max generator weight the leading reduced coproduct
-    (terms of total weight d) is injective on the weight-d monomials.  The
-    truncation, at least the largest generator weight (else ValueError),
-    is only the order the dims are listed to.  Attaches the certificate.
+    Checks that the lantern g (read off the leading generator coproducts,
+    and kept on the certificate) is generated by g_1: each layer g_d,
+    d >= 2, is spanned by [g_1, g_{d-1}].  The truncation, at least the
+    largest generator weight (else ValueError), is only the order the
+    dims are listed to.  Presumes the bialgebra axioms (certify checks
+    them first).
 
     Soundness: termination and confluence make gr_w H the polynomial ring
     on the generator symbols, a commutative connected graded Hopf algebra
     whose reduced coproduct is the leading part.  In characteristic 0 its
-    primitives inject into its indecomposables, which live in degrees <=
-    max weight (Milnor-Moore), so the check passes iff P(gr_w H) sits in
-    degree 1, iff gr_w H is coradically graded (Andruskiewitsch-
-    Schneider), iff the weight filtration is the coradical one, iff the
-    kernel of the n-fold reduced coproduct on the non-identity monomials
-    of weight <= T is spanned by those of weight <= n for all n <= T, at
-    any T >= max weight.  Conversely a primitive symbol of weight d lifts
-    to x in W_d whose reduced coproduct lies in sum_{i+j<=d-1} W_i@W_j, so
-    the (d-1)-fold reduced coproduct of x vanishes with x not in W_{d-1}:
-    the truncated check fails at n = d - 1.
+    graded dual is U(g) (Milnor-Moore), so P(gr_w H)_d is dual to
+    (g/[g,g])_d (PBW).  Hence gr_w H is coradically graded (Andruskiewitsch-
+    Schneider), i.e. the weight filtration is the coradical one, iff
+    P(gr_w H) sits in degree 1, iff g/[g,g] does, iff g_1 generates g.
+
+    Witnesses are computed only on failure: a generator of weight w has
+    zero w-fold reduced coproduct (w + 1 legs of weight >= 1 in weight
+    <= w), so a lower coradical degree is named as a reweight; else at the
+    lowest failing layer d, [g,g]_d = [g_1, g_{d-1}], so d is the lowest
+    degree >= 2 where gr_w H has a primitive, found as a kernel vector.
     """
     pres = H.presentation
     if truncation is None:
@@ -159,36 +163,33 @@ def certify_filtration(H: PresentedHopfAlgebra, truncation: int | None = None
             f"truncation {truncation} is below the largest generator weight "
             f"{least}; the filtration certificate needs truncation >= {least}")
     H._require_confluence()
-    for i, g in enumerate(pres.names):
-        # the coradical degree of g, read before the certificate exists
-        deg = next((n for n in range(1, pres.weights[i] + 1)
-                    if not H.iterated_reduced_coproduct(pres.gen(i), n)), None)
-        if deg is None:
-            raise HopfAlgebraError(
-                "reduced coproduct fails to vanish within the weight bound; "
-                "coproduct data is inconsistent with the declared weights")
-        if deg != pres.weights[i]:
-            raise FiltrationError(
-                f"reweight {g} to {deg}: declared weight {pres.weights[i]} "
-                "is not its coradical degree")
-    for d in range(2, least + 1):
+    L = _extract_lantern(H)
+    d = next((d for d, got, size in _carnot_layers(L) if got < size), None)
+    if d is not None:  # failure-path witnesses
+        for i, (g, w) in enumerate(zip(pres.names, pres.weights)):
+            deg = next((n for n in range(1, w)
+                        if not H.iterated_reduced_coproduct(pres.gen(i), n)), w)
+            if deg != w:
+                raise FiltrationError(
+                    f"reweight {g} to {deg}: declared weight {w} "
+                    "is not its coradical degree")
         monomials = pres.monomials_of_weight(d)
-        ncols = len(monomials)
         rows: dict = {}
         for col, mono in enumerate(monomials):
             leading = _leading_terms(pres, H._reduced_monomial(mono), d)
             for key, c in leading.items():
                 rows.setdefault(key, {})[col] = c
-        matrix = list(rows.values())
-        if linalg.rank(matrix, ncols) < ncols:
-            vec = linalg.clear_denominators(
-                linalg.kernel_basis(matrix, ncols)[0])
-            symbol = Element(pres, {monomials[j]: c for j, c in vec.items()})
-            raise FiltrationError(
-                f"{symbol} has a primitive leading symbol of weight {d}: "
-                f"first failure at degree {d}")
+        kernel = linalg.kernel_basis(list(rows.values()), len(monomials))
+        if not kernel:  # only when the bialgebra axioms fail
+            raise HopfAlgebraError(f"no primitive leading symbol at degree {d}"
+                                   ": the coproduct is not coassociative")
+        vec = linalg.clear_denominators(kernel[0])
+        symbol = Element(pres, {monomials[j]: c for j, c in vec.items()})
+        raise FiltrationError(
+            f"{symbol} has a primitive leading symbol of weight {d}: "
+            f"first failure at degree {d}")
     dims = tuple(len(pres.monomials_of_weight(n)) for n in range(truncation + 1))
-    cert = FiltrationCertificate(truncation, dims)
+    cert = FiltrationCertificate(truncation, dims, L)
     H.filtration = cert
     return cert
 

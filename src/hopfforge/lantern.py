@@ -15,12 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import linalg
-from .algebra import ZERO
-from .grading import Signature, graded_coproduct_leading
 from .hopf import HopfAlgebraError, PresentedHopfAlgebra
 from .report import Report
+
+if TYPE_CHECKING:  # grading imports this module
+    from .grading import Signature
 
 
 @dataclass
@@ -64,9 +66,6 @@ class GradedLieAlgebra:
     def is_abelian(self) -> bool:
         return not self.brackets
 
-    def signature(self) -> Signature:
-        return Signature.from_weights(self.degrees)
-
     def __str__(self):
         rels = []
         for (a, b), table in sorted(self.brackets.items()):
@@ -80,26 +79,27 @@ class GradedLieAlgebra:
 
 
 def lantern(H: PresentedHopfAlgebra) -> GradedLieAlgebra:
-    """Structure constants of the dual graded Lie algebra of H.
-
-    Requires the filtration certificate.  A Jacobi failure here is an
-    internal inconsistency (the construction always yields a Lie algebra
-    for certified input), so it raises instead of reporting.
-    """
+    """The dual graded Lie algebra of H, held by its filtration certificate."""
     H._require_filtration()
+    return H.filtration.lantern
+
+
+def _extract_lantern(H: PresentedHopfAlgebra) -> GradedLieAlgebra:
+    """Bracket table of the leading generator coproducts of a confluent H;
+    a Jacobi failure is an internal inconsistency (the construction always
+    yields a Lie algebra for a bialgebra), so it raises."""
     pres = H.presentation
-    n = pres.ngens
-    gen_mono = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
+    n, w = pres.ngens, pres.weights
+    index = {tuple(1 if k == i else 0 for k in range(n)): i for i in range(n)}
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for e in range(n):
-        leading = graded_coproduct_leading(H, e).terms
-        for a in range(n):
-            for b in range(a + 1, n):
-                c = leading.get((gen_mono[a], gen_mono[b]), ZERO) \
-                    - leading.get((gen_mono[b], gen_mono[a]), ZERO)
-                if c:
-                    brackets.setdefault((a, b), {})[e] = c
-    L = GradedLieAlgebra(tuple(pres.names), tuple(pres.weights), brackets)
+    for mono, e in index.items():
+        for (m1, m2), c in H._coproduct_monomial(mono).items():
+            a, b = index.get(m1), index.get(m2)
+            # leading generator@generator terms; g_a@g_b pairs to [u_a, u_b]
+            if None not in (a, b) and a != b and w[a] + w[b] == w[e]:
+                linalg.add_term(brackets.setdefault((min(a, b), max(a, b)), {}),
+                                e, c if a < b else -c)
+    L = GradedLieAlgebra(tuple(pres.names), tuple(w), brackets)
     check = verify_lie(L)
     if not check.passed:
         raise HopfAlgebraError(
@@ -202,26 +202,25 @@ def numerology_report(sig: Signature, L: GradedLieAlgebra | None = None) -> Repo
 def _carnot_check(L: GradedLieAlgebra) -> Report:
     """Each degree layer above one must be spanned by brackets against degree 1."""
     report = Report("carnot")
-    max_deg = max(L.degrees, default=0)
+    for d, got, size in _carnot_layers(L):
+        report.add(f"degree {d} generated from degree 1",
+                   got == size, f"rank {got} of {size}")
+    if max(L.degrees, default=0) <= 1:
+        report.add("generated in degree 1", True, "no higher layers")
+    return report
+
+
+def _carnot_layers(L: GradedLieAlgebra):
+    """(d, rank of [g_1, g_{d-1}] in g_d, dim g_d) per nonempty layer d >= 2."""
     ones = L.degree_indices(1)
-    for d in range(2, max_deg + 1):
+    for d in range(2, max(L.degrees, default=0) + 1):
         layer = L.degree_indices(d)
         if not layer:
             continue
         col_of = {e: i for i, e in enumerate(layer)}
-        rows = []
-        for x in ones:
-            for y in L.degree_indices(d - 1):
-                vec = {col_of[e]: c for e, c in L.bracket(x, y).items()
-                       if e in col_of}
-                if vec:
-                    rows.append(vec)
-        got = linalg.rank(rows, len(layer))
-        report.add(f"degree {d} generated from degree 1",
-                   got == len(layer), f"rank {got} of {len(layer)}")
-    if max_deg <= 1:
-        report.add("generated in degree 1", True, "no higher layers")
-    return report
+        rows = [{col_of[e]: c for e, c in L.bracket(x, y).items() if e in col_of}
+                for x in ones for y in L.degree_indices(d - 1)]
+        yield d, linalg.rank(rows, len(layer)), len(layer)
 
 
 def cocommutativity_test(H: PresentedHopfAlgebra) -> tuple[bool, Report]:

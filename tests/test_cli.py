@@ -199,8 +199,9 @@ def test_verify_negative_control_exit_3(capsys, tmp_path):
     ["verify", "--builtin", "B:1"],
     ["report", "--builtin", "B:1"],
     ["verify", str(DATA / "b_lambda.hopf")],
-    # one sub: numerology verdicts are per sub and repeat across subs
     ["report", str(DATA / "b_lambda.hopf"), "--sub", "L_inf"],
+    # several subs: each numerology verdict names its sub
+    ["report", str(DATA / "b_lambda.hopf")],
 ])
 def test_each_check_listed_once(capsys, argv):
     assert run(argv + ["--format", "json"]) == 0

@@ -9,7 +9,8 @@ from hopfforge.grading import (FiltrationError, PowerSeries, Signature,
                                certify, certify_filtration, default_truncation,
                                graded_coproduct_leading, hilbert_divides,
                                hilbert_series, signature)
-from hopfforge.hopf import PresentedHopfAlgebra, solve_antipode, verify_hopf
+from hopfforge.hopf import (HopfAlgebraError, PresentedHopfAlgebra,
+                            solve_antipode, verify_hopf)
 from hopfforge.parser import build_algebra, parse
 from hopfforge.tensor import tensor_product as tp
 
@@ -63,6 +64,28 @@ def _negative_control():
     return H
 
 
+def _xyzw(w_terms):
+    """k[X,Y,Z,W], weights 1,1,2,3, D(Z) = 1@Z + X@Y + Z@1 and
+    D(W) = 1@W + w_terms(X, Y) + W@1."""
+    pres = Presentation([("X", 1), ("Y", 1), ("Z", 2), ("W", 3)], {})
+    one = pres.one()
+    X, Y, Z, W = (pres.gen(g) for g in ("X", "Y", "Z", "W"))
+    H = PresentedHopfAlgebra(pres, {
+        "X": tp(one, X) + tp(X, one),
+        "Y": tp(one, Y) + tp(Y, one),
+        "Z": tp(one, Z) + tp(X, Y) + tp(Z, one),
+        "W": tp(one, W) + w_terms(X, Y) + tp(W, one),
+    })
+    H.certify_presentation()
+    return H
+
+
+def _cubic_witness():
+    """D(W) = 1@W + 3X^2@X + 3X@X^2 + W@1: degree 2 passes, and W - X^3 is
+    primitive although W's coradical degree is its weight."""
+    return _xyzw(lambda X, Y: 3 * tp(X * X, X) + 3 * tp(X, X * X))
+
+
 def _b_lambda_file():
     H, _ = build_algebra(parse((DATA / "b_lambda.hopf").read_text()))
     H.certify_presentation()
@@ -93,6 +116,7 @@ AGREEMENT_CASES = [
     pytest.param(_b_lambda_file, True, id="b_lambda.hopf"),
     pytest.param(_overdeclared, False, id="overdeclared"),
     pytest.param(_negative_control, False, id="negative_control"),
+    pytest.param(_cubic_witness, False, id="cubic_witness"),
 ]
 
 
@@ -116,6 +140,45 @@ def test_negative_control_names_its_primitive_symbol():
     details = failed[0].details
     assert "-X*Y + Z" in details or "X*Y - Z" in details
     assert "primitive leading symbol of weight 2" in details
+    # a failure above a passing degree 2, with a nonlinear witness
+    failed = certify(_cubic_witness(), 6).failures()
+    assert [(c.name, c.details) for c in failed] == [(
+        "filtration", "-X^3 + W has a primitive leading symbol of weight 3: "
+        "first failure at degree 3")]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: catalog._b_lambda.__wrapped__(Fraction(1), 6),
+    lambda: catalog._e.__wrapped__(Fraction(1), Fraction(1), Fraction(0),
+                                   Fraction(0), 6),
+    lambda: catalog.build_enveloping_preset.__wrapped__("heisenberg", 6),
+], ids=["B(1)", "E", "U(heisenberg)"])
+def test_passing_certificate_computes_no_witness(monkeypatch, make):
+    from hopfforge import linalg
+    H = make()
+    calls = {"iterated": 0, "kernel": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(PresentedHopfAlgebra, "iterated_reduced_coproduct",
+                        counted("iterated",
+                                PresentedHopfAlgebra.iterated_reduced_coproduct))
+    monkeypatch.setattr(linalg, "kernel_basis",
+                        counted("kernel", linalg.kernel_basis))
+    cert = certify_filtration(H, 6)
+    assert H.filtration is cert
+    assert calls == {"iterated": 0, "kernel": 0}
+
+
+def test_non_coassociative_failure_is_named_not_crashed():
+    # certify() runs the bialgebra checks first; a direct call may not
+    H = _xyzw(lambda X, Y: tp(X * Y, X))
+    with pytest.raises(HopfAlgebraError, match="not coassociative"):
+        certify_filtration(H, 3)
+    assert H.filtration is None
 
 
 def test_e_certifies_at_order_10_without_deep_iterates():

@@ -268,8 +268,8 @@ def test_certified_host_works_above_its_listing_order():
 
 
 def test_iterated_coproduct_lives_in_hopf_and_the_filtration_check():
-    # degrees are weights once certified; only the pre-certificate
-    # reweight check in grading.certify_filtration iterates coproducts
+    # degrees are weights once certified; only the failure-path witness
+    # (the reweight check) in grading.certify_filtration iterates coproducts
     src = Path(__file__).parent.parent / "src" / "hopfforge"
     names = ("iterated_reduced_coproduct", "_reduced_iterate_monomial")
     tree = ast.parse((src / "grading.py").read_text())
