@@ -1,18 +1,11 @@
-"""Seed-fixed randomized property suites (at least 200 cases each).
-
-test_acceptance::test_criterion_09_property_suites runs every suite with
-the same bound; the slow ones folded into it are not repeated here.
-"""
+"""Seed-fixed randomized property suites (at least 200 cases each)."""
 
 import pytest
 
 import suites
 
-FOLDED = (suites.run_degree_submultiplicative, suites.run_coproduct_multiplicative,
-          suites.run_winding_endomorphism)
 
-
-@pytest.mark.parametrize("suite", [s for s in suites.ALL_SUITES if s not in FOLDED],
+@pytest.mark.parametrize("suite", suites.ALL_SUITES,
                          ids=lambda fn: fn.__name__.removeprefix("run_"))
 def test_property_suite(suite):
     assert suite() >= 200
