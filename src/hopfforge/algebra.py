@@ -23,7 +23,8 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .linalg import ONE, ZERO, add_term, vec_add_scaled
+from .linalg import (ONE, ZERO, accumulate, add_term, compact, join, split,
+                     vec_add_scaled)
 from .report import Report
 
 Monomial = tuple  # exponent vector over the presentation's generators
@@ -210,12 +211,13 @@ class Presentation:
                 stack.append((w[:p] + self.word_of(mono) + w[p + 2:], c * pc))
         return result
 
-    def product_terms(self, m1: Monomial, m2: Monomial) -> dict[Monomial, Fraction]:
-        """Normal form of the monomial product m1 * m2 (memoized)."""
+    def product_terms(self, m1: Monomial, m2: Monomial) -> dict:
+        """Normal form of the monomial product m1 * m2 (memoized, in the
+        memo-table form of linalg.compact)."""
         key = (m1, m2)
         cached = self._prod_cache.get(key)
         if cached is None:
-            cached = self.reduce_word(self.word_of(m1) + self.word_of(m2))
+            cached = compact(self.reduce_word(self.word_of(m1) + self.word_of(m2)))
             self._prod_cache[key] = cached
         return cached
 
@@ -271,11 +273,14 @@ class Element:
                 return self.algebra.zero()
             return Element(self.algebra, {m: v * c for m, v in self.terms.items()})
         other = self._coerce(other)
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                vec_add_scaled(out, self.algebra.product_terms(m1, m2), c1 * c2)
-        return Element(self.algebra, out)
+        product = self.algebra.product_terms
+        a, da = split(self.terms)
+        b, db = split(other.terms)
+        out: dict[Monomial, int] = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                accumulate(out, product(m1, m2), c1 * c2)
+        return Element(self.algebra, join(out, da * db))
 
     def __rmul__(self, other):
         # scalars commute; Element * Element never reaches here
@@ -318,11 +323,6 @@ class Element:
         """Terms in canonical (weight, lex) ascending order."""
         for m in sorted(self.terms, key=self.algebra.monomial_key):
             yield m, self.terms[m]
-
-    def weight_part(self, w: int) -> "Element":
-        return Element(self.algebra, {
-            m: c for m, c in self.terms.items()
-            if self.algebra.monomial_weight(m) == w})
 
     def __repr__(self):
         return f"<{self}>"

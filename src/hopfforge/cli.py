@@ -18,7 +18,7 @@ from .coideal import (SubalgebraSpec, coideal_check, is_hopf_subalgebra,
                       primitive_of_coideal, register_subalgebra)
 from .grading import Signature, certify, hilbert_series, signature
 from .hopf import HopfAlgebraError, s_squared_analysis
-from .lantern import lantern, numerology_report, verify_lie
+from .lantern import lantern, numerology_report
 from .nakayama import (character, counit_character, enveloping_integral_character,
                        nakayama_automorphism, s4_identity_check)
 from .parser import ParseError, build_algebra, parse, sub_arguments
@@ -169,7 +169,7 @@ def _run_signature(session: _Session, order: int) -> None:
 
 def _run_lantern(session: _Session) -> None:
     L = lantern(session.H)
-    session.note(verify_lie(L))
+    session.note(session.H.filtration.lie_report)  # checked at certification
     session.data["lantern"] = {
         "labels": list(L.labels),
         "degrees": list(L.degrees),
@@ -277,7 +277,8 @@ def _run_numerology(session: _Session, informational: bool) -> None:
                 {"target": spec.name, "signature": _sig_json(sig)})
     else:
         sig = signature(session.H)
-        session.note(numerology_report(sig, lantern(session.H)))
+        session.note(numerology_report(sig))
+        session.note(session.H.filtration.carnot_report)  # certified layers
         session.data["numerology"] = [{"target": session.H.name,
                                        "signature": _sig_json(sig)}]
 

@@ -11,13 +11,15 @@ leading coproduct all become weight-level computations.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from . import linalg
 from .algebra import Element
 from .hopf import (HopfAlgebraError, PresentedHopfAlgebra, solve_antipode,
                    verify_hopf)
-from .lantern import GradedLieAlgebra, _carnot_layers, _extract_lantern
+from .lantern import (GradedLieAlgebra, _carnot_check, _carnot_layers,
+                      _extract_lantern)
 from .report import Report
 from .tensor import TensorElement
 
@@ -38,12 +40,15 @@ class FiltrationCertificate:
 
     The weight filtration is the coradical filtration in every degree;
     truncation is only the order graded_dims is listed to.  lantern is the
-    graded Lie algebra the certificate was read off.
+    graded Lie algebra the certificate was read off, with the verify_lie
+    and Carnot-layer verdicts it passed (lie_report, carnot_report).
     """
 
     truncation: int
     graded_dims: tuple[int, ...]
     lantern: GradedLieAlgebra
+    lie_report: Report
+    carnot_report: Report
 
     def __post_init__(self):
         if len(self.graded_dims) != self.truncation + 1:
@@ -70,10 +75,7 @@ class Signature:
 
     @classmethod
     def from_weights(cls, weights) -> "Signature":
-        counts: dict[int, int] = {}
-        for w in weights:
-            counts[w] = counts.get(w, 0) + 1
-        return cls(tuple(sorted(counts.items())))
+        return cls(tuple(sorted(Counter(weights).items())))
 
     @property
     def generator_count(self) -> int:
@@ -163,8 +165,9 @@ def certify_filtration(H: PresentedHopfAlgebra, truncation: int | None = None
             f"truncation {truncation} is below the largest generator weight "
             f"{least}; the filtration certificate needs truncation >= {least}")
     H._require_confluence()
-    L = _extract_lantern(H)
-    d = next((d for d, got, size in _carnot_layers(L) if got < size), None)
+    L, lie_report = _extract_lantern(H)
+    layers = list(_carnot_layers(L))
+    d = next((d for d, got, size in layers if got < size), None)
     if d is not None:  # failure-path witnesses
         for i, (g, w) in enumerate(zip(pres.names, pres.weights)):
             deg = next((n for n in range(1, w)
@@ -188,8 +191,9 @@ def certify_filtration(H: PresentedHopfAlgebra, truncation: int | None = None
         raise FiltrationError(
             f"{symbol} has a primitive leading symbol of weight {d}: "
             f"first failure at degree {d}")
-    dims = tuple(len(pres.monomials_of_weight(n)) for n in range(truncation + 1))
-    cert = FiltrationCertificate(truncation, dims, L)
+    dims = hilbert_series(Signature.from_weights(pres.weights), truncation).coeffs
+    cert = FiltrationCertificate(truncation, dims, L, lie_report,
+                                 _carnot_check(L, layers))
     H.filtration = cert
     return cert
 

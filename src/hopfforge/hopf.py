@@ -10,7 +10,7 @@ iteration terminate.
 
 Certificates (confluence, Hopf axioms, filtration) are computed once and
 attached write-once; operations that rely on one refuse to run without
-it.
+it.  Memo tables on monomials hold the linalg.compact form.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class PresentedHopfAlgebra:
         self._coprod_mono: dict[Monomial, dict] = {}
         self._reduced_mono: dict[Monomial, dict] = {}
         self._reduced_iter: dict[tuple[Monomial, int], dict] = {}
-        self._antipode_mono: dict[Monomial, Element] = {}
+        self._antipode_mono: dict[Monomial, dict] = {}
         self._antipode_solver_cache: dict[int, tuple] = {}
 
     # -- construction-time validation ------------------------------------
@@ -180,17 +180,19 @@ class PresentedHopfAlgebra:
         one = pres.identity_monomial()
 
         def step(i, tail):  # Delta(g_i m') = Delta(g_i) Delta(m')
-            return tensor_multiply(TensorElement(pres, 2, self._coprod[i]),
-                                   TensorElement(pres, 2, tail)).terms
+            return linalg.compact(tensor_multiply(
+                TensorElement(pres, 2, self._coprod[i]),
+                TensorElement(pres, 2, tail)).terms)
         return memo_peel(self._coprod_mono, mono, False,
-                         lambda: {(one, one): ONE}, step)
+                         lambda: {(one, one): 1}, step)
 
     def _extend(self, x: Element, mono_map, arity: int) -> TensorElement:
         """Linear extension of a memoized map from monomials to tensor terms."""
+        nums, den = linalg.split(x.terms)
         out: dict = {}
-        for mono, c in x.terms.items():
-            linalg.vec_add_scaled(out, mono_map(mono), c)
-        return TensorElement(self.presentation, arity, out)
+        for mono, c in nums.items():
+            linalg.accumulate(out, mono_map(mono), c)
+        return TensorElement(self.presentation, arity, linalg.join(out, den))
 
     def coproduct(self, x: Element) -> TensorElement:
         """Multiplicative extension of the generator coproducts."""
@@ -210,7 +212,7 @@ class PresentedHopfAlgebra:
                 raise ValueError("reduced coproduct of the identity monomial")
             cached = dict(self._coproduct_monomial(mono))
             for key in ((one, mono), (mono, one)):
-                linalg.add_term(cached, key, -ONE)
+                linalg.add_term(cached, key, -1)
             self._reduced_mono[mono] = cached
         return cached
 
@@ -232,9 +234,10 @@ class PresentedHopfAlgebra:
                 out: dict = {}
                 for tkey, c in self._reduced_iterate_monomial(mono, n - 1).items():
                     rest = tkey[1:]
-                    for head, v in self._reduced_monomial(tkey[0]).items():
-                        linalg.add_term(out, head + rest, c * v)
-                cached = out
+                    linalg.accumulate(out, {
+                        head + rest: v for head, v
+                        in self._reduced_monomial(tkey[0]).items()}, c)
+                cached = linalg.compact(out)
             self._reduced_iter[key] = cached
         return cached
 
@@ -271,21 +274,24 @@ class PresentedHopfAlgebra:
 
     # -- antipode -----------------------------------------------------------
 
-    def _antipode_monomial(self, mono: Monomial) -> Element:
+    def _antipode_monomial(self, mono: Monomial) -> dict:
         cached = self._antipode_mono.get(mono)
         if cached is not None:
             return cached
-        # S(m' * g_last) = S(g_last) * S(m')
-        return memo_peel(self._antipode_mono, mono, True, self.one,
-                         lambda last, rest: self._antipode[last] * rest)
+        pres = self.presentation  # S(m' * g_last) = S(g_last) * S(m')
+        return memo_peel(self._antipode_mono, mono, True,
+                         lambda: {pres.identity_monomial(): 1},
+                         lambda last, rest: linalg.compact(
+                             (self._antipode[last] * Element(pres, rest)).terms))
 
     def antipode(self, x: Element) -> Element:
         """Anti-multiplicative extension of the generator antipodes."""
         self._require_antipode()
+        nums, den = linalg.split(x.terms)
         out: dict = {}
-        for mono, c in x.terms.items():
-            linalg.vec_add_scaled(out, self._antipode_monomial(mono).terms, c)
-        return Element(self.presentation, out)
+        for mono, c in nums.items():
+            linalg.accumulate(out, self._antipode_monomial(mono), c)
+        return Element(self.presentation, linalg.join(out, den))
 
     def s_squared(self, x: Element) -> Element:
         return self.antipode(self.antipode(x))
@@ -315,7 +321,7 @@ class PresentedHopfAlgebra:
             columns = []
             for m in monomials:
                 img = self._antipode_monomial(m)
-                columns.append({index[mm]: c for mm, c in img.terms.items()})
+                columns.append({index[mm]: c for mm, c in img.items()})
             cache[w] = (linalg.LinearSolver(columns), monomials, index)
         return cache[w]
 
@@ -535,8 +541,9 @@ def antipode_eigenbasis(H: PresentedHopfAlgebra, max_weight: int
         # matrix of the induced map on the degree-n layer
         cols = []
         for m in monomials:
-            img = H._antipode_monomial(m).weight_part(n)
-            cols.append({index[mm]: c for mm, c in img.terms.items()})
+            cols.append({index[mm]: c
+                         for mm, c in H._antipode_monomial(m).items()
+                         if pres.monomial_weight(mm) == n})
         # squared map must be the identity on the layer
         for j, col in enumerate(cols):
             sq: dict = {}

@@ -39,7 +39,7 @@ class GradedLieAlgebra:
 
     def __post_init__(self):
         self.brackets = {
-            pair: {e: c for e, c in table.items() if c}
+            pair: {e: Fraction(c) for e, c in table.items() if c}
             for pair, table in self.brackets.items()
             if any(table.values())}
         for (a, b) in self.brackets:
@@ -84,10 +84,11 @@ def lantern(H: PresentedHopfAlgebra) -> GradedLieAlgebra:
     return H.filtration.lantern
 
 
-def _extract_lantern(H: PresentedHopfAlgebra) -> GradedLieAlgebra:
-    """Bracket table of the leading generator coproducts of a confluent H;
-    a Jacobi failure is an internal inconsistency (the construction always
-    yields a Lie algebra for a bialgebra), so it raises."""
+def _extract_lantern(H: PresentedHopfAlgebra) -> tuple[GradedLieAlgebra, Report]:
+    """Bracket table of the leading generator coproducts of a confluent H,
+    with its passing verify_lie report; a Jacobi failure is an internal
+    inconsistency (the construction always yields a Lie algebra for a
+    bialgebra), so it raises."""
     pres = H.presentation
     n, w = pres.ngens, pres.weights
     index = {tuple(1 if k == i else 0 for k in range(n)): i for i in range(n)}
@@ -106,7 +107,7 @@ def _extract_lantern(H: PresentedHopfAlgebra) -> GradedLieAlgebra:
             "extracted bracket table is not a graded Lie algebra; "
             "certification is inconsistent: "
             + "; ".join(c.name for c in check.failures()))
-    return L
+    return L, check
 
 
 def verify_lie(L: GradedLieAlgebra) -> Report:
@@ -195,14 +196,15 @@ def numerology_report(sig: Signature, L: GradedLieAlgebra | None = None) -> Repo
     if sig.total > 1:
         report.add("at least two primitives", m1 >= 2, f"m_1 = {m1}")
     if L is not None:
-        report.extend(_carnot_check(L))
+        report.extend(_carnot_check(L, _carnot_layers(L)))
     return report
 
 
-def _carnot_check(L: GradedLieAlgebra) -> Report:
-    """Each degree layer above one must be spanned by brackets against degree 1."""
+def _carnot_check(L: GradedLieAlgebra, layers) -> Report:
+    """Each degree layer above one must be spanned by brackets against
+    degree 1; layers are those of _carnot_layers(L)."""
     report = Report("carnot")
-    for d, got, size in _carnot_layers(L):
+    for d, got, size in layers:
         report.add(f"degree {d} generated from degree 1",
                    got == size, f"rank {got} of {size}")
     if max(L.degrees, default=0) <= 1:

@@ -2,10 +2,16 @@
 rationals with deterministic pivoting.
 
 Every coefficient dict in the package -- ``Element`` and ``TensorElement``
-terms, solver vectors -- stores no zero coefficient.  ``add_term`` and
-``vec_add_scaled`` are the one place that keeps that invariant: all
-accumulation goes through them, and no other module adds into a sparse
-dict by hand.
+terms, solver vectors, memo tables -- stores no zero coefficient.
+``add_term``, ``vec_add_scaled`` and the integer seam are the one place
+that keeps that invariant: no other module adds into a sparse dict by hand.
+
+Integer seam (FLINT's fmpq_poly representation): the structure-map kernels
+``split`` each input into int numerators over one common denominator, run
+int multiply-adds by ``accumulate`` and ``join`` one Fraction per output
+term.  Public coefficients (``Element``/``TensorElement`` terms, solver
+results) are Fractions; memo tables hold the ``compact`` form, int where
+integral, whose Fraction entries just make the sums they enter Fractions.
 
 Vectors are sparse dicts {column index: Fraction}.  Pivot choice is fixed
 once and for all (columns in ascending order; among candidate rows the one
@@ -26,6 +32,7 @@ denominator) it runs the exact ``rref``.  ``rref``, ``kernel_basis`` and
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 ZERO = Fraction(0)
@@ -52,8 +59,8 @@ def vec_add_scaled(target: dict, source: dict,
                    factor: Fraction | None = None) -> None:
     """target += factor * source in place, dropping entries that cancel.
 
-    factor None adds source unscaled (a Fraction multiply by one costs as
-    much as the add); a zero factor is a no-op.  Keys may be any hashable:
+    factor None adds source unscaled, with no multiply per entry; a zero
+    factor is a no-op.  Keys may be any hashable:
     column indices, monomials or tensor keys.  Like every sparse vector,
     source holds no zero, so a key new to target is stored without an add.
     """
@@ -81,6 +88,34 @@ def vec_add_scaled(target: dict, source: dict,
                 target[k] = acc
             else:
                 del target[k]
+
+
+def split(terms: dict) -> tuple[dict, int]:
+    """Int numerators over the lcm of the denominators: terms = nums / den."""
+    den = lcm(*{v.denominator for v in terms.values()})
+    if den == 1:
+        return {k: v.numerator for k, v in terms.items()}, 1
+    return {k: v.numerator * (den // v.denominator)
+            for k, v in terms.items()}, den
+
+
+def accumulate(target: dict, source: dict, factor: int) -> None:
+    """target += factor * source; zeros stay until join or compact."""
+    for k, v in source.items():
+        target[k] = target.get(k, 0) + factor * v
+
+
+def join(nums: dict, den: int) -> dict:
+    """Fraction coefficients nums / den, one per nonzero output term."""
+    if den == 1:
+        return {k: Fraction(n) for k, n in nums.items() if n}
+    return {k: Fraction(n, den) for k, n in nums.items() if n}
+
+
+def compact(terms: dict) -> dict:
+    """Memo-table form: zeros dropped, integral coefficients as int."""
+    return {k: v.numerator if v.denominator == 1 else v
+            for k, v in terms.items() if v}
 
 
 def _pivot_size(value: Fraction) -> int:
@@ -299,14 +334,8 @@ def clear_denominators(vec: Vector) -> Vector:
     """Scale to integer entries with positive leading coefficient, content 1."""
     if not vec:
         return {}
-    from math import gcd
-    lcm = 1
-    for v in vec.values():
-        lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-    scaled = {j: v * lcm for j, v in vec.items()}
-    g = 0
-    for v in scaled.values():
-        g = gcd(g, int(v))
-    lead = scaled[min(scaled)]
-    sign = -1 if lead < 0 else 1
-    return {j: Fraction(int(v) * sign, g) for j, v in scaled.items()}
+    nums, _ = split(vec)
+    g = gcd(*nums.values())
+    if nums[min(nums)] < 0:
+        g = -g
+    return {j: Fraction(n // g) for j, n in nums.items()}

@@ -21,6 +21,7 @@ be printed back and reparsed into an equal structure.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -130,7 +131,7 @@ def _parse_term(ts: _TokenStream, declared, allow_tensor: bool):
         if ts.next() == "-":
             sign = -sign
     coeff = sign
-    sides: list[dict] = [{}]
+    sides: list[Counter] = [Counter()]
     saw_factor = False
     while True:
         tok = ts.peek()
@@ -144,7 +145,7 @@ def _parse_term(ts: _TokenStream, declared, allow_tensor: bool):
                 raise ParseError("more than one tensor separator in a term",
                                  ts.lineno, ts.col())
             ts.next("@")
-            sides.append({})
+            sides.append(Counter())
             saw_factor = False
             continue
         if tok == "*":
@@ -167,8 +168,7 @@ def _parse_term(ts: _TokenStream, declared, allow_tensor: bool):
                     raise ParseError("expected an integer exponent",
                                      ts.lineno, ts.col())
                 exp = int(e)
-            mono = sides[-1]
-            mono[name] = mono.get(name, 0) + exp
+            sides[-1][name] += exp
             saw_factor = True
             continue
         raise ParseError(f"unexpected token {tok!r} in a polynomial",

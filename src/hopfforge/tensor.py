@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .algebra import Element, Monomial, Presentation, PresentationMismatchError, as_fraction
-from .linalg import add_term, vec_add_scaled
+from .linalg import ONE, accumulate, add_term, join, split, vec_add_scaled
 
 TensorKey = tuple  # tuple of Monomials, length = arity
 
@@ -106,10 +106,11 @@ class TensorElement:
         if not 1 <= leg <= self.arity:
             raise ValueError(f"leg {leg} out of range for arity {self.arity}")
         pos = leg - 1
-        out: dict[TensorKey, Fraction] = {}
+        nums, den = split(self.terms)
+        out: dict[TensorKey, int] = {}
         out_arity = None
-        for key, coeff in self.terms.items():
-            image = f(self.algebra.monomial(key[pos]))
+        for key, coeff in nums.items():
+            image = f(Element(self.algebra, {key[pos]: ONE}))
             if isinstance(image, Element):
                 pieces = {(m,): c for m, c in image.terms.items()}
                 grown = 0
@@ -122,14 +123,16 @@ class TensorElement:
                 out_arity = self.arity + grown
             elif out_arity != self.arity + grown:
                 raise ValueError("leg map returned inconsistent arities")
-            for mid, c in pieces.items():
-                add_term(out, key[:pos] + mid + key[pos + 1:], coeff * c)
+            head, tail = key[:pos], key[pos + 1:]
+            inums, iden = split(pieces)
+            accumulate(out, {head + mid + tail: c for mid, c in inums.items()},
+                       coeff if iden == 1 else Fraction(coeff, iden))
         if out_arity is None:
             # zero tensor: probe f on zero to learn the target arity
             probe = f(self.algebra.zero())
             grown = probe.arity - 1 if isinstance(probe, TensorElement) else 0
             out_arity = self.arity + grown
-        return TensorElement(self.algebra, out_arity, out)
+        return TensorElement(self.algebra, out_arity, join(out, den))
 
     def leg_cofactors(self, leg: int) -> list[tuple[Monomial, Element]]:
         """Group terms by the monomial in position ``leg`` (1-based).
@@ -188,27 +191,31 @@ def tensor_product(*factors: Element) -> TensorElement:
 def tensor_multiply(s: TensorElement, t: TensorElement) -> TensorElement:
     """Componentwise product: (a1@...@ak) * (b1@...@bk) = a1*b1 @ ... @ ak*bk."""
     s._check(t)
-    algebra = s.algebra
-    out: dict[TensorKey, Fraction] = {}
-    for key1, c1 in s.terms.items():
-        for key2, c2 in t.terms.items():
+    product = s.algebra.product_terms
+    a, da = split(s.terms)
+    b, db = split(t.terms)
+    out: dict[TensorKey, int] = {}
+    for key1, c1 in a.items():
+        for key2, c2 in b.items():
             # expand the componentwise products leg by leg
-            partial: dict[TensorKey, Fraction] = {(): c1 * c2}
+            partial: dict = {(): 1}
             for m1, m2 in zip(key1, key2):
-                prod = algebra.product_terms(m1, m2)
+                prod = product(m1, m2)
                 partial = {key + (m,): c * pc
                            for key, c in partial.items() for m, pc in prod.items()}
                 if not partial:
                     break
-            vec_add_scaled(out, partial)
-    return TensorElement(algebra, s.arity, out)
+            accumulate(out, partial, c1 * c2)
+    return TensorElement(s.algebra, s.arity, join(out, da * db))
 
 
 def contract(t: TensorElement) -> Element:
     """Multiply the two legs of an arity-2 tensor into a single element."""
     if t.arity != 2:
         raise ValueError("contract needs arity 2")
-    out: dict[Monomial, Fraction] = {}
-    for (m1, m2), c in t.terms.items():
-        vec_add_scaled(out, t.algebra.product_terms(m1, m2), c)
-    return Element(t.algebra, out)
+    product = t.algebra.product_terms
+    nums, den = split(t.terms)
+    out: dict[Monomial, int] = {}
+    for (m1, m2), c in nums.items():
+        accumulate(out, product(m1, m2), c)
+    return Element(t.algebra, join(out, den))

@@ -1,6 +1,9 @@
 """Slow reference definitions that the tests check fast paths against."""
 
 from hopfforge import linalg
+from hopfforge.algebra import Element
+from hopfforge.linalg import add_term, vec_add_scaled
+from hopfforge.tensor import TensorElement
 
 
 def truncated_filtration_check(H, truncation: int) -> bool:
@@ -50,3 +53,81 @@ def coradical_degree_by_iteration(H, x) -> int:
             return n
     raise AssertionError("reduced coproduct fails to vanish within the "
                          "weight bound")
+
+
+# Fraction-arithmetic structure maps: the loops the integer kernels of
+# algebra, tensor and hopf replace.  Products come straight from the
+# rewriting (reduce_word), not from the memoized product table.
+
+def _product_terms(pres, m1, m2) -> dict:
+    return pres.reduce_word(pres.word_of(m1) + pres.word_of(m2))
+
+
+def product_by_fractions(a: Element, b: Element) -> Element:
+    out: dict = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            vec_add_scaled(out, _product_terms(a.algebra, m1, m2), c1 * c2)
+    return Element(a.algebra, out)
+
+
+def tensor_multiply_by_fractions(s: TensorElement, t: TensorElement
+                                 ) -> TensorElement:
+    out: dict = {}
+    for key1, c1 in s.terms.items():
+        for key2, c2 in t.terms.items():
+            partial = {(): c1 * c2}
+            for m1, m2 in zip(key1, key2):
+                prod = _product_terms(s.algebra, m1, m2)
+                partial = {key + (m,): c * pc
+                           for key, c in partial.items() for m, pc in prod.items()}
+            vec_add_scaled(out, partial)
+    return TensorElement(s.algebra, s.arity, out)
+
+
+def contract_by_fractions(t: TensorElement) -> Element:
+    out: dict = {}
+    for (m1, m2), c in t.terms.items():
+        vec_add_scaled(out, _product_terms(t.algebra, m1, m2), c)
+    return Element(t.algebra, out)
+
+
+def coproduct_by_fractions(H, x: Element) -> TensorElement:
+    """Delta(x) from the generator coproducts, one word letter at a time."""
+    pres = H.presentation
+    out: dict = {}
+    for mono, c in x.terms.items():
+        image = TensorElement.unit(pres, 2)
+        for i in pres.word_of(mono):
+            image = tensor_multiply_by_fractions(
+                image, TensorElement(pres, 2, H._coprod[i]))
+        vec_add_scaled(out, image.terms, c)
+    return TensorElement(pres, 2, out)
+
+
+def antipode_by_fractions(H, x: Element) -> Element:
+    """S(x) from the generator antipodes, S(g_1...g_k) = S(g_k)...S(g_1)."""
+    pres = H.presentation
+    out: dict = {}
+    for mono, c in x.terms.items():
+        image = pres.one()
+        for i in pres.word_of(mono):
+            image = product_by_fractions(H._antipode[i], image)
+        vec_add_scaled(out, image.terms, c)
+    return Element(pres, out)
+
+
+def apply_to_leg_by_fractions(t: TensorElement, leg: int, f) -> TensorElement:
+    pos = leg - 1
+    out: dict = {}
+    arity = t.arity
+    for key, coeff in t.terms.items():
+        image = f(t.algebra.monomial(key[pos]))
+        if isinstance(image, Element):
+            pieces = {(m,): c for m, c in image.terms.items()}
+        else:
+            pieces = image.terms
+            arity = t.arity + image.arity - 1
+        for mid, c in pieces.items():
+            add_term(out, key[:pos] + mid + key[pos + 1:], coeff * c)
+    return TensorElement(t.algebra, arity, out)

@@ -1,8 +1,11 @@
+import importlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+from hopfforge import catalog
 from hopfforge.cli import run
 
 DATA = Path(__file__).parent / "data"
@@ -105,6 +108,33 @@ def test_report_builtin_e(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "(1^2, 2, 3)" in out
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls of module.name under every hopfforge name bound to it."""
+    original, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("hopfforge") \
+                and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--builtin", "E"], ["report", str(DATA / "b_lambda.hopf")]],
+    ids=["builtin-E", "b_lambda.hopf"])
+def test_report_checks_the_lantern_once(monkeypatch, capsys, argv):
+    # certify afresh: the catalog's cached E was checked in an earlier test
+    monkeypatch.setattr(catalog, "_e", catalog._e.__wrapped__)
+    lantern = importlib.import_module("hopfforge.lantern")  # not the function
+    lie = _count_calls(monkeypatch, lantern, "verify_lie")
+    layers = _count_calls(monkeypatch, lantern, "_carnot_layers")
+    assert run(argv) == 0
+    assert (len(lie), len(layers)) == (1, 1)
 
 
 def test_unknown_builtin(capsys):

@@ -133,6 +133,18 @@ def test_exact_certificate_agrees_with_truncated_oracle(make, expected):
         assert verdict is expected
 
 
+@pytest.mark.parametrize("make", [
+    pytest.param(case.values[0], id=case.id)
+    for case in AGREEMENT_CASES if case.values[1]])
+def test_graded_dims_count_monomials(make):
+    # the certificate reads dims off the Hilbert series; count them instead
+    H = make()
+    pres = H.presentation
+    for order in (max(pres.weights), 6, 9):
+        assert certify_filtration(H, order).graded_dims == tuple(
+            len(pres.monomials_of_weight(n)) for n in range(order + 1))
+
+
 def test_negative_control_names_its_primitive_symbol():
     report = certify(_negative_control(), 6)
     failed = report.failures()

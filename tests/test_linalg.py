@@ -231,9 +231,15 @@ def test_vec_add_scaled_tensor_keys():
 
 
 # The hand-written accumulate idiom: get a coefficient with a zero default
-# and add to it, or pop a key that cancelled.
+# (Fraction or integer numerator) and add to it, or pop a key that cancelled.
 _ACCUMULATE = re.compile(
-    r"\.get\([^()]*,\s*(ZERO|Fraction\(0\))\)\s*[-+]|\.pop\([^()]*,\s*None\)")
+    r"\.get\([^()]*,\s*(ZERO|Fraction\(0\)|0)\)\s*[-+]|\.pop\([^()]*,\s*None\)")
+
+
+def test_accumulate_guard_flags_integer_numerators():
+    assert _ACCUMULATE.search("out[k] = out.get(k, 0) + c * v")
+    assert _ACCUMULATE.search("acc = acc.get(key, ZERO) - v")
+    assert not _ACCUMULATE.search("cached = self._prod_cache.get(key)")
 
 
 def test_sparse_accumulate_lives_only_in_linalg():
@@ -245,5 +251,6 @@ def test_sparse_accumulate_lives_only_in_linalg():
         for lineno, line in enumerate(path.read_text().splitlines(), 1):
             if _ACCUMULATE.search(line):
                 offenders.append(f"{path.name}:{lineno}: {line.strip()}")
-    assert not offenders, "use linalg.add_term / vec_add_scaled:\n" + \
+    assert not offenders, \
+        "use linalg.add_term / vec_add_scaled / accumulate:\n" + \
         "\n".join(offenders)
