@@ -2,8 +2,7 @@
 weighted generators and commutator relations."""
 
 from .algebra import (Element, Presentation, PresentationMismatchError,
-                      check_confluence, check_termination_weights, commutator,
-                      multiply)
+                      check_confluence, check_termination_weights, commutator)
 from .coideal import (RegistrationError, SubalgebraSpec, antipode_image,
                       coideal_check, coinvariants, containment_check,
                       full_subalgebra, is_hopf_subalgebra,

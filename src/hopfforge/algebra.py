@@ -381,10 +381,6 @@ def memo_peel(memo: dict, mono: Monomial, last: bool, base, step):
     return value
 
 
-def multiply(a: Element, b: Element) -> Element:
-    return a * b
-
-
 def commutator(a: Element, b: Element) -> Element:
     """[a, b] = a*b - b*a."""
     return a * b - b * a

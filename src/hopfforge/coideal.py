@@ -15,7 +15,7 @@ from __future__ import annotations
 from . import linalg
 from .algebra import (Element, Monomial, Presentation, ONE,
                       check_confluence, check_termination_weights, commutator,
-                      memo_peel)
+                      format_monomial, memo_peel)
 from .grading import Signature
 from .hopf import (CertificateMissingError, HopfAlgebraError,
                    PresentedHopfAlgebra)
@@ -46,10 +46,8 @@ class _EmbeddedSpan:
         return cached
 
     def image(self, x: Element) -> Element:
-        out: dict = {}
-        for mono, c in x.terms.items():
-            linalg.vec_add_scaled(out, self.monomial_image(mono).terms, c)
-        return Element(self.host.presentation, out)
+        return Element(self.host.presentation, linalg.extend(
+            x.terms, lambda mono: self.monomial_image(mono).terms))
 
     def solver(self, max_weight: int):
         w = min(max_weight, self.cutoff)
@@ -249,7 +247,6 @@ def coideal_check(spec: SubalgebraSpec, side: str | None = None) -> Report:
             bad = []
             for mono, cofactor in t.leg_cofactors(anchor_leg):
                 if not spec.span.contains(cofactor, w):
-                    from .algebra import format_monomial
                     mono_str = format_monomial(spec.host.presentation, mono)
                     pair = (f"{mono_str}@({cofactor})" if s == "left"
                             else f"({cofactor})@{mono_str}")
@@ -427,8 +424,5 @@ def primitive_of_coideal(spec: SubalgebraSpec) -> Element | None:
     if not basis:
         return None
     vec = linalg.clear_denominators(basis[0])
-    out: dict = {}
-    for j, c in vec.items():
-        image = spec.span.monomial_image(t_monomials[j])
-        linalg.vec_add_scaled(out, image.terms, c)
-    return Element(host.presentation, out)
+    return spec.span.image(Element(
+        spec.presentation, {t_monomials[j]: c for j, c in vec.items()}))

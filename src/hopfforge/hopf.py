@@ -186,18 +186,11 @@ class PresentedHopfAlgebra:
         return memo_peel(self._coprod_mono, mono, False,
                          lambda: {(one, one): 1}, step)
 
-    def _extend(self, x: Element, mono_map, arity: int) -> TensorElement:
-        """Linear extension of a memoized map from monomials to tensor terms."""
-        nums, den = linalg.split(x.terms)
-        out: dict = {}
-        for mono, c in nums.items():
-            linalg.accumulate(out, mono_map(mono), c)
-        return TensorElement(self.presentation, arity, linalg.join(out, den))
-
     def coproduct(self, x: Element) -> TensorElement:
         """Multiplicative extension of the generator coproducts."""
         self._require_confluence()
-        return self._extend(x, self._coproduct_monomial, 2)
+        return TensorElement(self.presentation, 2,
+                             linalg.extend(x.terms, self._coproduct_monomial))
 
     def counit(self, x: Element) -> Fraction:
         """Coefficient of the identity monomial."""
@@ -221,7 +214,8 @@ class PresentedHopfAlgebra:
         self._require_confluence()
         if self.counit(x):
             raise ValueError("reduced coproduct needs counit(x) = 0")
-        return self._extend(x, self._reduced_monomial, 2)
+        return TensorElement(self.presentation, 2,
+                             linalg.extend(x.terms, self._reduced_monomial))
 
     def _reduced_iterate_monomial(self, mono: Monomial, n: int) -> dict:
         """Terms of the n-fold reduced coproduct of a monomial (memoized)."""
@@ -248,8 +242,8 @@ class PresentedHopfAlgebra:
         if self.counit(x):
             raise ValueError("reduced coproduct needs counit(x) = 0")
         self._require_confluence()
-        return self._extend(
-            x, lambda mono: self._reduced_iterate_monomial(mono, n), n + 1)
+        return TensorElement(self.presentation, n + 1, linalg.extend(
+            x.terms, lambda mono: self._reduced_iterate_monomial(mono, n)))
 
     def coradical_degree(self, x: Element) -> int:
         """Smallest n with the n-fold reduced coproduct of x - counit(x) zero.
@@ -287,11 +281,8 @@ class PresentedHopfAlgebra:
     def antipode(self, x: Element) -> Element:
         """Anti-multiplicative extension of the generator antipodes."""
         self._require_antipode()
-        nums, den = linalg.split(x.terms)
-        out: dict = {}
-        for mono, c in nums.items():
-            linalg.accumulate(out, self._antipode_monomial(mono), c)
-        return Element(self.presentation, linalg.join(out, den))
+        return Element(self.presentation,
+                       linalg.extend(x.terms, self._antipode_monomial))
 
     def s_squared(self, x: Element) -> Element:
         return self.antipode(self.antipode(x))

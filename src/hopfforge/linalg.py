@@ -9,9 +9,11 @@ that keeps that invariant: no other module adds into a sparse dict by hand.
 Integer seam (FLINT's fmpq_poly representation): the structure-map kernels
 ``split`` each input into int numerators over one common denominator, run
 int multiply-adds by ``accumulate`` and ``join`` one Fraction per output
-term.  Public coefficients (``Element``/``TensorElement`` terms, solver
-results) are Fractions; memo tables hold the ``compact`` form, int where
-integral, whose Fraction entries just make the sums they enter Fractions.
+term.  ``extend`` is that route for every map given on monomials (or
+tensor keys): the linear extension of a memoized monomial map.  Public
+coefficients (``Element``/``TensorElement`` terms, solver results) are
+Fractions; memo tables hold the ``compact`` form, int where integral,
+whose Fraction entries just make the sums they enter Fractions.
 
 Vectors are sparse dicts {column index: Fraction}.  Pivot choice is fixed
 once and for all (columns in ascending order; among candidate rows the one
@@ -110,6 +112,19 @@ def join(nums: dict, den: int) -> dict:
     if den == 1:
         return {k: Fraction(n) for k, n in nums.items() if n}
     return {k: Fraction(n, den) for k, n in nums.items() if n}
+
+
+def extend(terms: dict, mono_map) -> dict:
+    """Linear extension: sum of c * mono_map(key) over the terms.
+
+    mono_map values may mix int and Fraction (the ``compact`` form); the
+    result holds Fractions and no zero.
+    """
+    nums, den = split(terms)
+    out: dict = {}
+    for key, c in nums.items():
+        accumulate(out, mono_map(key), c)
+    return join(out, den)
 
 
 def compact(terms: dict) -> dict:

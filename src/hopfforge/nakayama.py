@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import Element, ZERO, as_fraction, commutator
-from .coideal import SubalgebraSpec
+from . import linalg
+from .algebra import (Element, Monomial, ONE, ZERO, as_fraction,
+                      check_confluence, commutator, memo_peel)
+from .coideal import SubalgebraSpec, is_hopf_subalgebra
 from .hopf import HopfAlgebraError
-from .linalg import add_term, vec_add_scaled
 from .report import Report
 
 
@@ -30,23 +31,27 @@ class Character:
     target: object
     values: dict[int, Fraction]
     report: Report | None = field(default=None, compare=False)
+    _mono_values: dict[Monomial, Fraction] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def value(self, g) -> Fraction:
         pres = self.target.presentation
         i = pres.index(g) if not isinstance(g, int) else g
         return self.values.get(i, ZERO)
 
+    def monomial_value(self, mono: Monomial) -> Fraction:
+        """chi(m), memoized: chi(1) = 1, chi(g_k m') = chi(g_k) chi(m')."""
+        cached = self._mono_values.get(mono)
+        if cached is not None:
+            return cached
+        return memo_peel(self._mono_values, mono, False, lambda: ONE,
+                         lambda k, rest: self.values.get(k, ZERO) * rest)
+
     def __call__(self, x: Element) -> Fraction:
         if x.algebra is not self.target.presentation:
             raise ValueError("character applied outside its target presentation")
-        total = ZERO
-        for mono, c in x.terms.items():
-            term = c
-            for i, e in enumerate(mono):
-                if e:
-                    term *= self.values.get(i, ZERO) ** e
-            total += term
-        return total
+        return sum((c * self.monomial_value(mono)
+                    for mono, c in x.terms.items()), ZERO)
 
     def is_counit(self) -> bool:
         return not any(self.values.values())
@@ -135,22 +140,17 @@ def winding(chi: Character, x: Element, side: str) -> Element:
                     f"winding cofactor {cofactor} is outside the subalgebra "
                     "span; the declared coideal side does not support this "
                     "winding")
-            add_term(out, mono, chi(rep))
+            linalg.add_term(out, mono, chi(rep))
         result = target.represent(Element(host.presentation, out), w)
         if result is None:
             raise HopfAlgebraError(
                 "winding image escapes the subalgebra span; stability "
                 "verification failed")
         return result
-    out = {}
-    for (m1, m2), c in target.coproduct(x).terms.items():
-        anchor, evaluated = (m2, m1) if side == "left" else (m1, m2)
-        scale = c
-        for i, e in enumerate(evaluated):
-            if e:
-                scale *= chi.values.get(i, ZERO) ** e
-        add_term(out, anchor, scale)
-    return Element(pres, out)
+    keep = 1 if side == "left" else 0  # the leg that is not evaluated
+    return Element(pres, linalg.extend(
+        target.coproduct(x).terms,
+        lambda key: {key[keep]: chi.monomial_value(key[1 - keep])}))
 
 
 @dataclass
@@ -159,7 +159,8 @@ class GeneratorAutomorphism:
 
     target: object
     images: dict[int, Element]
-    inverse_images: dict[int, Element] | None = None
+    _mono_images: dict[Monomial, dict] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         pres = self.target.presentation
@@ -171,18 +172,21 @@ class GeneratorAutomorphism:
             if i not in self.images:
                 raise ValueError(f"missing image for generator {pres.names[i]}")
 
+    def _monomial_image(self, mono: Monomial) -> dict:
+        cached = self._mono_images.get(mono)
+        if cached is not None:
+            return cached
+        pres = self.target.presentation  # phi(g_k m') = phi(g_k) phi(m')
+        return memo_peel(self._mono_images, mono, False,
+                         lambda: {pres.identity_monomial(): 1},
+                         lambda k, rest: linalg.compact(
+                             (self.images[k] * Element(pres, rest)).terms))
+
     def apply(self, x: Element) -> Element:
         pres = self.target.presentation
         if x.algebra is not pres:
             raise ValueError("automorphism applied outside its presentation")
-        out: dict = {}
-        for mono, c in x.terms.items():
-            term = pres.one()
-            for i, e in enumerate(mono):
-                for _ in range(e):
-                    term = term * self.images[i]
-            vec_add_scaled(out, term.terms, c)
-        return Element(pres, out)
+        return Element(pres, linalg.extend(x.terms, self._monomial_image))
 
     def respects_relations(self) -> Report:
         pres = self.target.presentation
@@ -268,7 +272,6 @@ def s4_identity_check(spec: SubalgebraSpec, chi: Character) -> Report:
     character and the left winding by its convolution inverse, generator
     by generator, exactly.
     """
-    from .coideal import is_hopf_subalgebra
     chi._require_verified()
     if chi.target is not spec:
         raise ValueError("character was built for a different target")
@@ -319,7 +322,6 @@ def enveloping_integral_character(target) -> Character:
         if any(m not in gen_monos for m in terms):
             raise HopfAlgebraError(
                 "adjoint-trace character needs linear commutators")
-    from .algebra import check_confluence
     conf = check_confluence(pres)
     if not conf.passed:
         raise HopfAlgebraError(

@@ -11,8 +11,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .algebra import Element, Monomial, Presentation, PresentationMismatchError, as_fraction
-from .linalg import ONE, accumulate, add_term, join, split, vec_add_scaled
+from .algebra import (Element, Monomial, Presentation,
+                      PresentationMismatchError, as_fraction, format_monomial)
+from .linalg import (ONE, accumulate, add_term, compact, extend, join, split,
+                     vec_add_scaled)
 
 TensorKey = tuple  # tuple of Monomials, length = arity
 
@@ -101,38 +103,37 @@ class TensorElement:
 
         f maps Element -> Element or Element -> TensorElement; in the
         tensor-valued case the result arity grows accordingly.  All other
-        legs are untouched.
+        legs are untouched.  f is called once per distinct monomial in
+        that leg.
         """
         if not 1 <= leg <= self.arity:
             raise ValueError(f"leg {leg} out of range for arity {self.arity}")
         pos = leg - 1
-        nums, den = split(self.terms)
-        out: dict[TensorKey, int] = {}
-        out_arity = None
-        for key, coeff in nums.items():
-            image = f(Element(self.algebra, {key[pos]: ONE}))
+        images: dict[Monomial, dict] = {}  # leg monomial -> compact image
+        grown = None
+        for key in self.terms:
+            mono = key[pos]
+            if mono in images:
+                continue
+            image = f(Element(self.algebra, {mono: ONE}))
             if isinstance(image, Element):
-                pieces = {(m,): c for m, c in image.terms.items()}
-                grown = 0
+                pieces, arity = {(m,): c for m, c in image.terms.items()}, 1
             elif isinstance(image, TensorElement):
-                pieces = image.terms
-                grown = image.arity - 1
+                pieces, arity = image.terms, image.arity
             else:
                 raise TypeError("leg map must return Element or TensorElement")
-            if out_arity is None:
-                out_arity = self.arity + grown
-            elif out_arity != self.arity + grown:
+            if grown is None:
+                grown = arity - 1
+            elif grown != arity - 1:
                 raise ValueError("leg map returned inconsistent arities")
-            head, tail = key[:pos], key[pos + 1:]
-            inums, iden = split(pieces)
-            accumulate(out, {head + mid + tail: c for mid, c in inums.items()},
-                       coeff if iden == 1 else Fraction(coeff, iden))
-        if out_arity is None:
+            images[mono] = compact(pieces)
+        if grown is None:
             # zero tensor: probe f on zero to learn the target arity
             probe = f(self.algebra.zero())
             grown = probe.arity - 1 if isinstance(probe, TensorElement) else 0
-            out_arity = self.arity + grown
-        return TensorElement(self.algebra, out_arity, join(out, den))
+        return TensorElement(self.algebra, self.arity + grown, extend(
+            self.terms, lambda key: {key[:pos] + mid + key[pos + 1:]: c
+                                     for mid, c in images[key[pos]].items()}))
 
     def leg_cofactors(self, leg: int) -> list[tuple[Monomial, Element]]:
         """Group terms by the monomial in position ``leg`` (1-based).
@@ -158,7 +159,6 @@ class TensorElement:
     def __str__(self):
         if not self.terms:
             return "0"
-        from .algebra import format_monomial
         mw = self.algebra.monomial_key
         parts = []
         for key in sorted(self.terms, key=lambda k: tuple(mw(m) for m in k)):
@@ -214,8 +214,4 @@ def contract(t: TensorElement) -> Element:
     if t.arity != 2:
         raise ValueError("contract needs arity 2")
     product = t.algebra.product_terms
-    nums, den = split(t.terms)
-    out: dict[Monomial, int] = {}
-    for (m1, m2), c in nums.items():
-        accumulate(out, product(m1, m2), c)
-    return Element(t.algebra, join(out, den))
+    return Element(t.algebra, extend(t.terms, lambda key: product(*key)))

@@ -1,5 +1,7 @@
 """Slow reference definitions that the tests check fast paths against."""
 
+from fractions import Fraction
+
 from hopfforge import linalg
 from hopfforge.algebra import Element
 from hopfforge.linalg import add_term, vec_add_scaled
@@ -131,3 +133,45 @@ def apply_to_leg_by_fractions(t: TensorElement, leg: int, f) -> TensorElement:
         for mid, c in pieces.items():
             add_term(out, key[:pos] + mid + key[pos + 1:], coeff * c)
     return TensorElement(t.algebra, arity, out)
+
+
+# Characters, windings and generator automorphisms term by term: the
+# loops that nakayama's memoized monomial maps replace.
+
+def character_by_powers(chi, x: Element):
+    """chi(x) with every monomial's value taken as a product of powers."""
+    total = Fraction(0)
+    for mono, c in x.terms.items():
+        term = c
+        for i, e in enumerate(mono):
+            if e:
+                term *= chi.values.get(i, Fraction(0)) ** e
+        total += term
+    return total
+
+
+def winding_by_powers(chi, x: Element, side: str) -> Element:
+    """Winding on a host: chi evaluated on the first (left) or second
+    (right) leg of the coproduct, by powers of the generator values."""
+    out: dict = {}
+    for (m1, m2), c in chi.target.coproduct(x).terms.items():
+        anchor, evaluated = (m2, m1) if side == "left" else (m1, m2)
+        scale = c
+        for i, e in enumerate(evaluated):
+            if e:
+                scale *= chi.values.get(i, Fraction(0)) ** e
+        add_term(out, anchor, scale)
+    return Element(x.algebra, out)
+
+
+def automorphism_by_products(phi, x: Element) -> Element:
+    """phi(x) with every monomial's image multiplied out factor by factor."""
+    pres = x.algebra
+    out: dict = {}
+    for mono, c in x.terms.items():
+        term = pres.one()
+        for i, e in enumerate(mono):
+            for _ in range(e):
+                term = product_by_fractions(term, phi.images[i])
+        vec_add_scaled(out, term.terms, c)
+    return Element(pres, out)
