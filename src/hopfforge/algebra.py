@@ -23,8 +23,8 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .linalg import (ONE, ZERO, accumulate, add_term, compact, join, split,
-                     vec_add_scaled)
+from .linalg import (ONE, ZERO, Scaled, accumulate, add_term, compact,
+                     rescale, scaled_equal, scaled_sum, vec_add_scaled)
 from .report import Report
 
 Monomial = tuple  # exponent vector over the presentation's generators
@@ -226,18 +226,31 @@ class Presentation:
         return f"Presentation({gens})"
 
 
-class Element:
+class Element(Scaled):
     """Exact-rational combination of ordered monomials of one presentation.
 
-    Instances are immutable in intent: no method mutates ``terms`` after
-    construction, and no stored coefficient is zero.
+    Every ring operation reads and returns the scaled form (see
+    ``linalg.Scaled``); ``terms`` is the public {monomial: Fraction}
+    view.  Instances are immutable in intent, and no stored coefficient
+    is zero.
     """
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra",)
 
     def __init__(self, algebra: Presentation, terms: dict[Monomial, Fraction]):
         self.algebra = algebra
-        self.terms = terms
+        self._terms = terms
+        self._scaled = None
+
+    @classmethod
+    def from_scaled(cls, algebra: Presentation, nums: dict[Monomial, int],
+                    den: int) -> "Element":
+        """The element nums / den (int numerators, none zero, den > 0)."""
+        x = cls.__new__(cls)
+        x.algebra = algebra
+        x._terms = None
+        x._scaled = (nums, den)
+        return x
 
     # -- ring operations --------------------------------------------------
 
@@ -251,17 +264,20 @@ class Element:
 
     def __add__(self, other):
         other = self._coerce(other)
-        terms = dict(self.terms)
-        vec_add_scaled(terms, other.terms)
-        return Element(self.algebra, terms)
+        return Element.from_scaled(self.algebra,
+                                   *scaled_sum(self.scaled, other.scaled))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Element(self.algebra, {m: -c for m, c in self.terms.items()})
+        nums, den = self.scaled
+        return Element.from_scaled(self.algebra,
+                                   {m: -n for m, n in nums.items()}, den)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        return Element.from_scaled(self.algebra,
+                                   *scaled_sum(self.scaled, other.scaled, -1))
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -269,18 +285,19 @@ class Element:
     def __mul__(self, other):
         if not isinstance(other, Element):
             c = as_fraction(other)
-            if not c:
-                return self.algebra.zero()
-            return Element(self.algebra, {m: v * c for m, v in self.terms.items()})
+            nums, den = self.scaled
+            return Element.from_scaled(self.algebra, *rescale(
+                {m: n * c.numerator for m, n in nums.items()},
+                den * c.denominator))
         other = self._coerce(other)
         product = self.algebra.product_terms
-        a, da = split(self.terms)
-        b, db = split(other.terms)
+        a, da = self.scaled
+        b, db = other.scaled
         out: dict[Monomial, int] = {}
         for m1, c1 in a.items():
             for m2, c2 in b.items():
                 accumulate(out, product(m1, m2), c1 * c2)
-        return Element(self.algebra, join(out, da * db))
+        return Element.from_scaled(self.algebra, *rescale(out, da * db))
 
     def __rmul__(self, other):
         # scalars commute; Element * Element never reaches here
@@ -296,28 +313,31 @@ class Element:
 
     def __eq__(self, other):
         if isinstance(other, Element):
-            return self.algebra is other.algebra and self.terms == other.terms
+            return (self.algebra is other.algebra
+                    and scaled_equal(self.scaled, other.scaled))
         if isinstance(other, (int, Fraction)):
             return self == self.algebra.scalar(other)
         return NotImplemented
-
-    def __bool__(self):
-        return bool(self.terms)
 
     # -- structure ---------------------------------------------------------
 
     @property
     def weight(self):
         """Max monomial weight; None for the zero element."""
-        if not self.terms:
+        support = self._support()
+        if not support:
             return None
-        return max(self.algebra.monomial_weight(m) for m in self.terms)
+        return max(self.algebra.monomial_weight(m) for m in support)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get(self.algebra.identity_monomial(), ZERO)
+        return self.coefficient(self.algebra.identity_monomial())
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(tuple(mono), ZERO)
+        if self._scaled is None:
+            return self._terms.get(tuple(mono), ZERO)
+        nums, den = self._scaled
+        n = nums.get(tuple(mono))
+        return ZERO if n is None else Fraction(n, den)
 
     def iter_terms(self) -> Iterator[tuple[Monomial, Fraction]]:
         """Terms in canonical (weight, lex) ascending order."""

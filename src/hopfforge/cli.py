@@ -1,14 +1,16 @@
 """Command-line interface: certify definition files or builtins and report.
 
-Exit codes: 0 all requested checks pass, 1 a requested check failed,
-2 parse failure, 3 certificate failure.  Checks with status "info" are
-informational verdicts and never fail a run.
+Exit codes: 0 all requested checks pass, 1 a requested check failed or
+the output could not be written, 2 parse failure, 3 certificate failure.
+Checks with status "info" are informational verdicts and never fail a
+run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -42,8 +44,11 @@ class _CliFailure(Exception):
 def _e_params(params: str) -> list[Fraction]:
     """E parameters a,b,l1,l2; omitted trailing ones default to 1,1,0,0."""
     values = [as_fraction(p) for p in params.split(",")] if params else []
+    if len(values) > 4:
+        raise ValueError(f"E takes at most 4 parameters a,b,l1,l2, "
+                         f"got {len(values)}")
     defaults = [Fraction(1), Fraction(1), Fraction(0), Fraction(0)]
-    return (values + defaults[len(values):])[:4]
+    return values + defaults[len(values):]
 
 
 def _parse_builtin(spec: str, truncation: int):
@@ -392,7 +397,20 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        try:
+            code = run(sys.argv[1:])
+        finally:
+            sys.stdout.flush()  # a write error surfaces here, not at exit
+    except OSError as exc:
+        # the interpreter flushes stdout again at exit: point it at devnull
+        # (the SIGPIPE note of the signal module's documentation)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"cannot write output: {exc.strerror or exc}",
+                  file=sys.stderr)
+        code = EXIT_CHECK
+    sys.exit(code)
 
 
 if __name__ == "__main__":

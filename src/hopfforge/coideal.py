@@ -35,19 +35,27 @@ class _EmbeddedSpan:
         self.presentation = presentation
         self.images = images
         self.cutoff = cutoff
-        self._mono_image: dict[Monomial, Element] = {}
+        self._mono_image: dict[Monomial, dict] = {}  # linalg.compact form
         self._solvers: dict[int, tuple[linalg.LinearSolver, list[Monomial]]] = {}
 
-    def monomial_image(self, mono: Monomial) -> Element:
+    def _monomial_terms(self, mono: Monomial) -> dict:
         cached = self._mono_image.get(mono)
-        if cached is None:
-            cached = memo_peel(self._mono_image, mono, True, self.host.one,
-                               lambda last, rest: rest * self.images[last])
-        return cached
+        if cached is not None:
+            return cached
+        pres = self.host.presentation  # image(m' g) = image(m') image(g)
+        return memo_peel(self._mono_image, mono, True,
+                         lambda: {pres.identity_monomial(): 1},
+                         lambda last, rest: linalg.compact(
+                             *(Element(pres, rest) * self.images[last]).scaled))
+
+    def monomial_image(self, mono: Monomial) -> Element:
+        return Element.from_scaled(self.host.presentation,
+                                   *linalg.split(self._monomial_terms(mono)))
 
     def image(self, x: Element) -> Element:
-        return Element(self.host.presentation, linalg.extend(
-            x.terms, lambda mono: self.monomial_image(mono).terms))
+        return Element.from_scaled(
+            self.host.presentation,
+            *linalg.extend_scaled(*x.scaled, self._monomial_terms))
 
     def solver(self, max_weight: int):
         w = min(max_weight, self.cutoff)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import linalg
 from .algebra import Element
 from .hopf import (HopfAlgebraError, PresentedHopfAlgebra, solve_antipode,
-                   verify_hopf)
+                   verify_bialgebra, verify_hopf)
 from .lantern import (GradedLieAlgebra, _carnot_check, _carnot_layers,
                       _extract_lantern)
 from .report import Report
@@ -139,8 +139,9 @@ def certify_filtration(H: PresentedHopfAlgebra, truncation: int | None = None
     and kept on the certificate) is generated by g_1: each layer g_d,
     d >= 2, is spanned by [g_1, g_{d-1}].  The truncation, at least the
     largest generator weight (else ValueError), is only the order the
-    dims are listed to.  Presumes the bialgebra axioms (certify checks
-    them first).
+    dims are listed to.  The bialgebra axioms are checked first
+    (verify_bialgebra, which certify has already run); a failure raises
+    HopfAlgebraError naming the first failing check.
 
     Soundness: termination and confluence make gr_w H the polynomial ring
     on the generator symbols, a commutative connected graded Hopf algebra
@@ -165,6 +166,14 @@ def certify_filtration(H: PresentedHopfAlgebra, truncation: int | None = None
             f"truncation {truncation} is below the largest generator weight "
             f"{least}; the filtration certificate needs truncation >= {least}")
     H._require_confluence()
+    bialgebra = verify_bialgebra(H)  # memoized: certify() has run it
+    if not bialgebra.passed:
+        first = bialgebra.failures()[0].name
+        what = ("the coproduct is not coassociative"
+                if first.startswith("coassociativity")
+                else "the bialgebra axioms fail")
+        raise HopfAlgebraError(f"{what} ({first}); not certifying the "
+                               "filtration")
     L, lie_report = _extract_lantern(H)
     layers = list(_carnot_layers(L))
     d = next((d for d, got, size in layers if got < size), None)
@@ -183,9 +192,9 @@ def certify_filtration(H: PresentedHopfAlgebra, truncation: int | None = None
             for key, c in leading.items():
                 rows.setdefault(key, {})[col] = c
         kernel = linalg.kernel_basis(list(rows.values()), len(monomials))
-        if not kernel:  # only when the bialgebra axioms fail
+        if not kernel:  # excluded by the bialgebra axioms checked above
             raise HopfAlgebraError(f"no primitive leading symbol at degree {d}"
-                                   ": the coproduct is not coassociative")
+                                   " although the bialgebra axioms hold")
         vec = linalg.clear_denominators(kernel[0])
         symbol = Element(pres, {monomials[j]: c for j, c in vec.items()})
         raise FiltrationError(

@@ -180,17 +180,18 @@ class PresentedHopfAlgebra:
         one = pres.identity_monomial()
 
         def step(i, tail):  # Delta(g_i m') = Delta(g_i) Delta(m')
-            return linalg.compact(tensor_multiply(
+            return linalg.compact(*tensor_multiply(
                 TensorElement(pres, 2, self._coprod[i]),
-                TensorElement(pres, 2, tail)).terms)
+                TensorElement(pres, 2, tail)).scaled)
         return memo_peel(self._coprod_mono, mono, False,
                          lambda: {(one, one): 1}, step)
 
     def coproduct(self, x: Element) -> TensorElement:
         """Multiplicative extension of the generator coproducts."""
         self._require_confluence()
-        return TensorElement(self.presentation, 2,
-                             linalg.extend(x.terms, self._coproduct_monomial))
+        return TensorElement.from_scaled(
+            self.presentation, 2,
+            *linalg.extend_scaled(*x.scaled, self._coproduct_monomial))
 
     def counit(self, x: Element) -> Fraction:
         """Coefficient of the identity monomial."""
@@ -214,8 +215,9 @@ class PresentedHopfAlgebra:
         self._require_confluence()
         if self.counit(x):
             raise ValueError("reduced coproduct needs counit(x) = 0")
-        return TensorElement(self.presentation, 2,
-                             linalg.extend(x.terms, self._reduced_monomial))
+        return TensorElement.from_scaled(
+            self.presentation, 2,
+            *linalg.extend_scaled(*x.scaled, self._reduced_monomial))
 
     def _reduced_iterate_monomial(self, mono: Monomial, n: int) -> dict:
         """Terms of the n-fold reduced coproduct of a monomial (memoized)."""
@@ -242,8 +244,9 @@ class PresentedHopfAlgebra:
         if self.counit(x):
             raise ValueError("reduced coproduct needs counit(x) = 0")
         self._require_confluence()
-        return TensorElement(self.presentation, n + 1, linalg.extend(
-            x.terms, lambda mono: self._reduced_iterate_monomial(mono, n)))
+        return TensorElement.from_scaled(
+            self.presentation, n + 1, *linalg.extend_scaled(
+                *x.scaled, lambda mono: self._reduced_iterate_monomial(mono, n)))
 
     def coradical_degree(self, x: Element) -> int:
         """Smallest n with the n-fold reduced coproduct of x - counit(x) zero.
@@ -276,13 +279,13 @@ class PresentedHopfAlgebra:
         return memo_peel(self._antipode_mono, mono, True,
                          lambda: {pres.identity_monomial(): 1},
                          lambda last, rest: linalg.compact(
-                             (self._antipode[last] * Element(pres, rest)).terms))
+                             *(self._antipode[last] * Element(pres, rest)).scaled))
 
     def antipode(self, x: Element) -> Element:
         """Anti-multiplicative extension of the generator antipodes."""
         self._require_antipode()
-        return Element(self.presentation,
-                       linalg.extend(x.terms, self._antipode_monomial))
+        return Element.from_scaled(self.presentation, *linalg.extend_scaled(
+            *x.scaled, self._antipode_monomial))
 
     def s_squared(self, x: Element) -> Element:
         return self.antipode(self.antipode(x))

@@ -6,14 +6,20 @@ terms, solver vectors, memo tables -- stores no zero coefficient.
 ``add_term``, ``vec_add_scaled`` and the integer seam are the one place
 that keeps that invariant: no other module adds into a sparse dict by hand.
 
-Integer seam (FLINT's fmpq_poly representation): the structure-map kernels
-``split`` each input into int numerators over one common denominator, run
-int multiply-adds by ``accumulate`` and ``join`` one Fraction per output
-term.  ``extend`` is that route for every map given on monomials (or
-tensor keys): the linear extension of a memoized monomial map.  Public
-coefficients (``Element``/``TensorElement`` terms, solver results) are
-Fractions; memo tables hold the ``compact`` form, int where integral,
-whose Fraction entries just make the sums they enter Fractions.
+Scaled form (FLINT's fmpq_poly representation): an ``Element`` or
+``TensorElement`` keeps its coefficients as ``(nums, den)``, int
+numerators with no zero over one positive denominator, and the structure
+maps run on that form alone.  ``split`` takes a Fraction dict to it,
+``accumulate`` is the one int multiply-add loop, ``rescale`` settles its
+sums (zeros dropped, Fraction sums brought to ints over one common
+denominator, common factors cancelled) and ``join`` gives the Fraction
+view back, one Fraction per nonzero term.  ``extend_scaled`` is the
+linear extension of a memoized monomial (or tensor-key) map from scaled
+form to scaled form; ``extend`` is the same map on Fraction dicts.
+``scaled_equal`` compares two scaled forms exactly without a Fraction.
+Public coefficients (``Element.terms``, ``TensorElement.terms``, solver
+results) are Fractions: ``terms`` is a view joined on first read and
+cached.  Memo tables hold the ``compact`` form, int where integral.
 
 Vectors are sparse dicts {column index: Fraction}.  Pivot choice is fixed
 once and for all (columns in ascending order; among candidate rows the one
@@ -41,6 +47,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 Vector = dict  # {key: Fraction}, no explicit zeros
+_INT = frozenset((int,))
 
 
 def add_term(target: dict, key, value: Fraction) -> None:
@@ -102,9 +109,58 @@ def split(terms: dict) -> tuple[dict, int]:
 
 
 def accumulate(target: dict, source: dict, factor: int) -> None:
-    """target += factor * source; zeros stay until join or compact."""
+    """target += factor * source; zeros stay until rescale, join or compact."""
     for k, v in source.items():
         target[k] = target.get(k, 0) + factor * v
+
+
+class Scaled:
+    """Base of ``Element`` and ``TensorElement``: coefficients kept in
+    scaled form (built by their ``from_scaled``), ``terms`` the Fraction
+    view of them joined on first read and cached.  An instance built from
+    a terms dict splits it on first use of ``scaled``."""
+
+    __slots__ = ("_terms", "_scaled")
+
+    @property
+    def terms(self) -> dict:
+        if self._terms is None:
+            self._terms = join(*self._scaled)
+        return self._terms
+
+    @property
+    def scaled(self) -> tuple[dict, int]:
+        """(int numerators with no zero, denominator)."""
+        if self._scaled is None:
+            self._scaled = split(self._terms)
+        return self._scaled
+
+    def _support(self) -> dict:
+        return self._terms if self._scaled is None else self._scaled[0]
+
+    def __bool__(self):
+        return bool(self._support())
+
+
+def rescale(sums: dict, den: int) -> tuple[dict, int]:
+    """Scaled form of sums / den: zeros dropped, no factor common to the
+    denominator and every numerator.
+
+    Sums may be Fractions, where a memo value was not integral; they are
+    brought to ints over the lcm of their denominators, with no Fraction
+    built.
+    """
+    nums = {k: v for k, v in sums.items() if v}
+    if not set(map(type, nums.values())) <= _INT:
+        q = lcm(*{v.denominator for v in nums.values()})
+        nums = {k: v.numerator * (q // v.denominator) for k, v in nums.items()}
+        den *= q
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {k: v // g for k, v in nums.items()}
+            den //= g
+    return nums, den
 
 
 def join(nums: dict, den: int) -> dict:
@@ -114,22 +170,52 @@ def join(nums: dict, den: int) -> dict:
     return {k: Fraction(n, den) for k, n in nums.items() if n}
 
 
+def extend_scaled(nums: dict, den: int, mono_map) -> tuple[dict, int]:
+    """Linear extension on scaled form: sum of n * mono_map(key) / den.
+
+    mono_map values may mix int and Fraction (the ``compact`` form).
+    """
+    out: dict = {}
+    for key, n in nums.items():
+        accumulate(out, mono_map(key), n)
+    return rescale(out, den)
+
+
 def extend(terms: dict, mono_map) -> dict:
     """Linear extension: sum of c * mono_map(key) over the terms.
 
     mono_map values may mix int and Fraction (the ``compact`` form); the
     result holds Fractions and no zero.
     """
-    nums, den = split(terms)
-    out: dict = {}
-    for key, c in nums.items():
-        accumulate(out, mono_map(key), c)
-    return join(out, den)
+    return join(*extend_scaled(*split(terms), mono_map))
 
 
-def compact(terms: dict) -> dict:
-    """Memo-table form: zeros dropped, integral coefficients as int."""
-    return {k: v.numerator if v.denominator == 1 else v
+def scaled_sum(a: tuple[dict, int], b: tuple[dict, int],
+               factor: int = 1) -> tuple[dict, int]:
+    """a + factor * b for scaled forms a and b."""
+    (na, da), (nb, db) = a, b
+    den = lcm(da, db)
+    out = dict(na) if den == da else {k: v * (den // da) for k, v in na.items()}
+    accumulate(out, nb, factor * (den // db))
+    return rescale(out, den)
+
+
+def scaled_equal(a: tuple[dict, int], b: tuple[dict, int]) -> bool:
+    """Exact equality of two scaled forms, with no Fraction built."""
+    (na, da), (nb, db) = a, b
+    if da == db:
+        return na == nb
+    return na.keys() == nb.keys() and all(
+        n * db == nb[k] * da for k, n in na.items())
+
+
+def compact(terms: dict, den: int = 1) -> dict:
+    """Memo-table form of terms / den: zeros dropped, integral
+    coefficients as int (terms are ints when den is not 1)."""
+    if den == 1:
+        return {k: v.numerator if v.denominator == 1 else v
+                for k, v in terms.items() if v}
+    return {k: v // den if not v % den else Fraction(v, den)
             for k, v in terms.items() if v}
 
 

@@ -33,6 +33,9 @@ class Character:
     report: Report | None = field(default=None, compare=False)
     _mono_values: dict[Monomial, Fraction] = field(
         default_factory=dict, init=False, compare=False, repr=False)
+    _windings: dict[str, dict[Monomial, dict]] = field(
+        default_factory=lambda: {"left": {}, "right": {}},
+        init=False, compare=False, repr=False)
 
     def value(self, g) -> Fraction:
         pres = self.target.presentation
@@ -46,6 +49,19 @@ class Character:
             return cached
         return memo_peel(self._mono_values, mono, False, lambda: ONE,
                          lambda k, rest: self.values.get(k, ZERO) * rest)
+
+    def winding_image(self, mono: Monomial, side: str) -> dict:
+        """Host winding of a monomial, memoized per side in the
+        linalg.compact form: chi on the first legs of Delta(m) (side
+        'left') or on the second legs (side 'right')."""
+        memo = self._windings[side]
+        cached = memo.get(mono)
+        if cached is None:
+            keep = 1 if side == "left" else 0  # the leg that is not evaluated
+            cached = memo[mono] = linalg.compact(linalg.extend(
+                self.target._coproduct_monomial(mono),
+                lambda key: {key[keep]: self.monomial_value(key[1 - keep])}))
+        return cached
 
     def __call__(self, x: Element) -> Fraction:
         if x.algebra is not self.target.presentation:
@@ -114,9 +130,11 @@ def winding(chi: Character, x: Element, side: str) -> Element:
     """Winding endomorphism: the character applied to one coproduct leg.
 
     side 'left' evaluates the character on first legs, side 'right' on
-    second legs.  For a subalgebra target the evaluated cofactors, and
-    the final image, must lie in the embedded span; both memberships are
-    verified and a violation raises.
+    second legs.  On a host it extends the memoized monomial images
+    (Character.winding_image) linearly, without building Delta(x).  For
+    a subalgebra target the evaluated cofactors, and the final image,
+    must lie in the embedded span; both memberships are verified and a
+    violation raises.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
@@ -147,10 +165,9 @@ def winding(chi: Character, x: Element, side: str) -> Element:
                 "winding image escapes the subalgebra span; stability "
                 "verification failed")
         return result
-    keep = 1 if side == "left" else 0  # the leg that is not evaluated
-    return Element(pres, linalg.extend(
-        target.coproduct(x).terms,
-        lambda key: {key[keep]: chi.monomial_value(key[1 - keep])}))
+    target._require_confluence()
+    return Element.from_scaled(pres, *linalg.extend_scaled(
+        *x.scaled, lambda mono: chi.winding_image(mono, side)))
 
 
 @dataclass
@@ -180,13 +197,14 @@ class GeneratorAutomorphism:
         return memo_peel(self._mono_images, mono, False,
                          lambda: {pres.identity_monomial(): 1},
                          lambda k, rest: linalg.compact(
-                             (self.images[k] * Element(pres, rest)).terms))
+                             *(self.images[k] * Element(pres, rest)).scaled))
 
     def apply(self, x: Element) -> Element:
         pres = self.target.presentation
         if x.algebra is not pres:
             raise ValueError("automorphism applied outside its presentation")
-        return Element(pres, linalg.extend(x.terms, self._monomial_image))
+        return Element.from_scaled(pres, *linalg.extend_scaled(
+            *x.scaled, self._monomial_image))
 
     def respects_relations(self) -> Report:
         pres = self.target.presentation

@@ -9,20 +9,22 @@ coproducts of unbounded depth uniform.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Mapping
 
 from .algebra import (Element, Monomial, Presentation,
                       PresentationMismatchError, as_fraction, format_monomial)
-from .linalg import (ONE, accumulate, add_term, compact, extend, join, split,
-                     vec_add_scaled)
+from .linalg import (ONE, Scaled, accumulate, add_term, extend_scaled,
+                     rescale, scaled_equal, scaled_sum)
 
 TensorKey = tuple  # tuple of Monomials, length = arity
 
 
-class TensorElement:
-    """Sparse exact-rational combination of monomial tuples of fixed arity."""
+class TensorElement(Scaled):
+    """Sparse exact-rational combination of monomial tuples of fixed arity,
+    in scaled form like ``Element`` (see ``linalg.Scaled``)."""
 
-    __slots__ = ("algebra", "arity", "terms")
+    __slots__ = ("algebra", "arity")
 
     def __init__(self, algebra: Presentation, arity: int,
                  terms: dict[TensorKey, Fraction]):
@@ -30,7 +32,19 @@ class TensorElement:
             raise ValueError("arity must be >= 1")
         self.algebra = algebra
         self.arity = arity
-        self.terms = terms
+        self._terms = terms
+        self._scaled = None
+
+    @classmethod
+    def from_scaled(cls, algebra: Presentation, arity: int,
+                    nums: dict[TensorKey, int], den: int) -> "TensorElement":
+        """The tensor nums / den (int numerators, none zero, den > 0)."""
+        t = cls.__new__(cls)
+        t.algebra = algebra
+        t.arity = arity
+        t._terms = None
+        t._scaled = (nums, den)
+        return t
 
     @classmethod
     def zero(cls, algebra: Presentation, arity: int) -> "TensorElement":
@@ -61,23 +75,24 @@ class TensorElement:
 
     def __add__(self, other: "TensorElement") -> "TensorElement":
         self._check(other)
-        terms = dict(self.terms)
-        vec_add_scaled(terms, other.terms)
-        return TensorElement(self.algebra, self.arity, terms)
+        return TensorElement.from_scaled(self.algebra, self.arity,
+                                         *scaled_sum(self.scaled, other.scaled))
 
     def __neg__(self) -> "TensorElement":
-        return TensorElement(self.algebra, self.arity,
-                             {k: -c for k, c in self.terms.items()})
+        nums, den = self.scaled
+        return TensorElement.from_scaled(self.algebra, self.arity,
+                                         {k: -n for k, n in nums.items()}, den)
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + (-other)
+        self._check(other)
+        return TensorElement.from_scaled(
+            self.algebra, self.arity, *scaled_sum(self.scaled, other.scaled, -1))
 
     def scale(self, c) -> "TensorElement":
         c = as_fraction(c)
-        if not c:
-            return TensorElement.zero(self.algebra, self.arity)
-        return TensorElement(self.algebra, self.arity,
-                             {k: v * c for k, v in self.terms.items()})
+        nums, den = self.scaled
+        return TensorElement.from_scaled(self.algebra, self.arity, *rescale(
+            {k: n * c.numerator for k, n in nums.items()}, den * c.denominator))
 
     def __rmul__(self, c):
         return self.scale(c)
@@ -91,10 +106,7 @@ class TensorElement:
         if not isinstance(other, TensorElement):
             return NotImplemented
         return (self.algebra is other.algebra and self.arity == other.arity
-                and self.terms == other.terms)
-
-    def __bool__(self):
-        return bool(self.terms)
+                and scaled_equal(self.scaled, other.scaled))
 
     # -- structural maps -----------------------------------------------------
 
@@ -109,31 +121,40 @@ class TensorElement:
         if not 1 <= leg <= self.arity:
             raise ValueError(f"leg {leg} out of range for arity {self.arity}")
         pos = leg - 1
-        images: dict[Monomial, dict] = {}  # leg monomial -> compact image
+        images: dict[Monomial, tuple[dict, int]] = {}  # leg monomial -> image
         grown = None
-        for key in self.terms:
+        nums, den = self.scaled
+        for key in nums:
             mono = key[pos]
             if mono in images:
                 continue
             image = f(Element(self.algebra, {mono: ONE}))
             if isinstance(image, Element):
-                pieces, arity = {(m,): c for m, c in image.terms.items()}, 1
+                pieces, d = image.scaled
+                pieces, arity = {(m,): c for m, c in pieces.items()}, 1
             elif isinstance(image, TensorElement):
-                pieces, arity = image.terms, image.arity
+                (pieces, d), arity = image.scaled, image.arity
             else:
                 raise TypeError("leg map must return Element or TensorElement")
             if grown is None:
                 grown = arity - 1
             elif grown != arity - 1:
                 raise ValueError("leg map returned inconsistent arities")
-            images[mono] = compact(pieces)
+            images[mono] = pieces, d
         if grown is None:
             # zero tensor: probe f on zero to learn the target arity
             probe = f(self.algebra.zero())
             grown = probe.arity - 1 if isinstance(probe, TensorElement) else 0
-        return TensorElement(self.algebra, self.arity + grown, extend(
-            self.terms, lambda key: {key[:pos] + mid + key[pos + 1:]: c
-                                     for mid, c in images[key[pos]].items()}))
+        # every image as int numerators over the lcm of their denominators
+        common = lcm(*(d for _, d in images.values()))
+        images = {mono: pieces if d == common else
+                  {mid: c * (common // d) for mid, c in pieces.items()}
+                  for mono, (pieces, d) in images.items()}
+        return TensorElement.from_scaled(
+            self.algebra, self.arity + grown, *extend_scaled(
+                nums, den * common,
+                lambda key: {key[:pos] + mid + key[pos + 1:]: c
+                             for mid, c in images[key[pos]].items()}))
 
     def leg_cofactors(self, leg: int) -> list[tuple[Monomial, Element]]:
         """Group terms by the monomial in position ``leg`` (1-based).
@@ -192,8 +213,8 @@ def tensor_multiply(s: TensorElement, t: TensorElement) -> TensorElement:
     """Componentwise product: (a1@...@ak) * (b1@...@bk) = a1*b1 @ ... @ ak*bk."""
     s._check(t)
     product = s.algebra.product_terms
-    a, da = split(s.terms)
-    b, db = split(t.terms)
+    a, da = s.scaled
+    b, db = t.scaled
     out: dict[TensorKey, int] = {}
     for key1, c1 in a.items():
         for key2, c2 in b.items():
@@ -206,7 +227,7 @@ def tensor_multiply(s: TensorElement, t: TensorElement) -> TensorElement:
                 if not partial:
                     break
             accumulate(out, partial, c1 * c2)
-    return TensorElement(s.algebra, s.arity, join(out, da * db))
+    return TensorElement.from_scaled(s.algebra, s.arity, *rescale(out, da * db))
 
 
 def contract(t: TensorElement) -> Element:
@@ -214,4 +235,5 @@ def contract(t: TensorElement) -> Element:
     if t.arity != 2:
         raise ValueError("contract needs arity 2")
     product = t.algebra.product_terms
-    return Element(t.algebra, extend(t.terms, lambda key: product(*key)))
+    return Element.from_scaled(t.algebra, *extend_scaled(
+        *t.scaled, lambda key: product(*key)))

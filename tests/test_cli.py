@@ -1,14 +1,20 @@
 import importlib
+import io
 import json
+import os
+import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfforge import catalog
-from hopfforge.cli import run
+from hopfforge.cli import SUBCOMMANDS, run
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def test_signature_builtin(capsys):
@@ -238,3 +244,79 @@ def test_each_check_listed_once(capsys, argv):
     names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
     assert "antipode axiom on Z" in names
     assert len(names) == len(set(names))
+
+
+def test_fifth_e_parameter_exit_2(capsys):
+    assert run(["verify", "--builtin", "E:1,1,0,0,9"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("bad builtin 'E:1,1,0,0,9': E takes at most 4 parameters "
+                   "a,b,l1,l2, got 5\n")
+
+
+def _cli(argv, stdout):
+    """hopfforge in a fresh interpreter, its output sent to stdout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.Popen([sys.executable, "-m", "hopfforge.cli", *argv],
+                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+def test_closed_output_pipe_exits_quietly():
+    # like `hopfforge report --builtin E | head -5`, with the reader gone
+    # before the first write, so the write always meets a broken pipe
+    proc = _cli(["report", "--builtin", "E"], subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 1
+    assert err == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_output_write_error_is_one_line():
+    with open("/dev/full", "w") as full:
+        proc = _cli(["verify", "--builtin", "B:1"], full)
+        err = proc.stderr.read().decode()
+    assert proc.wait() == 1
+    assert err == "cannot write output: No space left on device\n"
+
+
+# Fuzzed command lines: every one must end in a documented exit code with
+# no traceback.  Sizes stay small: truncation <= 8, abelian presets <= 4.
+_rational = st.sampled_from(["0", "1", "-2", "1/2", "-2/3", "3", "1/0", "x",
+                             ""])
+_builtin = st.one_of(
+    st.builds(lambda r: f"B:{r}", _rational),
+    st.just("B"), st.just("E"),
+    st.lists(_rational, min_size=1, max_size=5).map(
+        lambda ps: "E:" + ",".join(ps)),
+    st.builds(lambda p: f"U:{p}", st.sampled_from(
+        ["heisenberg", "nonabelian2", "abelian0", "abelian-1", "abelian1",
+         "abelian2", "abelian3", "abelian4", "abelianx", "nope", ""])),
+    st.sampled_from(["Q:1", "", ":", "B:1:2"]))
+_sub = st.one_of(st.none(), st.sampled_from(
+    ["L:inf", "R:inf", "L:1/2", "R:-2", "L:0", "g_alpha:3", "g_alpha:x",
+     "g_inf", "T", "L:x", "R:1/0", "nope", ""]))
+_chi = st.one_of(st.none(), st.sampled_from(
+    ["eps", "auto", "X=1", "Y=1/2", "X=1,Y=0", "W=2", "Q=1", "X=", "X=a",
+     "X=1/0", ","]))
+_truncation = st.one_of(st.none(), st.integers(-2, 8).map(str),
+                        st.just("x"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SUBCOMMANDS), _builtin, _sub, _chi, _truncation,
+       st.sampled_from(["text", "json"]))
+def test_cli_fuzz_ends_in_a_documented_exit_code(command, builtin, sub, chi,
+                                                 truncation, fmt):
+    argv = [command, "--builtin", builtin, "--format", fmt]
+    for flag, value in (("--sub", sub), ("--chi", chi),
+                        ("--truncation", truncation)):
+        if value is not None:
+            argv += [flag, value]
+    captured = io.StringIO()
+    with redirect_stdout(captured), redirect_stderr(captured):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in captured.getvalue(), argv

@@ -193,6 +193,16 @@ def test_non_coassociative_failure_is_named_not_crashed():
     assert H.filtration is None
 
 
+def test_filtration_needs_the_bialgebra_axioms():
+    # D(W) = 1@W + X@Z + W@1 is not coassociative, yet its lantern passes
+    # the Carnot check; the bialgebra checks reject it by name
+    H = _xyzw(lambda X, Y: tp(X, X.algebra.gen("Z")))
+    with pytest.raises(HopfAlgebraError, match=r"the coproduct is not "
+                       r"coassociative \(coassociativity on W\)"):
+        certify_filtration(H, 3)
+    assert H.filtration is None
+
+
 def test_e_certifies_at_order_10_without_deep_iterates():
     # the truncated check expanded 10-fold reduced coproducts here (~1 min)
     H = catalog.build_e(truncation=10)

@@ -11,11 +11,14 @@ W = a*Z + l2*Y, on U(heisenberg) Z = 0.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfforge import catalog, linalg
-from hopfforge.hopf import antipode_eigenbasis
+from hopfforge.algebra import Element, Presentation
+from hopfforge.hopf import PresentedHopfAlgebra, antipode_eigenbasis
 from hopfforge.lantern import lantern
 from hopfforge.nakayama import GeneratorAutomorphism, character, winding
 from hopfforge.tensor import contract, tensor_multiply
@@ -192,3 +195,107 @@ def test_extend_is_the_linear_extension():
     assert out == {1: F(7, 6)} and _is_fraction_dict(out)
     assert linalg.extend({"a": F(3), "b": F(2)},
                          {"a": {0: F(2, 3)}, "b": {0: -1}}.__getitem__) == {}
+
+
+# -- scaled form --------------------------------------------------------------
+
+_PRES = Presentation([("X", 1), ("Y", 1)], {(1, 0): {(0, 1): -1}})
+_MONOS = _PRES.monomials_up_to(2)
+_terms = st.dictionaries(
+    st.sampled_from(_MONOS),
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6)),
+    max_size=4).map(lambda d: {m: c for m, c in d.items() if c})
+
+
+def _overscaled(terms, k):
+    """The element of terms as numerators over a denominator k times too
+    large, so two equal elements may carry different denominators."""
+    nums, den = linalg.split(terms)
+    return Element.from_scaled(_PRES, {m: n * k for m, n in nums.items()},
+                               den * k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_terms, _terms, st.integers(1, 6), st.integers(1, 6))
+def test_scaled_equality_agrees_with_fraction_equality(a, b, ka, kb):
+    x, y = _overscaled(a, ka), _overscaled(b, kb)
+    assert (x == y) == (a == b)
+    assert (x == _overscaled(a, kb)) and (Element(_PRES, dict(a)) == x)
+    assert linalg.scaled_equal(x.scaled, y.scaled) == (a == b)
+    # sums that cancel
+    assert bool(x - y) == (a != b)
+    assert ((x - y) == 0) == (a == b)
+    assert (x + y) - y == x and (x + y - x).terms == b
+    assert x * y - y * x == x * y + (-1) * (y * x)
+
+
+def _scaled_ok(x) -> bool:
+    """x carries int numerators with no zero over a positive denominator
+    sharing no factor with all of them, and terms is their Fraction view."""
+    nums, den = x.scaled
+    return (type(den) is int and den > 0
+            and all(type(n) is int and n for n in nums.values())
+            and gcd(den, *nums.values()) == 1
+            and _is_fraction_dict(x.terms) and all(x.terms.values())
+            and x.terms == {k: Fraction(n, den) for k, n in nums.items()})
+
+
+@pytest.mark.parametrize("make", HOSTS)
+def test_terms_are_a_fraction_view_after_every_kernel(make):
+    H = make()
+    pres = H.presentation
+    rng = random.Random(75)
+    pick = lambda: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                            rng.choice((1, 2, 3)))
+    chi = character(H, CHARACTER_VALUES[H.name](pick))
+    phi = GeneratorAutomorphism(H, {
+        i: random_element(rng, pres, 2, 2, nonzero=True)
+        for i in range(pres.ngens)})
+    for a, b in _pairs(H, 76, count=4):
+        da, db = H.coproduct(a), H.coproduct(b)
+        x = a - H.scalar(H.counit(a))
+        results = [a * b, a + b, a - a, -a, a * Fraction(-3, 4), a ** 2,
+                   H.antipode(a), contract(da), phi.apply(a),
+                   winding(chi, a, "left"), winding(chi, a, "right"),
+                   da, da + db, da - da, -da, da.scale(Fraction(2, 9)),
+                   tensor_multiply(da, db), da.apply_to_leg(1, H.coproduct),
+                   da.apply_to_leg(2, H.antipode), H.reduced_coproduct(x),
+                   H.iterated_reduced_coproduct(x, 2)]
+        assert all(_scaled_ok(r) for r in results)
+
+
+def test_comparing_kernel_results_builds_no_fraction_view(monkeypatch):
+    H = catalog.build_b_lambda(Fraction(1, 2))
+    a, b = _pairs(H, 77, count=1)[0]
+    results = [(H.coproduct(a * b),
+                tensor_multiply(H.coproduct(a), H.coproduct(b))),
+               (contract(H.coproduct(a).apply_to_leg(1, H.antipode)),
+                H.scalar(H.counit(a))),
+               (H.antipode(H.antipode(a)) - a, H.antipode(a * 0))]
+    monkeypatch.setattr(linalg, "join", _no_fraction_view)
+    assert [x == y for x, y in results] == [True, True, False]
+    assert [x != y for x, y in results] == [False, False, True]
+
+
+def _no_fraction_view(nums, den):
+    raise AssertionError("a Fraction view was built")
+
+
+@pytest.mark.parametrize("make", HOSTS)
+def test_host_winding_builds_no_coproduct(make, monkeypatch):
+    H = make()
+    rng = random.Random(78)
+    pick = lambda: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                            rng.choice((1, 2, 3)))
+    chi = character(H, CHARACTER_VALUES[H.name](pick))
+    calls = []
+    coproduct = PresentedHopfAlgebra.coproduct
+    monkeypatch.setattr(PresentedHopfAlgebra, "coproduct",
+                        lambda self, x: calls.append(x) or coproduct(self, x))
+    for a, b in _pairs(H, 79, count=4):
+        for x in (a, b, a * b):
+            for side in ("left", "right"):
+                del calls[:]
+                wound = winding(chi, x, side)
+                assert not calls
+                assert wound == winding_by_powers(chi, x, side)
