@@ -23,8 +23,8 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .linalg import (ONE, ZERO, Scaled, accumulate, add_term, compact,
-                     rescale, scaled_equal, scaled_sum, vec_add_scaled)
+from .linalg import (ONE, ZERO, Scaled, accumulate, add_term, as_fraction,
+                     compact, rescale, scaled_equal, split, vec_add_scaled)
 from .report import Report
 
 Monomial = tuple  # exponent vector over the presentation's generators
@@ -32,14 +32,6 @@ Monomial = tuple  # exponent vector over the presentation's generators
 
 class PresentationMismatchError(ValueError):
     """Raised when elements of different presentations are combined."""
-
-
-def as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    raise TypeError(f"not an exact rational: {x!r}")
 
 
 class Presentation:
@@ -240,7 +232,7 @@ class Element(Scaled):
     def __init__(self, algebra: Presentation, terms: dict[Monomial, Fraction]):
         self.algebra = algebra
         self._terms = terms
-        self._scaled = None
+        self.scaled = split(terms)
 
     @classmethod
     def from_scaled(cls, algebra: Presentation, nums: dict[Monomial, int],
@@ -249,8 +241,11 @@ class Element(Scaled):
         x = cls.__new__(cls)
         x.algebra = algebra
         x._terms = None
-        x._scaled = (nums, den)
+        x.scaled = (nums, den)
         return x
+
+    def _like(self, nums, den) -> "Element":
+        return Element.from_scaled(self.algebra, nums, den)
 
     # -- ring operations --------------------------------------------------
 
@@ -262,33 +257,14 @@ class Element(Scaled):
             return other
         return self.algebra.scalar(other)
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        return Element.from_scaled(self.algebra,
-                                   *scaled_sum(self.scaled, other.scaled))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        nums, den = self.scaled
-        return Element.from_scaled(self.algebra,
-                                   {m: -n for m, n in nums.items()}, den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return Element.from_scaled(self.algebra,
-                                   *scaled_sum(self.scaled, other.scaled, -1))
+    __radd__ = Scaled.__add__
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
         if not isinstance(other, Element):
-            c = as_fraction(other)
-            nums, den = self.scaled
-            return Element.from_scaled(self.algebra, *rescale(
-                {m: n * c.numerator for m, n in nums.items()},
-                den * c.denominator))
+            return self.scale(other)
         other = self._coerce(other)
         product = self.algebra.product_terms
         a, da = self.scaled
@@ -324,18 +300,16 @@ class Element(Scaled):
     @property
     def weight(self):
         """Max monomial weight; None for the zero element."""
-        support = self._support()
-        if not support:
+        nums = self.scaled[0]
+        if not nums:
             return None
-        return max(self.algebra.monomial_weight(m) for m in support)
+        return max(self.algebra.monomial_weight(m) for m in nums)
 
     def constant_term(self) -> Fraction:
         return self.coefficient(self.algebra.identity_monomial())
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        if self._scaled is None:
-            return self._terms.get(tuple(mono), ZERO)
-        nums, den = self._scaled
+        nums, den = self.scaled
         n = nums.get(tuple(mono))
         return ZERO if n is None else Fraction(n, den)
 
@@ -348,23 +322,25 @@ class Element(Scaled):
         return f"<{self}>"
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
         # leading (heaviest) term first for readability
-        for mono, coeff in reversed(list(self.iter_terms())):
-            mono_str = format_monomial(self.algebra, mono)
-            if mono_str == "1":
-                body = str(abs(coeff))
-            elif abs(coeff) == 1:
-                body = mono_str
-            else:
-                body = f"{abs(coeff)}*{mono_str}"
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"{'+' if coeff > 0 else '-'} {body}")
-        return " ".join(parts)
+        return format_linear((c, format_monomial(self.algebra, m))
+                             for m, c in reversed(list(self.iter_terms())))
+
+
+def format_linear(pairs) -> str:
+    """The signed sum of (coefficient, body) pairs, in the order given: a
+    coefficient of +-1 is elided, a body "1" prints as the bare
+    coefficient, and no pairs print as 0."""
+    parts = []
+    for coeff, body in pairs:
+        size = abs(coeff)
+        piece = (str(size) if body == "1" else body if size == 1
+                 else f"{size}*{body}")
+        if parts:
+            parts.append(f"{'+' if coeff > 0 else '-'} {piece}")
+        else:
+            parts.append(piece if coeff > 0 else f"-{piece}")
+    return " ".join(parts) or "0"
 
 
 def format_monomial(algebra: Presentation, mono: Monomial) -> str:

@@ -347,8 +347,15 @@ def _print_data(data: dict, indent: str = "") -> None:
         print(f"{indent}signature: {data['signature_text']}")
 
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file):
+        # argparse drops a failed write of help or usage; main reports it
+        if message:
+            file.write(message)
+
+
 def make_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="hopfforge",
         description="exact computations with presented connected Hopf algebras")
     p.add_argument("command", choices=SUBCOMMANDS)

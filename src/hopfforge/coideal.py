@@ -162,15 +162,14 @@ class SubalgebraSpec:
 
 def register_subalgebra(host: PresentedHopfAlgebra, name: str,
                         generators, commutators, embedding,
-                        side: str, cutoff: int | None = None,
-                        check_coideal: bool = True) -> SubalgebraSpec:
+                        side: str, cutoff: int | None = None) -> SubalgebraSpec:
     """Certify and return an embedded subalgebra.
 
     Verifies, in order: the subalgebra presentation terminates and is
     confluent; every relation maps to zero in the host; each generator's
     declared weight is the coradical degree of its image; the images of
-    the ordered monomials up to the cutoff are linearly independent.
-    With check_coideal, the declared side is certified as well.
+    the ordered monomials up to the cutoff are linearly independent; the
+    declared coideal side holds.
     """
     host._require_filtration()
     if cutoff is None:
@@ -224,12 +223,11 @@ def register_subalgebra(host: PresentedHopfAlgebra, name: str,
     spec.morphism_report = report
     spec.span = span
     spec.cutoff = cutoff
-    if check_coideal:
-        rep = coideal_check(spec)
-        if not rep.passed:
-            raise RegistrationError(
-                f"{name}: declared side '{side}' fails: "
-                + "; ".join(f"{c.name} ({c.details})" for c in rep.failures()))
+    rep = coideal_check(spec)
+    if not rep.passed:
+        raise RegistrationError(
+            f"{name}: declared side '{side}' fails: "
+            + "; ".join(f"{c.name} ({c.details})" for c in rep.failures()))
     return spec
 
 
@@ -392,23 +390,18 @@ def coinvariants(H: PresentedHopfAlgebra, spec: SubalgebraSpec,
     ideal = linalg.LinearSolver(products)
     pi = {m: ideal.residual({m: ONE}) for m in monomials}
     # unknown h = sum x_m m; one equation per (first-leg monomial, quotient coord)
-    rows: dict = {}
-    for col, m in enumerate(monomials):
-        coprod = H.coproduct(pres.monomial(m))
-        for mono, cofactor in coprod.leg_cofactors(1):
+    columns: dict = {}
+    for m in monomials:
+        image = columns[m] = {}
+        for mono, cofactor in H.coproduct(pres.monomial(m)).leg_cofactors(1):
             acc: dict = {}
             for v_mono, c in cofactor.terms.items():
                 linalg.vec_add_scaled(acc, pi[v_mono], c)
             for q, c in acc.items():
-                linalg.add_term(rows.setdefault((mono, q), {}), col, c)
+                linalg.add_term(image, (mono, q), c)
         for q, c in pi[pres.identity_monomial()].items():
-            linalg.add_term(rows.setdefault((m, q), {}), col, -c)
-    basis = linalg.kernel_basis([r for r in rows.values() if r], len(monomials))
-    out = []
-    for vec in basis:
-        vec = linalg.clear_denominators(vec)
-        out.append(Element(pres, {monomials[j]: c for j, c in vec.items()}))
-    return out
+            linalg.add_term(image, (m, q), -c)
+    return [Element(pres, vec) for vec in linalg.kernel(columns)]
 
 
 def primitive_of_coideal(spec: SubalgebraSpec) -> Element | None:
@@ -423,14 +416,9 @@ def primitive_of_coideal(spec: SubalgebraSpec) -> Element | None:
         spec.cutoff, include_identity=False)
     if not t_monomials:
         return None
-    rows: dict = {}
-    for col, tm in enumerate(t_monomials):
-        img = spec.span.monomial_image(tm)
-        for key, c in host.reduced_coproduct(img).terms.items():
-            rows.setdefault(key, {})[col] = c
-    basis = linalg.kernel_basis(list(rows.values()), len(t_monomials))
+    basis = linalg.kernel(
+        {tm: host.reduced_coproduct(spec.span.monomial_image(tm)).terms
+         for tm in t_monomials})
     if not basis:
         return None
-    vec = linalg.clear_denominators(basis[0])
-    return spec.span.image(Element(
-        spec.presentation, {t_monomials[j]: c for j, c in vec.items()}))
+    return spec.span.image(Element(spec.presentation, basis[0]))

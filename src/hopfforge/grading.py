@@ -185,18 +185,13 @@ def certify_filtration(H: PresentedHopfAlgebra, truncation: int | None = None
                 raise FiltrationError(
                     f"reweight {g} to {deg}: declared weight {w} "
                     "is not its coradical degree")
-        monomials = pres.monomials_of_weight(d)
-        rows: dict = {}
-        for col, mono in enumerate(monomials):
-            leading = _leading_terms(pres, H._reduced_monomial(mono), d)
-            for key, c in leading.items():
-                rows.setdefault(key, {})[col] = c
-        kernel = linalg.kernel_basis(list(rows.values()), len(monomials))
+        kernel = linalg.kernel(
+            {m: _leading_terms(pres, H._reduced_monomial(m), d)
+             for m in pres.monomials_of_weight(d)})
         if not kernel:  # excluded by the bialgebra axioms checked above
             raise HopfAlgebraError(f"no primitive leading symbol at degree {d}"
                                    " although the bialgebra axioms hold")
-        vec = linalg.clear_denominators(kernel[0])
-        symbol = Element(pres, {monomials[j]: c for j, c in vec.items()})
+        symbol = Element(pres, kernel[0])
         raise FiltrationError(
             f"{symbol} has a primitive leading symbol of weight {d}: "
             f"first failure at degree {d}")

@@ -290,14 +290,13 @@ class PresentedHopfAlgebra:
     def s_squared(self, x: Element) -> Element:
         return self.antipode(self.antipode(x))
 
-    def antipode_inverse(self, x: Element, weight_cutoff: int | None = None) -> Element:
+    def antipode_inverse(self, x: Element) -> Element:
         """The y with antipode(y) = x, solved on the monomial basis."""
         self._require_antipode()
         if not x:
             return self.zero()
-        w = x.weight if weight_cutoff is None else max(weight_cutoff, x.weight)
         self._require_filtration()
-        solver, monomials, index = self._antipode_solver(w)
+        solver, monomials, index = self._antipode_solver(x.weight)
         vec = {index[m]: c for m, c in x.terms.items()}
         coeffs = solver.solve(vec)
         if coeffs is None:
@@ -326,17 +325,8 @@ class PresentedHopfAlgebra:
         self._require_confluence()
         monomials = self.presentation.monomials_up_to(
             weight_cutoff, include_identity=False)
-        rows: dict = {}
-        for col, mono in enumerate(monomials):
-            for key, c in self._reduced_monomial(mono).items():
-                rows.setdefault(key, {})[col] = c
-        basis = linalg.kernel_basis(list(rows.values()), len(monomials))
-        out = []
-        for vec in basis:
-            vec = linalg.clear_denominators(vec)
-            out.append(Element(self.presentation,
-                               {monomials[j]: c for j, c in vec.items()}))
-        return out
+        return [Element(self.presentation, vec) for vec in linalg.kernel(
+            {m: self._reduced_monomial(m) for m in monomials})]
 
     def __repr__(self):
         return f"PresentedHopfAlgebra({self.name})"
@@ -529,35 +519,26 @@ def antipode_eigenbasis(H: PresentedHopfAlgebra, max_weight: int
     pres = H.presentation
     out: list[tuple[Element, int]] = []
     for n in range(1, max_weight + 1):
-        monomials = list(pres.monomials_of_weight(n))
-        index = {m: i for i, m in enumerate(monomials)}
-        dim = len(monomials)
+        monomials = pres.monomials_of_weight(n)
         # matrix of the induced map on the degree-n layer
-        cols = []
-        for m in monomials:
-            cols.append({index[mm]: c
-                         for mm, c in H._antipode_monomial(m).items()
-                         if pres.monomial_weight(mm) == n})
+        cols = {m: {mm: c for mm, c in H._antipode_monomial(m).items()
+                    if pres.monomial_weight(mm) == n} for m in monomials}
         # squared map must be the identity on the layer
-        for j, col in enumerate(cols):
+        for m, col in cols.items():
             sq: dict = {}
             for k, c in col.items():
                 linalg.vec_add_scaled(sq, cols[k], c)
-            expect = {j: ONE}
-            if sq != expect:
+            if sq != {m: ONE}:
                 raise HopfAlgebraError(
                     f"squared antipode is not the identity on the weight-{n} "
                     "layer; filtration certificate violated")
         total = 0
         for sign in (1, -1):
-            rows: dict[int, dict] = {}
-            for j, col in enumerate(cols):
-                for k, c in col.items():
-                    rows.setdefault(k, {})[j] = c
-                linalg.add_term(rows.setdefault(j, {}), j, -sign * ONE)
-            for vec in linalg.kernel_basis([r for r in rows.values() if r], dim):
-                vec = linalg.clear_denominators(vec)
-                b = Element(pres, {monomials[j]: c for j, c in vec.items()})
+            shifted = {m: dict(col) for m, col in cols.items()}
+            for m, col in shifted.items():
+                linalg.add_term(col, m, -sign * ONE)
+            for vec in linalg.kernel(shifted):
+                b = Element(pres, vec)
                 r = H.antipode(b) - b * sign
                 if r and H.coradical_degree(r) >= n:
                     raise HopfAlgebraError(
@@ -565,7 +546,7 @@ def antipode_eigenbasis(H: PresentedHopfAlgebra, max_weight: int
                         "certificate violated")
                 out.append((b, sign))
                 total += 1
-        if total != dim:
+        if total != len(monomials):
             raise HopfAlgebraError(
                 f"eigenspaces of the induced antipode do not fill the "
                 f"weight-{n} layer")

@@ -15,11 +15,13 @@ sums (zeros dropped, Fraction sums brought to ints over one common
 denominator, common factors cancelled) and ``join`` gives the Fraction
 view back, one Fraction per nonzero term.  ``extend_scaled`` is the
 linear extension of a memoized monomial (or tensor-key) map from scaled
-form to scaled form; ``extend`` is the same map on Fraction dicts.
-``scaled_equal`` compares two scaled forms exactly without a Fraction.
-Public coefficients (``Element.terms``, ``TensorElement.terms``, solver
-results) are Fractions: ``terms`` is a view joined on first read and
-cached.  Memo tables hold the ``compact`` form, int where integral.
+form to scaled form.  ``scaled_equal`` compares two scaled forms exactly
+without a Fraction.  ``Scaled``, the base of both element classes, owns
+their linear structure: sums, differences, negation, truth value and the
+one scalar multiple.  Public coefficients (``Element.terms``,
+``TensorElement.terms``, solver results) are Fractions: ``terms`` is a
+view joined on first read and cached.  Memo tables hold the ``compact``
+form, int where integral.
 
 Vectors are sparse dicts {column index: Fraction}.  Pivot choice is fixed
 once and for all (columns in ascending order; among candidate rows the one
@@ -35,6 +37,11 @@ divide, so rank mod p <= rank over Q <= the bound, and equality at the
 ends forces the exact rank.  Otherwise (or when p divides some
 denominator) it runs the exact ``rref``.  ``rref``, ``kernel_basis`` and
 ``LinearSolver`` are always exact.
+
+``kernel`` owns the matrix layout of every kernel in the package: it
+takes a map as its columns {basis key: image vector}, transposes them
+into the rows ``kernel_basis`` reads, and keys the cleared kernel vectors
+by basis key again.
 """
 
 from __future__ import annotations
@@ -48,6 +55,14 @@ ONE = Fraction(1)
 
 Vector = dict  # {key: Fraction}, no explicit zeros
 _INT = frozenset((int,))
+
+
+def as_fraction(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, str)):
+        return Fraction(x)
+    raise TypeError(f"not an exact rational: {x!r}")
 
 
 def add_term(target: dict, key, value: Fraction) -> None:
@@ -115,31 +130,44 @@ def accumulate(target: dict, source: dict, factor: int) -> None:
 
 
 class Scaled:
-    """Base of ``Element`` and ``TensorElement``: coefficients kept in
-    scaled form (built by their ``from_scaled``), ``terms`` the Fraction
-    view of them joined on first read and cached.  An instance built from
-    a terms dict splits it on first use of ``scaled``."""
+    """Base of ``Element`` and ``TensorElement``: the linear structure on
+    scaled form.
 
-    __slots__ = ("_terms", "_scaled")
+    ``scaled`` is the one stored form, split once when an instance is
+    built from a terms dict (``from_scaled`` stores it as given); ``terms``
+    is its Fraction view, joined on first read and cached.  A subclass
+    supplies its product, ``_coerce`` (an operand of the same kind, or an
+    error) and ``_like(nums, den)``, its own fast ``from_scaled``.
+    """
+
+    __slots__ = ("_terms", "scaled")
 
     @property
     def terms(self) -> dict:
         if self._terms is None:
-            self._terms = join(*self._scaled)
+            self._terms = join(*self.scaled)
         return self._terms
 
-    @property
-    def scaled(self) -> tuple[dict, int]:
-        """(int numerators with no zero, denominator)."""
-        if self._scaled is None:
-            self._scaled = split(self._terms)
-        return self._scaled
-
-    def _support(self) -> dict:
-        return self._terms if self._scaled is None else self._scaled[0]
-
     def __bool__(self):
-        return bool(self._support())
+        return bool(self.scaled[0])
+
+    def __add__(self, other):
+        return self._like(*scaled_sum(self.scaled, self._coerce(other).scaled))
+
+    def __sub__(self, other):
+        return self._like(*scaled_sum(self.scaled, self._coerce(other).scaled,
+                                      -1))
+
+    def __neg__(self):
+        nums, den = self.scaled
+        return self._like({k: -n for k, n in nums.items()}, den)
+
+    def scale(self, c):
+        """c * self for an exact rational c."""
+        c = as_fraction(c)
+        nums, den = self.scaled
+        return self._like(*rescale({k: n * c.numerator for k, n in nums.items()},
+                                   den * c.denominator))
 
 
 def rescale(sums: dict, den: int) -> tuple[dict, int]:
@@ -179,15 +207,6 @@ def extend_scaled(nums: dict, den: int, mono_map) -> tuple[dict, int]:
     for key, n in nums.items():
         accumulate(out, mono_map(key), n)
     return rescale(out, den)
-
-
-def extend(terms: dict, mono_map) -> dict:
-    """Linear extension: sum of c * mono_map(key) over the terms.
-
-    mono_map values may mix int and Fraction (the ``compact`` form); the
-    result holds Fractions and no zero.
-    """
-    return join(*extend_scaled(*split(terms), mono_map))
 
 
 def scaled_sum(a: tuple[dict, int], b: tuple[dict, int],
@@ -348,14 +367,6 @@ def kernel_basis(rows: Sequence[Vector], ncols: int) -> list[Vector]:
     return basis
 
 
-def solve(columns: Sequence[Vector], rhs: Vector) -> list[Fraction] | None:
-    """Coefficients x with sum_i x_i * columns[i] = rhs, or None.
-
-    Convenience wrapper over LinearSolver for one-shot solves.
-    """
-    return LinearSolver(columns).solve(rhs)
-
-
 class LinearSolver:
     """Repeated exact solves against a fixed set of spanning vectors.
 
@@ -440,3 +451,18 @@ def clear_denominators(vec: Vector) -> Vector:
     if nums[min(nums)] < 0:
         g = -g
     return {j: Fraction(n // g) for j, n in nums.items()}
+
+
+def kernel(columns: dict) -> list[dict]:
+    """Kernel of the map given by its columns {basis key: image vector},
+    listed in basis order: the ``kernel_basis`` of the transposed matrix,
+    each vector cleared of denominators while still indexed by column (its
+    sign follows the lowest column index, not the smallest key) and then
+    keyed by basis key."""
+    keys = list(columns)
+    rows: dict = {}
+    for col, image in enumerate(columns.values()):
+        for k, c in image.items():
+            rows.setdefault(k, {})[col] = c
+    return [{keys[j]: c for j, c in clear_denominators(vec).items()}
+            for vec in kernel_basis(list(rows.values()), len(keys))]

@@ -58,8 +58,8 @@ class Character:
         cached = memo.get(mono)
         if cached is None:
             keep = 1 if side == "left" else 0  # the leg that is not evaluated
-            cached = memo[mono] = linalg.compact(linalg.extend(
-                self.target._coproduct_monomial(mono),
+            cached = memo[mono] = linalg.compact(*linalg.extend_scaled(
+                *linalg.split(self.target._coproduct_monomial(mono)),
                 lambda key: {key[keep]: self.monomial_value(key[1 - keep])}))
         return cached
 

@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import Presentation
+from .algebra import Presentation, format_linear
 from .hopf import PresentedHopfAlgebra
 from .linalg import add_term
 
@@ -395,28 +395,14 @@ def _format_mono_key(key: MonoKey) -> str:
 
 
 def _format_poly(poly: Poly, order: dict, tensor: bool = False) -> str:
-    if not poly:
-        return "0"
     def sort_key(k):
         if tensor:
             return tuple(tuple((order[n], e) for n, e in side) for side in k)
         return tuple((order[n], e) for n, e in k)
-    parts = []
-    for key in sorted(poly, key=sort_key):
-        c = poly[key]
-        body = ("@".join(_format_mono_key(s) for s in key) if tensor
-                else _format_mono_key(key))
-        if body == "1" and not tensor:
-            piece = str(abs(c))
-        elif abs(c) == 1:
-            piece = body
-        else:
-            piece = f"{str(abs(c))}*{body}"
-        if not parts:
-            parts.append(piece if c > 0 else f"-{piece}")
-        else:
-            parts.append(f"{'+' if c > 0 else '-'} {piece}")
-    return " ".join(parts)
+    return format_linear(
+        (poly[key], "@".join(map(_format_mono_key, key)) if tensor
+         else _format_mono_key(key))
+        for key in sorted(poly, key=sort_key))
 
 
 def format_definition(df: DefinitionFile) -> str:

@@ -13,9 +13,10 @@ from math import lcm
 from typing import Callable, Mapping
 
 from .algebra import (Element, Monomial, Presentation,
-                      PresentationMismatchError, as_fraction, format_monomial)
+                      PresentationMismatchError, as_fraction, format_linear,
+                      format_monomial)
 from .linalg import (ONE, Scaled, accumulate, add_term, extend_scaled,
-                     rescale, scaled_equal, scaled_sum)
+                     rescale, scaled_equal, split)
 
 TensorKey = tuple  # tuple of Monomials, length = arity
 
@@ -33,7 +34,7 @@ class TensorElement(Scaled):
         self.algebra = algebra
         self.arity = arity
         self._terms = terms
-        self._scaled = None
+        self.scaled = split(terms)
 
     @classmethod
     def from_scaled(cls, algebra: Presentation, arity: int,
@@ -43,8 +44,11 @@ class TensorElement(Scaled):
         t.algebra = algebra
         t.arity = arity
         t._terms = None
-        t._scaled = (nums, den)
+        t.scaled = (nums, den)
         return t
+
+    def _like(self, nums, den) -> "TensorElement":
+        return TensorElement.from_scaled(self.algebra, self.arity, nums, den)
 
     @classmethod
     def zero(cls, algebra: Presentation, arity: int) -> "TensorElement":
@@ -67,32 +71,12 @@ class TensorElement(Scaled):
 
     # -- linear structure ---------------------------------------------------
 
-    def _check(self, other: "TensorElement") -> None:
+    def _coerce(self, other: "TensorElement") -> "TensorElement":
         if other.algebra is not self.algebra:
             raise PresentationMismatchError("tensors over different presentations")
         if other.arity != self.arity:
             raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        self._check(other)
-        return TensorElement.from_scaled(self.algebra, self.arity,
-                                         *scaled_sum(self.scaled, other.scaled))
-
-    def __neg__(self) -> "TensorElement":
-        nums, den = self.scaled
-        return TensorElement.from_scaled(self.algebra, self.arity,
-                                         {k: -n for k, n in nums.items()}, den)
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        self._check(other)
-        return TensorElement.from_scaled(
-            self.algebra, self.arity, *scaled_sum(self.scaled, other.scaled, -1))
-
-    def scale(self, c) -> "TensorElement":
-        c = as_fraction(c)
-        nums, den = self.scaled
-        return TensorElement.from_scaled(self.algebra, self.arity, *rescale(
-            {k: n * c.numerator for k, n in nums.items()}, den * c.denominator))
+        return other
 
     def __rmul__(self, c):
         return self.scale(c)
@@ -178,20 +162,11 @@ class TensorElement(Scaled):
         return f"<tensor {self}>"
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         mw = self.algebra.monomial_key
-        parts = []
-        for key in sorted(self.terms, key=lambda k: tuple(mw(m) for m in k)):
-            coeff = self.terms[key]
-            body = "@".join(format_monomial(self.algebra, m) for m in key)
-            if abs(coeff) != 1:
-                body = f"{abs(coeff)}*{body}"
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"{'+' if coeff > 0 else '-'} {body}")
-        return " ".join(parts)
+        return format_linear(
+            (self.terms[key],
+             "@".join(format_monomial(self.algebra, m) for m in key))
+            for key in sorted(self.terms, key=lambda k: tuple(mw(m) for m in k)))
 
 
 def tensor_product(*factors: Element) -> TensorElement:
@@ -211,7 +186,7 @@ def tensor_product(*factors: Element) -> TensorElement:
 
 def tensor_multiply(s: TensorElement, t: TensorElement) -> TensorElement:
     """Componentwise product: (a1@...@ak) * (b1@...@bk) = a1*b1 @ ... @ ak*bk."""
-    s._check(t)
+    s._coerce(t)
     product = s.algebra.product_terms
     a, da = s.scaled
     b, db = t.scaled

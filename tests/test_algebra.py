@@ -177,3 +177,10 @@ def test_element_str_round_readability():
     assert str(-Z + X * Y) == "X*Y - Z"
     assert str(Y * Y * Fraction(1, 2)) == "1/2*Y^2"
     assert str(pres.zero()) == "0"
+
+
+def test_element_str_of_scalars():
+    pres = b_presentation(1)
+    assert str(pres.scalar(Fraction(-3, 2))) == "-3/2"
+    assert str(pres.scalar(-1)) == "-1"
+    assert str(pres.gen("X") - 2) == "X - 2"

@@ -279,6 +279,16 @@ def test_output_write_error_is_one_line():
     assert err == "cannot write output: No space left on device\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_help_write_error_is_one_line():
+    # argparse itself drops errors writing help; the CLI must not
+    with open("/dev/full", "w") as full:
+        proc = _cli(["--help"], full)
+        err = proc.stderr.read().decode()
+    assert proc.wait() == 1
+    assert err == "cannot write output: No space left on device\n"
+
+
 # Fuzzed command lines: every one must end in a documented exit code with
 # no traceback.  Sizes stay small: truncation <= 8, abelian presets <= 4.
 _rational = st.sampled_from(["0", "1", "-2", "1/2", "-2/3", "3", "1/0", "x",

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hopfforge import linalg
 from hopfforge.linalg import (RANK_PRIME, LinearSolver, add_term,
                               clear_denominators, kernel_basis, rank, rref,
-                              solve, vec_add_scaled)
+                              vec_add_scaled)
 
 F = Fraction
 P = RANK_PRIME
@@ -193,7 +193,7 @@ def test_rank_equals_rref_rank_property(case):
 def test_kernel_deterministic():
     rows = [{0: F(1), 1: F(7), 2: F(1, 2)}, {1: F(2), 2: F(4)}]
     assert kernel_basis(rows, 3) == kernel_basis(rows, 3)
-    assert solve([{0: F(2)}], {0: F(3)}) == [F(3, 2)]
+    assert LinearSolver([{0: F(2)}]).solve({0: F(3)}) == [F(3, 2)]
 
 
 def test_add_term_drops_cancelled_key():
@@ -253,4 +253,97 @@ def test_sparse_accumulate_lives_only_in_linalg():
                 offenders.append(f"{path.name}:{lineno}: {line.strip()}")
     assert not offenders, \
         "use linalg.add_term / vec_add_scaled / accumulate:\n" + \
+        "\n".join(offenders)
+
+
+# -- the kernel seam ----------------------------------------------------------
+
+
+def _transposed(columns: dict) -> list[dict]:
+    """Rows of the matrix with the given columns, in sorted row order."""
+    keys = list(columns)
+    row_keys = sorted({r for image in columns.values() for r in image}, key=repr)
+    return [{j: columns[k][r] for j, k in enumerate(keys) if r in columns[k]}
+            for r in row_keys]
+
+
+def _kernel_reference(columns: dict) -> list[dict]:
+    """clear_denominators of kernel_basis on the transposed matrix, then
+    keyed by basis key."""
+    keys = list(columns)
+    return [{keys[j]: c for j, c in clear_denominators(vec).items()}
+            for vec in kernel_basis(_transposed(columns), len(keys))]
+
+
+def _random_columns(rng: random.Random) -> dict:
+    """Sparse rational columns keyed by tuples listed out of sorted order,
+    with zero and repeated columns mixed in."""
+    keys = [(rng.randint(0, 9), i) for i in range(rng.randint(1, 7))]
+    rng.shuffle(keys)
+    columns: dict = {}
+    for key in keys:
+        roll = rng.random()
+        if roll < 0.15:
+            columns[key] = {}
+        elif roll < 0.3 and columns:
+            columns[key] = dict(rng.choice(list(columns.values())))
+        else:
+            image: dict = {}
+            for _ in range(rng.randint(1, 4)):
+                add_term(image, ("row", rng.randint(0, 4)),
+                         F(rng.randint(-4, 4), rng.randint(1, 3)))
+            columns[key] = image
+    return columns
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_kernel_is_the_transposed_kernel_basis(seed):
+    columns = _random_columns(random.Random(seed))
+    basis = linalg.kernel(columns)
+    assert basis == _kernel_reference(columns)
+    for vec in basis:
+        image: dict = {}
+        for key, c in vec.items():
+            vec_add_scaled(image, columns[key], c)
+        assert image == {}
+    assert len(basis) == len(columns) - rank(_transposed(columns),
+                                             len(columns))
+
+
+def test_kernel_cases():
+    # zero columns and repeated columns
+    assert linalg.kernel({"z": {}}) == [{"z": F(1)}]
+    assert linalg.kernel({}) == []
+    assert linalg.kernel({"a": {0: F(2)}, "b": {0: F(2)}}) \
+        == [{"a": F(1), "b": F(-1)}]
+    # the sign follows the first basis key, not the smallest one
+    assert linalg.kernel({"b": {0: F(1)}, "a": {0: F(1)}}) \
+        == [{"b": F(1), "a": F(-1)}]
+    assert linalg.kernel({"b": {0: F(1, 2)}, "a": {0: F(-1, 3)}}) \
+        == [{"b": F(2), "a": F(3)}]
+    assert linalg.kernel({"x": {0: F(1)}, "y": {1: F(1)}}) == []
+
+
+_KERNEL_LAYOUT = re.compile(
+    r"\b(kernel_basis|clear_denominators|scaled_sum)\(|rows\.setdefault\(")
+
+
+def test_kernel_guard_flags_hand_rolled_layouts():
+    assert _KERNEL_LAYOUT.search("basis = linalg.kernel_basis(rows, n)")
+    assert _KERNEL_LAYOUT.search("rows.setdefault(key, {})[col] = c")
+    assert _KERNEL_LAYOUT.search("vec = clear_denominators(vec)")
+    assert not _KERNEL_LAYOUT.search("for vec in linalg.kernel(columns):")
+
+
+def test_kernel_layout_lives_only_in_linalg():
+    src = Path(__file__).parent.parent / "src" / "hopfforge"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if _KERNEL_LAYOUT.search(line):
+                offenders.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert not offenders, \
+        "use linalg.kernel for kernels and Scaled for sums:\n" + \
         "\n".join(offenders)

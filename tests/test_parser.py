@@ -108,3 +108,11 @@ def test_unterminated_sub_block():
             "sub S side left {\n  gen X weight 1\n")
     with pytest.raises(ParseError, match="unterminated sub block"):
         parse(text)
+
+
+def test_format_definition_coproduct_line():
+    text = shipped_text().replace("coprod Z = 1@Z + X@Y + Z@1",
+                                  "coprod Z = Z@1 + 2*Y@X - 1/2*X@Y + 1@Z")
+    lines = format_definition(parse(text)).splitlines()
+    assert "coprod Z = 1@Z - 1/2*X@Y + 2*Y@X + Z@1" in lines
+    assert "coprod X = 1@X + X@1" in lines

@@ -128,3 +128,14 @@ def test_arity_mismatch_raises():
         tensor_multiply(t2, t3)
     with pytest.raises(ValueError):
         t2.apply_to_leg(3, lambda e: e)
+
+
+def test_tensor_str():
+    pres = catalog.build_b_lambda(1).presentation
+    X, Y = pres.gen("X"), pres.gen("Y")
+    one = pres.one()
+    assert str(tensor_product(one, one) * 2) == "2*1@1"
+    assert str(tensor_product(X, Y) * Fraction(-1, 2)) == "-1/2*X@Y"
+    assert str(tensor_product(X, one) - 3 * tensor_product(X, Y)
+               + tensor_product(one, X)) == "1@X + X@1 - 3*X@Y"
+    assert str(TensorElement.zero(pres, 2)) == "0"

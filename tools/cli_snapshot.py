@@ -50,7 +50,9 @@ def invocations() -> list[list[str]]:
 
 
 def run_one(argv: list[str], src: str) -> list:
-    env = dict(os.environ, PYTHONPATH=src)
+    # no bytecode cache is left in the checkout measured (it would skew
+    # later cold-start timings of that tree)
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "-c", "from hopfforge.cli import main; main()", *argv],
         cwd=ROOT, env=env, capture_output=True, text=True)
