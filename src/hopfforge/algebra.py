@@ -8,13 +8,12 @@ j > i.  Words are rewritten toward ascending index,
 
 so the ordered monomials x_0^a0 * x_1^a1 * ... form the working basis.
 Rewriting terminates whenever every table entry has weight strictly below
-the weight of the pair it replaces (checked by check_termination_weights);
-ordered monomials form an actual basis iff the overlaps x_k*x_j*x_i
-resolve (checked by check_confluence).
-
-All values are immutable after construction and every operation is pure;
-the only internal state is a product cache that behaves as pure
-memoization.
+the weight of the pair it replaces (check_termination_weights); ordered
+monomials form an actual basis iff the overlaps x_k*x_j*x_i resolve
+(check_confluence, which checks termination first).  No other module runs
+the two checks: Presentation.certify() keeps their report once it passes,
+as pure memoization like the product cache, so a guard tests its presence.
+Values are otherwise immutable and every operation is pure.
 """
 
 from __future__ import annotations
@@ -58,6 +57,7 @@ class Presentation:
                     "later generator first")
             table[(j, i)] = self._clean_terms(value)
         self.table = table
+        self.certificate: Report | None = None  # set by certify() once it passes
         self._prod_cache: dict[tuple[Monomial, Monomial], dict] = {}
         self._monomial_cache: dict[int, tuple[Monomial, ...]] = {}
 
@@ -212,6 +212,15 @@ class Presentation:
             cached = compact(self.reduce_word(self.word_of(m1) + self.word_of(m2)))
             self._prod_cache[key] = cached
         return cached
+
+    def certify(self) -> Report:
+        """check_confluence, kept as ``certificate`` once it passes."""
+        if self.certificate is None:
+            report = check_confluence(self)
+            if not report.passed:
+                return report
+            self.certificate = report
+        return self.certificate
 
     def __repr__(self):
         gens = ", ".join(f"{n}:{w}" for n, w in zip(self.names, self.weights))
@@ -399,16 +408,16 @@ def check_termination_weights(pres: Presentation) -> Report:
 
 
 def check_confluence(pres: Presentation) -> Report:
-    """Resolve every overlap word x_k x_j x_i (k>j>i) both ways and compare.
+    """Termination checks, then, once they pass (so rewriting stops), each
+    overlap word x_k x_j x_i (k>j>i) resolved both ways and compared.
 
     A failing triple means the ordered monomials do not form a basis and
     every downstream computation over this presentation is unsound.
     """
-    term = check_termination_weights(pres)
-    if not term.passed:
-        raise ValueError("termination check must pass before confluence: "
-                         + "; ".join(c.name for c in term.failures()))
     report = Report("confluence")
+    report.extend(check_termination_weights(pres))
+    if not report.passed:
+        return report
     n = pres.ngens
     for k, j, i in itertools.combinations(range(n - 1, -1, -1), 3):
         # first step rewrites (k,j) at position 0, or (j,i) at position 1

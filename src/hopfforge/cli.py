@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from . import catalog
 from .algebra import as_fraction
-from .coideal import (SubalgebraSpec, coideal_check, is_hopf_subalgebra,
-                      primitive_of_coideal, register_subalgebra)
+from .coideal import (SubalgebraSpec, is_hopf_subalgebra, primitive_of_coideal,
+                      register_subalgebra)
 from .grading import Signature, certify, hilbert_series, signature
 from .hopf import HopfAlgebraError, s_squared_analysis
 from .lantern import lantern, numerology_report
@@ -188,8 +188,7 @@ def _run_lantern(session: _Session) -> None:
 def _run_coideal(session: _Session) -> None:
     out = []
     for spec in session.subs:
-        rep = spec.coideal_report or coideal_check(spec)
-        session.note(rep)
+        session.note(spec.coideal_report)
         out.append({
             "name": spec.name,
             "side": spec.side,
@@ -410,12 +409,17 @@ def main() -> None:
         finally:
             sys.stdout.flush()  # a write error surfaces here, not at exit
     except OSError as exc:
-        # the interpreter flushes stdout again at exit: point it at devnull
-        # (the SIGPIPE note of the signal module's documentation)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if not isinstance(exc, BrokenPipeError):
-            print(f"cannot write output: {exc.strerror or exc}",
-                  file=sys.stderr)
+        # the interpreter flushes both streams again at exit: a stream that
+        # cannot be written is pointed at devnull (the SIGPIPE note of the
+        # signal module's documentation); stderr reports unless it failed
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+                if stream is sys.stderr and not isinstance(exc, BrokenPipeError):
+                    print(f"cannot write output: {exc.strerror or exc}",
+                          file=stream)
+            except OSError:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
         code = EXIT_CHECK
     sys.exit(code)
 

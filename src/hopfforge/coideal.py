@@ -13,8 +13,7 @@ from __future__ import annotations
 
 
 from . import linalg
-from .algebra import (Element, Monomial, Presentation, ONE,
-                      check_confluence, check_termination_weights, commutator,
+from .algebra import (Element, Monomial, Presentation, ONE, commutator,
                       format_monomial, memo_peel)
 from .grading import Signature
 from .hopf import (CertificateMissingError, HopfAlgebraError,
@@ -117,16 +116,14 @@ class SubalgebraSpec:
                 raise ValueError(
                     f"missing embedding for generator {presentation.names[i]}")
         self.span: _EmbeddedSpan | None = None
-        self.presentation_report: Report | None = None
         self.morphism_report: Report | None = None
-        self.coideal_report: Report | None = None
+        self.coideal_report: Report | None = None  # the declared side
         self.cutoff: int | None = None
 
     # -- helpers -------------------------------------------------------------
 
     def _require_registered(self) -> None:
-        if self.span is None or not (self.morphism_report and
-                                     self.morphism_report.passed):
+        if self.span is None:
             raise CertificateMissingError(
                 f"{self.name}: subalgebra is not registered; "
                 "run register_subalgebra first")
@@ -169,7 +166,7 @@ def register_subalgebra(host: PresentedHopfAlgebra, name: str,
     confluent; every relation maps to zero in the host; each generator's
     declared weight is the coradical degree of its image; the images of
     the ordered monomials up to the cutoff are linearly independent; the
-    declared coideal side holds.
+    declared coideal side holds.  Each certificate is attached once it passes.
     """
     host._require_filtration()
     if cutoff is None:
@@ -177,14 +174,11 @@ def register_subalgebra(host: PresentedHopfAlgebra, name: str,
     pres = Presentation(generators, commutators)
     spec = SubalgebraSpec(host, name, pres, embedding, side)
 
-    spec.presentation_report = Report(f"{name}: presentation")
-    spec.presentation_report.extend(check_termination_weights(pres))
-    if spec.presentation_report.passed:
-        spec.presentation_report.extend(check_confluence(pres))
-    if not spec.presentation_report.passed:
+    presentation_report = pres.certify()
+    if pres.certificate is None:
         raise RegistrationError(
             f"{name}: subalgebra presentation is not confluent/terminating: "
-            + "; ".join(c.name for c in spec.presentation_report.failures()))
+            + "; ".join(c.name for c in presentation_report.failures()))
 
     for i, g in enumerate(pres.names):
         w = pres.weights[i]
@@ -211,7 +205,6 @@ def register_subalgebra(host: PresentedHopfAlgebra, name: str,
     if pres.table == {}:
         report.add("no relations", True)
     if not report.passed:
-        spec.morphism_report = report
         raise RegistrationError(
             f"{name}: embedding does not respect the relations: "
             + "; ".join(c.name for c in report.failures()))
@@ -228,11 +221,13 @@ def register_subalgebra(host: PresentedHopfAlgebra, name: str,
         raise RegistrationError(
             f"{name}: declared side '{side}' fails: "
             + "; ".join(f"{c.name} ({c.details})" for c in rep.failures()))
+    spec.coideal_report = rep
     return spec
 
 
 def coideal_check(spec: SubalgebraSpec, side: str | None = None) -> Report:
-    """Certify the coideal side by membership of coproduct legs.
+    """Report on a coideal side (default: the declared one) by membership
+    of coproduct legs; the spec keeps the one registration attached.
 
     For each generator image u: every second-leg cofactor of the host
     coproduct of u must lie in the embedded span (left side), or every
@@ -259,7 +254,6 @@ def coideal_check(spec: SubalgebraSpec, side: str | None = None) -> Report:
                     bad.append(f"offending term {pair}")
             report.add(f"{s} legs of coproduct({g}) lie in the span",
                        not bad, "; ".join(bad))
-    spec.coideal_report = report
     return report
 
 

@@ -165,7 +165,6 @@ def certify_filtration(H: PresentedHopfAlgebra, truncation: int | None = None
         raise ValueError(
             f"truncation {truncation} is below the largest generator weight "
             f"{least}; the filtration certificate needs truncation >= {least}")
-    H._require_confluence()
     bialgebra = verify_bialgebra(H)  # memoized: certify() has run it
     if not bialgebra.passed:
         first = bialgebra.failures()[0].name
@@ -208,12 +207,11 @@ def certify(H: PresentedHopfAlgebra, truncation: int | None = None) -> Report:
     Order: termination+confluence, bialgebra axioms, antipode
     (solved when absent), full Hopf axioms, filtration.  Later stages are
     skipped once a stage fails; the combined report records how far
-    certification got.
+    certification got, and is attached as H.certification when it passes.
     """
     report = Report(f"{H.name}: certification")
-    pres_report = H.certify_presentation()
-    report.extend(pres_report)
-    if not pres_report.passed:
+    report.extend(H.certify_presentation())
+    if H.confluence_report is None:
         return report
     try:
         solve_antipode(H)
@@ -231,6 +229,7 @@ def certify(H: PresentedHopfAlgebra, truncation: int | None = None) -> Report:
         return report
     report.add("filtration", True,
                f"graded dims {list(cert.graded_dims)} to order {cert.truncation}")
+    H.certification = report
     return report
 
 

@@ -8,9 +8,10 @@ an identity leg; together with the weight bound on coproduct terms this
 is the connectedness normal form that makes the reduced-coproduct
 iteration terminate.
 
-Certificates (confluence, Hopf axioms, filtration) are computed once and
-attached write-once; operations that rely on one refuse to run without
-it.  Memo tables on monomials hold the linalg.compact form.
+Each certificate has one owner that computes it once: confluence is the
+presentation's (Presentation.certify), the filtration and the passing
+certification are grading's.  A guard tests presence and rescans no
+report; a query never replaces one.  Memo tables hold linalg.compact form.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import linalg
-from .algebra import (Element, Monomial, Presentation, ONE,
-                      check_confluence, check_termination_weights, commutator,
+from .algebra import (Element, Monomial, Presentation, ONE, commutator,
                       memo_peel)
 from .report import Report
 from .tensor import TensorElement, contract, tensor_multiply
@@ -58,12 +58,11 @@ class PresentedHopfAlgebra:
         if antipodes is not None:
             self.attach_antipode(antipodes)
         # write-once certificates
-        self._confluence: Report | None = None
         self._bialgebra: Report | None = None
         self._convolution: Report | None = None
         self._hopf: Report | None = None
         self.filtration = None  # grading.FiltrationCertificate
-        self.certification: Report | None = None  # certify() report (catalog)
+        self.certification: Report | None = None  # passing certify() report
         # memoized structure maps on monomials
         self._coprod_mono: dict[Monomial, dict] = {}
         self._reduced_mono: dict[Monomial, dict] = {}
@@ -123,25 +122,19 @@ class PresentedHopfAlgebra:
     # -- certificates -------------------------------------------------------
 
     def certify_presentation(self) -> Report:
-        """Run (and attach) the termination and confluence checks."""
-        if self._confluence is None:
-            report = Report(f"{self.name}: presentation")
-            report.extend(check_termination_weights(self.presentation))
-            if report.passed:
-                report.extend(check_confluence(self.presentation))
-            self._confluence = report
-        return self._confluence
+        """The presentation's own certificate (Presentation.certify)."""
+        return self.presentation.certify()
 
     @property
     def confluence_report(self) -> Report | None:
-        return self._confluence
+        return self.presentation.certificate
 
     @property
     def hopf_report(self) -> Report | None:
         return self._hopf
 
     def _require_confluence(self) -> None:
-        if self._confluence is None or not self._confluence.passed:
+        if self.presentation.certificate is None:
             raise CertificateMissingError(
                 f"{self.name}: confluence certificate absent or failing; "
                 "run certify_presentation() first")
@@ -427,8 +420,9 @@ def verify_hopf(H: PresentedHopfAlgebra) -> Report:
     (b) coassociativity; (c) the counit axioms; (d) both convolution
     identities for the antipode.
     """
-    H._require_confluence()
-    H._require_antipode()
+    H._require_antipode()  # verify_bialgebra requires confluence
+    if H._hopf is not None:
+        return H._hopf
     pres = H.presentation
     report = Report(f"{H.name}: hopf axioms")
     report.extend(verify_bialgebra(H))

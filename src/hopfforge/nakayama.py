@@ -13,15 +13,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .algebra import (Element, Monomial, ONE, ZERO, as_fraction,
-                      check_confluence, commutator, memo_peel)
+from .algebra import (Element, Monomial, ONE, ZERO, as_fraction, commutator,
+                      memo_peel)
 from .coideal import SubalgebraSpec, is_hopf_subalgebra
 from .hopf import HopfAlgebraError
 from .report import Report
-
-
-def _target_name(target) -> str:
-    return getattr(target, "name", "target")
 
 
 @dataclass
@@ -94,7 +90,7 @@ def counit_character(target) -> Character:
 def verify_character(chi: Character) -> Report:
     """A character extends to an algebra map iff it kills every relation."""
     pres = chi.target.presentation
-    report = Report(f"character on {_target_name(chi.target)}")
+    report = Report(f"character on {getattr(chi.target, 'name', 'target')}")
     for (j, i) in sorted(pres.table):
         value = chi(pres.commutator_entry(j, i))
         report.add(f"kills [{pres.names[j]},{pres.names[i]}]", value == 0,
@@ -325,10 +321,10 @@ def normal_element_check(b: Element, tau: GeneratorAutomorphism, target=None) ->
 def enveloping_integral_character(target) -> Character:
     """Adjoint-trace character for an enveloping-type presentation.
 
-    Requires every generator weight to be one and every commutator to be
-    linear in the generators (with confluence, i.e. the Jacobi identity,
-    already certified); the character sends each generator to the trace
-    of its adjoint action.
+    Requires every generator weight to be one, every commutator to be
+    linear in the generators, and confluence, i.e. the Jacobi identity
+    (Presentation.certify, kept once certified); the character sends each
+    generator to the trace of its adjoint action.
     """
     pres = target.presentation
     if any(w != 1 for w in pres.weights):
@@ -340,8 +336,8 @@ def enveloping_integral_character(target) -> Character:
         if any(m not in gen_monos for m in terms):
             raise HopfAlgebraError(
                 "adjoint-trace character needs linear commutators")
-    conf = check_confluence(pres)
-    if not conf.passed:
+    conf = pres.certify()
+    if pres.certificate is None:
         raise HopfAlgebraError(
             "presentation fails the overlap (Jacobi) check: "
             + "; ".join(c.name for c in conf.failures()))

@@ -71,7 +71,9 @@ class TensorElement(Scaled):
 
     # -- linear structure ---------------------------------------------------
 
-    def _coerce(self, other: "TensorElement") -> "TensorElement":
+    def _coerce(self, other) -> "TensorElement":
+        if not isinstance(other, TensorElement):
+            raise TypeError(f"cannot combine a tensor with {other!r}")
         if other.algebra is not self.algebra:
             raise PresentationMismatchError("tensors over different presentations")
         if other.arity != self.arity:

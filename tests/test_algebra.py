@@ -1,9 +1,11 @@
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from hopfforge import catalog
+from hopfforge import algebra, catalog
 from hopfforge.algebra import (Presentation, PresentationMismatchError,
                                check_confluence, check_termination_weights,
                                commutator)
@@ -79,6 +81,41 @@ def test_termination_weights_violation_reported():
     report = check_termination_weights(pres)
     assert not report.passed
     assert any("[b,a]" in c.name for c in report.failures())
+
+
+def test_confluence_reports_nontermination_without_raising():
+    pres = Presentation([("a", 1), ("b", 1)], {("b", "a"): {(1, 1): 1}})
+    report = check_confluence(pres)
+    assert [c.name for c in report.failures()] == ["[b,a]"]
+    assert not any(c.name.startswith("overlap") for c in report.checks)
+    assert not pres.certify().passed
+    assert pres.certificate is None  # a failing report is not kept
+
+
+def test_presentation_keeps_only_a_passing_certificate(count_calls):
+    pres = Presentation([("x", 1), ("y", 1), ("z", 1)],
+                        {("y", "x"): {(0, 0, 1): -1}})
+    calls = count_calls(algebra, "check_confluence")
+    report = pres.certify()
+    assert report.passed and pres.certificate is report
+    assert pres.certify() is report and len(calls) == 1
+
+
+_PRESENTATION_CHECK = re.compile(r"\bcheck_(confluence|termination_weights)\(")
+
+
+def test_presentation_checks_run_only_in_algebra():
+    src = Path(__file__).parent.parent / "src" / "hopfforge"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "algebra.py":
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if _PRESENTATION_CHECK.search(line):
+                offenders.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert not offenders, \
+        "use Presentation.certify() for the presentation certificate:\n" + \
+        "\n".join(offenders)
 
 
 def test_confluence_b_lambda():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfforge import catalog
-from hopfforge.cli import SUBCOMMANDS, run
+from hopfforge.cli import SUBCOMMANDS, main, run
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parent.parent / "src"
@@ -116,29 +116,16 @@ def test_report_builtin_e(capsys):
     assert "(1^2, 2, 3)" in out
 
 
-def _count_calls(monkeypatch, module, name):
-    """Count calls of module.name under every hopfforge name bound to it."""
-    original, calls = getattr(module, name), []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-    for mod in list(sys.modules.values()):
-        if getattr(mod, "__name__", "").startswith("hopfforge") \
-                and getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("argv", [
     ["report", "--builtin", "E"], ["report", str(DATA / "b_lambda.hopf")]],
     ids=["builtin-E", "b_lambda.hopf"])
-def test_report_checks_the_lantern_once(monkeypatch, capsys, argv):
+def test_report_checks_the_lantern_once(monkeypatch, count_calls, capsys,
+                                        argv):
     # certify afresh: the catalog's cached E was checked in an earlier test
     monkeypatch.setattr(catalog, "_e", catalog._e.__wrapped__)
     lantern = importlib.import_module("hopfforge.lantern")  # not the function
-    lie = _count_calls(monkeypatch, lantern, "verify_lie")
-    layers = _count_calls(monkeypatch, lantern, "_carnot_layers")
+    lie = count_calls(lantern, "verify_lie")
+    layers = count_calls(lantern, "_carnot_layers")
     assert run(argv) == 0
     assert (len(lie), len(layers)) == (1, 1)
 
@@ -287,6 +274,36 @@ def test_help_write_error_is_one_line():
         err = proc.stderr.read().decode()
     assert proc.wait() == 1
     assert err == "cannot write output: No space left on device\n"
+
+
+class _RecordedStream(io.TextIOWrapper):
+    """A text stream that records every write it is asked for."""
+
+    def write(self, text):
+        self.written.append(text)
+        return super().write(text)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_unwritable_stderr_exits_one(monkeypatch):
+    # `hopfforge verify --builtin Q 2>/dev/full`: the error line cannot be
+    # written, and the handler must not write to stderr again
+    err = _RecordedStream(open("/dev/full", "wb"), line_buffering=True)
+    err.written = []
+    monkeypatch.setattr(sys, "argv", ["hopfforge", "verify", "--builtin", "Q"])
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    monkeypatch.setattr(sys, "stderr", err)
+    try:
+        with pytest.raises(SystemExit) as stop:
+            main()
+        # the pending line goes to devnull, not to a flush that fails at exit
+        assert os.path.samestat(os.fstat(err.fileno()), os.stat(os.devnull))
+    finally:
+        err.close()
+    assert stop.value.code == 1
+    text = "".join(err.written)
+    assert text.startswith("unknown builtin 'Q'") and text.count("\n") == 1
+    assert sys.stdout.getvalue() == ""
 
 
 # Fuzzed command lines: every one must end in a documented exit code with

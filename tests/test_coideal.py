@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from hopfforge import catalog
+from hopfforge import algebra, catalog
 from hopfforge.coideal import (RegistrationError, antipode_image, coideal_check,
                                coinvariants, containment_check, full_subalgebra,
                                is_hopf_subalgebra, primitive_of_coideal,
                                register_subalgebra, spans_equal)
 from hopfforge.grading import Signature
 from hopfforge.hopf import CertificateMissingError
+from hopfforge.report import Report
 
 F = Fraction
 
@@ -25,6 +26,37 @@ def test_register_t_in_e():
     assert spec.presentation.weights == (1, 1, 3)
     assert spec.coideal_report.passed
     assert spec.side == "right"
+
+
+def test_querying_the_other_side_keeps_the_declared_certificate():
+    spec = catalog.build_b_coideal(1, "L", "inf")
+    declared = spec.coideal_report
+    assert not coideal_check(spec, "right").passed
+    assert spec.coideal_report is declared and declared.passed
+    assert declared.name == "L_inf: coideal (left)"
+
+
+def test_guards_read_no_report(monkeypatch):
+    H = catalog.build_b_lambda(1)
+    spec = catalog.build_b_coideal(1, "L", "inf")
+    X, Y, Z = H.gen("X"), H.gen("Y"), H.gen("Z")
+    passed, reads = Report.passed, []
+    monkeypatch.setattr(Report, "passed", property(
+        lambda report: reads.append(report) or passed.fget(report)))
+    for k in range(100):
+        H.coproduct(X * k + Z)
+        h = Y ** (k % 3) * Z if k % 2 else X + k  # X is not in L_inf
+        assert spec.contains(h) == bool(k % 2)
+    assert reads == []
+
+
+def test_registration_checks_termination_once(count_calls):
+    H = catalog.build_b_lambda(1)
+    calls = count_calls(algebra, "check_termination_weights")
+    register_subalgebra(H, "L", [("Y", 1), ("Z", 2)],
+                        {("Z", "Y"): {(2, 0): F(1, 2)}},
+                        {"Y": H.gen("Y"), "Z": H.gen("Z")}, "left", 6)
+    assert len(calls) == 1
 
 
 def test_register_rejects_wrong_weight():

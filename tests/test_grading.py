@@ -10,7 +10,8 @@ from hopfforge.grading import (FiltrationError, PowerSeries, Signature,
                                graded_coproduct_leading, hilbert_divides,
                                hilbert_series, signature)
 from hopfforge.hopf import (HopfAlgebraError, PresentedHopfAlgebra,
-                            solve_antipode, verify_hopf)
+                            s_squared_analysis, solve_antipode, verify_hopf)
+from hopfforge.lantern import lantern
 from hopfforge.parser import build_algebra, parse
 from hopfforge.tensor import tensor_product as tp
 
@@ -354,3 +355,34 @@ def test_certify_report_mentions_truncation():
     report = certify(H, 6)
     assert report.passed
     assert any("order 6" in c.details for c in report.checks if c.name == "filtration")
+
+
+def _unitriangular(n):
+    """O(U_n), the coordinate ring of the unitriangular group: commutative
+    on x_ij (i < j) of weight j - i, with D(x_ij) = sum_k x_ik @ x_kj over
+    i <= k <= j, where x_ii = 1; the antipode is solved."""
+    pairs = sorted(((i, j) for i in range(1, n + 1)
+                    for j in range(i + 1, n + 1)), key=lambda p: p[1] - p[0])
+    pres = Presentation([(f"x{i}{j}", j - i) for i, j in pairs])
+
+    def x(i, j):
+        return pres.one() if i == j else pres.gen(f"x{i}{j}")
+    coproducts = {}
+    for i, j in pairs:
+        terms = [tp(x(i, k), x(k, j)) for k in range(i, j + 1)]
+        coproducts[f"x{i}{j}"] = sum(terms[1:], terms[0])
+    return PresentedHopfAlgebra(pres, coproducts, name=f"O(U_{n})")
+
+
+def test_unitriangular_host_with_many_generators():
+    H = _unitriangular(5)
+    assert H.presentation.ngens == 10
+    assert certify(H, 4).passed
+    overlaps = [c for c in H.confluence_report.checks
+                if c.name.startswith("overlap")]
+    assert len(overlaps) == 120
+    assert str(signature(H)) == "(1^4, 2^3, 3^2, 4)"
+    assert H.filtration.graded_dims == (1, 4, 13, 34, 80)
+    # the lantern is the strictly upper triangular n_5: [e_ij, e_jk] = +-e_ik
+    assert len(lantern(H).brackets) == 10
+    assert s_squared_analysis(H).identity

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopfforge import catalog
+from hopfforge import algebra, catalog
 from hopfforge.coideal import full_subalgebra
 from hopfforge.hopf import HopfAlgebraError
 from hopfforge.nakayama import (Character, GeneratorAutomorphism, character,
@@ -135,6 +135,15 @@ def test_enveloping_integral_character_values():
     assert enveloping_integral_character(abelian).is_counit()
     heis = full_subalgebra(catalog.build_enveloping_preset("heisenberg"))
     assert enveloping_integral_character(heis).is_counit()
+
+
+def test_integral_character_reuses_the_certificate(count_calls):
+    H = catalog.build_enveloping_preset("heisenberg")
+    spec = full_subalgebra(H)
+    calls = count_calls(algebra, "check_confluence")
+    for target in (H, spec):
+        assert enveloping_integral_character(target).report.passed
+    assert calls == []
 
 
 def test_enveloping_character_rejects_higher_weights():

@@ -139,3 +139,12 @@ def test_tensor_str():
     assert str(tensor_product(X, one) - 3 * tensor_product(X, Y)
                + tensor_product(one, X)) == "1@X + X@1 - 3*X@Y"
     assert str(TensorElement.zero(pres, 2)) == "0"
+
+
+@pytest.mark.parametrize("combine", [lambda t: t + 0, lambda t: t - 1,
+                                     lambda t: 0 + t],
+                         ids=["t + 0", "t - 1", "0 + t"])
+def test_sum_with_a_non_tensor_is_a_type_error(combine):
+    X = catalog.build_b_lambda(1).gen("X")
+    with pytest.raises(TypeError):
+        combine(tensor_product(X, X))
