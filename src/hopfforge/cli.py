@@ -22,7 +22,8 @@ from .grading import Signature, certify, hilbert_series, signature
 from .hopf import HopfAlgebraError, s_squared_analysis
 from .lantern import lantern, numerology_report
 from .nakayama import (character, counit_character, enveloping_integral_character,
-                       nakayama_automorphism, s4_identity_check)
+                       nakayama_automorphism, s4_identity_check,
+                       verify_character)
 from .parser import ParseError, build_algebra, parse, sub_arguments
 from .report import Check, Report
 
@@ -236,9 +237,9 @@ def _chi_for(session: _Session, target, spec: str):
         chi = character(target, values)
     except ValueError as exc:
         raise _CliFailure(f"bad --chi {spec!r}: {exc}", EXIT_PARSE)
-    if not chi.report.passed:
+    if chi.report is None:
         raise _CliFailure("character does not kill the relations:\n"
-                          + chi.report.summary(), EXIT_CHECK)
+                          + verify_character(chi).summary(), EXIT_CHECK)
     return chi
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 
 from . import linalg
-from .algebra import (Element, Monomial, Presentation, ONE, commutator,
-                      format_monomial, memo_peel)
+from .algebra import (Element, GeneratorMap, Monomial, Presentation, ONE,
+                      commutator, format_monomial)
 from .grading import Signature
 from .hopf import (CertificateMissingError, HopfAlgebraError,
                    PresentedHopfAlgebra)
@@ -26,35 +26,20 @@ class RegistrationError(HopfAlgebraError):
 
 
 class _EmbeddedSpan:
-    """Images of the ordered monomials on given generators, with solvers."""
+    """The embedding (image, a GeneratorMap) and solvers over its images."""
 
     def __init__(self, host: PresentedHopfAlgebra, presentation: Presentation,
                  images: dict[int, Element], cutoff: int):
         self.host = host
         self.presentation = presentation
-        self.images = images
+        self.image = GeneratorMap(presentation, images,
+                                  host.presentation.one(), False)
         self.cutoff = cutoff
-        self._mono_image: dict[Monomial, dict] = {}  # linalg.compact form
         self._solvers: dict[int, tuple[linalg.LinearSolver, list[Monomial]]] = {}
-
-    def _monomial_terms(self, mono: Monomial) -> dict:
-        cached = self._mono_image.get(mono)
-        if cached is not None:
-            return cached
-        pres = self.host.presentation  # image(m' g) = image(m') image(g)
-        return memo_peel(self._mono_image, mono, True,
-                         lambda: {pres.identity_monomial(): 1},
-                         lambda last, rest: linalg.compact(
-                             *(Element(pres, rest) * self.images[last]).scaled))
 
     def monomial_image(self, mono: Monomial) -> Element:
         return Element.from_scaled(self.host.presentation,
-                                   *linalg.split(self._monomial_terms(mono)))
-
-    def image(self, x: Element) -> Element:
-        return Element.from_scaled(
-            self.host.presentation,
-            *linalg.extend_scaled(*x.scaled, self._monomial_terms))
+                                   *linalg.split(self.image.monomial(mono)))
 
     def solver(self, max_weight: int):
         w = min(max_weight, self.cutoff)
@@ -196,12 +181,9 @@ def register_subalgebra(host: PresentedHopfAlgebra, name: str,
 
     span = _EmbeddedSpan(host, pres, spec.embedding, cutoff)
     report = Report(f"{name}: morphism")
-    for (j, i) in sorted(pres.table):
-        rel = f"[{pres.names[j]},{pres.names[i]}]"
-        lhs = commutator(spec.embedding[j], spec.embedding[i])
-        rhs = span.image(pres.commutator_entry(j, i))
-        report.add(f"{rel} maps to zero", lhs == rhs,
-                   "" if lhs == rhs else f"defect {lhs - rhs}")
+    for j, i, defect in span.image.relation_defects():
+        report.add(f"[{pres.names[j]},{pres.names[i]}] maps to zero",
+                   not defect, f"defect {defect}" if defect else "")
     if pres.table == {}:
         report.add("no relations", True)
     if not report.passed:

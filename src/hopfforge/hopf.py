@@ -1,12 +1,13 @@
 """Hopf-algebra structure on a presented algebra.
 
 Structure maps are given on generators and extended: the coproduct and
-counit multiplicatively, the antipode anti-multiplicatively.  Generators
-are normalized into the counit kernel, and every generator coproduct must
-contain the terms 1@g and g@1 with coefficient one and nothing else with
-an identity leg; together with the weight bound on coproduct terms this
-is the connectedness normal form that makes the reduced-coproduct
-iteration terminate.
+counit multiplicatively, the antipode anti-multiplicatively.  Coproduct
+and antipode are algebra.GeneratorMaps; verify_bialgebra and verify_hopf
+list their relation defects.  Generators are normalized into the counit
+kernel, and every generator coproduct must contain the terms 1@g and g@1
+with coefficient one and nothing else with an identity leg; together with
+the weight bound on coproduct terms this is the connectedness normal form
+that makes the reduced-coproduct iteration terminate.
 
 Each certificate has one owner that computes it once: confluence is the
 presentation's (Presentation.certify), the filtration and the passing
@@ -21,10 +22,9 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import linalg
-from .algebra import (Element, Monomial, Presentation, ONE, commutator,
-                      memo_peel)
+from .algebra import Element, GeneratorMap, Monomial, Presentation, ONE
 from .report import Report
-from .tensor import TensorElement, contract, tensor_multiply
+from .tensor import TensorElement, contract
 
 
 class HopfAlgebraError(Exception):
@@ -47,14 +47,20 @@ class PresentedHopfAlgebra:
                  name: str = "H"):
         self.name = name
         self.presentation = presentation
-        self._coprod: dict[int, dict] = {}
         for g in presentation.names:
             if g not in coproducts:
                 raise ValueError(f"missing coproduct for generator {g}")
-        for g, value in coproducts.items():
-            i = presentation.index(g)
-            self._coprod[i] = self._validate_coproduct(i, value)
-        self._antipode: dict[int, Element] | None = None
+        self._coproduct = GeneratorMap(presentation, {
+            presentation.index(g): self._validate_coproduct(
+                presentation.index(g), value)
+            for g, value in coproducts.items()},
+            TensorElement.unit(presentation, 2), False)
+        # memo tables on monomials, in linalg.compact form
+        self._coprod_mono: dict[Monomial, dict] = self._coproduct.memo
+        self._reduced_iter: dict[tuple[Monomial, int], dict] = {}
+        self._antipode_mono: dict[Monomial, dict] = {}
+        self._antipode_solver_cache: dict[int, tuple] = {}
+        self._antipode: GeneratorMap | None = None
         if antipodes is not None:
             self.attach_antipode(antipodes)
         # write-once certificates
@@ -63,24 +69,17 @@ class PresentedHopfAlgebra:
         self._hopf: Report | None = None
         self.filtration = None  # grading.FiltrationCertificate
         self.certification: Report | None = None  # passing certify() report
-        # memoized structure maps on monomials
-        self._coprod_mono: dict[Monomial, dict] = {}
-        self._reduced_mono: dict[Monomial, dict] = {}
-        self._reduced_iter: dict[tuple[Monomial, int], dict] = {}
-        self._antipode_mono: dict[Monomial, dict] = {}
-        self._antipode_solver_cache: dict[int, tuple] = {}
 
     # -- construction-time validation ------------------------------------
 
-    def _validate_coproduct(self, i: int, value) -> dict:
+    def _validate_coproduct(self, i: int, value) -> TensorElement:
         pres = self.presentation
-        if isinstance(value, TensorElement):
-            if value.algebra is not pres or value.arity != 2:
-                raise ValueError("coproduct data must be an arity-2 tensor over "
-                                 "the same presentation")
-            terms = dict(value.terms)
-        else:
-            terms = dict(TensorElement.from_terms(pres, 2, value).terms)
+        if not isinstance(value, TensorElement):
+            value = TensorElement.from_terms(pres, 2, value)
+        elif value.algebra is not pres or value.arity != 2:
+            raise ValueError("coproduct data must be an arity-2 tensor over "
+                             "the same presentation")
+        terms = value.terms
         g = pres.names[i]
         one = pres.identity_monomial()
         gen = tuple(1 if k == i else 0 for k in range(pres.ngens))
@@ -97,7 +96,7 @@ class PresentedHopfAlgebra:
                     f"coproduct of {g} has a term of weight "
                     f"{pres.monomial_weight(m1) + pres.monomial_weight(m2)} "
                     f"above the declared weight {w}; reweight {g}")
-        return terms
+        return value
 
     def attach_antipode(self, antipodes: Mapping) -> None:
         if self._antipode is not None:
@@ -116,8 +115,8 @@ class PresentedHopfAlgebra:
             if w is not None and w > pres.weights[i]:
                 raise ValueError(f"antipode of {g} is heavier than the generator")
             table[i] = elt
-        self._antipode = table
-        self._antipode_mono = {}
+        self._antipode = GeneratorMap(pres, table, pres.one(), True)
+        self._antipode_mono = self._antipode.memo
 
     # -- certificates -------------------------------------------------------
 
@@ -165,43 +164,14 @@ class PresentedHopfAlgebra:
 
     # -- coalgebra structure ---------------------------------------------------
 
-    def _coproduct_monomial(self, mono: Monomial) -> dict:
-        cached = self._coprod_mono.get(mono)
-        if cached is not None:
-            return cached
-        pres = self.presentation
-        one = pres.identity_monomial()
-
-        def step(i, tail):  # Delta(g_i m') = Delta(g_i) Delta(m')
-            return linalg.compact(*tensor_multiply(
-                TensorElement(pres, 2, self._coprod[i]),
-                TensorElement(pres, 2, tail)).scaled)
-        return memo_peel(self._coprod_mono, mono, False,
-                         lambda: {(one, one): 1}, step)
-
     def coproduct(self, x: Element) -> TensorElement:
         """Multiplicative extension of the generator coproducts."""
         self._require_confluence()
-        return TensorElement.from_scaled(
-            self.presentation, 2,
-            *linalg.extend_scaled(*x.scaled, self._coproduct_monomial))
+        return self._coproduct(x)
 
     def counit(self, x: Element) -> Fraction:
         """Coefficient of the identity monomial."""
         return x.constant_term()
-
-    def _reduced_monomial(self, mono: Monomial) -> dict:
-        cached = self._reduced_mono.get(mono)
-        if cached is None:
-            pres = self.presentation
-            one = pres.identity_monomial()
-            if mono == one:
-                raise ValueError("reduced coproduct of the identity monomial")
-            cached = dict(self._coproduct_monomial(mono))
-            for key in ((one, mono), (mono, one)):
-                linalg.add_term(cached, key, -1)
-            self._reduced_mono[mono] = cached
-        return cached
 
     def reduced_coproduct(self, x: Element) -> TensorElement:
         """coproduct(x) - 1@x - x@1, defined on the counit kernel."""
@@ -209,8 +179,8 @@ class PresentedHopfAlgebra:
         if self.counit(x):
             raise ValueError("reduced coproduct needs counit(x) = 0")
         return TensorElement.from_scaled(
-            self.presentation, 2,
-            *linalg.extend_scaled(*x.scaled, self._reduced_monomial))
+            self.presentation, 2, *linalg.extend_scaled(
+                *x.scaled, lambda mono: self._reduced_iterate_monomial(mono, 1)))
 
     def _reduced_iterate_monomial(self, mono: Monomial, n: int) -> dict:
         """Terms of the n-fold reduced coproduct of a monomial (memoized)."""
@@ -218,14 +188,19 @@ class PresentedHopfAlgebra:
         cached = self._reduced_iter.get(key)
         if cached is None:
             if n == 1:
-                cached = self._reduced_monomial(mono)
+                one = self.presentation.identity_monomial()
+                if mono == one:
+                    raise ValueError("reduced coproduct of the identity monomial")
+                cached = dict(self._coproduct.monomial(mono))
+                for key1 in ((one, mono), (mono, one)):
+                    linalg.add_term(cached, key1, -1)
             else:
                 out: dict = {}
                 for tkey, c in self._reduced_iterate_monomial(mono, n - 1).items():
                     rest = tkey[1:]
                     linalg.accumulate(out, {
-                        head + rest: v for head, v
-                        in self._reduced_monomial(tkey[0]).items()}, c)
+                        head + rest: v for head, v in
+                        self._reduced_iterate_monomial(tkey[0], 1).items()}, c)
                 cached = linalg.compact(out)
             self._reduced_iter[key] = cached
         return cached
@@ -264,21 +239,10 @@ class PresentedHopfAlgebra:
 
     # -- antipode -----------------------------------------------------------
 
-    def _antipode_monomial(self, mono: Monomial) -> dict:
-        cached = self._antipode_mono.get(mono)
-        if cached is not None:
-            return cached
-        pres = self.presentation  # S(m' * g_last) = S(g_last) * S(m')
-        return memo_peel(self._antipode_mono, mono, True,
-                         lambda: {pres.identity_monomial(): 1},
-                         lambda last, rest: linalg.compact(
-                             *(self._antipode[last] * Element(pres, rest)).scaled))
-
     def antipode(self, x: Element) -> Element:
         """Anti-multiplicative extension of the generator antipodes."""
         self._require_antipode()
-        return Element.from_scaled(self.presentation, *linalg.extend_scaled(
-            *x.scaled, self._antipode_monomial))
+        return self._antipode(x)
 
     def s_squared(self, x: Element) -> Element:
         return self.antipode(self.antipode(x))
@@ -306,7 +270,7 @@ class PresentedHopfAlgebra:
             index = {m: i for i, m in enumerate(monomials)}
             columns = []
             for m in monomials:
-                img = self._antipode_monomial(m)
+                img = self._antipode.monomial(m)
                 columns.append({index[mm]: c for mm, c in img.items()})
             cache[w] = (linalg.LinearSolver(columns), monomials, index)
         return cache[w]
@@ -319,7 +283,7 @@ class PresentedHopfAlgebra:
         monomials = self.presentation.monomials_up_to(
             weight_cutoff, include_identity=False)
         return [Element(self.presentation, vec) for vec in linalg.kernel(
-            {m: self._reduced_monomial(m) for m in monomials})]
+            {m: self._reduced_iterate_monomial(m, 1) for m in monomials})]
 
     def __repr__(self):
         return f"PresentedHopfAlgebra({self.name})"
@@ -332,13 +296,11 @@ def verify_bialgebra(H: PresentedHopfAlgebra) -> Report:
         return H._bialgebra
     pres = H.presentation
     report = Report(f"{H.name}: bialgebra")
-    for (j, i) in sorted(pres.table):
+    for j, i, defect in H._coproduct.relation_defects():
         rel = f"[{pres.names[j]},{pres.names[i]}]"
-        p = pres.commutator_entry(j, i)
-        lhs = tensor_multiply(H.coproduct(pres.gen(j)), H.coproduct(pres.gen(i))) \
-            - tensor_multiply(H.coproduct(pres.gen(i)), H.coproduct(pres.gen(j)))
-        report.add(f"coproduct respects {rel}", lhs == H.coproduct(p))
-        report.add(f"counit respects {rel}", H.counit(p) == 0)
+        report.add(f"coproduct respects {rel}", not defect)
+        report.add(f"counit respects {rel}",
+                   H.counit(pres.commutator_entry(j, i)) == 0)
     for g in pres.names:
         t = H.coproduct(pres.gen(g))
         left = t.apply_to_leg(1, H.coproduct)
@@ -372,25 +334,15 @@ def solve_antipode(H: PresentedHopfAlgebra) -> dict[str, Element]:
             raise AntipodeSolveError(
                 "attached antipode data violates the convolution identities: "
                 + "; ".join(c.name for c in rep.failures()))
-        return {pres.names[i]: e for i, e in H._antipode.items()}
+        return {pres.names[i]: e for i, e in H._antipode.images.items()}
 
-    solved: dict[int, Element] = {}
-
-    def anti_image(mono: Monomial) -> Element:
-        result = H.one()
-        for k, e in enumerate(mono):
-            if e:
-                result = (solved[k] ** e) * result
-        return result
-
+    # S on the generators solved so far; first legs use no others
+    partial = GeneratorMap(pres, {}, pres.one(), True)
     for i in sorted(range(pres.ngens), key=lambda k: (pres.weights[k], k)):
         g = pres.gen(i)
-        acc = dict((-g).terms)
-        for (y, z), c in H.reduced_coproduct(g).terms.items():
-            linalg.vec_add_scaled(
-                acc, (anti_image(y) * pres.monomial(z)).terms, -c)
-        solved[i] = Element(pres, acc)
-    table = {pres.names[i]: e for i, e in solved.items()}
+        partial.images[i] = -g - contract(
+            H.reduced_coproduct(g).apply_to_leg(1, partial))
+    table = {pres.names[i]: e for i, e in partial.images.items()}
     H.attach_antipode(table)
     rep = _verify_convolution(H)
     if not rep.passed:
@@ -426,11 +378,9 @@ def verify_hopf(H: PresentedHopfAlgebra) -> Report:
     pres = H.presentation
     report = Report(f"{H.name}: hopf axioms")
     report.extend(verify_bialgebra(H))
-    for (j, i) in sorted(pres.table):
-        rel = f"[{pres.names[j]},{pres.names[i]}]"
-        lhs = commutator(H.antipode(pres.gen(i)), H.antipode(pres.gen(j)))
-        report.add(f"antipode respects {rel}",
-                   lhs == H.antipode(pres.commutator_entry(j, i)))
+    for j, i, defect in H._antipode.relation_defects():
+        report.add(f"antipode respects [{pres.names[j]},{pres.names[i]}]",
+                   not defect)
     report.extend(_verify_convolution(H))
     H._hopf = report
     return report
@@ -515,7 +465,7 @@ def antipode_eigenbasis(H: PresentedHopfAlgebra, max_weight: int
     for n in range(1, max_weight + 1):
         monomials = pres.monomials_of_weight(n)
         # matrix of the induced map on the degree-n layer
-        cols = {m: {mm: c for mm, c in H._antipode_monomial(m).items()
+        cols = {m: {mm: c for mm, c in H._antipode.monomial(m).items()
                     if pres.monomial_weight(mm) == n} for m in monomials}
         # squared map must be the identity on the layer
         for m, col in cols.items():

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .algebra import (Element, Monomial, ONE, ZERO, as_fraction, commutator,
+from .algebra import (Element, GeneratorMap, Monomial, ONE, ZERO, as_fraction,
                       memo_peel)
 from .coideal import SubalgebraSpec, is_hopf_subalgebra
 from .hopf import HopfAlgebraError
@@ -55,7 +55,7 @@ class Character:
         if cached is None:
             keep = 1 if side == "left" else 0  # the leg that is not evaluated
             cached = memo[mono] = linalg.compact(*linalg.extend_scaled(
-                *linalg.split(self.target._coproduct_monomial(mono)),
+                *linalg.split(self.target._coproduct.monomial(mono)),
                 lambda key: {key[keep]: self.monomial_value(key[1 - keep])}))
         return cached
 
@@ -69,7 +69,7 @@ class Character:
         return not any(self.values.values())
 
     def _require_verified(self) -> None:
-        if self.report is None or not self.report.passed:
+        if self.report is None:
             raise HopfAlgebraError(
                 "character is not verified on the target's relations")
 
@@ -79,7 +79,7 @@ def character(target, values) -> Character:
     pres = target.presentation
     table = {pres.index(g): as_fraction(v) for g, v in values.items()}
     chi = Character(target, table)
-    chi.report = verify_character(chi)
+    verify_character(chi)
     return chi
 
 
@@ -88,7 +88,9 @@ def counit_character(target) -> Character:
 
 
 def verify_character(chi: Character) -> Report:
-    """A character extends to an algebra map iff it kills every relation."""
+    """A character extends to an algebra map iff it kills every relation.
+
+    The report is attached as chi.report only when it passes."""
     pres = chi.target.presentation
     report = Report(f"character on {getattr(chi.target, 'name', 'target')}")
     for (j, i) in sorted(pres.table):
@@ -97,7 +99,8 @@ def verify_character(chi: Character) -> Report:
                    "" if value == 0 else f"value {value}")
     if not pres.table:
         report.add("no relations", True)
-    chi.report = report
+    if report.passed:
+        chi.report = report
     return report
 
 
@@ -166,49 +169,29 @@ def winding(chi: Character, x: Element, side: str) -> Element:
         *x.scaled, lambda mono: chi.winding_image(mono, side)))
 
 
-@dataclass
-class GeneratorAutomorphism:
+class GeneratorAutomorphism(GeneratorMap):
     """Algebra endomorphism of the target given by its generator images."""
 
-    target: object
-    images: dict[int, Element]
-    _mono_images: dict[Monomial, dict] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        pres = self.target.presentation
-        self.images = {
-            (pres.index(g) if not isinstance(g, int) else g):
-            (img if isinstance(img, Element) else pres.element(img))
-            for g, img in self.images.items()}
+    def __init__(self, target, images: dict):
+        pres = target.presentation
+        images = {pres.index(g): img if isinstance(img, Element)
+                  else pres.element(img) for g, img in images.items()}
         for i in range(pres.ngens):
-            if i not in self.images:
+            if i not in images:
                 raise ValueError(f"missing image for generator {pres.names[i]}")
-
-    def _monomial_image(self, mono: Monomial) -> dict:
-        cached = self._mono_images.get(mono)
-        if cached is not None:
-            return cached
-        pres = self.target.presentation  # phi(g_k m') = phi(g_k) phi(m')
-        return memo_peel(self._mono_images, mono, False,
-                         lambda: {pres.identity_monomial(): 1},
-                         lambda k, rest: linalg.compact(
-                             *(self.images[k] * Element(pres, rest)).scaled))
+        super().__init__(pres, images, pres.one(), False)
+        self.target = target
 
     def apply(self, x: Element) -> Element:
-        pres = self.target.presentation
-        if x.algebra is not pres:
+        if x.algebra is not self.source:
             raise ValueError("automorphism applied outside its presentation")
-        return Element.from_scaled(pres, *linalg.extend_scaled(
-            *x.scaled, self._monomial_image))
+        return self(x)
 
     def respects_relations(self) -> Report:
-        pres = self.target.presentation
+        names = self.source.names
         report = Report("automorphism respects relations")
-        for (j, i) in sorted(pres.table):
-            lhs = commutator(self.images[j], self.images[i])
-            rhs = self.apply(pres.commutator_entry(j, i))
-            report.add(f"[{pres.names[j]},{pres.names[i]}]", lhs == rhs)
+        for j, i, defect in self.relation_defects():
+            report.add(f"[{names[j]},{names[i]}]", not defect)
         return report
 
     def describe(self) -> str:
@@ -306,16 +289,12 @@ def s4_identity_check(spec: SubalgebraSpec, chi: Character) -> Report:
     return report
 
 
-def normal_element_check(b: Element, tau: GeneratorAutomorphism, target=None) -> bool:
-    """True iff tau(t)*b = b*t for every generator t of the target."""
-    target = target if target is not None else tau.target
-    pres = target.presentation
+def normal_element_check(b: Element, tau: GeneratorAutomorphism) -> bool:
+    """True iff tau(t)*b = b*t for every generator t of tau's target."""
+    pres = tau.source
     if b.algebra is not pres:
         raise ValueError("normal-element candidate must live in the target")
-    for i in range(pres.ngens):
-        if tau.images[i] * b != b * pres.gen(i):
-            return False
-    return True
+    return all(tau.images[i] * b == b * pres.gen(i) for i in range(pres.ngens))
 
 
 def enveloping_integral_character(target) -> Character:

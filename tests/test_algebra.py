@@ -1,3 +1,4 @@
+import ast
 import random
 import re
 from fractions import Fraction
@@ -6,9 +7,14 @@ from pathlib import Path
 import pytest
 
 from hopfforge import algebra, catalog
-from hopfforge.algebra import (Presentation, PresentationMismatchError,
-                               check_confluence, check_termination_weights,
-                               commutator)
+from hopfforge.algebra import (GeneratorMap, Presentation,
+                               PresentationMismatchError, check_confluence,
+                               check_termination_weights, commutator)
+from hopfforge.parser import build_algebra, parse, sub_arguments
+
+from oracles import overlap_checks_by_resolution
+
+DATA = Path(__file__).parent / "data"
 
 
 def b_presentation(lam=1):
@@ -221,3 +227,116 @@ def test_element_str_of_scalars():
     assert str(pres.scalar(Fraction(-3, 2))) == "-3/2"
     assert str(pres.scalar(-1)) == "-1"
     assert str(pres.gen("X") - 2) == "X - 2"
+
+
+def _confluence_presentations():
+    """Every builtin host and subalgebra presentation, every tests/data
+    host and sub block, three failing triples, and O(U_5) (commutative,
+    x_ij of weight j - i) last."""
+    hosts = [catalog.build_b_lambda(lam) for lam in (0, 1, -2, Fraction(1, 2))]
+    hosts.append(catalog.build_e())
+    hosts += [catalog.build_enveloping_preset(p)
+              for p in catalog.ENVELOPING_PRESETS]
+    subs = [catalog.build_b_coideal(1, which, param)
+            for which, param in (("L", "inf"), ("R", "inf"), ("L", 0),
+                                 ("R", Fraction(1, 2)), ("g_alpha", 3),
+                                 ("g_inf", None))]
+    subs.append(catalog.build_e_coideal())
+    out = [H.presentation for H in hosts] + [s.presentation for s in subs]
+    for path in sorted(DATA.glob("*.hopf")):
+        H, blocks = build_algebra(parse(path.read_text()))
+        out.append(H.presentation)
+        for block in blocks:
+            args = sub_arguments(H, block)
+            out.append(Presentation(args["generators"], args["commutators"]))
+    # (c,b,a) fails with a single noncommuting pair, each pair in turn
+    for pair, third in (("cb", "a"), ("ba", "c"), ("ca", "b")):
+        out.append(Presentation([(g, 1) for g in "abcd"], {
+            tuple(pair): {(0, 0, 0, 1): 1},
+            ("d", third): {tuple(int(g == third) for g in "abcd"): 1}}))
+    pairs = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
+    out.append(Presentation([(f"x{i}{j}", j - i) for i, j in pairs]))
+    return out
+
+
+def test_trivial_overlaps_match_the_full_resolution():
+    presentations = _confluence_presentations()
+    assert all("overlap (c,b,a)" in [c.name for c in
+                                     check_confluence(p).failures()]
+               for p in presentations[-4:-1])
+    for pres in presentations:
+        report = check_confluence(pres)
+        assert [(c.name, c.passed, c.details) for c in report.checks
+                if c.name.startswith("overlap")] \
+            == overlap_checks_by_resolution(pres)
+
+
+def test_commuting_triples_resolve_without_rewriting(monkeypatch):
+    pres = _confluence_presentations()[-1]  # O(U_5): every pair commutes
+    calls = []
+    reduce_word = Presentation.reduce_word
+    monkeypatch.setattr(Presentation, "reduce_word",
+                        lambda self, *a, **k: calls.append(a)
+                        or reduce_word(self, *a, **k))
+    report = check_confluence(pres)
+    assert report.passed and len(report.checks) == 1 + 120
+    assert calls == []
+
+
+def test_generator_map_order_of_an_anti_map():
+    # S(x) = -x on U(nonabelian2) is an anti-map: S([y,x]) = [S(x), S(y)]
+    H = catalog.build_enveloping_preset("nonabelian2")
+    pres = H.presentation
+    assert pres.table
+    images = {i: -pres.gen(i) for i in range(pres.ngens)}
+    anti = GeneratorMap(pres, images, pres.one(), True)
+    assert [d for _, _, d in anti.relation_defects() if d] == []
+    plain = GeneratorMap(pres, images, pres.one(), False)
+    defects = [(j, i, d) for j, i, d in plain.relation_defects() if d]
+    assert defects and all(d == 2 * pres.commutator_entry(j, i)
+                           for j, i, d in defects)
+    # the anti-map agrees with the host antipode, peeling the last factor
+    x = pres.gen(0) * pres.gen(1) * pres.gen(1)
+    assert anti(x) == H.antipode(x) == \
+        H.antipode(pres.gen(1)) ** 2 * H.antipode(pres.gen(0))
+
+
+_PRIVATE_EXTENSIONS = ("_coproduct_monomial", "_antipode_monomial",
+                       "_monomial_terms", "_mono_image", "_reduced_mono",
+                       "anti_image")
+_MEMO_PEEL_CALLERS = {("algebra.py", "GeneratorMap.monomial"),
+                      ("nakayama.py", "Character.monomial_value")}
+
+
+def _memo_peel_callers(path):
+    """(file name, Class.method or function) of every memo_peel call."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, f"{owner}.{child.name}" if owner else child.name)
+            else:
+                if isinstance(child, ast.Call) and getattr(
+                        child.func, "id", None) == "memo_peel":
+                    found.append((path.name, owner))
+                visit(child, owner)
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def test_maps_on_generators_extend_only_in_generator_map():
+    src = Path(__file__).parent.parent / "src" / "hopfforge"
+    offenders = []
+    callers = set()
+    for path in sorted(src.glob("*.py")):
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if any(name in line for name in _PRIVATE_EXTENSIONS):
+                offenders.append(f"{path.name}:{lineno}: {line.strip()}")
+        callers.update(_memo_peel_callers(path))
+    offenders += [f"{f}: memo_peel in {owner}"
+                  for f, owner in sorted(callers - _MEMO_PEEL_CALLERS)]
+    assert callers & _MEMO_PEEL_CALLERS == _MEMO_PEEL_CALLERS
+    assert not offenders, \
+        "extend maps given on generators with algebra.GeneratorMap:\n" + \
+        "\n".join(offenders)

@@ -185,6 +185,17 @@ def test_nakayama_unknown_chi_generator_exit_2(capsys):
     assert err == "bad --chi 'Q=1': unknown generator 'Q'\n"
 
 
+def test_nakayama_character_that_breaks_a_relation_exit_1(capsys):
+    code = run(["nakayama", "--builtin", "B:1", "--sub", "L:0",
+                "--chi", "X=1,Y=1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("character does not kill the relations:\n"
+                            "[FAIL] character on L_0\n"
+                            "  FAIL kills [X,Y]: value 1\n")
+
+
 def test_sub_heavier_than_cutoff_exit_3(capsys, tmp_path):
     # the weight test runs before the coradical degree, which would
     # otherwise expand iterated coproducts of X^3000*Y up to order 3001

@@ -386,3 +386,22 @@ def test_unitriangular_host_with_many_generators():
     # the lantern is the strictly upper triangular n_5: [e_ij, e_jk] = +-e_ik
     assert len(lantern(H).brackets) == 10
     assert s_squared_analysis(H).identity
+
+
+def test_certify_stops_at_antipode_when_a_coproduct_breaks_a_relation():
+    # [Y,X] = X^2 with X primitive: Delta(X^2) has 2*X@X, while
+    # [Delta(Y), Delta(X)] = X^2@1 + 1@X^2 for Delta(Y) = 1@Y + X@X + Y@1
+    pres = Presentation([("X", 1), ("Y", 2)], {("Y", "X"): {(2, 0): 1}})
+    X, Y = pres.gen("X"), pres.gen("Y")
+    H = PresentedHopfAlgebra(pres, {
+        "X": tp(pres.one(), X) + tp(X, pres.one()),
+        "Y": tp(pres.one(), Y) + tp(X, X) + tp(Y, pres.one())}, name="Broken")
+    report = certify(H)
+    assert not report.passed
+    last = report.checks[-1]
+    assert last.name == "antipode" and not last.passed
+    assert last.details == ("bialgebra checks fail; not solving the antipode: "
+                            "coproduct respects [Y,X]")
+    assert [d for _, _, d in H._coproduct.relation_defects()] == [-2 * tp(X, X)]
+    assert H._antipode is None and H.certification is None
+    assert H.filtration is None

@@ -141,7 +141,7 @@ def test_public_coefficients_are_fractions(make):
                for b, _ in antipode_eigenbasis(H, 3))
     monomials = pres.monomials_up_to(2)
     index = {m: i for i, m in enumerate(monomials)}
-    columns = [{index[mm]: c for mm, c in H._antipode_monomial(m).items()}
+    columns = [{index[mm]: c for mm, c in H._antipode.monomial(m).items()}
                for m in monomials]
     coeffs = linalg.LinearSolver(columns).solve(columns[-1])
     assert coeffs[-1] == 1 and all(type(c) is Fraction for c in coeffs)
@@ -150,7 +150,7 @@ def test_public_coefficients_are_fractions(make):
 def test_memo_tables_keep_integral_coefficients_as_int():
     H = catalog.build_b_lambda(Fraction(-2, 3))
     H.iterated_reduced_coproduct(H.gen("Z") * H.gen("Z"), 2)
-    entries = [c for table in (H._coprod_mono, H._reduced_mono,
+    entries = [c for table in (H._coprod_mono,
                                H._reduced_iter, H._antipode_mono,
                                H.presentation._prod_cache)
                for terms in table.values() for c in terms.values()]

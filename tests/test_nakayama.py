@@ -24,8 +24,9 @@ def test_verify_character():
     good = character(L0, {"X": 1, "Y": 0})
     assert good.report.passed
     bad = character(L0, {"X": 1, "Y": 1})
-    assert not bad.report.passed
-    assert any("kills [X,Y]" in c.name for c in bad.report.failures())
+    report = verify_character(bad)
+    assert not report.passed
+    assert any("kills [X,Y]" in c.name for c in report.failures())
 
 
 def test_winding_on_subalgebra():
@@ -206,3 +207,30 @@ def test_winding_respects_products_on_spec_targets():
         b = pres.element({monos[rng.randrange(len(monos))]: F(rng.randint(-3, 3))})
         assert winding(chi, a * b, "left") \
             == winding(chi, a, "left") * winding(chi, b, "left")
+
+
+def test_failing_character_report_is_returned_not_attached():
+    L0 = l_zero()
+    bad = character(L0, {"X": 1, "Y": 1})
+    assert bad.report is None
+    report = verify_character(bad)
+    assert [(c.name, c.details) for c in report.failures()] == \
+        [("kills [X,Y]", "value 1")]
+    assert bad.report is None
+    with pytest.raises(HopfAlgebraError, match="not verified"):
+        winding(bad, L0.presentation.gen("X"), "left")
+
+
+def test_generator_automorphism_reports_a_broken_relation():
+    H = catalog.build_b_lambda(1)  # [Y,X] = -Y, [Z,X] = -Z + Y, [Z,Y] = Y^2/2
+    X, Y, Z = (H.gen(g) for g in "XYZ")
+    assert GeneratorAutomorphism(H, {"X": X, "Y": Y, "Z": Z}) \
+        .respects_relations().passed
+    # X -> 2X doubles [Y,X] but not -Y
+    phi = GeneratorAutomorphism(H, {"X": X * 2, "Y": Y, "Z": Z})
+    report = phi.respects_relations()
+    assert [c.name for c in report.failures()] == ["[Y,X]", "[Z,X]"]
+    assert [c.name for c in report.checks] == ["[Y,X]", "[Z,X]", "[Z,Y]"]
+    defects = {(j, i): d for j, i, d in phi.relation_defects()}
+    assert defects[(1, 0)] == -Y and defects[(2, 1)] == 0
+    assert phi.apply(X * Y) == X * Y * 2  # on the ordered monomial

@@ -25,8 +25,8 @@ def test_shipped_file_matches_catalog_build():
     assert H.presentation.weights == ref.presentation.weights
     assert H.presentation.table == ref.presentation.table
     for i in range(3):
-        assert H._coprod[i] == ref._coprod[i]
-        assert H._antipode[i].terms == ref._antipode[i].terms
+        assert H._coproduct.images[i].terms == ref._coproduct.images[i].terms
+        assert H._antipode.images[i].terms == ref._antipode.images[i].terms
     assert {b.name for b in blocks} == {"L_inf", "R_inf"}
     # and the parsed data certifies and registers end to end
     assert certify(H, 6).passed
