@@ -96,8 +96,9 @@ class Presentation:
     def ngens(self) -> int:
         return len(self.names)
 
-    def index(self, name: str) -> int:
-        return self._resolve(name)
+    def index(self, g) -> int:
+        """The index of a generator name, or a range-checked int index."""
+        return self._resolve(g)
 
     def commutator_entry(self, j, i) -> "Element":
         """The table entry [x_j, x_i] as an element (zero if the pair commutes)."""

@@ -3,10 +3,13 @@ antipode images, coinvariants and containment.
 
 A subalgebra is always supplied *with* its own presentation (generators,
 weights, commutator table) and an embedding into the host; the tool
-verifies the data rather than discovering presentations.  Membership
-tests are truncated at the maximum relevant weight, which is exact, not
-an approximation, because second legs of a coproduct never outweigh the
-element itself once the host filtration is certified.
+verifies the data rather than discovering presentations.  SubalgebraSpec
+holds the embedding and its membership solvers, and answers the target
+questions that the host answers too (side, host, embed_generator, embed,
+represent).  Membership tests are truncated at the maximum relevant
+weight, which is exact, not an approximation, because second legs of a
+coproduct never outweigh the element itself once the host filtration is
+certified.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 from . import linalg
 from .algebra import (Element, GeneratorMap, Monomial, Presentation, ONE,
-                      commutator, format_monomial)
+                      format_monomial)
 from .grading import Signature
 from .hopf import (CertificateMissingError, HopfAlgebraError,
                    PresentedHopfAlgebra)
@@ -25,65 +28,17 @@ class RegistrationError(HopfAlgebraError):
     """The supplied subalgebra data failed a registration certificate."""
 
 
-class _EmbeddedSpan:
-    """The embedding (image, a GeneratorMap) and solvers over its images."""
-
-    def __init__(self, host: PresentedHopfAlgebra, presentation: Presentation,
-                 images: dict[int, Element], cutoff: int):
-        self.host = host
-        self.presentation = presentation
-        self.image = GeneratorMap(presentation, images,
-                                  host.presentation.one(), False)
-        self.cutoff = cutoff
-        self._solvers: dict[int, tuple[linalg.LinearSolver, list[Monomial]]] = {}
-
-    def monomial_image(self, mono: Monomial) -> Element:
-        return Element.from_scaled(self.host.presentation,
-                                   *linalg.split(self.image.monomial(mono)))
-
-    def solver(self, max_weight: int):
-        w = min(max_weight, self.cutoff)
-        if w not in self._solvers:
-            monomials = self.presentation.monomials_up_to(w)
-            solver = linalg.LinearSolver(
-                [dict(self.monomial_image(m).terms) for m in monomials])
-            self._solvers[w] = (solver, monomials)
-        return self._solvers[w]
-
-    def independent_to(self, max_weight: int) -> bool:
-        solver, monomials = self.solver(max_weight)
-        return solver.rank == len(monomials)
-
-    def contains(self, h: Element, max_weight: int | None = None) -> bool:
-        if not h:
-            return True
-        w = h.weight if max_weight is None else max_weight
-        if w > self.cutoff:
-            raise CertificateMissingError(
-                f"membership at weight {w} exceeds certified cutoff {self.cutoff}")
-        solver, _ = self.solver(w)
-        return solver.contains(dict(h.terms))
-
-    def represent(self, h: Element, max_weight: int | None = None) -> Element | None:
-        w = (h.weight or 0) if max_weight is None else max_weight
-        if w > self.cutoff:
-            raise CertificateMissingError(
-                f"membership at weight {w} exceeds certified cutoff {self.cutoff}")
-        solver, monomials = self.solver(w)
-        coeffs = solver.solve(dict(h.terms))
-        if coeffs is None:
-            return None
-        return Element(self.presentation,
-                       {m: c for m, c in zip(monomials, coeffs) if c})
+SIDES = ("left", "right", "hopf")
 
 
 class SubalgebraSpec:
-    """A presented subalgebra embedded in a host, with its certificates."""
+    """A presented subalgebra embedded in a host (``image``, a
+    GeneratorMap), with its certificates and membership solvers."""
 
     def __init__(self, host: PresentedHopfAlgebra, name: str,
                  presentation: Presentation, embedding: dict,
                  side: str):
-        if side not in ("left", "right", "hopf"):
+        if side not in SIDES:
             raise ValueError("side must be left, right or hopf")
         self.host = host
         self.name = name
@@ -91,44 +46,69 @@ class SubalgebraSpec:
         self.side = side
         self.embedding: dict[int, Element] = {}
         for g, img in embedding.items():
-            i = presentation.index(g) if not isinstance(g, int) else g
             img = img if isinstance(img, Element) else host.presentation.element(img)
             if img.algebra is not host.presentation:
                 raise ValueError("embedding images must live in the host")
-            self.embedding[i] = img
+            self.embedding[presentation.index(g)] = img
         for i in range(presentation.ngens):
             if i not in self.embedding:
                 raise ValueError(
                     f"missing embedding for generator {presentation.names[i]}")
-        self.span: _EmbeddedSpan | None = None
-        self.morphism_report: Report | None = None
-        self.coideal_report: Report | None = None  # the declared side
+        self.image = GeneratorMap(presentation, self.embedding,
+                                  host.presentation.one(), False)
+        self._solvers: dict[int, tuple[linalg.LinearSolver, list[Monomial]]] = {}
         self.cutoff: int | None = None
-
-    # -- helpers -------------------------------------------------------------
+        self.morphism_report: Report | None = None  # relations, independence
+        self.coideal_report: Report | None = None  # the declared side
 
     def _require_registered(self) -> None:
-        if self.span is None:
+        if self.morphism_report is None:
             raise CertificateMissingError(
                 f"{self.name}: subalgebra is not registered; "
                 "run register_subalgebra first")
 
+    def monomial_image(self, mono: Monomial) -> Element:
+        return Element.from_scaled(self.host.presentation,
+                                   *linalg.split(self.image.monomial(mono)))
+
+    def _solver(self, max_weight: int):
+        """(solver over the images of the ordered monomials up to
+        max_weight, those monomials); max_weight may not pass the cutoff."""
+        if max_weight > self.cutoff:
+            raise CertificateMissingError(
+                f"membership at weight {max_weight} exceeds certified "
+                f"cutoff {self.cutoff}")
+        if max_weight not in self._solvers:
+            monomials = self.presentation.monomials_up_to(max_weight)
+            solver = linalg.LinearSolver(
+                [dict(self.monomial_image(m).terms) for m in monomials])
+            self._solvers[max_weight] = (solver, monomials)
+        return self._solvers[max_weight]
+
     def embed_generator(self, g) -> Element:
-        i = self.presentation.index(g) if not isinstance(g, int) else g
-        return self.embedding[i]
+        return self.embedding[self.presentation.index(g)]
 
     def embed(self, x: Element) -> Element:
         """Image in the host of an element of the subalgebra presentation."""
         self._require_registered()
-        return self.span.image(x)
+        return self.image(x)
 
     def contains(self, h: Element, max_weight: int | None = None) -> bool:
         self._require_registered()
-        return self.span.contains(h, max_weight)
+        if not h:
+            return True
+        w = h.weight if max_weight is None else max_weight
+        return self._solver(w)[0].contains(dict(h.terms))
 
-    def represent(self, h: Element, max_weight: int | None = None) -> Element | None:
+    def represent(self, h: Element, max_weight: int) -> Element | None:
+        """The preimage of h, solved at weight <= max_weight, or None."""
         self._require_registered()
-        return self.span.represent(h, max_weight)
+        solver, monomials = self._solver(max_weight)
+        coeffs = solver.solve(dict(h.terms))
+        if coeffs is None:
+            return None
+        return Element(self.presentation,
+                       {m: c for m, c in zip(monomials, coeffs) if c})
 
     def signature(self) -> Signature:
         self._require_registered()
@@ -179,9 +159,8 @@ def register_subalgebra(host: PresentedHopfAlgebra, name: str,
                 f"{name}: reweight {g} to {deg}: declared weight {w} is not "
                 "the coradical degree of its image")
 
-    span = _EmbeddedSpan(host, pres, spec.embedding, cutoff)
     report = Report(f"{name}: morphism")
-    for j, i, defect in span.image.relation_defects():
+    for j, i, defect in spec.image.relation_defects():
         report.add(f"[{pres.names[j]},{pres.names[i]}] maps to zero",
                    not defect, f"defect {defect}" if defect else "")
     if pres.table == {}:
@@ -190,14 +169,14 @@ def register_subalgebra(host: PresentedHopfAlgebra, name: str,
         raise RegistrationError(
             f"{name}: embedding does not respect the relations: "
             + "; ".join(c.name for c in report.failures()))
-    if not span.independent_to(cutoff):
+    spec.cutoff = cutoff
+    solver, monomials = spec._solver(cutoff)
+    if solver.rank != len(monomials):
         raise RegistrationError(
             f"{name}: images of the ordered monomials up to weight {cutoff} "
             "are linearly dependent; not an embedded ordered basis")
     report.add(f"monomial images independent to weight {cutoff}", True)
     spec.morphism_report = report
-    spec.span = span
-    spec.cutoff = cutoff
     rep = coideal_check(spec)
     if not rep.passed:
         raise RegistrationError(
@@ -219,6 +198,8 @@ def coideal_check(spec: SubalgebraSpec, side: str | None = None) -> Report:
     """
     spec._require_registered()
     side = side or spec.side
+    if side not in SIDES:
+        raise ValueError("side must be left, right or hopf")
     sides = ("left", "right") if side == "hopf" else (side,)
     report = Report(f"{spec.name}: coideal ({side})")
     for s in sides:
@@ -229,7 +210,7 @@ def coideal_check(spec: SubalgebraSpec, side: str | None = None) -> Report:
             t = spec.host.coproduct(u)
             bad = []
             for mono, cofactor in t.leg_cofactors(anchor_leg):
-                if not spec.span.contains(cofactor, w):
+                if not spec.contains(cofactor, w):
                     mono_str = format_monomial(spec.host.presentation, mono)
                     pair = (f"{mono_str}@({cofactor})" if s == "left"
                             else f"({cofactor})@{mono_str}")
@@ -242,37 +223,26 @@ def coideal_check(spec: SubalgebraSpec, side: str | None = None) -> Report:
 def antipode_image(spec: SubalgebraSpec) -> SubalgebraSpec:
     """The embedded image of the subalgebra under the host antipode.
 
-    Generators map to the antipode images, the declared side flips, and
-    the commutator table is recomputed inside the host and re-expressed
-    on the new generators; all certificates are re-established from
-    scratch by register_subalgebra.
+    S is an anti-automorphism, so S(T) is presented by T^op: S(T) lists
+    T's generators in reverse, y_k = S(x_(n-1-k)) with x_(n-1-k)'s name
+    and weight, and for J > I the entry [y_(n-1-I), y_(n-1-J)] =
+    S([x_J, x_I]) is T's entry with every exponent vector reversed.  The
+    declared side flips; register_subalgebra certifies everything anew.
     """
     spec._require_registered()
     host = spec.host
     host._require_antipode()
     pres = spec.presentation
-    images = {i: host.antipode(spec.embedding[i]) for i in range(pres.ngens)}
-    new_side = {"left": "right", "right": "left", "hopf": "hopf"}[spec.side]
-    probe = _EmbeddedSpan(host, Presentation(list(zip(pres.names, pres.weights))),
-                          images, spec.cutoff)
-    table: dict[tuple[str, str], Element] = {}
-    for j in range(pres.ngens):
-        for i in range(j):
-            c = commutator(images[j], images[i])
-            if not c:
-                continue
-            bound = pres.weights[i] + pres.weights[j] - 1
-            rep = probe.represent(c, bound)
-            if rep is None:
-                raise RegistrationError(
-                    f"S({spec.name}): commutator [{pres.names[j]},"
-                    f"{pres.names[i]}] is not expressible below the "
-                    "termination bound")
-            table[(pres.names[j], pres.names[i])] = rep.terms
+    last = pres.ngens - 1
+    table = {(last - i, last - j): {mono[::-1]: c for mono, c in terms.items()}
+             for (j, i), terms in pres.table.items()}
     return register_subalgebra(
-        host, f"S({spec.name})", list(zip(pres.names, pres.weights)), table,
-        {pres.names[i]: images[i] for i in range(pres.ngens)},
-        new_side, spec.cutoff)
+        host, f"S({spec.name})",
+        [(pres.names[k], pres.weights[k]) for k in reversed(range(pres.ngens))],
+        table,
+        {last - i: host.antipode(spec.embedding[i]) for i in range(pres.ngens)},
+        {"left": "right", "right": "left", "hopf": "hopf"}[spec.side],
+        spec.cutoff)
 
 
 def is_hopf_subalgebra(spec: SubalgebraSpec) -> bool:
@@ -281,19 +251,22 @@ def is_hopf_subalgebra(spec: SubalgebraSpec) -> bool:
     spec.host._require_antipode()
     for i in range(spec.presentation.ngens):
         img = spec.embedding[i]
-        if not spec.span.contains(spec.host.antipode(img), img.weight):
+        if not spec.contains(spec.host.antipode(img), img.weight):
             return False
     return True
+
+
+def _generators_inside(a: SubalgebraSpec, b: SubalgebraSpec) -> bool:
+    """Whether b contains every generator image of a, at its weight."""
+    return all(b.contains(a.embedding[i], a.embedding[i].weight)
+               for i in range(a.presentation.ngens))
 
 
 def spans_equal(a: SubalgebraSpec, b: SubalgebraSpec) -> bool:
     """Mutual membership of generator images, at the generators' weights."""
     a._require_registered()
     b._require_registered()
-    return (all(b.contains(a.embedding[i], a.embedding[i].weight)
-                for i in range(a.presentation.ngens))
-            and all(a.contains(b.embedding[i], b.embedding[i].weight)
-                    for i in range(b.presentation.ngens)))
+    return _generators_inside(a, b) and _generators_inside(b, a)
 
 
 def containment_check(inner: SubalgebraSpec, outer: SubalgebraSpec) -> Report:
@@ -317,7 +290,7 @@ def containment_check(inner: SubalgebraSpec, outer: SubalgebraSpec) -> Report:
                "" if contained else f"generators outside: {', '.join(missing)}")
     if not contained:
         return report
-    equal = spans_equal(inner, outer)
+    equal = _generators_inside(outer, inner)  # inner <= outer holds
     gk_in, gk_out = inner.gk_dimension(), outer.gk_dimension()
     if equal:
         report.add("equality", True, f"spans equal, gk {gk_in} = {gk_out}")
@@ -393,8 +366,8 @@ def primitive_of_coideal(spec: SubalgebraSpec) -> Element | None:
     if not t_monomials:
         return None
     basis = linalg.kernel(
-        {tm: host.reduced_coproduct(spec.span.monomial_image(tm)).terms
+        {tm: host.reduced_coproduct(spec.monomial_image(tm)).terms
          for tm in t_monomials})
     if not basis:
         return None
-    return spec.span.image(Element(spec.presentation, basis[0]))
+    return spec.image(Element(spec.presentation, basis[0]))

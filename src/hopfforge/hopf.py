@@ -13,6 +13,8 @@ Each certificate has one owner that computes it once: confluence is the
 presentation's (Presentation.certify), the filtration and the passing
 certification are grading's.  A guard tests presence and rescans no
 report; a query never replaces one.  Memo tables hold linalg.compact form.
+H answers the questions of a coideal subalgebra T (coideal.SubalgebraSpec)
+as T = H, so the invariants of T take H and its subalgebras alike.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ class AntipodeSolveError(HopfAlgebraError):
 
 class PresentedHopfAlgebra:
     """A presented algebra together with coproduct/counit/antipode data."""
+
+    side = "hopf"  # H as a coideal subalgebra of itself
 
     def __init__(self, presentation: Presentation,
                  coproducts: Mapping, antipodes: Mapping | None = None,
@@ -147,6 +151,21 @@ class PresentedHopfAlgebra:
         if self.filtration is None:
             raise CertificateMissingError(
                 f"{self.name}: filtration certificate absent; certify first")
+
+    # -- H as its own target, with the identity embedding -------------------
+
+    @property
+    def host(self) -> "PresentedHopfAlgebra":
+        return self
+
+    def embed_generator(self, g) -> Element:
+        return self.gen(g)
+
+    def embed(self, x: Element) -> Element:
+        return x
+
+    def represent(self, h: Element, max_weight: int) -> Element:
+        return h
 
     # -- element factories ---------------------------------------------------
 
@@ -391,62 +410,47 @@ class SquaredAntipodeAnalysis:
     """Outcome of the squared-antipode order analysis.
 
     ``identity`` means the squared antipode fixes every generator of the
-    target.  Otherwise ``witness`` is a pair (g, r) with S^2(g) = g + r,
-    r nonzero and S^2(r) = r, which certifies S^(2m)(g) = g + m*r for all
-    m, i.e. infinite order.
+    target.  Otherwise ``witness`` is a pair (g, r) of host elements, g a
+    generator image, with S^2(g) = g + r, r nonzero and S^2(r) = r, which
+    certifies S^(2m)(g) = g + m*r for all m, i.e. infinite order.
     """
 
     identity: bool
     target: str
     witness: tuple[Element, Element] | None = None
-    label: str | None = None
 
     def describe(self) -> str:
         if self.identity:
             return "identity"
         g, r = self.witness
-        return f"infinite; witness S^2({self.label}) = {g + r}"
+        return f"infinite; witness S^2({g}) = {g + r}"
 
 
 def s_squared_analysis(target) -> SquaredAntipodeAnalysis:
     """Decide identity-or-infinite order of the squared antipode on the target.
 
-    The target is a PresentedHopfAlgebra or a registered subalgebra; in
-    the latter case the squared antipode must preserve the subalgebra's
-    span (checked, with a certificate violation raised otherwise).
+    The target is a PresentedHopfAlgebra or a registered subalgebra; the
+    squared antipode must preserve the target's span (checked, with a
+    certificate violation raised otherwise).
     """
-    host = getattr(target, "host", None)
-    if host is None:
-        H = target
-        H._require_antipode()
-        gens = [(g, H.gen(g)) for g in H.presentation.names]
-        member = None
-    else:
-        H = host
-        H._require_antipode()
-        gens = [(g, target.embed_generator(g)) for g in target.presentation.names]
-        member = target.contains
+    H = target.host
+    H._require_antipode()
     witness = None
-    for label, u in gens:
-        r = H.s_squared(u) - u
-        if member is not None:
-            w = u.weight
-            if not member(H.s_squared(u), w):
-                raise CertificateMissingError(
-                    f"S^2({label}) escapes the subalgebra span; "
-                    "coideal certificate violated")
+    for g in target.presentation.names:
+        u = target.embed_generator(g)
+        s2u = H.s_squared(u)
+        if target.represent(s2u, u.weight) is None:
+            raise CertificateMissingError(
+                f"S^2({g}) escapes the subalgebra span; "
+                "coideal certificate violated")
+        r = s2u - u
         if r and witness is None:
             if H.s_squared(r) != r:
                 raise HopfAlgebraError(
-                    f"S^2 drop of {label} is not itself fixed; filtration "
+                    f"S^2 drop of {g} is not itself fixed; filtration "
                     "certificate violated")
-            witness = (label, u, r)
-    name = getattr(target, "name", "target")
-    if witness is None:
-        return SquaredAntipodeAnalysis(True, name)
-    label, u, r = witness
-    shown = label if host is None else str(u)
-    return SquaredAntipodeAnalysis(False, name, (u, r), shown)
+            witness = (u, r)
+    return SquaredAntipodeAnalysis(witness is None, target.name, witness)
 
 
 def antipode_eigenbasis(H: PresentedHopfAlgebra, max_weight: int

@@ -5,6 +5,9 @@ its integral is supplied by the caller (or derived from the adjoint
 trace for enveloping-type presentations), never computed homologically.
 Winding maps apply the character to one coproduct leg; their stability
 on a subalgebra span is verified at runtime instead of being assumed.
+A target is a host or a registered subalgebra; both answer the questions
+of coideal.SubalgebraSpec.  Only winding tells them apart: its host path
+is another algorithm (memoized monomial images, no solves).
 """
 
 from __future__ import annotations
@@ -34,9 +37,7 @@ class Character:
         init=False, compare=False, repr=False)
 
     def value(self, g) -> Fraction:
-        pres = self.target.presentation
-        i = pres.index(g) if not isinstance(g, int) else g
-        return self.values.get(i, ZERO)
+        return self.values.get(self.target.presentation.index(g), ZERO)
 
     def monomial_value(self, mono: Monomial) -> Fraction:
         """chi(m), memoized: chi(1) = 1, chi(g_k m') = chi(g_k) chi(m')."""
@@ -92,7 +93,7 @@ def verify_character(chi: Character) -> Report:
 
     The report is attached as chi.report only when it passes."""
     pres = chi.target.presentation
-    report = Report(f"character on {getattr(chi.target, 'name', 'target')}")
+    report = Report(f"character on {chi.target.name}")
     for (j, i) in sorted(pres.table):
         value = chi(pres.commutator_entry(j, i))
         report.add(f"kills [{pres.names[j]},{pres.names[i]}]", value == 0,
@@ -108,20 +109,14 @@ def compose_with_antipode(chi: Character) -> Character:
     """The convolution inverse of a character: its composition with S."""
     chi._require_verified()
     target = chi.target
-    pres = target.presentation
     values = {}
-    if isinstance(target, SubalgebraSpec):
-        host = target.host
-        for i, g in enumerate(pres.names):
-            img = host.antipode(target.embed_generator(i))
-            rep = target.represent(img, target.embed_generator(i).weight)
-            if rep is None:
-                raise HopfAlgebraError(
-                    f"antipode image of {g} leaves the subalgebra span")
-            values[g] = chi(rep)
-    else:
-        for g in pres.names:
-            values[g] = chi(target.antipode(pres.gen(g)))
+    for g in target.presentation.names:
+        u = target.embed_generator(g)
+        rep = target.represent(target.host.antipode(u), u.weight)
+        if rep is None:
+            raise HopfAlgebraError(
+                f"antipode image of {g} leaves the subalgebra span")
+        values[g] = chi(rep)
     return character(target, values)
 
 
@@ -195,33 +190,24 @@ class GeneratorAutomorphism(GeneratorMap):
         return report
 
     def describe(self) -> str:
-        pres = self.target.presentation
         return ", ".join(
-            f"{g} -> {self.images[i]}" for i, g in enumerate(pres.names))
+            f"{g} -> {self.images[i]}" for i, g in enumerate(self.source.names))
 
 
 def _s2_on_target(target, x: Element, inverse: bool = False) -> Element:
     """Squared (or inverse-squared) antipode through the host, back in target."""
-    if isinstance(target, SubalgebraSpec):
-        host = target.host
-        hx = target.embed(x)
-        if not hx:
-            return target.presentation.zero()
-        w = hx.weight
-        if inverse:
-            hy = host.antipode_inverse(host.antipode_inverse(hx))
-        else:
-            hy = host.s_squared(hx)
-        rep = target.represent(hy, w)
-        if rep is None:
-            raise HopfAlgebraError(
-                "squared antipode leaves the subalgebra span; certificate "
-                "violated")
-        return rep
-    H = target
+    host = target.host
+    hx = target.embed(x)
     if inverse:
-        return H.antipode_inverse(H.antipode_inverse(x))
-    return H.s_squared(x)
+        hy = host.antipode_inverse(host.antipode_inverse(hx))
+    else:
+        hy = host.s_squared(hx)
+    rep = target.represent(hy, hx.weight or 0)
+    if rep is None:
+        raise HopfAlgebraError(
+            "squared antipode leaves the subalgebra span; certificate "
+            "violated")
+    return rep
 
 
 def nakayama_automorphism(target, chi: Character) -> GeneratorAutomorphism:
@@ -238,7 +224,7 @@ def nakayama_automorphism(target, chi: Character) -> GeneratorAutomorphism:
     if chi.target is not target:
         raise ValueError("character was built for a different target")
     pres = target.presentation
-    side = getattr(target, "side", "hopf")
+    side = target.side
     images_right = images_left = None
     if side in ("right", "hopf"):
         images_right = {

@@ -296,6 +296,8 @@ def parse(text: str) -> DefinitionFile:
             ts.next("=")
             poly = _parse_poly(ts, host_order, host_order, tensor=True)
             ts.done()
+            if not poly:
+                raise ParseError(f"coproduct of {name} is zero", lineno)
             df.coproducts[name] = poly
             continue
         if head == "counit":

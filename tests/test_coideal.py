@@ -1,14 +1,18 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from hopfforge import algebra, catalog
-from hopfforge.coideal import (RegistrationError, antipode_image, coideal_check,
-                               coinvariants, containment_check, full_subalgebra,
+from hopfforge.coideal import (RegistrationError, SubalgebraSpec,
+                               antipode_image, coideal_check, coinvariants,
+                               containment_check, full_subalgebra,
                                is_hopf_subalgebra, primitive_of_coideal,
                                register_subalgebra, spans_equal)
 from hopfforge.grading import Signature
 from hopfforge.hopf import CertificateMissingError
+from hopfforge.nakayama import counit_character
 from hopfforge.report import Report
 
 F = Fraction
@@ -219,3 +223,113 @@ def test_membership_cutoff_enforced():
     big = Linf.host.gen("Z") ** 4  # weight 8 exceeds the certified cutoff
     with pytest.raises(CertificateMissingError):
         Linf.contains(big)
+
+
+def test_integer_generator_keys_are_range_checked():
+    H = catalog.build_b_lambda(1)
+    X, Y = H.gen("X"), H.gen("Y")
+    for stray in (7, -1):
+        with pytest.raises(ValueError, match=f"index {stray} out of range"):
+            register_subalgebra(H, "T", [("Y", 1)], {}, {0: Y, stray: X}, "hopf")
+    T = register_subalgebra(H, "T", [("Y", 1)], {}, {0: Y}, "hopf")
+    assert T.embed_generator(0) == T.embed_generator("Y") == Y
+    with pytest.raises(ValueError, match="out of range"):
+        T.embed_generator(-1)
+    with pytest.raises(ValueError, match="out of range"):
+        counit_character(T).value(5)
+
+
+def test_coideal_check_rejects_an_unknown_side():
+    Linf = catalog.build_b_coideal(1, "L", "inf")
+    with pytest.raises(ValueError, match="side must be left, right or hopf"):
+        coideal_check(Linf, "bogus")
+
+
+def test_containment_checks_each_generator_once(monkeypatch):
+    Linf = catalog.build_b_coideal(1, "L", "inf")
+    contains, calls = SubalgebraSpec.contains, []
+    monkeypatch.setattr(SubalgebraSpec, "contains", lambda spec, *args: (
+        calls.append(spec) or contains(spec, *args)))
+    report = containment_check(Linf, Linf)
+    assert report.passed and any("equality" in c.name for c in report.checks)
+    assert len(calls) == 4  # L_inf in L_inf, then the converse
+
+
+# every catalog coideal of B(lam), with the family its antipode image spans
+_B_FAMILIES = ([(which, beta, {"L": "R", "R": "L"}[which], beta)
+                for which in ("L", "R") for beta in (0, 1, F(1, 2), -2, "inf")]
+               + [("g_alpha", 3, "g_alpha", 3), ("g_inf", None, "g_inf", None)])
+
+
+def _assert_opposite_presentation(T, S):
+    """S lists T's generators in reverse, with T's table entries read
+    backwards, and embeds them by the host antipode."""
+    pres, op = T.presentation, S.presentation
+    last = pres.ngens - 1
+    assert op.names == pres.names[::-1] and op.weights == pres.weights[::-1]
+    assert op.table == {(last - i, last - j): {m[::-1]: c for m, c in t.items()}
+                        for (j, i), t in pres.table.items()}
+    for i in range(pres.ngens):
+        assert S.embedding[last - i] == T.host.antipode(T.embedding[i])
+    assert S.side == {"left": "right", "right": "left", "hopf": "hopf"}[T.side]
+
+
+@pytest.mark.parametrize("lam", [0, 1, F(1, 2), -2], ids=str)
+def test_antipode_image_is_the_opposite_presentation_on_b(lam):
+    for which, param, image_which, image_param in _B_FAMILIES:
+        T = catalog.build_b_coideal(lam, which, param)
+        S = antipode_image(T)
+        _assert_opposite_presentation(T, S)
+        assert spans_equal(S, catalog.build_b_coideal(lam, image_which,
+                                                      image_param))
+        assert spans_equal(antipode_image(S), T)
+
+
+def test_antipode_image_is_the_opposite_presentation_on_e():
+    T = catalog.build_e_coideal()
+    H = T.host
+    X, Y, Z, W = (H.gen(g) for g in ("X", "Y", "Z", "W"))
+    S = antipode_image(T)
+    _assert_opposite_presentation(T, S)
+    # S(W - X*Z) = -(W + X*Z); U = W + X*Z acts on k[X,Y] by X -> X + X^2,
+    # Y -> X
+    expected = register_subalgebra(
+        H, "S(T) by hand", [("X", 1), ("Y", 1), ("U", 3)],
+        {("U", "X"): {(1, 0, 0): 1, (2, 0, 0): 1}, ("U", "Y"): {(1, 0, 0): 1}},
+        {"X": X, "Y": Y, "U": W + X * Z}, "left")
+    assert spans_equal(S, expected)
+    assert spans_equal(antipode_image(S), T)
+
+
+def _calls_by_owner(path):
+    """(Class.method or function, source) of every isinstance call."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, f"{owner}.{child.name}" if owner else child.name)
+                continue
+            if isinstance(child, ast.Call) and getattr(
+                    child.func, "id", None) == "isinstance":
+                found.append((owner, ast.unparse(child)))
+            visit(child, owner)
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def test_one_subalgebra_object_and_one_target_protocol():
+    # hopf and nakayama ask the target, never which kind it is, and a
+    # generator key resolves only through Presentation.index
+    src = Path(__file__).parent.parent / "src" / "hopfforge"
+    offenders, owners = [], {}
+    for path in sorted(src.glob("*.py")):
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if any(bad in line for bad in
+                   ("_EmbeddedSpan", ".span.", "getattr(target,")):
+                offenders.append(f"{path.name}:{lineno}: {line.strip()}")
+        for owner, call in _calls_by_owner(path):
+            owners.setdefault(call, set()).add(f"{path.name}:{owner}")
+    assert not offenders, "\n".join(offenders)
+    assert owners["isinstance(target, SubalgebraSpec)"] == {"nakayama.py:winding"}
+    assert owners["isinstance(g, int)"] == {"algebra.py:Presentation._resolve"}

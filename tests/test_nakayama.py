@@ -4,7 +4,7 @@ import pytest
 
 from hopfforge import algebra, catalog
 from hopfforge.coideal import full_subalgebra
-from hopfforge.hopf import HopfAlgebraError
+from hopfforge.hopf import HopfAlgebraError, s_squared_analysis
 from hopfforge.nakayama import (Character, GeneratorAutomorphism, character,
                                 compose_with_antipode, counit_character,
                                 enveloping_integral_character,
@@ -234,3 +234,31 @@ def test_generator_automorphism_reports_a_broken_relation():
     defects = {(j, i): d for j, i, d in phi.relation_defects()}
     assert defects[(1, 0)] == -Y and defects[(2, 1)] == 0
     assert phi.apply(X * Y) == X * Y * 2  # on the ordered monomial
+
+
+# hosts with a character and whether it is the integral one (so that the
+# two Nakayama formulas of a two-sided target agree)
+_PROTOCOL_HOSTS = [
+    (lambda: catalog.build_b_lambda(1), {"X": 2}, True),
+    (lambda: catalog.build_enveloping_preset("nonabelian2"), {"X": 1}, True),
+    (lambda: catalog.build_enveloping_preset("heisenberg"), {}, True),
+    (catalog.build_e, {"Y": 3, "Z": 2, "W": 2}, False),
+]
+
+
+@pytest.mark.parametrize("build, values, integral", _PROTOCOL_HOSTS,
+                         ids=["B(1)", "U(nonabelian2)", "U(heisenberg)", "E"])
+def test_host_answers_as_its_own_full_subalgebra(build, values, integral):
+    H = build()
+    full = full_subalgebra(H)
+    assert H.side == full.side == "hopf" and H.host is H
+    assert (s_squared_analysis(H).describe()
+            == s_squared_analysis(full).describe())
+    chi_h, chi_full = character(H, values), character(full, values)
+    assert (compose_with_antipode(chi_h).values
+            == compose_with_antipode(chi_full).values)
+    if integral:
+        nu_h = nakayama_automorphism(H, chi_h)
+        nu_full = nakayama_automorphism(full, chi_full)
+        assert ({i: e.terms for i, e in nu_h.images.items()}
+                == {i: e.terms for i, e in nu_full.images.items()})

@@ -2,11 +2,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfforge import catalog
 from hopfforge.grading import certify
-from hopfforge.parser import (ParseError, build_algebra, format_definition,
-                              parse, sub_arguments)
+from hopfforge.parser import (DefinitionFile, ParseError, SubBlock,
+                              build_algebra, format_definition, parse,
+                              sub_arguments)
 
 DATA = Path(__file__).parent / "data"
 
@@ -116,3 +118,77 @@ def test_format_definition_coproduct_line():
     lines = format_definition(parse(text)).splitlines()
     assert "coprod Z = 1@Z - 1/2*X@Y + 2*Y@X + Z@1" in lines
     assert "coprod X = 1@X + X@1" in lines
+
+
+def test_coproduct_that_cancels_to_zero_is_rejected():
+    # it printed as "coprod X = 0", which is no tensor polynomial
+    with pytest.raises(ParseError, match="line 3: coproduct of X is zero"):
+        parse("hopf A\ngen X weight 1\ncoprod X = X@1 - X@1\n")
+
+
+# identifiers, some of them keywords of the format
+_NAMES = ("X", "Y2", "_z", "weight", "side", "sub", "gen")
+_COEFFS = st.builds(F, st.integers(1, 9), st.integers(1, 4)).flatmap(
+    lambda c: st.sampled_from((c, -c)))
+
+
+def _monomials(names):
+    """Mono keys over names: (name, exponent) pairs in declaration order."""
+    return st.lists(st.integers(0, 2), min_size=len(names),
+                    max_size=len(names)).map(
+        lambda exps: tuple((n, e) for n, e in zip(names, exps) if e))
+
+
+def _polys(names, min_size=0):
+    return st.dictionaries(_monomials(names), _COEFFS, min_size=min_size,
+                           max_size=3)
+
+
+def _tensor_polys(names):
+    return st.dictionaries(st.tuples(_monomials(names), _monomials(names)),
+                           _COEFFS, min_size=1, max_size=3)
+
+
+def _generators(draw):
+    names = draw(st.lists(st.sampled_from(_NAMES), unique=True, max_size=3))
+    return [(g, draw(st.integers(1, 12))) for g in names]
+
+
+def _relations(draw, names):
+    pairs = [(names[j], names[i]) for j in range(len(names)) for i in range(j)]
+    if not pairs:
+        return []
+    return [(gj, gi, draw(_polys(names))) for gj, gi in draw(
+        st.lists(st.sampled_from(pairs), max_size=3))]
+
+
+def _subset(draw, names):
+    return [g for g in names if draw(st.booleans())]
+
+
+@st.composite
+def _definition_files(draw):
+    generators = _generators(draw)
+    names = [g for g, _ in generators]
+    df = DefinitionFile(
+        name=draw(st.sampled_from(_NAMES)), generators=generators,
+        relations=_relations(draw, names),
+        coproducts={g: draw(_tensor_polys(names)) for g in names},
+        counits={g: F(0) for g in _subset(draw, names)},
+        antipodes={g: draw(_polys(names)) for g in _subset(draw, names)})
+    for _ in range(draw(st.integers(0, 2))):
+        sub_generators = _generators(draw)
+        sub_names = [g for g, _ in sub_generators]
+        df.subs.append(SubBlock(
+            name=draw(st.sampled_from(_NAMES)),
+            side=draw(st.sampled_from(("left", "right", "hopf"))),
+            generators=sub_generators,
+            relations=_relations(draw, sub_names),
+            embeds={g: draw(_polys(names)) for g in _subset(draw, sub_names)}))
+    return df
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(_definition_files())
+def test_format_definition_round_trips_through_parse(df):
+    assert parse(format_definition(df)) == df
