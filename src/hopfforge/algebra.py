@@ -17,8 +17,8 @@ Values are otherwise immutable and every operation is pure.
 
 Every map given by its values on generators -- coproduct, antipode,
 subalgebra embedding, generator automorphism -- is a GeneratorMap: it
-extends the images by peeling one factor, memoizes the monomial images,
-and lists the relation defects that certify it.
+extends the images by peeling one factor, memoizes the monomial images
+in scaled form, and lists the relation defects that certify it.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .linalg import (ONE, ZERO, Scaled, accumulate, add_term, as_fraction,
-                     compact, extend_scaled, rescale, scaled_equal, split,
-                     vec_add_scaled)
+from .linalg import (ONE, ZERO, Scaled, add_term, as_fraction, combine,
+                     extend_scaled, scaled_equal, split, vec_add_scaled)
 from .report import Report
 
 Monomial = tuple  # exponent vector over the presentation's generators
@@ -55,8 +54,7 @@ class Presentation:
         self._index = {n: i for i, n in enumerate(names)}
         # table[(j, i)] = {monomial: coeff} meaning [x_j, x_i], stored for j > i
         table: dict[tuple[int, int], dict[Monomial, Fraction]] = {}
-        for key, value in (commutators or {}).items():
-            j, i = (self._resolve(key[0]), self._resolve(key[1]))
+        for (j, i), value in self.indexed(commutators or {}).items():
             if j <= i:
                 raise ValueError(
                     f"commutator [{self.names[j]},{self.names[i]}] must list the "
@@ -99,6 +97,21 @@ class Presentation:
     def index(self, g) -> int:
         """The index of a generator name, or a range-checked int index."""
         return self._resolve(g)
+
+    def indexed(self, mapping: Mapping) -> dict:
+        """{index: value} of a {generator: value} mapping, or {(j, i):
+        value} of one keyed by generator pairs; a second key for one
+        generator (or pair) raises ValueError naming it."""
+        out: dict = {}
+        for key, value in mapping.items():
+            pair = isinstance(key, tuple)
+            index = tuple(map(self._resolve, key)) if pair else self._resolve(key)
+            if index in out:
+                raise ValueError("generator " + ",".join(
+                    self.names[i] for i in (index if pair else (index,)))
+                    + " is given twice")
+            out[index] = value
+        return out
 
     def commutator_entry(self, j, i) -> "Element":
         """The table entry [x_j, x_i] as an element (zero if the pair commutes)."""
@@ -210,13 +223,13 @@ class Presentation:
                 stack.append((w[:p] + self.word_of(mono) + w[p + 2:], c * pc))
         return result
 
-    def product_terms(self, m1: Monomial, m2: Monomial) -> dict:
-        """Normal form of the monomial product m1 * m2 (memoized, in the
-        memo-table form of linalg.compact)."""
+    def product_terms(self, m1: Monomial, m2: Monomial) -> tuple[dict, int]:
+        """Normal form of the monomial product m1 * m2, memoized in scaled
+        form: (int numerators, denominator)."""
         key = (m1, m2)
         cached = self._prod_cache.get(key)
         if cached is None:
-            cached = compact(self.reduce_word(self.word_of(m1) + self.word_of(m2)))
+            cached = split(self.reduce_word(self.word_of(m1) + self.word_of(m2)))
             self._prod_cache[key] = cached
         return cached
 
@@ -283,13 +296,10 @@ class Element(Scaled):
             return self.scale(other)
         other = self._coerce(other)
         product = self.algebra.product_terms
-        a, da = self.scaled
-        b, db = other.scaled
-        out: dict[Monomial, int] = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                accumulate(out, product(m1, m2), c1 * c2)
-        return Element.from_scaled(self.algebra, *rescale(out, da * db))
+        (a, da), (b, db) = self.scaled, other.scaled
+        return Element.from_scaled(self.algebra, *combine(
+            [(c1 * c2, product(m1, m2)) for m1, c1 in a.items()
+             for m2, c2 in b.items()], da * db))
 
     def __rmul__(self, other):
         # scalars commute; Element * Element never reaches here
@@ -398,8 +408,9 @@ class GeneratorMap:
     generator images {index: value}; they and unit, the image of 1, are all
     ``Element``s or all ``TensorElement``s.  A monomial's image peels its
     first generator, f(g_k m') = f(g_k) f(m'), or for an anti-map its last,
-    f(m' g_k) = f(g_k) f(m'); ``memo`` keeps it in linalg.compact form.
-    The map is well defined iff every relation defect is zero.
+    f(m' g_k) = f(g_k) f(m'); ``monomial`` returns it as the scaled pair
+    kept in ``memo``.  The map is well defined iff every relation defect
+    is zero.
     """
 
     def __init__(self, source: Presentation, images: dict, unit, anti: bool):
@@ -409,15 +420,13 @@ class GeneratorMap:
         self.anti = anti
         self.memo: dict = {}
 
-    def monomial(self, mono: Monomial) -> dict:
+    def monomial(self, mono: Monomial) -> tuple[dict, int]:
         cached = self.memo.get(mono)
         if cached is not None:
             return cached
         images, unit = self.images, self.unit
-        return memo_peel(self.memo, mono, self.anti,
-                         lambda: compact(*unit.scaled),
-                         lambda k, rest: compact(
-                             *(images[k] * unit._like(*split(rest))).scaled))
+        return memo_peel(self.memo, mono, self.anti, lambda: unit.scaled,
+                         lambda k, rest: (images[k] * unit._like(*rest)).scaled)
 
     def __call__(self, x: Element):
         return self.unit._like(*extend_scaled(*x.scaled, self.monomial))

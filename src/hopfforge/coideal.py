@@ -45,11 +45,11 @@ class SubalgebraSpec:
         self.presentation = presentation
         self.side = side
         self.embedding: dict[int, Element] = {}
-        for g, img in embedding.items():
+        for i, img in presentation.indexed(embedding).items():
             img = img if isinstance(img, Element) else host.presentation.element(img)
             if img.algebra is not host.presentation:
                 raise ValueError("embedding images must live in the host")
-            self.embedding[presentation.index(g)] = img
+            self.embedding[i] = img
         for i in range(presentation.ngens):
             if i not in self.embedding:
                 raise ValueError(
@@ -69,7 +69,7 @@ class SubalgebraSpec:
 
     def monomial_image(self, mono: Monomial) -> Element:
         return Element.from_scaled(self.host.presentation,
-                                   *linalg.split(self.image.monomial(mono)))
+                                   *self.image.monomial(mono))
 
     def _solver(self, max_weight: int):
         """(solver over the images of the ordered monomials up to

@@ -185,7 +185,8 @@ def certify_filtration(H: PresentedHopfAlgebra, truncation: int | None = None
                     f"reweight {g} to {deg}: declared weight {w} "
                     "is not its coradical degree")
         kernel = linalg.kernel(
-            {m: _leading_terms(pres, H._reduced_iterate_monomial(m, 1), d)
+            {m: _leading_terms(
+                pres, linalg.join(*H._reduced_iterate_monomial(m, 1)), d)
              for m in pres.monomials_of_weight(d)})
         if not kernel:  # excluded by the bialgebra axioms checked above
             raise HopfAlgebraError(f"no primitive leading symbol at degree {d}"

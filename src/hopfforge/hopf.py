@@ -12,7 +12,8 @@ that makes the reduced-coproduct iteration terminate.
 Each certificate has one owner that computes it once: confluence is the
 presentation's (Presentation.certify), the filtration and the passing
 certification are grading's.  A guard tests presence and rescans no
-report; a query never replaces one.  Memo tables hold linalg.compact form.
+report; a query never replaces one.  Memo tables hold linalg's scaled
+pairs; a reader that needs Fractions joins them.
 H answers the questions of a coideal subalgebra T (coideal.SubalgebraSpec)
 as T = H, so the invariants of T take H and its subalgebras alike.
 """
@@ -51,18 +52,18 @@ class PresentedHopfAlgebra:
                  name: str = "H"):
         self.name = name
         self.presentation = presentation
-        for g in presentation.names:
-            if g not in coproducts:
+        coproducts = presentation.indexed(coproducts)
+        for i, g in enumerate(presentation.names):
+            if i not in coproducts:
                 raise ValueError(f"missing coproduct for generator {g}")
         self._coproduct = GeneratorMap(presentation, {
-            presentation.index(g): self._validate_coproduct(
-                presentation.index(g), value)
-            for g, value in coproducts.items()},
+            i: self._validate_coproduct(i, value)
+            for i, value in coproducts.items()},
             TensorElement.unit(presentation, 2), False)
-        # memo tables on monomials, in linalg.compact form
-        self._coprod_mono: dict[Monomial, dict] = self._coproduct.memo
-        self._reduced_iter: dict[tuple[Monomial, int], dict] = {}
-        self._antipode_mono: dict[Monomial, dict] = {}
+        # memo tables on monomials, in scaled form
+        self._coprod_mono: dict[Monomial, tuple] = self._coproduct.memo
+        self._reduced_iter: dict[tuple[Monomial, int], tuple] = {}
+        self._antipode_mono: dict[Monomial, tuple] = {}
         self._antipode_solver_cache: dict[int, tuple] = {}
         self._antipode: GeneratorMap | None = None
         if antipodes is not None:
@@ -106,19 +107,16 @@ class PresentedHopfAlgebra:
         if self._antipode is not None:
             raise HopfAlgebraError("antipode data already attached")
         pres = self.presentation
-        table: dict[int, Element] = {}
-        for g in pres.names:
-            if g not in antipodes:
+        table = {i: v if isinstance(v, Element) else pres.element(v)
+                 for i, v in pres.indexed(antipodes).items()}
+        for i, g in enumerate(pres.names):
+            if i not in table:
                 raise ValueError(f"missing antipode for generator {g}")
-        for g, value in antipodes.items():
-            i = pres.index(g)
-            elt = value if isinstance(value, Element) else pres.element(value)
-            if elt.algebra is not pres:
+            if table[i].algebra is not pres:
                 raise ValueError("antipode data from another presentation")
-            w = elt.weight
+            w = table[i].weight
             if w is not None and w > pres.weights[i]:
                 raise ValueError(f"antipode of {g} is heavier than the generator")
-            table[i] = elt
         self._antipode = GeneratorMap(pres, table, pres.one(), True)
         self._antipode_mono = self._antipode.memo
 
@@ -201,8 +199,8 @@ class PresentedHopfAlgebra:
             self.presentation, 2, *linalg.extend_scaled(
                 *x.scaled, lambda mono: self._reduced_iterate_monomial(mono, 1)))
 
-    def _reduced_iterate_monomial(self, mono: Monomial, n: int) -> dict:
-        """Terms of the n-fold reduced coproduct of a monomial (memoized)."""
+    def _reduced_iterate_monomial(self, mono: Monomial, n: int) -> tuple:
+        """The n-fold reduced coproduct of a monomial (memoized, scaled)."""
         key = (mono, n)
         cached = self._reduced_iter.get(key)
         if cached is None:
@@ -210,17 +208,17 @@ class PresentedHopfAlgebra:
                 one = self.presentation.identity_monomial()
                 if mono == one:
                     raise ValueError("reduced coproduct of the identity monomial")
-                cached = dict(self._coproduct.monomial(mono))
-                for key1 in ((one, mono), (mono, one)):
-                    linalg.add_term(cached, key1, -1)
+                cached = linalg.combine(
+                    [(1, self._coproduct.monomial(mono)),
+                     (-1, ({(one, mono): 1, (mono, one): 1}, 1))], 1)
             else:
-                out: dict = {}
-                for tkey, c in self._reduced_iterate_monomial(mono, n - 1).items():
+                prev, den = self._reduced_iterate_monomial(mono, n - 1)
+                images = []
+                for tkey, c in prev.items():
+                    head, d = self._reduced_iterate_monomial(tkey[0], 1)
                     rest = tkey[1:]
-                    linalg.accumulate(out, {
-                        head + rest: v for head, v in
-                        self._reduced_iterate_monomial(tkey[0], 1).items()}, c)
-                cached = linalg.compact(out)
+                    images.append((c, ({h + rest: v for h, v in head.items()}, d)))
+                cached = linalg.combine(images, den)
             self._reduced_iter[key] = cached
         return cached
 
@@ -287,10 +285,9 @@ class PresentedHopfAlgebra:
         if w not in cache:
             monomials = self.presentation.monomials_up_to(w)
             index = {m: i for i, m in enumerate(monomials)}
-            columns = []
-            for m in monomials:
-                img = self._antipode.monomial(m)
-                columns.append({index[mm]: c for mm, c in img.items()})
+            columns = [{index[mm]: c for mm, c in
+                        linalg.join(*self._antipode.monomial(m)).items()}
+                       for m in monomials]
             cache[w] = (linalg.LinearSolver(columns), monomials, index)
         return cache[w]
 
@@ -302,7 +299,8 @@ class PresentedHopfAlgebra:
         monomials = self.presentation.monomials_up_to(
             weight_cutoff, include_identity=False)
         return [Element(self.presentation, vec) for vec in linalg.kernel(
-            {m: self._reduced_iterate_monomial(m, 1) for m in monomials})]
+            {m: linalg.join(*self._reduced_iterate_monomial(m, 1))
+             for m in monomials})]
 
     def __repr__(self):
         return f"PresentedHopfAlgebra({self.name})"
@@ -469,7 +467,8 @@ def antipode_eigenbasis(H: PresentedHopfAlgebra, max_weight: int
     for n in range(1, max_weight + 1):
         monomials = pres.monomials_of_weight(n)
         # matrix of the induced map on the degree-n layer
-        cols = {m: {mm: c for mm, c in H._antipode.monomial(m).items()
+        cols = {m: {mm: c for mm, c in
+                    linalg.join(*H._antipode.monomial(m)).items()
                     if pres.monomial_weight(mm) == n} for m in monomials}
         # squared map must be the identity on the layer
         for m, col in cols.items():

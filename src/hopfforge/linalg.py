@@ -6,22 +6,15 @@ terms, solver vectors, memo tables -- stores no zero coefficient.
 ``add_term``, ``vec_add_scaled`` and the integer seam are the one place
 that keeps that invariant: no other module adds into a sparse dict by hand.
 
-Scaled form (FLINT's fmpq_poly representation): an ``Element`` or
-``TensorElement`` keeps its coefficients as ``(nums, den)``, int
-numerators with no zero over one positive denominator, and the structure
-maps run on that form alone.  ``split`` takes a Fraction dict to it,
-``accumulate`` is the one int multiply-add loop, ``rescale`` settles its
-sums (zeros dropped, Fraction sums brought to ints over one common
-denominator, common factors cancelled) and ``join`` gives the Fraction
-view back, one Fraction per nonzero term.  ``extend_scaled`` is the
-linear extension of a memoized monomial (or tensor-key) map from scaled
-form to scaled form.  ``scaled_equal`` compares two scaled forms exactly
-without a Fraction.  ``Scaled``, the base of both element classes, owns
-their linear structure: sums, differences, negation, truth value and the
-one scalar multiple.  Public coefficients (``Element.terms``,
-``TensorElement.terms``, solver results) are Fractions: ``terms`` is a
-view joined on first read and cached.  Memo tables hold the ``compact``
-form, int where integral.
+Scaled form (FLINT's fmpq_poly representation): ``Element``,
+``TensorElement`` and every memo table of a structure map keep
+coefficients as ``(nums, den)``, int numerators with no zero over one
+positive denominator, in lowest terms, and use int arithmetic only:
+``combine``, the one multiply-add loop, first brings the values it adds
+to the lcm of their denominators (the common-denominator rule).
+``Scaled`` owns the linear structure of both element classes.  Public
+coefficients (``terms``, solver results) are Fractions, joined on first
+read; a reader that needs Fractions from a memo table joins there.
 
 Vectors are sparse dicts {column index: Fraction}.  Pivot choice is fixed
 once and for all (columns in ascending order; among candidate rows the one
@@ -54,7 +47,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 Vector = dict  # {key: Fraction}, no explicit zeros
-_INT = frozenset((int,))
 
 
 def as_fraction(x) -> Fraction:
@@ -123,10 +115,48 @@ def split(terms: dict) -> tuple[dict, int]:
             for k, v in terms.items()}, den
 
 
-def accumulate(target: dict, source: dict, factor: int) -> None:
-    """target += factor * source; zeros stay until rescale, join or compact."""
-    for k, v in source.items():
-        target[k] = target.get(k, 0) + factor * v
+def combine(images: list, den: int) -> tuple[dict, int]:
+    """Scaled form of (sum of n * nums / d over images (n, (nums, d))) / den,
+    every nums brought to the lcm of the d first (a single image is only
+    scaled, and kept as it is when n is 1)."""
+    if len(images) == 1:
+        n, (nums, d) = images[0]
+        return rescale(nums if n == 1 else {k: n * v for k, v in nums.items()},
+                       den * d)
+    common = lcm(*{d for _, (_, d) in images})
+    out: dict = {}
+    get = out.get
+    for n, (nums, d) in images:
+        if d != common:
+            n *= common // d
+        for k, v in nums.items():
+            out[k] = get(k, 0) + n * v
+    return rescale(out, den * common)
+
+
+def accumulate_legs(groups_a: dict, groups_b: dict, tables: list) -> dict:
+    """Int sums of a product leg by leg on packed int keys: each side's
+    terms (numerator, id in the last leg) grouped by their ids in the
+    other legs, and for ids (i, j) leg k adds an entry of tables[k][i][j],
+    (offset, numerator), to the key and the product; zeros stay."""
+    *heads, last = tables
+    out: dict = {}
+    get = out.get
+    for ia, group_a in groups_a.items():
+        for ib, group_b in groups_b.items():
+            partial = [(0, 1)]
+            for table, i, j in zip(heads, ia, ib):
+                partial = [(p + o, f * n) for p, f in partial
+                           for o, n in table[i][j]]
+            for base, f in partial:
+                for c1, i in group_a:
+                    products, c1 = last[i], c1 * f
+                    for c2, j in group_b:
+                        c = c1 * c2
+                        for o, n in products[j]:
+                            k = base + o
+                            out[k] = get(k, 0) + c * n
+    return out
 
 
 class Scaled:
@@ -152,37 +182,26 @@ class Scaled:
         return bool(self.scaled[0])
 
     def __add__(self, other):
-        return self._like(*scaled_sum(self.scaled, self._coerce(other).scaled))
+        return self._like(*combine(
+            [(1, self.scaled), (1, self._coerce(other).scaled)], 1))
 
     def __sub__(self, other):
-        return self._like(*scaled_sum(self.scaled, self._coerce(other).scaled,
-                                      -1))
+        return self._like(*combine(
+            [(1, self.scaled), (-1, self._coerce(other).scaled)], 1))
 
     def __neg__(self):
-        nums, den = self.scaled
-        return self._like({k: -n for k, n in nums.items()}, den)
+        return self._like(*combine([(-1, self.scaled)], 1))
 
     def scale(self, c):
         """c * self for an exact rational c."""
         c = as_fraction(c)
-        nums, den = self.scaled
-        return self._like(*rescale({k: n * c.numerator for k, n in nums.items()},
-                                   den * c.denominator))
+        return self._like(*combine([(c.numerator, self.scaled)], c.denominator))
 
 
 def rescale(sums: dict, den: int) -> tuple[dict, int]:
-    """Scaled form of sums / den: zeros dropped, no factor common to the
-    denominator and every numerator.
-
-    Sums may be Fractions, where a memo value was not integral; they are
-    brought to ints over the lcm of their denominators, with no Fraction
-    built.
-    """
-    nums = {k: v for k, v in sums.items() if v}
-    if not set(map(type, nums.values())) <= _INT:
-        q = lcm(*{v.denominator for v in nums.values()})
-        nums = {k: v.numerator * (q // v.denominator) for k, v in nums.items()}
-        den *= q
+    """Scaled form of the int sums / den: zeros dropped, common factors
+    cancelled; sums is not modified, and kept when nothing changes."""
+    nums = sums if all(sums.values()) else {k: v for k, v in sums.items() if v}
     if den != 1:
         g = gcd(den, *nums.values())
         if g != 1:
@@ -199,24 +218,9 @@ def join(nums: dict, den: int) -> dict:
 
 
 def extend_scaled(nums: dict, den: int, mono_map) -> tuple[dict, int]:
-    """Linear extension on scaled form: sum of n * mono_map(key) / den.
-
-    mono_map values may mix int and Fraction (the ``compact`` form).
-    """
-    out: dict = {}
-    for key, n in nums.items():
-        accumulate(out, mono_map(key), n)
-    return rescale(out, den)
-
-
-def scaled_sum(a: tuple[dict, int], b: tuple[dict, int],
-               factor: int = 1) -> tuple[dict, int]:
-    """a + factor * b for scaled forms a and b."""
-    (na, da), (nb, db) = a, b
-    den = lcm(da, db)
-    out = dict(na) if den == da else {k: v * (den // da) for k, v in na.items()}
-    accumulate(out, nb, factor * (den // db))
-    return rescale(out, den)
+    """Linear extension on scaled form: sum of n * mono_map(key) / den,
+    mono_map returning scaled pairs (memo entries)."""
+    return combine([(n, mono_map(key)) for key, n in nums.items()], den)
 
 
 def scaled_equal(a: tuple[dict, int], b: tuple[dict, int]) -> bool:
@@ -226,16 +230,6 @@ def scaled_equal(a: tuple[dict, int], b: tuple[dict, int]) -> bool:
         return na == nb
     return na.keys() == nb.keys() and all(
         n * db == nb[k] * da for k, n in na.items())
-
-
-def compact(terms: dict, den: int = 1) -> dict:
-    """Memo-table form of terms / den: zeros dropped, integral
-    coefficients as int (terms are ints when den is not 1)."""
-    if den == 1:
-        return {k: v.numerator if v.denominator == 1 else v
-                for k, v in terms.items() if v}
-    return {k: v // den if not v % den else Fraction(v, den)
-            for k, v in terms.items() if v}
 
 
 def _pivot_size(value: Fraction) -> int:

@@ -47,17 +47,17 @@ class Character:
         return memo_peel(self._mono_values, mono, False, lambda: ONE,
                          lambda k, rest: self.values.get(k, ZERO) * rest)
 
-    def winding_image(self, mono: Monomial, side: str) -> dict:
-        """Host winding of a monomial, memoized per side in the
-        linalg.compact form: chi on the first legs of Delta(m) (side
-        'left') or on the second legs (side 'right')."""
+    def winding_image(self, mono: Monomial, side: str) -> tuple[dict, int]:
+        """Host winding of a monomial, memoized per side in scaled form:
+        chi on the first legs of Delta(m) (side 'left') or on the second
+        legs (side 'right')."""
         memo = self._windings[side]
         cached = memo.get(mono)
         if cached is None:
             keep = 1 if side == "left" else 0  # the leg that is not evaluated
-            cached = memo[mono] = linalg.compact(*linalg.extend_scaled(
-                *linalg.split(self.target._coproduct.monomial(mono)),
-                lambda key: {key[keep]: self.monomial_value(key[1 - keep])}))
+            cached = memo[mono] = linalg.extend_scaled(
+                *self.target._coproduct.monomial(mono), lambda key: linalg.split(
+                    {key[keep]: self.monomial_value(key[1 - keep])}))
         return cached
 
     def __call__(self, x: Element) -> Fraction:
@@ -77,8 +77,8 @@ class Character:
 
 def character(target, values) -> Character:
     """Build and verify a character from {generator: value}."""
-    pres = target.presentation
-    table = {pres.index(g): as_fraction(v) for g, v in values.items()}
+    table = {i: as_fraction(v)
+             for i, v in target.presentation.indexed(values).items()}
     chi = Character(target, table)
     verify_character(chi)
     return chi
@@ -169,8 +169,8 @@ class GeneratorAutomorphism(GeneratorMap):
 
     def __init__(self, target, images: dict):
         pres = target.presentation
-        images = {pres.index(g): img if isinstance(img, Element)
-                  else pres.element(img) for g, img in images.items()}
+        images = {i: img if isinstance(img, Element) else pres.element(img)
+                  for i, img in pres.indexed(images).items()}
         for i in range(pres.ngens):
             if i not in images:
                 raise ValueError(f"missing image for generator {pres.names[i]}")

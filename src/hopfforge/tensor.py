@@ -9,14 +9,14 @@ coproducts of unbounded depth uniform.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Callable, Mapping
 
 from .algebra import (Element, Monomial, Presentation,
                       PresentationMismatchError, as_fraction, format_linear,
                       format_monomial)
-from .linalg import (ONE, Scaled, accumulate, add_term, extend_scaled,
-                     rescale, scaled_equal, split)
+from .linalg import (Scaled, accumulate_legs, add_term, combine,
+                     extend_scaled, rescale, scaled_equal, split)
 
 TensorKey = tuple  # tuple of Monomials, length = arity
 
@@ -102,19 +102,19 @@ class TensorElement(Scaled):
         f maps Element -> Element or Element -> TensorElement; in the
         tensor-valued case the result arity grows accordingly.  All other
         legs are untouched.  f is called once per distinct monomial in
-        that leg.
+        that leg, and each image term is spliced into that group of keys.
         """
         if not 1 <= leg <= self.arity:
             raise ValueError(f"leg {leg} out of range for arity {self.arity}")
         pos = leg - 1
-        images: dict[Monomial, tuple[dict, int]] = {}  # leg monomial -> image
-        grown = None
+        groups: dict[Monomial, list] = {}  # leg monomial -> [(before, after, n)]
         nums, den = self.scaled
-        for key in nums:
-            mono = key[pos]
-            if mono in images:
-                continue
-            image = f(Element(self.algebra, {mono: ONE}))
+        for key, n in nums.items():
+            groups.setdefault(key[pos], []).append((key[:pos], key[pos + 1:], n))
+        images: list = []
+        grown = None
+        for mono, group in groups.items():
+            image = f(Element.from_scaled(self.algebra, {mono: 1}, 1))
             if isinstance(image, Element):
                 pieces, d = image.scaled
                 pieces, arity = {(m,): c for m, c in pieces.items()}, 1
@@ -126,21 +126,15 @@ class TensorElement(Scaled):
                 grown = arity - 1
             elif grown != arity - 1:
                 raise ValueError("leg map returned inconsistent arities")
-            images[mono] = pieces, d
+            images += [(c, ({before + mid + after: n
+                             for before, after, n in group}, d))
+                       for mid, c in pieces.items()]
         if grown is None:
             # zero tensor: probe f on zero to learn the target arity
             probe = f(self.algebra.zero())
             grown = probe.arity - 1 if isinstance(probe, TensorElement) else 0
-        # every image as int numerators over the lcm of their denominators
-        common = lcm(*(d for _, d in images.values()))
-        images = {mono: pieces if d == common else
-                  {mid: c * (common // d) for mid, c in pieces.items()}
-                  for mono, (pieces, d) in images.items()}
-        return TensorElement.from_scaled(
-            self.algebra, self.arity + grown, *extend_scaled(
-                nums, den * common,
-                lambda key: {key[:pos] + mid + key[pos + 1:]: c
-                             for mid, c in images[key[pos]].items()}))
+        return TensorElement.from_scaled(self.algebra, self.arity + grown,
+                                         *combine(images, den))
 
     def leg_cofactors(self, leg: int) -> list[tuple[Monomial, Element]]:
         """Group terms by the monomial in position ``leg`` (1-based).
@@ -187,24 +181,46 @@ def tensor_product(*factors: Element) -> TensorElement:
 
 
 def tensor_multiply(s: TensorElement, t: TensorElement) -> TensorElement:
-    """Componentwise product: (a1@...@ak) * (b1@...@bk) = a1*b1 @ ... @ ak*bk."""
+    """Componentwise product: (a1@...@ak) * (b1@...@bk) = a1*b1 @ ... @ ak*bk,
+    one product lookup per leg and pair of distinct leg monomials, summed
+    on int keys: the output leg ids in mixed radix (radix: id counts)."""
     s._coerce(t)
     product = s.algebra.product_terms
-    a, da = s.scaled
-    b, db = t.scaled
-    out: dict[TensorKey, int] = {}
-    for key1, c1 in a.items():
-        for key2, c2 in b.items():
-            # expand the componentwise products leg by leg
-            partial: dict = {(): 1}
-            for m1, m2 in zip(key1, key2):
-                prod = product(m1, m2)
-                partial = {key + (m,): c * pc
-                           for key, c in partial.items() for m, pc in prod.items()}
-                if not partial:
-                    break
-            accumulate(out, partial, c1 * c2)
-    return TensorElement.from_scaled(s.algebra, s.arity, *rescale(out, da * db))
+    (a, da), (b, db) = s.scaled, t.scaled
+    (ids_a, groups_a), (ids_b, groups_b) = _legs(a, s.arity), _legs(b, s.arity)
+    tables, outputs, dens = [], [], []
+    radix = 1
+    for lefts, rights in zip(ids_a, ids_b):
+        products = [[product(m1, m2) for m2 in rights] for m1 in lefts]
+        den = lcm(*{d for row in products for _, d in row})
+        ids: dict[Monomial, int] = {}  # output monomial -> its id
+        tables.append([[[(ids.setdefault(m, len(ids)) * radix, n * (den // d))
+                         for m, n in nums.items()] for nums, d in row]
+                       for row in products])
+        outputs.append(list(ids))
+        dens.append(den)
+        radix *= len(ids)
+    nums, den = rescale(accumulate_legs(groups_a, groups_b, tables),
+                        da * db * prod(dens))
+    out = {}
+    for p, n in nums.items():
+        key = []
+        for monos in outputs:
+            p, r = divmod(p, len(monos))
+            key.append(monos[r])
+        out[tuple(key)] = n
+    return TensorElement.from_scaled(s.algebra, s.arity, out, den)
+
+
+def _legs(terms: dict, arity: int) -> tuple[list, dict]:
+    """Per leg {monomial: id} of the keys' monomials there, and the terms
+    (numerator, last leg id) grouped by their ids in the other legs."""
+    ids: list[dict] = [{} for _ in range(arity)]
+    groups: dict[tuple, list] = {}
+    for key, c in terms.items():
+        legs = [leg.setdefault(m, len(leg)) for leg, m in zip(ids, key)]
+        groups.setdefault(tuple(legs[:-1]), []).append((c, legs[-1]))
+    return ids, groups
 
 
 def contract(t: TensorElement) -> Element:

@@ -25,7 +25,7 @@ def truncated_filtration_check(H, truncation: int) -> bool:
         expected = 0
         rows: dict = {}
         for col, mono in enumerate(monomials):
-            terms = H._reduced_iterate_monomial(mono, n)
+            terms = linalg.join(*H._reduced_iterate_monomial(mono, n))
             if weights[col] <= n:
                 expected += 1
                 if terms:

@@ -340,3 +340,16 @@ def test_maps_on_generators_extend_only_in_generator_map():
     assert not offenders, \
         "extend maps given on generators with algebra.GeneratorMap:\n" + \
         "\n".join(offenders)
+
+
+def test_a_second_key_for_one_generator_pair_is_rejected():
+    with pytest.raises(ValueError, match="generator Y,X is given twice"):
+        Presentation([("X", 1), ("Y", 1)],
+                     {("Y", "X"): {(1, 0): -1}, (1, 0): {}})
+    with pytest.raises(ValueError, match="generator Y,X is given twice"):
+        Presentation([("X", 1), ("Y", 1)], {(1, "X"): {}, ("Y", 0): {}})
+    pres = Presentation([("X", 1), ("Y", 1)], {(1, "X"): {(1, 0): -1}})
+    assert pres.table == {(1, 0): {(1, 0): -1}}
+    assert pres.indexed({"Y": "a", 0: "b"}) == {1: "a", 0: "b"}
+    with pytest.raises(ValueError, match="generator X is given twice"):
+        pres.indexed({"X": 1, 0: 2})

@@ -333,3 +333,12 @@ def test_one_subalgebra_object_and_one_target_protocol():
     assert not offenders, "\n".join(offenders)
     assert owners["isinstance(target, SubalgebraSpec)"] == {"nakayama.py:winding"}
     assert owners["isinstance(g, int)"] == {"algebra.py:Presentation._resolve"}
+
+
+def test_a_second_embedding_key_for_one_generator_is_rejected():
+    H = catalog.build_b_lambda(1)
+    X, Y = H.gen("X"), H.gen("Y")
+    with pytest.raises(ValueError, match="generator Y is given twice"):
+        register_subalgebra(H, "T", [("Y", 1)], {}, {0: X, "Y": Y}, "hopf")
+    with pytest.raises(ValueError, match="generator Y is given twice"):
+        register_subalgebra(H, "T", [("Y", 1)], {}, {"Y": Y, 0: X}, "hopf")

@@ -382,3 +382,19 @@ def test_structure_maps_on_powers_beyond_the_recursion_limit():
         sys.setrecursionlimit(limit)
     assert delta.terms == {((k,), (m - k,)): F(comb(m, k))
                            for k in range(m + 1)}
+
+
+def test_a_second_key_for_one_generator_is_rejected_in_the_hopf_data():
+    pres = Presentation([("X", 1), ("Y", 1)])
+    X, Y = pres.gen("X"), pres.gen("Y")
+    prim = {g: tp(pres.one(), pres.gen(g)) + tp(pres.gen(g), pres.one())
+            for g in "XY"}
+    with pytest.raises(ValueError, match="generator X is given twice"):
+        PresentedHopfAlgebra(pres, {**prim, 0: 2 * prim["X"]})
+    H = PresentedHopfAlgebra(pres, {0: prim["X"], 1: prim["Y"]})
+    assert H.certify_presentation().passed
+    assert H.coproduct(X) == prim["X"]
+    with pytest.raises(ValueError, match="generator Y is given twice"):
+        H.attach_antipode({"X": -X, "Y": -Y, 1: Y})
+    H.attach_antipode({0: -X, "Y": -Y})
+    assert H.antipode(X * Y) == Y * X

@@ -1,27 +1,36 @@
 """The integer-numerator structure maps against their Fraction definitions.
 
-B(-2/3) and B(1/2) have non-integral structure constants, so their memo
-tables mix int and Fraction entries; E(2,-1,1,3) and U(heisenberg) are
-integral.  Element coefficients are seeded rationals with denominators.
+Memo tables hold scaled pairs (int numerators, denominator); B(-2/3) and
+B(1/2) have non-integral structure constants, so some of their entries
+have a denominator above 1, and every kernel brings the values it reads
+to one common denominator before its int loop; E(2,-1,1,3) and
+U(heisenberg) are integral.  O(U_5) has ten generators.  Element
+coefficients are seeded rationals with denominators.
 Characters, windings and generator automorphisms are checked against
 their term-by-term definitions with seeded characters that kill the
 relations: on B only X is nonzero, on E(a,b,l1,l2) X = 0 and
 W = a*Z + l2*Y, on U(heisenberg) Z = 0.
 """
 
+import ast
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfforge import catalog, linalg
 from hopfforge.algebra import Element, Presentation
+from hopfforge.grading import certify
+from hopfforge.linalg import vec_add_scaled
 from hopfforge.hopf import PresentedHopfAlgebra, antipode_eigenbasis
 from hopfforge.lantern import lantern
 from hopfforge.nakayama import GeneratorAutomorphism, character, winding
-from hopfforge.tensor import contract, tensor_multiply
+from hopfforge.tensor import (TensorElement, contract, tensor_multiply,
+                              tensor_product)
 
 from oracles import (antipode_by_fractions, apply_to_leg_by_fractions,
                      automorphism_by_products, character_by_powers,
@@ -29,6 +38,7 @@ from oracles import (antipode_by_fractions, apply_to_leg_by_fractions,
                      product_by_fractions, tensor_multiply_by_fractions,
                      winding_by_powers)
 from suites import random_element
+from test_grading import _unitriangular
 
 HOSTS = [
     pytest.param(lambda: catalog.build_b_lambda(Fraction(-2, 3)), id="B(-2/3)"),
@@ -37,6 +47,17 @@ HOSTS = [
     pytest.param(lambda: catalog.build_enveloping_preset("heisenberg"),
                  id="U(heisenberg)"),
 ]
+
+
+
+def _unitriangular_5():
+    H = _unitriangular(5)
+    assert certify(H, 4).passed
+    return H
+
+
+# the four hosts above and O(U_5), ten generators
+KERNEL_HOSTS = HOSTS + [pytest.param(_unitriangular_5, id="O(U_5)")]
 
 # generator values of a character on each host, from a draw of seeded
 # rationals
@@ -100,6 +121,68 @@ def test_monomial_maps_match_term_by_term_definitions(make):
             assert _is_fraction_dict(image.terms)
 
 
+def _iterated(H, x, arity):
+    """The iterated coproduct of x with the given number of legs (arity 1
+    is x itself, as a tensor)."""
+    if arity == 1:
+        return tensor_product(x)
+    t = H.coproduct(x)
+    for leg in range(1, arity - 1):
+        t = t.apply_to_leg(leg, H.coproduct)
+    return t
+
+
+@pytest.mark.parametrize("make", KERNEL_HOSTS)
+def test_tensor_multiply_matches_fractions_at_every_arity(make):
+    H = make()
+    pres = H.presentation
+    for a, b in _pairs(H, 80, count=3):
+        for arity in (1, 2, 3):
+            s, t = _iterated(H, a, arity), _iterated(H, b, arity)
+            product = tensor_multiply(s, t)
+            assert product == tensor_multiply_by_fractions(s, t)
+            assert product == _iterated(H, a * b, arity)
+            zero = TensorElement.zero(pres, arity)
+            assert not tensor_multiply(s, zero)
+            assert not tensor_multiply(zero, t)
+            assert tensor_multiply(zero, s).arity == arity
+
+
+@pytest.mark.parametrize("make", KERNEL_HOSTS)
+def test_apply_to_leg_matches_fractions_on_every_leg(make):
+    H = make()
+    for a, _ in _pairs(H, 81, count=2):
+        t = _iterated(H, a, 3)
+        for leg in (1, 2, 3):
+            for f in (H.coproduct, H.antipode):
+                out = t.apply_to_leg(leg, f)
+                assert out == apply_to_leg_by_fractions(t, leg, f)
+                assert out.arity == (4 if f == H.coproduct else 3)
+
+
+def test_tensor_multiply_looks_up_each_leg_product_once(monkeypatch):
+    H = catalog.build_b_lambda(Fraction(1, 2))
+    pres = H.presentation
+    a, b = _pairs(H, 82, count=1)[0]
+    calls = []
+    product_terms = pres.product_terms
+    monkeypatch.setattr(pres, "product_terms",
+                        lambda m1, m2: calls.append((m1, m2))
+                        or product_terms(m1, m2))
+    for arity in (2, 3):
+        s, t = _iterated(H, a, arity), _iterated(H, b, arity)
+        del calls[:]
+        tensor_multiply(s, t)
+        legs = [{(k1[pos], k2[pos]) for k1 in s.terms for k2 in t.terms}
+                for pos in range(arity)]
+        assert len(calls) == sum(len(pairs) for pairs in legs)
+        # a lookup per leg of every pair of keys would make this many
+        assert len(calls) < arity * len(s.terms) * len(t.terms)
+        counts = Counter(calls)
+        assert all(n <= sum(pair in pairs for pairs in legs)
+                   for pair, n in counts.items())
+
+
 def test_apply_to_leg_calls_its_map_once_per_leg_monomial():
     H = catalog.build_b_lambda(Fraction(1, 2))
     X, Y, Z = (H.gen(g) for g in "XYZ")
@@ -141,23 +224,72 @@ def test_public_coefficients_are_fractions(make):
                for b, _ in antipode_eigenbasis(H, 3))
     monomials = pres.monomials_up_to(2)
     index = {m: i for i, m in enumerate(monomials)}
-    columns = [{index[mm]: c for mm, c in H._antipode.monomial(m).items()}
+    columns = [{index[mm]: c for mm, c in
+                linalg.join(*H._antipode.monomial(m)).items()}
                for m in monomials]
     coeffs = linalg.LinearSolver(columns).solve(columns[-1])
     assert coeffs[-1] == 1 and all(type(c) is Fraction for c in coeffs)
 
 
-def test_memo_tables_keep_integral_coefficients_as_int():
-    H = catalog.build_b_lambda(Fraction(-2, 3))
-    H.iterated_reduced_coproduct(H.gen("Z") * H.gen("Z"), 2)
-    entries = [c for table in (H._coprod_mono,
-                               H._reduced_iter, H._antipode_mono,
-                               H.presentation._prod_cache)
-               for terms in table.values() for c in terms.values()]
-    assert any(type(c) is int for c in entries)
-    assert any(type(c) is Fraction for c in entries)
-    assert all(type(c) is int or c.denominator != 1 for c in entries)
-    assert all(c for c in entries)
+def _is_scaled_pair(value) -> bool:
+    """A pair (int numerators with no zero, int denominator >= 1), in
+    lowest terms."""
+    if type(value) is not tuple or len(value) != 2:
+        return False
+    nums, den = value
+    return (type(nums) is dict and type(den) is int and den >= 1
+            and all(type(n) is int and n for n in nums.values())
+            and gcd(den, *nums.values()) == 1)
+
+
+@pytest.mark.parametrize("lam", [Fraction(-2, 3), Fraction(1, 2)],
+                         ids=["B(-2/3)", "B(1/2)"])
+def test_memo_tables_hold_scaled_pairs(lam):
+    H = catalog.build_b_lambda(lam)
+    pres = H.presentation
+    X, Y, Z = (H.gen(g) for g in "XYZ")
+    x = Z * Z * Y + Fraction(1, 3) * Z * X
+    H.iterated_reduced_coproduct(x, 2)
+    H.antipode(x)
+    chi = character(H, {"X": Fraction(-3, 2)})
+    for side in ("left", "right"):
+        winding(chi, x, side)
+    phi = GeneratorAutomorphism(H, {"X": X + Fraction(1, 2) * Y, "Y": Y,
+                                    "Z": Z + Fraction(1, 5) * Y})
+    phi.apply(x * x)
+    tables = [H._coprod_mono, H._reduced_iter, H._antipode_mono,
+              pres._prod_cache, chi._windings["left"], chi._windings["right"],
+              phi.memo]
+    assert all(tables)
+    entries = [v for table in tables for v in table.values()]
+    assert all(_is_scaled_pair(v) for v in entries)
+    assert any(den > 1 for _, den in entries)
+    # each entry is the Fraction image the map defines
+    mono = max(pres.monomials_of_weight(4), key=pres.monomial_key)
+    assert linalg.join(*H._coproduct.monomial(mono)) == \
+        coproduct_by_fractions(H, pres.monomial(mono)).terms
+    assert linalg.join(*phi.monomial(mono)) == \
+        automorphism_by_products(phi, pres.monomial(mono)).terms
+
+
+def test_extend_scaled_brings_unequal_denominators_together():
+    for seed in range(20):
+        rng = random.Random(seed)
+
+        def draw():
+            return {k: c for k in rng.sample(range(5), rng.randint(0, 3))
+                    if (c := Fraction(rng.randint(-6, 6),
+                                      rng.choice((1, 2, 3, 4, 9))))}
+        terms = draw()
+        table = {k: linalg.split(draw()) for k in range(5)}
+        expect: dict = {}
+        for key, c in terms.items():
+            vec_add_scaled(expect, linalg.join(*table[key]), c)
+        nums, den = linalg.extend_scaled(*linalg.split(terms),
+                                         table.__getitem__)
+        assert _is_scaled_pair((nums, den))
+        assert linalg.join(nums, den) == expect
+    assert len({d for _, d in table.values()}) > 1
 
 
 def test_split_join_round_trip():
@@ -165,15 +297,21 @@ def test_split_join_round_trip():
     nums, den = linalg.split(terms)
     assert den == 6 and nums == {0: 3, 1: -4, 2: 30}
     assert all(type(n) is int for n in nums.values())
-    linalg.accumulate(nums, {0: 1, 3: Fraction(1, 2)}, -3)
+    nums, den = linalg.combine([(1, (nums, 1)), (-3, ({0: 2, 3: 1}, 2))], den)
     assert linalg.join(nums, den) == {1: Fraction(-2, 3), 2: 5,
                                       3: Fraction(-1, 4)}
-    assert linalg.compact({0: Fraction(4, 2), 1: Fraction(1, 2), 2: 0}) \
-        == {0: 2, 1: Fraction(1, 2)}
+    # the memo form: zeros dropped, lowest terms, ints only
+    assert linalg.split({0: Fraction(4, 2), 1: Fraction(1, 2)}) \
+        == ({0: 4, 1: 1}, 2)
+    assert linalg.rescale({0: 8, 1: 2, 2: 0}, 4) == ({0: 4, 1: 1}, 2)
+    assert linalg.rescale({0: 4, 1: -2, 2: 0}, 2) == ({0: 2, 1: -1}, 1)
+    assert linalg.rescale({0: 0}, 6) == ({}, 1)
 
 
 def _extend(terms, mono_map):
-    return linalg.join(*linalg.extend_scaled(*linalg.split(terms), mono_map))
+    """extend_scaled on the scaled forms of terms and of the map values."""
+    return linalg.join(*linalg.extend_scaled(
+        *linalg.split(terms), lambda key: linalg.split(mono_map(key))))
 
 
 def test_extend_is_the_linear_extension():
@@ -303,3 +441,40 @@ def test_host_winding_builds_no_coproduct(make, monkeypatch):
                 wound = winding(chi, x, side)
                 assert not calls
                 assert wound == winding_by_powers(chi, x, side)
+
+
+# -- static guard -------------------------------------------------------------
+
+_SRC = Path(__file__).parent.parent / "src" / "hopfforge"
+_TENSOR_KERNELS = ("tensor_multiply", "contract", "apply_to_leg", "_legs")
+# names that build or convert to Fractions, and the constructors that
+# split a Fraction dict
+_FRACTION_NAMES = {"Fraction", "ONE", "ZERO", "as_fraction", "split", "join"}
+_FRACTION_CONSTRUCTORS = {"Element", "TensorElement"}
+
+
+def test_structure_map_kernels_stay_on_ints():
+    offenders = [f"{path.name}:{lineno}"
+                 for path in sorted(_SRC.glob("*.py"))
+                 for lineno, line in enumerate(path.read_text().splitlines(), 1)
+                 if "compact(" in line]
+    kernels = {node.name: node for node in ast.walk(
+        ast.parse((_SRC / "tensor.py").read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name in _TENSOR_KERNELS}
+    assert set(kernels) == set(_TENSOR_KERNELS)
+    for name, fn in kernels.items():
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and node.id in _FRACTION_NAMES:
+                offenders.append(f"tensor.{name}: {node.id}")
+            elif isinstance(node, ast.Attribute) and node.attr == "terms":
+                offenders.append(f"tensor.{name}: .terms")
+            elif isinstance(node, ast.Call) and getattr(
+                    node.func, "id", None) in _FRACTION_CONSTRUCTORS:
+                offenders.append(f"tensor.{name}: {node.func.id}(...)")
+    # one algorithm for every arity: tensor_multiply does not branch
+    offenders += [f"tensor.tensor_multiply: {type(node).__name__}"
+                  for node in ast.walk(kernels["tensor_multiply"])
+                  if isinstance(node, (ast.If, ast.IfExp, ast.Compare,
+                                       ast.Match))]
+    assert not offenders, "structure-map kernels must run on ints:\n" + \
+        "\n".join(offenders)

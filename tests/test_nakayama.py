@@ -262,3 +262,15 @@ def test_host_answers_as_its_own_full_subalgebra(build, values, integral):
         nu_full = nakayama_automorphism(full, chi_full)
         assert ({i: e.terms for i, e in nu_h.images.items()}
                 == {i: e.terms for i, e in nu_full.images.items()})
+
+
+def test_a_second_key_for_one_generator_is_rejected():
+    H = catalog.build_b_lambda(1)
+    X, Y, Z = (H.gen(g) for g in "XYZ")
+    with pytest.raises(ValueError, match="generator X is given twice"):
+        character(H, {"X": 1, 0: 2})
+    assert character(H, {0: 2}).values == {0: 2}
+    with pytest.raises(ValueError, match="generator X is given twice"):
+        GeneratorAutomorphism(H, {"X": X, 0: 2 * X, "Y": Y, "Z": Z})
+    phi = GeneratorAutomorphism(H, {0: X, "Y": Y, "Z": Z})
+    assert phi.apply(Z * X) == Z * X
