@@ -25,13 +25,27 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .linalg import (ONE, ZERO, Scaled, add_term, as_fraction, combine,
                      extend_scaled, scaled_equal, split, vec_add_scaled)
 from .report import Report
 
 Monomial = tuple  # exponent vector over the presentation's generators
+
+MONO_ID_BITS = 32  # a monomial id fits one leg of a packed tensor key
+
+
+class _MonomialIds(dict):
+    """{monomial: id}, numbering a monomial on its first lookup (appended
+    to ``monos``); an id of more than MONO_ID_BITS bits is refused."""
+
+    def __missing__(self, mono: Monomial) -> int:
+        if len(self) >> MONO_ID_BITS:
+            raise OverflowError(f"more than 2^{MONO_ID_BITS} monomials")
+        self.monos.append(mono)
+        self[mono] = i = len(self)
+        return i
 
 
 class PresentationMismatchError(ValueError):
@@ -64,6 +78,9 @@ class Presentation:
         self.certificate: Report | None = None  # set by certify() once it passes
         self._prod_cache: dict[tuple[Monomial, Monomial], dict] = {}
         self._monomial_cache: dict[int, tuple[Monomial, ...]] = {}
+        ids = _MonomialIds()
+        ids.monos = self.monos = []  # id -> monomial
+        self.mono_id = ids.__getitem__  # monomial -> id, numbered on first use
 
     # -- basic queries -------------------------------------------------
 
@@ -94,9 +111,7 @@ class Presentation:
     def ngens(self) -> int:
         return len(self.names)
 
-    def index(self, g) -> int:
-        """The index of a generator name, or a range-checked int index."""
-        return self._resolve(g)
+    index = _resolve  # a generator name's index, or a range-checked int
 
     def indexed(self, mapping: Mapping) -> dict:
         """{index: value} of a {generator: value} mapping, or {(j, i):
@@ -339,18 +354,15 @@ class Element(Scaled):
         n = nums.get(tuple(mono))
         return ZERO if n is None else Fraction(n, den)
 
-    def iter_terms(self) -> Iterator[tuple[Monomial, Fraction]]:
-        """Terms in canonical (weight, lex) ascending order."""
-        for m in sorted(self.terms, key=self.algebra.monomial_key):
-            yield m, self.terms[m]
-
     def __repr__(self):
         return f"<{self}>"
 
     def __str__(self):
-        # leading (heaviest) term first for readability
-        return format_linear((c, format_monomial(self.algebra, m))
-                             for m, c in reversed(list(self.iter_terms())))
+        # leading (heaviest) term first, in (weight, lex) order
+        terms = self.terms
+        return format_linear((terms[m], format_monomial(self.algebra, m))
+                             for m in sorted(terms, reverse=True,
+                                             key=self.algebra.monomial_key))
 
 
 def format_linear(pairs) -> str:

@@ -68,19 +68,18 @@ def _parse_builtin(spec: str, truncation: int):
 
 def _builtin_sub(name: str, truncation: int, builtin: str) -> SubalgebraSpec:
     head, _, params = builtin.partition(":")
-    which, _, param = name.partition(":")
-    if head == "B":
-        lam = as_fraction(params or "0")
-        if which in ("L", "R"):
-            return catalog.build_b_coideal(lam, which, param or "inf", truncation)
-        if which == "g_alpha":
-            return catalog.build_b_coideal(lam, "g_alpha", param or "0", truncation)
-        if which == "g_inf":
-            return catalog.build_b_coideal(lam, "g_inf", truncation=truncation)
-    if head == "E" and which == "T":
+    which, colon, param = name.partition(":")
+    # the documented names, and whether each takes a parameter
+    forms = {"B": {"L": True, "R": True, "g_alpha": True, "g_inf": False},
+             "E": {"T": False}}.get(head, {})
+    if which not in forms or not bool(colon) == bool(param) == forms[which]:
+        raise _CliFailure(f"builtin {builtin!r} has no subalgebra {name!r} (use L:"
+                          "<beta|inf>, R:<beta|inf>, g_alpha:<a>, g_inf, T)",
+                          EXIT_PARSE)
+    if head == "E":
         return catalog.build_e_coideal(*_e_params(params), truncation=truncation)
-    raise _CliFailure(f"builtin {builtin!r} has no subalgebra {name!r}",
-                      EXIT_PARSE)
+    return catalog.build_b_coideal(as_fraction(params or "0"), which, param,
+                                   truncation)
 
 
 class _Session:
@@ -400,6 +399,9 @@ def run(argv) -> int:
     except HopfAlgebraError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CERTIFICATE
+    except (OverflowError, MemoryError):  # lists sized by the truncation
+        print(f"--truncation {args.truncation} is too large", file=sys.stderr)
+        return EXIT_PARSE
 
 
 

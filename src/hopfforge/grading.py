@@ -186,7 +186,7 @@ def certify_filtration(H: PresentedHopfAlgebra, truncation: int | None = None
                     "is not its coradical degree")
         kernel = linalg.kernel(
             {m: _leading_terms(
-                pres, linalg.join(*H._reduced_iterate_monomial(m, 1)), d)
+                pres, H.reduced_coproduct(pres.monomial(m)).terms, d)
              for m in pres.monomials_of_weight(d)})
         if not kernel:  # excluded by the bialgebra axioms checked above
             raise HopfAlgebraError(f"no primitive leading symbol at degree {d}"
@@ -263,7 +263,7 @@ def hilbert_divides(sub: Signature, full: Signature) -> Signature | None:
 def _leading_terms(pres, terms: dict, d: int) -> dict:
     """The terms m@m' of an arity-2 tensor with weight(m) + weight(m') = d."""
     mw = pres.monomial_weight
-    return {key: c for key, c in terms.items() if mw(key[0]) + mw(key[1]) == d}
+    return {(a, b): c for (a, b), c in terms.items() if mw(a) + mw(b) == d}
 
 
 def graded_coproduct_leading(H: PresentedHopfAlgebra, gen) -> TensorElement:

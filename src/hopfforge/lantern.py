@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING
 from . import linalg
 from .hopf import HopfAlgebraError, PresentedHopfAlgebra
 from .report import Report
+from .tensor import TensorElement
 
 if TYPE_CHECKING:  # grading imports this module
     from .grading import Signature
@@ -94,7 +95,8 @@ def _extract_lantern(H: PresentedHopfAlgebra) -> tuple[GradedLieAlgebra, Report]
     index = {tuple(1 if k == i else 0 for k in range(n)): i for i in range(n)}
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for mono, e in index.items():
-        for (m1, m2), c in linalg.join(*H._coproduct.monomial(mono)).items():
+        for (m1, m2), c in TensorElement.from_scaled(
+                pres, 2, *H._coproduct.monomial(mono)).terms.items():
             a, b = index.get(m1), index.get(m2)
             # leading generator@generator terms; g_a@g_b pairs to [u_a, u_b]
             if None not in (a, b) and a != b and w[a] + w[b] == w[e]:

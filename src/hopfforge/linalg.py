@@ -2,19 +2,17 @@
 rationals with deterministic pivoting.
 
 Every coefficient dict in the package -- ``Element`` and ``TensorElement``
-terms, solver vectors, memo tables -- stores no zero coefficient.
-``add_term``, ``vec_add_scaled`` and the integer seam are the one place
-that keeps that invariant: no other module adds into a sparse dict by hand.
+terms, solver vectors, memo tables -- stores no zero coefficient, and
+only ``add_term``, ``vec_add_scaled`` and the integer seam add into one.
 
-Scaled form (FLINT's fmpq_poly representation): ``Element``,
-``TensorElement`` and every memo table of a structure map keep
-coefficients as ``(nums, den)``, int numerators with no zero over one
-positive denominator, in lowest terms, and use int arithmetic only:
-``combine``, the one multiply-add loop, first brings the values it adds
-to the lcm of their denominators (the common-denominator rule).
-``Scaled`` owns the linear structure of both element classes.  Public
-coefficients (``terms``, solver results) are Fractions, joined on first
-read; a reader that needs Fractions from a memo table joins there.
+Scaled form (FLINT's fmpq_poly layout): ``Element``, ``TensorElement``
+and the structure maps' memo tables keep ``(nums, den)``, int numerators
+with no zero over one positive denominator in lowest terms, keyed by
+monomial or by tensor's packed int key, and add ints only: ``combine``,
+the one multiply-add loop, first brings its values to the lcm of their
+denominators; ``accumulate_legs`` sums a tensor product on packed keys.
+``Scaled`` owns the linear structure of both classes; public
+coefficients (``terms``, solver results) are Fractions.
 
 Vectors are sparse dicts {column index: Fraction}.  Pivot choice is fixed
 once and for all (columns in ascending order; among candidate rows the one
@@ -134,29 +132,36 @@ def combine(images: list, den: int) -> tuple[dict, int]:
     return rescale(out, den * common)
 
 
-def accumulate_legs(groups_a: dict, groups_b: dict, tables: list) -> dict:
-    """Int sums of a product leg by leg on packed int keys: each side's
-    terms (numerator, id in the last leg) grouped by their ids in the
-    other legs, and for ids (i, j) leg k adds an entry of tables[k][i][j],
-    (offset, numerator), to the key and the product; zeros stay."""
+def accumulate_legs(groups_a: dict, groups_b: dict, tables: list, den: int,
+                    width: int) -> tuple[dict, int]:
+    """Scaled form over den of a product summed leg by leg on int keys of
+    one id per ``width`` bits, each side's terms (numerator, last leg id)
+    grouped by their other legs: each entry (offset, numerator) of leg k's
+    tables[k][i][j] = (d, entries) adds offset to the key, numerator / d."""
     *heads, last = tables
+    mask = (1 << width) - 1
+    common = lcm(*{d for table in tables for row in table.values()
+                   for d, _ in row.values()})
     out: dict = {}
     get = out.get
-    for ia, group_a in groups_a.items():
-        for ib, group_b in groups_b.items():
+    for ga, group_a in groups_a.items():
+        for gb, group_b in groups_b.items():
             partial = [(0, 1)]
-            for table, i, j in zip(heads, ia, ib):
-                partial = [(p + o, f * n) for p, f in partial
-                           for o, n in table[i][j]]
-            for base, f in partial:
+            for k, table in enumerate(heads):
+                d, entries = table[ga >> width * k & mask][gb >> width * k & mask]
+                f = common // d
+                partial = [(p + o, g * f * n) for p, g in partial
+                           for o, n in entries]
+            for base, g in partial:
                 for c1, i in group_a:
-                    products, c1 = last[i], c1 * f
+                    row, c1 = last[i], c1 * g
                     for c2, j in group_b:
-                        c = c1 * c2
-                        for o, n in products[j]:
+                        d, entries = row[j]
+                        c = c1 * c2 * (common // d)
+                        for o, n in entries:
                             k = base + o
                             out[k] = get(k, 0) + c * n
-    return out
+    return rescale(out, den * common ** len(tables))
 
 
 class Scaled:

@@ -21,6 +21,7 @@ from .algebra import (Element, GeneratorMap, Monomial, ONE, ZERO, as_fraction,
 from .coideal import SubalgebraSpec, is_hopf_subalgebra
 from .hopf import HopfAlgebraError
 from .report import Report
+from .tensor import LEG_BITS, LEG_MASK
 
 
 @dataclass
@@ -54,10 +55,12 @@ class Character:
         memo = self._windings[side]
         cached = memo.get(mono)
         if cached is None:
-            keep = 1 if side == "left" else 0  # the leg that is not evaluated
+            keep = LEG_BITS if side == "left" else 0  # shift of the kept leg
+            monos = self.target.presentation.monos
             cached = memo[mono] = linalg.extend_scaled(
                 *self.target._coproduct.monomial(mono), lambda key: linalg.split(
-                    {key[keep]: self.monomial_value(key[1 - keep])}))
+                    {monos[key >> keep & LEG_MASK]: self.monomial_value(
+                        monos[key >> LEG_BITS - keep & LEG_MASK])}))
         return cached
 
     def __call__(self, x: Element) -> Fraction:

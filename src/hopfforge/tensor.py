@@ -4,26 +4,46 @@ Tensor legs always store basis monomials, never nested elements: every
 map application immediately re-expands into the sparse basis form, so
 equality stays structural.  Arity is plain data, which keeps iterated
 coproducts of unbounded depth uniform.
+
+The scaled form and hopf's tensor-valued memo tables key a term by one
+packed int: leg k (from 0) holds its monomial's ``Presentation.mono_id``
+in bits [LEG_BITS*k, LEG_BITS*(k+1)).  ``terms``, ``leg_cofactors``,
+``__str__`` and ``from_terms`` show a key as a tuple of monomials.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
 from typing import Callable, Mapping
 
-from .algebra import (Element, Monomial, Presentation,
+from .algebra import (MONO_ID_BITS, Element, Monomial, Presentation,
                       PresentationMismatchError, as_fraction, format_linear,
                       format_monomial)
 from .linalg import (Scaled, accumulate_legs, add_term, combine,
-                     extend_scaled, rescale, scaled_equal, split)
+                     extend_scaled, join, scaled_equal, split)
 
-TensorKey = tuple  # tuple of Monomials, length = arity
+TensorKey = tuple  # tuple of Monomials, length = arity: the public key
+LEG_BITS = MONO_ID_BITS  # bits of one leg of a packed key
+LEG_MASK = (1 << LEG_BITS) - 1
+
+
+def pack(algebra: Presentation, key: TensorKey) -> int:
+    """The packed int key of a tuple of monomials."""
+    packed = 0
+    for m in reversed(key):
+        packed = packed << LEG_BITS | algebra.mono_id(m)
+    return packed
+
+
+def unpack(algebra: Presentation, arity: int, key: int) -> TensorKey:
+    """The tuple of monomials of a packed key."""
+    return tuple([algebra.monos[key >> shift & LEG_MASK]
+                  for shift in range(0, LEG_BITS * arity, LEG_BITS)])
 
 
 class TensorElement(Scaled):
     """Sparse exact-rational combination of monomial tuples of fixed arity,
-    in scaled form like ``Element`` (see ``linalg.Scaled``)."""
+    in scaled form on packed keys (see ``linalg.Scaled``)."""
 
     __slots__ = ("algebra", "arity")
 
@@ -34,12 +54,12 @@ class TensorElement(Scaled):
         self.algebra = algebra
         self.arity = arity
         self._terms = terms
-        self.scaled = split(terms)
+        self.scaled = split({pack(algebra, key): c for key, c in terms.items()})
 
     @classmethod
     def from_scaled(cls, algebra: Presentation, arity: int,
-                    nums: dict[TensorKey, int], den: int) -> "TensorElement":
-        """The tensor nums / den (int numerators, none zero, den > 0)."""
+                    nums: dict[int, int], den: int) -> "TensorElement":
+        """The tensor nums / den (packed keys, int numerators, none zero)."""
         t = cls.__new__(cls)
         t.algebra = algebra
         t.arity = arity
@@ -49,6 +69,13 @@ class TensorElement(Scaled):
 
     def _like(self, nums, den) -> "TensorElement":
         return TensorElement.from_scaled(self.algebra, self.arity, nums, den)
+
+    @property
+    def terms(self) -> dict[TensorKey, Fraction]:
+        if self._terms is None:
+            self._terms = {unpack(self.algebra, self.arity, key): c
+                           for key, c in join(*self.scaled).items()}
+        return self._terms
 
     @classmethod
     def zero(cls, algebra: Presentation, arity: int) -> "TensorElement":
@@ -106,18 +133,21 @@ class TensorElement(Scaled):
         """
         if not 1 <= leg <= self.arity:
             raise ValueError(f"leg {leg} out of range for arity {self.arity}")
-        pos = leg - 1
-        groups: dict[Monomial, list] = {}  # leg monomial -> [(before, after, n)]
+        algebra = self.algebra
+        shift = LEG_BITS * (leg - 1)
+        low = (1 << shift) - 1
+        groups: dict[int, list] = {}  # leg id -> [(legs before, after, n)]
         nums, den = self.scaled
         for key, n in nums.items():
-            groups.setdefault(key[pos], []).append((key[:pos], key[pos + 1:], n))
+            groups.setdefault(key >> shift & LEG_MASK, []).append(
+                (key & low, key >> shift + LEG_BITS, n))
         images: list = []
         grown = None
-        for mono, group in groups.items():
-            image = f(Element.from_scaled(self.algebra, {mono: 1}, 1))
+        for i, group in groups.items():
+            image = f(Element.from_scaled(algebra, {algebra.monos[i]: 1}, 1))
             if isinstance(image, Element):
-                pieces, d = image.scaled
-                pieces, arity = {(m,): c for m, c in pieces.items()}, 1
+                (pieces, d), arity = image.scaled, 1
+                pieces = {algebra.mono_id(m): c for m, c in pieces.items()}
             elif isinstance(image, TensorElement):
                 (pieces, d), arity = image.scaled, image.arity
             else:
@@ -126,14 +156,17 @@ class TensorElement(Scaled):
                 grown = arity - 1
             elif grown != arity - 1:
                 raise ValueError("leg map returned inconsistent arities")
-            images += [(c, ({before + mid + after: n
-                             for before, after, n in group}, d))
-                       for mid, c in pieces.items()]
+            after = shift + LEG_BITS * arity
+            rest = [(before | tail << after, n) for before, tail, n in group]
+            # distinct (image term, key) give distinct keys
+            images.append((1, ({mid << shift | r: c * n
+                                for mid, c in pieces.items()
+                                for r, n in rest}, d)))
         if grown is None:
             # zero tensor: probe f on zero to learn the target arity
-            probe = f(self.algebra.zero())
+            probe = f(algebra.zero())
             grown = probe.arity - 1 if isinstance(probe, TensorElement) else 0
-        return TensorElement.from_scaled(self.algebra, self.arity + grown,
+        return TensorElement.from_scaled(algebra, self.arity + grown,
                                          *combine(images, den))
 
     def leg_cofactors(self, leg: int) -> list[tuple[Monomial, Element]]:
@@ -183,50 +216,42 @@ def tensor_product(*factors: Element) -> TensorElement:
 def tensor_multiply(s: TensorElement, t: TensorElement) -> TensorElement:
     """Componentwise product: (a1@...@ak) * (b1@...@bk) = a1*b1 @ ... @ ak*bk,
     one product lookup per leg and pair of distinct leg monomials, summed
-    on int keys: the output leg ids in mixed radix (radix: id counts)."""
+    on packed keys (a product's key is the sum of its legs' shifted ids)."""
     s._coerce(t)
-    product = s.algebra.product_terms
+    algebra = s.algebra
+    product, monos, mono_id = algebra.product_terms, algebra.monos, algebra.mono_id
     (a, da), (b, db) = s.scaled, t.scaled
-    (ids_a, groups_a), (ids_b, groups_b) = _legs(a, s.arity), _legs(b, s.arity)
-    tables, outputs, dens = [], [], []
-    radix = 1
-    for lefts, rights in zip(ids_a, ids_b):
-        products = [[product(m1, m2) for m2 in rights] for m1 in lefts]
-        den = lcm(*{d for row in products for _, d in row})
-        ids: dict[Monomial, int] = {}  # output monomial -> its id
-        tables.append([[[(ids.setdefault(m, len(ids)) * radix, n * (den // d))
-                         for m, n in nums.items()] for nums, d in row]
-                       for row in products])
-        outputs.append(list(ids))
-        dens.append(den)
-        radix *= len(ids)
-    nums, den = rescale(accumulate_legs(groups_a, groups_b, tables),
-                        da * db * prod(dens))
-    out = {}
-    for p, n in nums.items():
-        key = []
-        for monos in outputs:
-            p, r = divmod(p, len(monos))
-            key.append(monos[r])
-        out[tuple(key)] = n
-    return TensorElement.from_scaled(s.algebra, s.arity, out, den)
+    tables = []
+    for shift in range(0, LEG_BITS * s.arity, LEG_BITS):
+        rights = {k >> shift & LEG_MASK for k in b}
+        table: dict[int, dict] = {}  # i -> j -> (d, [(offset, numerator)])
+        for i in {k >> shift & LEG_MASK for k in a}:
+            row = table[i] = {}
+            for j in rights:
+                nums, d = product(monos[i], monos[j])
+                row[j] = d, (entries := [])
+                for m, n in nums.items():
+                    entries.append((mono_id(m) << shift, n))
+        tables.append(table)
+    return TensorElement.from_scaled(algebra, s.arity, *accumulate_legs(
+        _legs(a, s.arity), _legs(b, s.arity), tables, da * db, LEG_BITS))
 
 
-def _legs(terms: dict, arity: int) -> tuple[list, dict]:
-    """Per leg {monomial: id} of the keys' monomials there, and the terms
-    (numerator, last leg id) grouped by their ids in the other legs."""
-    ids: list[dict] = [{} for _ in range(arity)]
-    groups: dict[tuple, list] = {}
+def _legs(terms: dict, arity: int) -> dict:
+    """The terms (numerator, last leg id) grouped by their other legs."""
+    last = LEG_BITS * (arity - 1)
+    low = (1 << last) - 1
+    groups: dict[int, list] = {}
     for key, c in terms.items():
-        legs = [leg.setdefault(m, len(leg)) for leg, m in zip(ids, key)]
-        groups.setdefault(tuple(legs[:-1]), []).append((c, legs[-1]))
-    return ids, groups
+        groups.setdefault(key & low, []).append((c, key >> last))
+    return groups
 
 
 def contract(t: TensorElement) -> Element:
     """Multiply the two legs of an arity-2 tensor into a single element."""
     if t.arity != 2:
         raise ValueError("contract needs arity 2")
-    product = t.algebra.product_terms
+    product, monos = t.algebra.product_terms, t.algebra.monos
     return Element.from_scaled(t.algebra, *extend_scaled(
-        *t.scaled, lambda key: product(*key)))
+        *t.scaled, lambda key: product(monos[key & LEG_MASK],
+                                       monos[key >> LEG_BITS])))

@@ -135,6 +135,22 @@ def apply_to_leg_by_fractions(t: TensorElement, leg: int, f) -> TensorElement:
     return TensorElement(t.algebra, arity, out)
 
 
+def antipode_inverse_by_solving(H, x: Element) -> Element:
+    """The y with S(y) = x, solved on the Fraction antipode images of the
+    monomials up to the weight of x (nonzero): the solve that
+    PresentedHopfAlgebra.antipode_inverse replaces by weight layers."""
+    pres = H.presentation
+    monomials = pres.monomials_up_to(x.weight)
+    index = {m: i for i, m in enumerate(monomials)}
+    columns = [{index[mm]: c for mm, c in
+                antipode_by_fractions(H, pres.monomial(m)).terms.items()}
+               for m in monomials]
+    coeffs = linalg.LinearSolver(columns).solve(
+        {index[m]: c for m, c in x.terms.items()})
+    assert coeffs is not None, "antipode images do not span x"
+    return Element(pres, {m: c for m, c in zip(monomials, coeffs) if c})
+
+
 # Characters, windings and generator automorphisms term by term: the
 # loops that nakayama's memoized monomial maps replace.
 

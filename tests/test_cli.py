@@ -1,3 +1,4 @@
+import ast
 import importlib
 import io
 import json
@@ -145,6 +146,25 @@ def test_truncation_below_generator_weight_exit_2(capsys, truncation):
         assert err.count("\n") == 1
         assert f"truncation {truncation} is below" in err
         assert "needs truncation >= 2" in err
+
+
+def test_huge_truncation_exit_2(capsys):
+    code = run(["verify", "--builtin", "B:1",
+                "--truncation", "99999999999999999999"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "--truncation 99999999999999999999 is too large\n"
+
+
+@pytest.mark.parametrize("builtin,sub", [
+    ("B:1", "g_inf:junk"), ("E", "T:junk"), ("B:1", "L:"), ("B:1", "R:"),
+    ("B:1", "L"), ("B:1", "g_alpha:"), ("B:1", "g_alpha"), ("B:1", "T"),
+    ("E", "L:inf"), ("U:heisenberg", "T"), ("B:1", "g_inf:")])
+def test_undocumented_builtin_sub_exit_2(capsys, builtin, sub):
+    assert run(["verify", "--builtin", builtin, "--sub", sub]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"has no subalgebra {sub!r}" in err
 
 
 @pytest.mark.parametrize("preset", ["U:abelian0", "U:abelian-2"])
@@ -358,3 +378,17 @@ def test_cli_fuzz_ends_in_a_documented_exit_code(command, builtin, sub, chi,
             code = exc.code
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in captured.getvalue(), argv
+
+
+def test_defaulted_parameters_ratchet():
+    """Defaulted parameters are options: their number may only go down.
+    A change that removes one lowers the pin; one that adds one fails."""
+    src = Path(__file__).parent.parent / "src" / "hopfforge"
+    count = 0
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                count += len(node.args.defaults) + sum(
+                    d is not None for d in node.args.kw_defaults)
+    assert count <= 36

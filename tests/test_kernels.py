@@ -1,10 +1,11 @@
 """The integer-numerator structure maps against their Fraction definitions.
 
-Memo tables hold scaled pairs (int numerators, denominator); B(-2/3) and
-B(1/2) have non-integral structure constants, so some of their entries
-have a denominator above 1, and every kernel brings the values it reads
-to one common denominator before its int loop; E(2,-1,1,3) and
-U(heisenberg) are integral.  O(U_5) has ten generators.  Element
+Memo tables hold scaled pairs (int numerators, denominator), and
+tensor-valued ones, like every TensorElement, key a term by one packed
+int of leg monomial ids; B(-2/3) and B(1/2) have non-integral structure
+constants, so some of their entries have a denominator above 1, and
+every kernel brings the values it reads to one common denominator
+before its int loop; E(2,-1,1,3) and U(heisenberg) are integral.  O(U_5) has ten generators.  Element
 coefficients are seeded rationals with denominators.
 Characters, windings and generator automorphisms are checked against
 their term-by-term definitions with seeded characters that kill the
@@ -22,7 +23,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfforge import catalog, linalg
+from hopfforge import algebra, catalog, linalg
 from hopfforge.algebra import Element, Presentation
 from hopfforge.grading import certify
 from hopfforge.linalg import vec_add_scaled
@@ -30,9 +31,10 @@ from hopfforge.hopf import PresentedHopfAlgebra, antipode_eigenbasis
 from hopfforge.lantern import lantern
 from hopfforge.nakayama import GeneratorAutomorphism, character, winding
 from hopfforge.tensor import (TensorElement, contract, tensor_multiply,
-                              tensor_product)
+                              tensor_product, unpack)
 
-from oracles import (antipode_by_fractions, apply_to_leg_by_fractions,
+from oracles import (antipode_by_fractions, antipode_inverse_by_solving,
+                     apply_to_leg_by_fractions,
                      automorphism_by_products, character_by_powers,
                      contract_by_fractions, coproduct_by_fractions,
                      product_by_fractions, tensor_multiply_by_fractions,
@@ -266,7 +268,8 @@ def test_memo_tables_hold_scaled_pairs(lam):
     assert any(den > 1 for _, den in entries)
     # each entry is the Fraction image the map defines
     mono = max(pres.monomials_of_weight(4), key=pres.monomial_key)
-    assert linalg.join(*H._coproduct.monomial(mono)) == \
+    assert TensorElement.from_scaled(
+        pres, 2, *H._coproduct.monomial(mono)).terms == \
         coproduct_by_fractions(H, pres.monomial(mono)).terms
     assert linalg.join(*phi.monomial(mono)) == \
         automorphism_by_products(phi, pres.monomial(mono)).terms
@@ -379,7 +382,15 @@ def _scaled_ok(x) -> bool:
             and all(type(n) is int and n for n in nums.values())
             and gcd(den, *nums.values()) == 1
             and _is_fraction_dict(x.terms) and all(x.terms.values())
-            and x.terms == {k: Fraction(n, den) for k, n in nums.items()})
+            and x.terms == {_public_key(x, k): Fraction(n, den)
+                            for k, n in nums.items()})
+
+
+def _public_key(x, key):
+    """The key of x's terms view for a key of its scaled form."""
+    if isinstance(x, TensorElement):
+        return unpack(x.algebra, x.arity, key)
+    return key
 
 
 @pytest.mark.parametrize("make", HOSTS)
@@ -478,3 +489,103 @@ def test_structure_map_kernels_stay_on_ints():
                                        ast.Match))]
     assert not offenders, "structure-map kernels must run on ints:\n" + \
         "\n".join(offenders)
+
+
+# -- packed tensor keys -------------------------------------------------------
+
+_KEY_PRES = Presentation([("X", 1), ("Y", 1), ("Z", 2)],
+                         {(1, 0): {(0, 0, 1): 1}})
+_KEY_MONOS = _KEY_PRES.monomials_up_to(3)
+
+
+@st.composite
+def _tensor_terms(draw):
+    """An arity 1-4 and a {tuple of monomials: nonzero Fraction} dict."""
+    arity = draw(st.integers(1, 4))
+    keys = st.tuples(*[st.sampled_from(_KEY_MONOS)] * arity)
+    coeffs = st.builds(Fraction, st.integers(-5, 5).filter(bool),
+                       st.integers(1, 6))
+    return arity, draw(st.dictionaries(keys, coeffs, max_size=6))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_tensor_terms(), st.randoms(use_true_random=False))
+def test_packed_keys_round_trip(drawn, rng):
+    arity, terms = drawn
+    t = TensorElement(_KEY_PRES, arity, terms)
+    assert t.terms == terms
+    # the view rebuilt from the packed scaled form alone
+    assert TensorElement.from_scaled(_KEY_PRES, arity, *t.scaled).terms == terms
+    assert all(type(k) is int for k in t.scaled[0])
+    # the same terms listed in another order give an equal tensor
+    items = list(terms.items())
+    rng.shuffle(items)
+    shuffled = TensorElement(_KEY_PRES, arity, dict(reversed(items)))
+    assert shuffled == t and shuffled.scaled[0] == t.scaled[0]
+    assert TensorElement.from_terms(_KEY_PRES, arity, dict(items)) == t
+
+
+def test_mono_id_refuses_an_id_past_the_leg_width(monkeypatch):
+    from hopfforge import tensor
+    assert tensor.LEG_BITS == algebra.MONO_ID_BITS == 32
+    pres = Presentation([("X", 1)])
+    assert [pres.mono_id((e,)) for e in (2, 0, 2)] == [0, 1, 0]
+    # at a width of 2 bits ids 0..3 fit and the fifth monomial is refused
+    monkeypatch.setattr(algebra, "MONO_ID_BITS", 2)
+    assert [pres.mono_id((e,)) for e in (1, 3)] == [2, 3]
+    with pytest.raises(OverflowError, match="more than 2"):
+        pres.mono_id((4,))
+    assert pres.monos == [(2,), (0,), (1,), (3,)]
+    assert pres.mono_id((3,)) == 3
+
+
+@pytest.mark.parametrize("make", KERNEL_HOSTS)
+def test_antipode_inverse_matches_the_solver(make):
+    H = make()
+    pres = H.presentation
+    rng = random.Random(84)
+    for w in range(7):
+        for _ in range(2):
+            x = random_element(rng, pres, w, 4, nonzero=True)
+            y = H.antipode_inverse(x)
+            assert y == antipode_inverse_by_solving(H, x)
+            assert H.antipode(y) == x
+
+
+# names bound to tensor keys, and the tensor-valued memo tables and maps
+_KEY_NAMES = {"key", "tkey"}
+_TENSOR_MEMOS = ("_coproduct", "_coprod_mono", "_reduced_iter",
+                 "_reduced_iterate_monomial")
+
+
+def _tuple_key_reads(source: str) -> list[str]:
+    """Lines that index or slice a tensor key, or join a tensor memo."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript) and getattr(
+                node.value, "id", None) in _KEY_NAMES:
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "id", getattr(node.func, "attr", None))
+              == "join"
+              and any(name in ast.unparse(arg) for arg in node.args
+                      for name in _TENSOR_MEMOS)):
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_tensor_key_guard_flags_tuple_reads():
+    assert _tuple_key_reads("head = f(tkey[0])\nrest = tkey[1:]")
+    assert _tuple_key_reads("out = key[keep]")
+    assert _tuple_key_reads("t = linalg.join(*H._coproduct.monomial(m))")
+    assert _tuple_key_reads("t = join(*H._reduced_iterate_monomial(m, 1))")
+    assert not _tuple_key_reads("leg = key >> LEG_BITS & LEG_MASK")
+    assert not _tuple_key_reads("x = linalg.join(*H._antipode.monomial(m))")
+
+
+def test_tensor_keys_are_read_only_in_tensor():
+    offenders = [f"{path.name}:{line}"
+                 for path in sorted(_SRC.glob("*.py")) if path.name != "tensor.py"
+                 for line in _tuple_key_reads(path.read_text())]
+    assert not offenders, "read packed tensor keys by shift, or through " \
+        "TensorElement.terms:\n" + "\n".join(offenders)
