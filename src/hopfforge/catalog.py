@@ -218,6 +218,9 @@ def build_enveloping_preset(preset: str, truncation: int = 6
         if n < 1:
             raise ValueError(f"abelian preset needs at least one generator, "
                              f"got {n}")
+        if n > 3:
+            raise ValueError(f"abelian preset takes at most 3 generators "
+                             f"(abelian1..abelian3), got {n}")
         names = [f"X{i+1}" for i in range(n)]
         return build_enveloping(f"U({preset})", names, {}, truncation)
     if preset == "nonabelian2":

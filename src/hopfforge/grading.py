@@ -40,14 +40,14 @@ class FiltrationCertificate:
 
     The weight filtration is the coradical filtration in every degree;
     truncation is only the order graded_dims is listed to.  lantern is the
-    graded Lie algebra the certificate was read off, with the verify_lie
-    and Carnot-layer verdicts it passed (lie_report, carnot_report).
+    graded Lie algebra the certificate was read off (a Lie algebra by
+    proof, see lantern._extract_lantern), with the Carnot-layer verdicts
+    it passed (carnot_report).
     """
 
     truncation: int
     graded_dims: tuple[int, ...]
     lantern: GradedLieAlgebra
-    lie_report: Report
     carnot_report: Report
 
     def __post_init__(self):
@@ -173,7 +173,7 @@ def certify_filtration(H: PresentedHopfAlgebra, truncation: int | None = None
                 else "the bialgebra axioms fail")
         raise HopfAlgebraError(f"{what} ({first}); not certifying the "
                                "filtration")
-    L, lie_report = _extract_lantern(H)
+    L = _extract_lantern(H)
     layers = list(_carnot_layers(L))
     d = next((d for d, got, size in layers if got < size), None)
     if d is not None:  # failure-path witnesses
@@ -196,8 +196,7 @@ def certify_filtration(H: PresentedHopfAlgebra, truncation: int | None = None
             f"{symbol} has a primitive leading symbol of weight {d}: "
             f"first failure at degree {d}")
     dims = hilbert_series(Signature.from_weights(pres.weights), truncation).coeffs
-    cert = FiltrationCertificate(truncation, dims, L, lie_report,
-                                 _carnot_check(L, layers))
+    cert = FiltrationCertificate(truncation, dims, L, _carnot_check(L, layers))
     H.filtration = cert
     return cert
 

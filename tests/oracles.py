@@ -5,7 +5,7 @@ from fractions import Fraction
 from hopfforge import linalg
 from hopfforge.algebra import Element
 from hopfforge.linalg import add_term, vec_add_scaled
-from hopfforge.tensor import TensorElement
+from hopfforge.tensor import TensorElement, contract
 
 
 def truncated_filtration_check(H, truncation: int) -> bool:
@@ -55,6 +55,26 @@ def coradical_degree_by_iteration(H, x) -> int:
             return n
     raise AssertionError("reduced coproduct fails to vanish within the "
                          "weight bound")
+
+
+def convolution_defects(H, g) -> tuple[Element, Element]:
+    """m(S@id)Delta(g) and m(id@S)Delta(g) on a generator g (counit 0):
+    both convolution identities, contracted explicitly.  The library
+    checks only the left one (hopf._antipode_recursion) and has the right
+    one by proof."""
+    t = H.coproduct(H.gen(g))
+    return tuple(contract(t.apply_to_leg(leg, H.antipode)) for leg in (1, 2))
+
+
+def primitive_basis_by_kernel(H, weight_cutoff: int) -> list[Element]:
+    """Basis of the kernel of the reduced coproduct on the non-identity
+    monomials up to weight_cutoff: the definition that
+    PresentedHopfAlgebra.primitive_basis replaces by the weight-1
+    generators on certified hosts."""
+    pres = H.presentation
+    monomials = pres.monomials_up_to(weight_cutoff, include_identity=False)
+    return [Element(pres, vec) for vec in linalg.kernel(
+        {m: H.reduced_coproduct(pres.monomial(m)).terms for m in monomials})]
 
 
 # Fraction-arithmetic structure maps: the loops the integer kernels of

@@ -175,6 +175,18 @@ def test_abelian_preset_without_generators_exit_2(capsys, preset):
     assert "at least one generator" in err
 
 
+@pytest.mark.parametrize("preset", ["U:abelian4", "U:abelian99999"])
+def test_abelian_preset_above_three_generators_exit_2(capsys, monkeypatch,
+                                                      preset):
+    def build_enveloping(*args):
+        raise AssertionError(f"{preset} reached build_enveloping")
+    monkeypatch.setattr(catalog, "build_enveloping", build_enveloping)
+    assert run(["verify", "--builtin", preset]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "at most 3 generators" in err
+
+
 def test_truncation_flag(capsys):
     code = run(["signature", "--builtin", "B:1", "--truncation", "5"])
     out = capsys.readouterr().out

@@ -1,5 +1,6 @@
 import ast
 import random
+import re
 import sys
 from fractions import Fraction
 from math import comb
@@ -9,14 +10,22 @@ import pytest
 
 from hopfforge import catalog
 from hopfforge.algebra import Presentation
+from hopfforge.cli import run
 from hopfforge.coideal import coinvariants
+from hopfforge.grading import certify
 from hopfforge.hopf import (AntipodeSolveError, CertificateMissingError,
                             PresentedHopfAlgebra, antipode_eigenbasis,
                             s_squared_analysis, solve_antipode, verify_hopf)
+from hopfforge.lantern import lantern, verify_lie
+from hopfforge.parser import build_algebra, parse
 from hopfforge.tensor import tensor_product as tp
 
-from oracles import coradical_degree_by_iteration
+from oracles import (convolution_defects, coradical_degree_by_iteration,
+                     primitive_basis_by_kernel)
 from suites import random_element
+from test_kernels import _unitriangular_5
+
+ROOT = Path(__file__).parent.parent
 
 F = Fraction
 
@@ -165,13 +174,13 @@ def test_coradical_degree():
 
 def test_primitive_basis():
     H = catalog.build_b_lambda(1)
-    prims = H.primitive_basis(4)
+    prims = H.primitive_basis()
     names = {str(p) for p in prims}
     assert names == {"X", "Y"}
     E = catalog.build_e()
-    assert {str(p) for p in E.primitive_basis(4)} == {"X", "Y"}
+    assert {str(p) for p in E.primitive_basis()} == {"X", "Y"}
     U = catalog.build_enveloping_preset("nonabelian2")
-    assert {str(p) for p in U.primitive_basis(4)} == {"X", "Y"}
+    assert {str(p) for p in U.primitive_basis()} == {"X", "Y"}
 
 
 def test_antipode_inverse():
@@ -398,3 +407,160 @@ def test_a_second_key_for_one_generator_is_rejected_in_the_hopf_data():
         H.attach_antipode({"X": -X, "Y": -Y, 1: Y})
     H.attach_antipode({0: -X, "Y": -Y})
     assert H.antipode(X * Y) == Y * X
+
+
+# -- what certification has by proof, checked by definition ------------------
+
+def _from_file(path):
+    def make():
+        H, _ = build_algebra(parse((ROOT / path).read_text()))
+        assert certify(H).passed
+        return H
+    return make
+
+
+def _upper_triangular_lie(n):
+    """U(n_n), n_n the strictly upper triangular n x n matrices:
+    [e_ij, e_kl] = [j = k] e_il - [l = i] e_kj."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    brackets = {}
+    for a, (i, j) in enumerate(pairs):
+        for k, l in pairs[:a]:
+            entry = {**({f"e{i}{l}": 1} if j == k else {}),
+                     **({f"e{k}{j}": -1} if l == i else {})}
+            if entry:
+                brackets[(f"e{i}{j}", f"e{k}{l}")] = entry
+    return catalog.build_enveloping(f"U(n_{n})", [f"e{i}{j}" for i, j in pairs],
+                                    brackets)
+
+
+PROOF_HOSTS = [
+    *[pytest.param(lambda lam=lam: catalog.build_b_lambda(lam), id=f"B:{lam}")
+      for lam in ("0", "1", "-2", "1/2")],
+    pytest.param(catalog.build_e, id="E"),
+    pytest.param(lambda: catalog.build_e(3, -1, 1, 0), id="E(3,-1,1,0)"),
+    *[pytest.param(lambda p=p: catalog.build_enveloping_preset(p), id=f"U:{p}")
+      for p in catalog.ENVELOPING_PRESETS],
+    *[pytest.param(_from_file(path), id=path) for path in (
+        "tests/data/b_lambda.hopf", "bench/data/b_half.hopf",
+        "bench/data/e_solved.hopf", "bench/data/heisenberg.hopf")],
+    pytest.param(_unitriangular_5, id="O(U_5)"),
+    pytest.param(lambda: _upper_triangular_lie(5), id="U(n_5)"),
+]
+
+
+@pytest.mark.parametrize("make", PROOF_HOSTS)
+def test_antipode_is_two_sided_and_the_lantern_is_a_lie_algebra(make):
+    # certification checks the left identity only, and no Jacobi identity
+    H = make()
+    for g in H.presentation.names:
+        assert convolution_defects(H, g) == (H.zero(), H.zero()), g
+    assert verify_lie(lantern(H)).passed
+
+
+@pytest.mark.parametrize("make", PROOF_HOSTS)
+def test_primitive_basis_is_the_kernel_of_the_reduced_coproduct(make):
+    H = make()
+    assert H.primitive_basis() == primitive_basis_by_kernel(H, 4)
+
+
+_B1 = (ROOT / "tests/data/b_lambda.hopf").read_text().split("# rank-2 left")[0]
+
+
+@pytest.mark.parametrize("right, wrong, failing", [
+    ("antipode X = -X", "antipode X = X", "XZ"),
+    ("antipode Z = -Z + X*Y", "antipode Z = -Z", "Z")],
+    ids=["lighter-image", "top-generator"])
+def test_wrong_attached_antipode_fails_everywhere(tmp_path, right, wrong,
+                                                  failing):
+    text = _B1.replace(right, wrong)
+    assert wrong in text
+
+    def host():
+        H, _ = build_algebra(parse(text))
+        H.certify_presentation()
+        return H
+    named = "; ".join(f"antipode axiom on {g}" for g in failing)
+    with pytest.raises(AntipodeSolveError) as exc:
+        solve_antipode(host())
+    assert str(exc.value) == ("attached antipode data violates the "
+                              f"convolution identities: {named}")
+    report = certify(host())
+    assert [(c.name, c.details) for c in report.failures()] == [
+        ("antipode", str(exc.value))]
+    path = tmp_path / "wrong_antipode.hopf"
+    path.write_text(text)
+    assert run(["verify", str(path)]) == 3
+
+
+# what certification has by proof is not recomputed: per file, the lines
+# that would recompute it; anywhere, the names of the code that did
+_RECHECKS = {"hopf.py": r"apply_to_leg\(2, [^)]*antipode|_verify_convolution",
+             "grading.py": r"verify_lie\("}
+_GONE = r"lie_report|solved antipode fails"
+
+
+def _proof_offenders(sources: dict[str, str]) -> list[str]:
+    offenders = []
+    for name, text in sorted(sources.items()):
+        pattern = re.compile("|".join(filter(None, (_RECHECKS.get(name), _GONE))))
+        offenders += [f"{name}:{n}: {line.strip()}"
+                      for n, line in enumerate(text.splitlines(), 1)
+                      if pattern.search(line)]
+        for f in ast.walk(ast.parse(text)):
+            if not isinstance(f, ast.FunctionDef):
+                continue
+            body = list(ast.walk(f))
+            if f.name == "_extract_lantern" and any(
+                    isinstance(n, ast.Raise) or isinstance(n, ast.Name)
+                    and n.id == "verify_lie" for n in body):
+                offenders.append(f"{name}: a Lie check in _extract_lantern")
+            if f.name == "solve_antipode" and any(
+                    isinstance(n, ast.If) and "_antipode" in ast.unparse(n.test)
+                    for n in body):
+                offenders.append(f"{name}: solve_antipode forks on the data")
+            if f.name == "primitive_basis" and len(f.args.args) > 1:
+                offenders.append(f"{name}: primitive_basis takes a cutoff")
+    return offenders
+
+
+def test_proof_guard_flags_the_recomputations():
+    old = {
+        "hopf.py": """
+def solve_antipode(H):
+    if H._antipode is not None:
+        rep = _verify_convolution(H)
+    raise AntipodeSolveError("solved antipode fails the convolution check; "
+                             "coproduct data is inconsistent")
+
+class PresentedHopfAlgebra:
+    def primitive_basis(self, weight_cutoff: int) -> list[Element]:
+        right = t.apply_to_leg(2, H.coproduct)
+        right = contract(t.apply_to_leg(2, H.antipode))
+""",
+        "lantern.py": """
+def _extract_lantern(H):
+    check = verify_lie(L)
+    raise HopfAlgebraError("not a graded Lie algebra")
+
+def verify_lie(L):
+    pass
+""",
+        "grading.py": "L, lie_report = _extract_lantern(H)\nverify_lie(L)\n",
+        "cli.py": "session.note(verify_lie(L))\n"}
+    assert _proof_offenders(old) == [
+        "grading.py:1: L, lie_report = _extract_lantern(H)",
+        "grading.py:2: verify_lie(L)",
+        "hopf.py:4: rep = _verify_convolution(H)",
+        "hopf.py:5: raise AntipodeSolveError(\"solved antipode fails the "
+        "convolution check; \"",
+        "hopf.py:11: right = contract(t.apply_to_leg(2, H.antipode))",
+        "hopf.py: solve_antipode forks on the data",
+        "hopf.py: primitive_basis takes a cutoff",
+        "lantern.py: a Lie check in _extract_lantern"]
+
+
+def test_certification_recomputes_nothing_it_has_by_proof():
+    src = ROOT / "src" / "hopfforge"
+    assert not _proof_offenders(
+        {path.name: path.read_text() for path in src.glob("*.py")})

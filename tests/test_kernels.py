@@ -221,7 +221,7 @@ def test_public_coefficients_are_fractions(make):
     # solvers over antipode and coproduct images
     assert all(_is_fraction_dict(table)
                for table in lantern(H).brackets.values())
-    assert all(_is_fraction_dict(b.terms) for b in H.primitive_basis(3))
+    assert all(_is_fraction_dict(b.terms) for b in H.primitive_basis())
     assert all(_is_fraction_dict(b.terms)
                for b, _ in antipode_eigenbasis(H, 3))
     monomials = pres.monomials_up_to(2)
