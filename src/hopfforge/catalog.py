@@ -65,43 +65,40 @@ def _b_coideal(lam: Fraction, which: str, parameter, truncation: int
     if which == "g_alpha":
         alpha = as_fraction(parameter)
         return register_subalgebra(
-            H, f"U(g_{alpha})", [("C", 1)], {}, {"C": X + Y * alpha}, "hopf",
-            truncation)
+            H, f"U(g_{alpha})", [("C", 1)], {}, {"C": X + Y * alpha}, "hopf")
     if which == "g_inf":
         return register_subalgebra(H, "U(g_inf)", [("Y", 1)], {}, {"Y": Y},
-                                   "hopf", truncation)
+                                   "hopf")
     if which == "L":
         if parameter == INF:
             # adjoin Z over k[Y]; the derivation sends Y to Y^2/2
             return register_subalgebra(
                 H, "L_inf", [("Y", 1), ("Z", 2)],
-                {("Z", "Y"): {(2, 0): half}}, {"Y": Y, "Z": Z}, "left",
-                truncation)
+                {("Z", "Y"): {(2, 0): half}}, {"Y": Y, "Z": Z}, "left")
         beta = as_fraction(parameter)
         if beta == 0:
             return register_subalgebra(
                 H, "L_0", [("Y", 1), ("X", 1)], {("X", "Y"): {(1, 0): 1}},
-                {"Y": Y, "X": X}, "hopf", truncation)
+                {"Y": Y, "X": X}, "hopf")
         return register_subalgebra(
             H, f"L_{beta}", [("Y", 1), ("B", 2)],
             {("B", "Y"): {(1, 0): 1, (2, 0): beta * half}},
-            {"Y": Y, "B": X + Z * beta}, "left", truncation)
+            {"Y": Y, "B": X + Z * beta}, "left")
     if which == "R":
         W = Z - X * Y
         if parameter == INF:
             return register_subalgebra(
                 H, "R_inf", [("Y", 1), ("W", 2)],
-                {("W", "Y"): {(2, 0): -half}}, {"Y": Y, "W": W}, "right",
-                truncation)
+                {("W", "Y"): {(2, 0): -half}}, {"Y": Y, "W": W}, "right")
         beta = as_fraction(parameter)
         if beta == 0:
             return register_subalgebra(
                 H, "R_0", [("Y", 1), ("X", 1)], {("X", "Y"): {(1, 0): 1}},
-                {"Y": Y, "X": X}, "hopf", truncation)
+                {"Y": Y, "X": X}, "hopf")
         return register_subalgebra(
             H, f"R_{beta}", [("Y", 1), ("B", 2)],
             {("B", "Y"): {(1, 0): 1, (2, 0): -beta * half}},
-            {"Y": Y, "B": X + W * beta}, "right", truncation)
+            {"Y": Y, "B": X + W * beta}, "right")
     raise ValueError(f"unknown coideal family {which!r}; "
                      "use g_alpha, g_inf, L or R")
 
@@ -172,7 +169,7 @@ def _e_coideal(a: Fraction, b: Fraction, l1: Fraction, l2: Fraction,
             ("V", "X"): {(1, 0, 0): a, (2, 0, 0): -1},
             ("V", "Y"): {(1, 0, 0): b},
         },
-        {"X": X, "Y": Y, "V": W - X * Z}, "right", truncation)
+        {"X": X, "Y": Y, "V": W - X * Z}, "right")
 
 
 def build_e_coideal(a=1, b=1, l1=0, l2=0, truncation: int = 6) -> SubalgebraSpec:

@@ -135,7 +135,7 @@ class _Session:
             for block in blocks:
                 try:
                     self.subs.append(register_subalgebra(
-                        **sub_arguments(self.H, block), cutoff=self.truncation))
+                        **sub_arguments(self.H, block)))
                 except (ValueError, HopfAlgebraError) as exc:
                     raise _CliFailure(f"sub {block.name}: {exc}",
                                       EXIT_CERTIFICATE)
@@ -364,7 +364,7 @@ def make_parser() -> argparse.ArgumentParser:
                                  "g_alpha:1, g_inf, T; file: sub block name)")
     p.add_argument("--truncation", type=int, default=6,
                    help="order the graded dimensions are listed to, and the "
-                        "subalgebra weight cutoff (default 6)")
+                        "largest sub generator weight accepted (default 6)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--chi", default="eps",
                    help="integral character: eps, auto, or name=value,...")

@@ -4,16 +4,18 @@ antipode images, coinvariants and containment.
 A subalgebra is always supplied *with* its own presentation (generators,
 weights, commutator table) and an embedding into the host; the tool
 verifies the data rather than discovering presentations.  SubalgebraSpec
-holds the embedding and its membership solvers, and answers the target
+holds the embedding and its membership solver, and answers the target
 questions that the host answers too (side, host, embed_generator, embed,
-represent).  Membership tests are truncated at the maximum relevant
-weight, which is exact, not an approximation, because second legs of a
-coproduct never outweigh the element itself once the host filtration is
-certified.
+represent).  Registration certifies that the leading symbols (top-weight
+parts) of the generator images are algebraically independent in gr H =
+k[x] (_symbol_rank).  Then gr T = k[symbols], so an ordered T-monomial's
+image has exactly its T-weight, and membership of h solved over the
+T-monomials up to weight(h) is exact at every weight.
 """
 
 from __future__ import annotations
 
+from math import prod
 
 from . import linalg
 from .algebra import (Element, GeneratorMap, Monomial, Presentation, ONE,
@@ -33,7 +35,7 @@ SIDES = ("left", "right", "hopf")
 
 class SubalgebraSpec:
     """A presented subalgebra embedded in a host (``image``, a
-    GeneratorMap), with its certificates and membership solvers."""
+    GeneratorMap), with its certificates and membership solver."""
 
     def __init__(self, host: PresentedHopfAlgebra, name: str,
                  presentation: Presentation, embedding: dict,
@@ -56,8 +58,9 @@ class SubalgebraSpec:
                     f"missing embedding for generator {presentation.names[i]}")
         self.image = GeneratorMap(presentation, self.embedding,
                                   host.presentation.one(), False)
-        self._solvers: dict[int, tuple[linalg.LinearSolver, list[Monomial]]] = {}
-        self.cutoff: int | None = None
+        self._solver = linalg.LinearSolver([])  # holds the images of
+        self._monomials: list[Monomial] = []  # these ordered monomials,
+        self._solved_to = -1  # all of those up to this weight
         self.morphism_report: Report | None = None  # relations, independence
         self.coideal_report: Report | None = None  # the declared side
 
@@ -71,19 +74,14 @@ class SubalgebraSpec:
         return Element.from_scaled(self.host.presentation,
                                    *self.image.monomial(mono))
 
-    def _solver(self, max_weight: int):
-        """(solver over the images of the ordered monomials up to
-        max_weight, those monomials); max_weight may not pass the cutoff."""
-        if max_weight > self.cutoff:
-            raise CertificateMissingError(
-                f"membership at weight {max_weight} exceeds certified "
-                f"cutoff {self.cutoff}")
-        if max_weight not in self._solvers:
-            monomials = self.presentation.monomials_up_to(max_weight)
-            solver = linalg.LinearSolver(
-                [dict(self.monomial_image(m).terms) for m in monomials])
-            self._solvers[max_weight] = (solver, monomials)
-        return self._solvers[max_weight]
+    def _solver_to(self, weight: int) -> linalg.LinearSolver:
+        """The solver, grown to the ordered monomials up to weight."""
+        while self._solved_to < weight:
+            self._solved_to += 1
+            for m in self.presentation.monomials_of_weight(self._solved_to):
+                self._solver.add(dict(self.monomial_image(m).terms))
+                self._monomials.append(m)
+        return self._solver
 
     def embed_generator(self, g) -> Element:
         return self.embedding[self.presentation.index(g)]
@@ -93,22 +91,19 @@ class SubalgebraSpec:
         self._require_registered()
         return self.image(x)
 
-    def contains(self, h: Element, max_weight: int | None = None) -> bool:
+    def contains(self, h: Element) -> bool:
+        """Membership, solved at weight <= weight(h): exact (module doc)."""
         self._require_registered()
-        if not h:
-            return True
-        w = h.weight if max_weight is None else max_weight
-        return self._solver(w)[0].contains(dict(h.terms))
+        return not h or self._solver_to(h.weight).contains(dict(h.terms))
 
-    def represent(self, h: Element, max_weight: int) -> Element | None:
-        """The preimage of h, solved at weight <= max_weight, or None."""
+    def represent(self, h: Element) -> Element | None:
+        """The preimage of h, solved at weight <= weight(h), or None."""
         self._require_registered()
-        solver, monomials = self._solver(max_weight)
-        coeffs = solver.solve(dict(h.terms))
+        coeffs = self._solver_to(h.weight or 0).solve(dict(h.terms))
         if coeffs is None:
             return None
         return Element(self.presentation,
-                       {m: c for m, c in zip(monomials, coeffs) if c})
+                       {m: c for m, c in zip(self._monomials, coeffs) if c})
 
     def signature(self) -> Signature:
         self._require_registered()
@@ -124,18 +119,16 @@ class SubalgebraSpec:
 
 def register_subalgebra(host: PresentedHopfAlgebra, name: str,
                         generators, commutators, embedding,
-                        side: str, cutoff: int | None = None) -> SubalgebraSpec:
+                        side: str) -> SubalgebraSpec:
     """Certify and return an embedded subalgebra.
 
     Verifies, in order: the subalgebra presentation terminates and is
-    confluent; every relation maps to zero in the host; each generator's
-    declared weight is the coradical degree of its image; the images of
-    the ordered monomials up to the cutoff are linearly independent; the
-    declared coideal side holds.  Each certificate is attached once it passes.
+    confluent; no image outweighs the host's truncation; each declared
+    weight is the coradical degree of its image; every relation maps to
+    zero; the leading symbols are independent (_symbol_rank); the declared
+    coideal side holds.  Each certificate is attached once it passes.
     """
     host._require_filtration()
-    if cutoff is None:
-        cutoff = host.filtration.truncation
     pres = Presentation(generators, commutators)
     spec = SubalgebraSpec(host, name, pres, embedding, side)
 
@@ -150,7 +143,7 @@ def register_subalgebra(host: PresentedHopfAlgebra, name: str,
         img = spec.embedding[i]
         if not img:
             raise RegistrationError(f"{name}: generator {g} embeds to zero")
-        if img.weight > cutoff:
+        if img.weight > host.filtration.truncation:
             raise RegistrationError(
                 f"{name}: image of {g} exceeds the certification cutoff")
         deg = host.coradical_degree(img)
@@ -169,13 +162,13 @@ def register_subalgebra(host: PresentedHopfAlgebra, name: str,
         raise RegistrationError(
             f"{name}: embedding does not respect the relations: "
             + "; ".join(c.name for c in report.failures()))
-    spec.cutoff = cutoff
-    solver, monomials = spec._solver(cutoff)
-    if solver.rank != len(monomials):
+    rank = _symbol_rank(spec)
+    if rank != pres.ngens:
         raise RegistrationError(
-            f"{name}: images of the ordered monomials up to weight {cutoff} "
-            "are linearly dependent; not an embedded ordered basis")
-    report.add(f"monomial images independent to weight {cutoff}", True)
+            f"{name}: leading symbols of the generator images are not "
+            f"certified independent (Jacobian rank {rank} mod 2^61-1 < "
+            f"{pres.ngens}); dependent symbols give no ordered basis")
+    report.add("leading symbols algebraically independent", True)
     spec.morphism_report = report
     rep = coideal_check(spec)
     if not rep.passed:
@@ -186,6 +179,31 @@ def register_subalgebra(host: PresentedHopfAlgebra, name: str,
     return spec
 
 
+def _symbol_rank(spec: SubalgebraSpec) -> int | None:
+    """Rank mod linalg.RANK_PRIME (None: it divides a denominator) of the
+    Jacobian of the leading symbols s_i, the weight-w_i parts of the images
+    u_i read as polynomials in the host's commuting symbols x_j, at a fixed
+    point.  Rank at a point mod p is at most the generic rank over Q, so
+    rank ngens proves the s_i algebraically independent (Jacobian criterion
+    in characteristic 0; Beecken-Mittmann-Saxena, ICALP 2011).
+    """
+    hp = spec.host.presentation  # the point: x_j hashed from j (Fibonacci)
+    point = [(j + 1) * 0x9E3779B97F4A7C15 % linalg.RANK_PRIME
+             for j in range(hp.ngens)]
+    rows = []
+    for i, w in enumerate(spec.presentation.weights):
+        row: dict = {}
+        for mono, c in spec.embedding[i].terms.items():
+            if hp.monomial_weight(mono) == w:
+                # c x^mono at the point; its d/dx_j is e_j value / x_j
+                value = c * prod(x ** e for x, e in zip(point, mono))
+                for j, e in enumerate(mono):
+                    if e:
+                        linalg.add_term(row, j, e * value / point[j])
+        rows.append(row)
+    return linalg._rank_mod_p(rows, len(rows))
+
+
 def coideal_check(spec: SubalgebraSpec, side: str | None = None) -> Report:
     """Report on a coideal side (default: the declared one) by membership
     of coproduct legs; the spec keeps the one registration attached.
@@ -193,8 +211,7 @@ def coideal_check(spec: SubalgebraSpec, side: str | None = None) -> Report:
     For each generator image u: every second-leg cofactor of the host
     coproduct of u must lie in the embedded span (left side), or every
     first-leg cofactor (right side).  'hopf' checks both.  Membership is
-    solved at weight <= weight(u), which is exact under the host
-    filtration certificate.
+    exact once registration has certified the leading symbols.
     """
     spec._require_registered()
     side = side or spec.side
@@ -205,12 +222,10 @@ def coideal_check(spec: SubalgebraSpec, side: str | None = None) -> Report:
     for s in sides:
         anchor_leg = 1 if s == "left" else 2
         for i, g in enumerate(spec.presentation.names):
-            u = spec.embedding[i]
-            w = u.weight
-            t = spec.host.coproduct(u)
+            t = spec.host.coproduct(spec.embedding[i])
             bad = []
             for mono, cofactor in t.leg_cofactors(anchor_leg):
-                if not spec.contains(cofactor, w):
+                if not spec.contains(cofactor):
                     mono_str = format_monomial(spec.host.presentation, mono)
                     pair = (f"{mono_str}@({cofactor})" if s == "left"
                             else f"({cofactor})@{mono_str}")
@@ -241,29 +256,24 @@ def antipode_image(spec: SubalgebraSpec) -> SubalgebraSpec:
         [(pres.names[k], pres.weights[k]) for k in reversed(range(pres.ngens))],
         table,
         {last - i: host.antipode(spec.embedding[i]) for i in range(pres.ngens)},
-        {"left": "right", "right": "left", "hopf": "hopf"}[spec.side],
-        spec.cutoff)
+        {"left": "right", "right": "left", "hopf": "hopf"}[spec.side])
 
 
 def is_hopf_subalgebra(spec: SubalgebraSpec) -> bool:
     """True iff the antipode maps every generator image back into the span."""
     spec._require_registered()
     spec.host._require_antipode()
-    for i in range(spec.presentation.ngens):
-        img = spec.embedding[i]
-        if not spec.contains(spec.host.antipode(img), img.weight):
-            return False
-    return True
+    return all(spec.contains(spec.host.antipode(spec.embedding[i]))
+               for i in range(spec.presentation.ngens))
 
 
 def _generators_inside(a: SubalgebraSpec, b: SubalgebraSpec) -> bool:
-    """Whether b contains every generator image of a, at its weight."""
-    return all(b.contains(a.embedding[i], a.embedding[i].weight)
-               for i in range(a.presentation.ngens))
+    """Whether b contains every generator image of a."""
+    return all(b.contains(a.embedding[i]) for i in range(a.presentation.ngens))
 
 
 def spans_equal(a: SubalgebraSpec, b: SubalgebraSpec) -> bool:
-    """Mutual membership of generator images, at the generators' weights."""
+    """Mutual membership of generator images."""
     a._require_registered()
     b._require_registered()
     return _generators_inside(a, b) and _generators_inside(b, a)
@@ -280,11 +290,8 @@ def containment_check(inner: SubalgebraSpec, outer: SubalgebraSpec) -> Report:
     if inner.host is not outer.host:
         raise ValueError("containment needs a common host")
     report = Report(f"containment {inner.name} in {outer.name}")
-    missing = []
-    for i, g in enumerate(inner.presentation.names):
-        img = inner.embedding[i]
-        if not outer.contains(img, img.weight):
-            missing.append(g)
+    missing = [g for i, g in enumerate(inner.presentation.names)
+               if not outer.contains(inner.embedding[i])]
     contained = not missing
     report.add(f"{inner.name} contained in {outer.name}", contained,
                "" if contained else f"generators outside: {', '.join(missing)}")
@@ -304,15 +311,14 @@ def containment_check(inner: SubalgebraSpec, outer: SubalgebraSpec) -> Report:
     return report
 
 
-def full_subalgebra(H: PresentedHopfAlgebra, cutoff: int | None = None
-                    ) -> SubalgebraSpec:
+def full_subalgebra(H: PresentedHopfAlgebra) -> SubalgebraSpec:
     """The host registered as a subalgebra of itself (identity embedding)."""
     pres = H.presentation
     table = {(pres.names[j], pres.names[i]): dict(terms)
              for (j, i), terms in pres.table.items()}
     return register_subalgebra(
         H, H.name, list(zip(pres.names, pres.weights)), table,
-        {g: pres.gen(g) for g in pres.names}, "hopf", cutoff)
+        {g: pres.gen(g) for g in pres.names}, "hopf")
 
 
 def coinvariants(H: PresentedHopfAlgebra, spec: SubalgebraSpec,
@@ -358,16 +364,14 @@ def primitive_of_coideal(spec: SubalgebraSpec) -> Element | None:
 
     A nontrivial coideal subalgebra of a connected host always meets the
     primitive space nontrivially, so None here signals a certificate bug.
+    Primitives have weight 1, and under the symbol certificate T's part of
+    weight <= 1 is spanned by 1 and the weight-1 generator images; such an
+    image less its counit is primitive (on the certified host F_1 is k
+    plus the primitives).
     """
     spec._require_registered()
-    host = spec.host
-    t_monomials = spec.presentation.monomials_up_to(
-        spec.cutoff, include_identity=False)
-    if not t_monomials:
+    ones = spec.presentation.monomials_of_weight(1)
+    if not ones:
         return None
-    basis = linalg.kernel(
-        {tm: host.reduced_coproduct(spec.monomial_image(tm)).terms
-         for tm in t_monomials})
-    if not basis:
-        return None
-    return spec.image(Element(spec.presentation, basis[0]))
+    u = spec.monomial_image(ones[0])
+    return u - spec.host.scalar(spec.host.counit(u))

@@ -161,7 +161,7 @@ class PresentedHopfAlgebra:
     def embed(self, x: Element) -> Element:
         return x
 
-    def represent(self, h: Element, max_weight: int) -> Element:
+    def represent(self, h: Element) -> Element:
         return h
 
     # -- element factories ---------------------------------------------------
@@ -361,8 +361,8 @@ def _antipode_recursion(H: PresentedHopfAlgebra) -> Report:
         g = pres.gen(i)
         rhs = -g - contract(H.reduced_coproduct(g).apply_to_leg(1, S))
         holds[i] = S.images.setdefault(i, rhs) == rhs  # defines or checks
-    if H._antipode is None:
-        H.attach_antipode(S.images)
+    if H._antipode is None:  # S itself, memo kept; no S(g) outweighs g
+        H._antipode, H._antipode_mono = S, S.memo
     report = Report(f"{H.name}: convolution")
     for i, g in enumerate(pres.names):
         report.add(f"antipode axiom on {g}", holds[i])
@@ -426,7 +426,7 @@ def s_squared_analysis(target) -> SquaredAntipodeAnalysis:
     for g in target.presentation.names:
         u = target.embed_generator(g)
         s2u = H.s_squared(u)
-        if target.represent(s2u, u.weight) is None:
+        if target.represent(s2u) is None:
             raise CertificateMissingError(
                 f"S^2({g}) escapes the subalgebra span; "
                 "coideal certificate violated")

@@ -115,7 +115,7 @@ def compose_with_antipode(chi: Character) -> Character:
     values = {}
     for g in target.presentation.names:
         u = target.embed_generator(g)
-        rep = target.represent(target.host.antipode(u), u.weight)
+        rep = target.represent(target.host.antipode(u))
         if rep is None:
             raise HopfAlgebraError(
                 f"antipode image of {g} leaves the subalgebra span")
@@ -145,18 +145,17 @@ def winding(chi: Character, x: Element, side: str) -> Element:
         hx = target.embed(x)
         if not hx:
             return pres.zero()
-        w = hx.weight
         anchor_leg = 2 if side == "left" else 1
         out: dict = {}
         for mono, cofactor in host.coproduct(hx).leg_cofactors(anchor_leg):
-            rep = target.represent(cofactor, w)
+            rep = target.represent(cofactor)
             if rep is None:
                 raise HopfAlgebraError(
                     f"winding cofactor {cofactor} is outside the subalgebra "
                     "span; the declared coideal side does not support this "
                     "winding")
             linalg.add_term(out, mono, chi(rep))
-        result = target.represent(Element(host.presentation, out), w)
+        result = target.represent(Element(host.presentation, out))
         if result is None:
             raise HopfAlgebraError(
                 "winding image escapes the subalgebra span; stability "
@@ -205,7 +204,7 @@ def _s2_on_target(target, x: Element, inverse: bool = False) -> Element:
         hy = host.antipode_inverse(host.antipode_inverse(hx))
     else:
         hy = host.s_squared(hx)
-    rep = target.represent(hy, hx.weight or 0)
+    rep = target.represent(hy)
     if rep is None:
         raise HopfAlgebraError(
             "squared antipode leaves the subalgebra span; certificate "

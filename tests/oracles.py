@@ -77,6 +77,27 @@ def primitive_basis_by_kernel(H, weight_cutoff: int) -> list[Element]:
         {m: H.reduced_coproduct(pres.monomial(m)).terms for m in monomials})]
 
 
+def membership_by_cutoff(spec, cutoff: int):
+    """represent(h) for elements h lighter than cutoff, solved over the
+    images of every ordered T-monomial up to cutoff: the per-weight solver
+    (and, by its independence, the rank test) that registration's symbol
+    certificate replaces.  Exact only below the cutoff; asserts that the
+    images it spans are independent."""
+    monomials = spec.presentation.monomials_up_to(cutoff)
+    solver = linalg.LinearSolver(
+        [dict(spec.monomial_image(m).terms) for m in monomials])
+    assert solver.independent, f"{spec.name}: monomial images are dependent"
+
+    def represent(h):
+        assert (h.weight or 0) < cutoff, "element not lighter than the cutoff"
+        coeffs = solver.solve(dict(h.terms))
+        if coeffs is None:
+            return None
+        return Element(spec.presentation,
+                       {m: c for m, c in zip(monomials, coeffs) if c})
+    return represent
+
+
 # Fraction-arithmetic structure maps: the loops the integer kernels of
 # algebra, tensor and hopf replace.  Products come straight from the
 # rewriting (reduce_word), not from the memoized product table.

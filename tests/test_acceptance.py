@@ -175,6 +175,6 @@ def test_criterion_10_every_nontrivial_coideal_has_a_primitive():
         p = primitive_of_coideal(spec)
         assert p is not None and p
         assert not spec.host.reduced_coproduct(p)
-        assert spec.contains(p, p.weight)
+        assert spec.contains(p)
     _announce(10, f"nonzero primitive found inside all {len(specs)} catalog "
                   "coideals")

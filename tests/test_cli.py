@@ -239,6 +239,33 @@ def test_sub_heavier_than_cutoff_exit_3(capsys, tmp_path):
     assert "exceeds the certification cutoff" in capsys.readouterr().err
 
 
+def test_sub_with_dependent_leading_symbols_exit_3(capsys, tmp_path):
+    # A = X1, B = X1^2 + X2: dependent leading symbols X1, X1^2
+    path = tmp_path / "dependent.hopf"
+    path.write_text("hopf U_abelian2\ngen X1 weight 1\ngen X2 weight 1\n"
+                    "coprod X1 = 1@X1 + X1@1\ncoprod X2 = 1@X2 + X2@1\n"
+                    "sub T side hopf {\n  gen A weight 1\n  gen B weight 2\n"
+                    "  embed A = X1\n  embed B = X1^2 + X2\n}\n")
+    assert run(["verify", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("sub T: T: leading symbols")
+    assert "not certified independent" in captured.err
+
+
+def test_coideal_primitive_of_a_generator_with_a_counit(capsys, tmp_path):
+    # A = X + 1 embeds with counit 1; the primitive in T is A - 1 = X
+    host = (Path(__file__).parents[1] / "bench" / "data"
+            / "heisenberg.hopf").read_text()
+    path = tmp_path / "counit.hopf"
+    path.write_text(host + "sub T side hopf {\n  gen A weight 1\n"
+                    "  embed A = X + 1\n}\n")
+    assert run(["coideal", str(path), "--format", "json"]) == 0
+    subs = json.loads(capsys.readouterr().out)["data"]["subalgebras"]
+    assert [s["primitive"] for s in subs] == ["X"]
+
+
 def test_builtin_session_shows_catalog_certification(capsys):
     code = run(["verify", "--builtin", "B:1", "--format", "json"])
     checks = json.loads(capsys.readouterr().out)["checks"]
@@ -403,4 +430,4 @@ def test_defaulted_parameters_ratchet():
                                  ast.Lambda)):
                 count += len(node.args.defaults) + sum(
                     d is not None for d in node.args.kw_defaults)
-    assert count <= 36
+    assert count <= 33

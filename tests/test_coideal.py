@@ -1,4 +1,8 @@
 import ast
+import io
+import random
+import re
+import tokenize
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,10 +14,13 @@ from hopfforge.coideal import (RegistrationError, SubalgebraSpec,
                                containment_check, full_subalgebra,
                                is_hopf_subalgebra, primitive_of_coideal,
                                register_subalgebra, spans_equal)
-from hopfforge.grading import Signature
-from hopfforge.hopf import CertificateMissingError
+from hopfforge.grading import Signature, certify
 from hopfforge.nakayama import counit_character
+from hopfforge.parser import build_algebra, parse, sub_arguments
 from hopfforge.report import Report
+
+from oracles import membership_by_cutoff
+from suites import random_element
 
 F = Fraction
 
@@ -59,7 +66,7 @@ def test_registration_checks_termination_once(count_calls):
     calls = count_calls(algebra, "check_termination_weights")
     register_subalgebra(H, "L", [("Y", 1), ("Z", 2)],
                         {("Z", "Y"): {(2, 0): F(1, 2)}},
-                        {"Y": H.gen("Y"), "Z": H.gen("Z")}, "left", 6)
+                        {"Y": H.gen("Y"), "Z": H.gen("Z")}, "left")
     assert len(calls) == 1
 
 
@@ -67,7 +74,7 @@ def test_register_rejects_wrong_weight():
     H = catalog.build_b_lambda(1)
     with pytest.raises(RegistrationError, match="reweight Z to 2"):
         register_subalgebra(H, "bad", [("Z", 1)], {},
-                            {"Z": H.gen("Z")}, "left", 6)
+                            {"Z": H.gen("Z")}, "left")
 
 
 def test_register_rejects_broken_relation():
@@ -76,7 +83,7 @@ def test_register_rejects_broken_relation():
         register_subalgebra(
             H, "bad", [("Y", 1), ("Z", 2)],
             {("Z", "Y"): {(2, 0): 1}},  # wrong coefficient
-            {"Y": H.gen("Y"), "Z": H.gen("Z")}, "left", 6)
+            {"Y": H.gen("Y"), "Z": H.gen("Z")}, "left")
 
 
 def test_register_rejects_dependent_generators():
@@ -84,7 +91,18 @@ def test_register_rejects_dependent_generators():
     with pytest.raises(RegistrationError, match="dependent"):
         register_subalgebra(
             H, "bad", [("A", 1), ("B", 1)], {},
-            {"A": H.gen("Y"), "B": H.gen("Y") * 2}, "left", 6)
+            {"A": H.gen("Y"), "B": H.gen("Y") * 2}, "left")
+
+
+def test_register_rejects_dependent_leading_symbols():
+    # A = X1 and B = X1^2 + X2 generate all of U(abelian2), but their
+    # leading symbols X1 and X1^2 are algebraically dependent: the ordered
+    # monomials A^a B^b are no basis, and the signature would read (1, 2)
+    H = catalog.build_enveloping_preset("abelian2")
+    X1, X2 = H.gen("X1"), H.gen("X2")
+    with pytest.raises(RegistrationError, match="not certified independent"):
+        register_subalgebra(H, "T", [("A", 1), ("B", 2)], {},
+                            {"A": X1, "B": X1 ** 2 + X2}, "hopf")
 
 
 def test_coideal_sides():
@@ -107,7 +125,7 @@ def test_coideal_check_second_legs_of_l_inf():
                       for m, cof in t.leg_cofactors(1))
     assert set(cofactors) == {"1", "X", "Z"}
     for cof in cofactors.values():
-        assert Linf.contains(cof, 2)
+        assert Linf.contains(cof)
 
 
 def test_antipode_image_swaps_the_families():
@@ -172,7 +190,7 @@ def test_coinvariants_round_trip_recovers_the_coideal():
     t_monos = Linf.presentation.monomials_up_to(3)
     assert len(basis) == len(t_monos)
     for e in basis:
-        assert Linf.contains(e, 3)
+        assert Linf.contains(e)
 
 
 def test_coinvariants_trivial_cases():
@@ -183,7 +201,7 @@ def test_coinvariants_trivial_cases():
     basis = coinvariants(H, full, 2)
     assert len(basis) == len(H.presentation.monomials_up_to(2))
     # the trivial subalgebra: only scalars are coinvariant
-    trivial = register_subalgebra(H, "k", [], {}, {}, "left", 6)
+    trivial = register_subalgebra(H, "k", [], {}, {}, "left")
     basis = coinvariants(H, trivial, 3)
     assert len(basis) == 1
     assert str(basis[0]) == "1"
@@ -218,11 +236,18 @@ def spans_equal_line(a, b):
     return False
 
 
-def test_membership_cutoff_enforced():
+def test_membership_is_exact_past_the_truncation():
+    # the host is certified to order 6; membership has no cutoff
     Linf = catalog.build_b_coideal(1, "L", "inf")
-    big = Linf.host.gen("Z") ** 4  # weight 8 exceeds the certified cutoff
-    with pytest.raises(CertificateMissingError):
-        Linf.contains(big)
+    H = Linf.host
+    X, Z = H.gen("X"), H.gen("Z")
+    assert H.filtration.truncation == 6
+    assert (Z ** 4).weight == 8 and Linf.contains(Z ** 4)
+    assert str(Linf.represent(Z ** 4)) == "Z^4"
+    for outside in (X * Z ** 3, Z ** 4 + X * Z ** 3):
+        assert not Linf.contains(outside)
+        assert Linf.represent(outside) is None
+    assert (Z ** 4 + X * Z ** 3).weight == 8
 
 
 def test_integer_generator_keys_are_range_checked():
@@ -342,3 +367,85 @@ def test_a_second_embedding_key_for_one_generator_is_rejected():
         register_subalgebra(H, "T", [("Y", 1)], {}, {0: X, "Y": Y}, "hopf")
     with pytest.raises(ValueError, match="generator Y is given twice"):
         register_subalgebra(H, "T", [("Y", 1)], {}, {"Y": Y, 0: X}, "hopf")
+
+
+def _catalog_and_data_coideals():
+    specs = [catalog.build_b_coideal(lam, which, param)
+             for lam in (0, 1, F(1, 2), -2) for which, param, _, _ in _B_FAMILIES]
+    specs += [catalog.build_e_coideal(), catalog.build_e_coideal(3, -1, 1, 0)]
+    root = Path(__file__).parent.parent
+    for path in (root / "tests" / "data" / "b_lambda.hopf",
+                 root / "bench" / "data" / "b_half.hopf"):
+        H, blocks = build_algebra(parse(path.read_text()))
+        assert certify(H, 6).passed
+        specs += [register_subalgebra(**sub_arguments(H, b)) for b in blocks]
+    return specs
+
+
+def test_membership_matches_the_cutoff_solver():
+    rng = random.Random(17)
+    specs = _catalog_and_data_coideals()
+    assert len(specs) == 4 * len(_B_FAMILIES) + 2 + 4
+    for spec in specs:
+        host = spec.host.presentation
+        oracle = membership_by_cutoff(spec, 7)
+        outside = [host.monomial(m) for m in host.monomials_up_to(4)
+                   if oracle(host.monomial(m)) is None]
+        assert outside, spec.name
+        for _ in range(6):
+            x = random_element(rng, spec.presentation, nonzero=True)
+            member = spec.embed(x)
+            assert spec.contains(member)
+            assert spec.represent(member) == oracle(member) == x
+            other = member + outside[rng.randrange(len(outside))]
+            assert not spec.contains(other)
+            assert spec.represent(other) is oracle(other) is None
+
+
+# a membership cutoff, a per-weight solver cache, or a max_weight on the
+# target questions: what the symbol certificate made unnecessary
+_CUTOFF_NAME = re.compile(r"\b(cutoff|_solvers)\b")
+
+
+def _cutoff_offenders(source: str, names: bool) -> list[str]:
+    found = []
+    if names:
+        found += [f"{tok.start[0]}: {tok.line.strip()}" for tok in
+                  tokenize.generate_tokens(io.StringIO(source).readline)
+                  if tok.type == tokenize.NAME
+                  and _CUTOFF_NAME.fullmatch(tok.string)]
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) \
+                and node.name in ("contains", "represent") \
+                and "max_weight" in [a.arg for a in node.args.args]:
+            found.append(f"{node.lineno}: {node.name} takes max_weight")
+    return found
+
+
+def test_cutoff_guard_flags_the_old_membership_path():
+    for line in ("spec.cutoff = cutoff\n",
+                 "self._solvers[max_weight] = (solver, monomials)\n",
+                 "register_subalgebra(**sub_arguments(self.H, block), "
+                 "cutoff=self.truncation)\n",
+                 "def full_subalgebra(H, cutoff=None):\n    pass\n"):
+        assert _cutoff_offenders(line, names=True), line
+    for line in ("def contains(self, h, max_weight=None):\n    pass\n",
+                 "def represent(self, h, max_weight):\n    return h\n"):
+        assert _cutoff_offenders(line, names=False), line
+    for line in ('raise RegistrationError(f"{name}: image of {g} exceeds '
+                 'the certification cutoff")\n',
+                 "def coinvariants(H, spec, weight_cutoff):\n    pass\n",
+                 "# no cutoff in a comment\n",
+                 "def represent(self, h):\n    return h\n"):
+        assert not _cutoff_offenders(line, names=True), line
+
+
+def test_membership_has_no_cutoff():
+    src = Path(__file__).parent.parent / "src" / "hopfforge"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        names = path.name in ("coideal.py", "catalog.py", "cli.py")
+        offenders += [f"{path.name}:{hit}" for hit in
+                      _cutoff_offenders(path.read_text(), names)]
+    assert not offenders, "membership is exact at every weight:\n" + \
+        "\n".join(offenders)

@@ -33,7 +33,7 @@ def test_shipped_file_matches_catalog_build():
     # and the parsed data certifies and registers end to end
     assert certify(H, 6).passed
     from hopfforge.coideal import register_subalgebra
-    specs = {b.name: register_subalgebra(**sub_arguments(H, b), cutoff=6)
+    specs = {b.name: register_subalgebra(**sub_arguments(H, b))
              for b in blocks}
     assert specs["L_inf"].coideal_report.passed
     assert specs["R_inf"].coideal_report.passed
