@@ -191,12 +191,7 @@ class PresentedHopfAlgebra:
 
     def reduced_coproduct(self, x: Element) -> TensorElement:
         """coproduct(x) - 1@x - x@1, defined on the counit kernel."""
-        self._require_confluence()
-        if self.counit(x):
-            raise ValueError("reduced coproduct needs counit(x) = 0")
-        return TensorElement.from_scaled(
-            self.presentation, 2, *linalg.extend_scaled(
-                *x.scaled, lambda mono: self._reduced_iterate_monomial(mono, 1)))
+        return self.iterated_reduced_coproduct(x, 1)
 
     def _reduced_iterate_monomial(self, mono: Monomial, n: int) -> tuple:
         """The n-fold reduced coproduct of a monomial (memoized, scaled)."""

@@ -1,5 +1,5 @@
 """Sparse exact-rational accumulation, and exact linear algebra over the
-rationals with deterministic pivoting.
+rationals.
 
 Every coefficient dict in the package -- ``Element`` and ``TensorElement``
 terms, solver vectors, memo tables -- stores no zero coefficient, and
@@ -14,11 +14,11 @@ denominators; ``accumulate_legs`` sums a tensor product on packed keys.
 ``Scaled`` owns the linear structure of both classes; public
 coefficients (``terms``, solver results) are Fractions.
 
-Vectors are sparse dicts {column index: Fraction}.  Pivot choice is fixed
-once and for all (columns in ascending order; among candidate rows the one
-whose pivot entry has the smallest numerator+denominator bit-length, ties
-by row index) so that reduced forms, kernel bases and membership
-coefficients are bit-for-bit reproducible.
+Vectors are sparse dicts {column index: Fraction}.  ``LinearSolver`` is
+the one exact elimination: ``rref`` reads its rows, and ``kernel_basis``
+reads ``rref``.  Reduced forms and kernel bases are bit-for-bit
+reproducible because the reduced row echelon form of a matrix is unique,
+whatever the order of elimination.
 
 ``rank`` alone has a fast path: it first takes the rank modulo the prime
 p = 2^61 - 1 and returns it when it reaches the trivial upper bound
@@ -69,27 +69,13 @@ def add_term(target: dict, key, value: Fraction) -> None:
             del target[key]
 
 
-def vec_add_scaled(target: dict, source: dict,
-                   factor: Fraction | None = None) -> None:
+def vec_add_scaled(target: dict, source: dict, factor: Fraction = ONE) -> None:
     """target += factor * source in place, dropping entries that cancel.
 
-    factor None adds source unscaled, with no multiply per entry; a zero
-    factor is a no-op.  Keys may be any hashable:
+    A zero factor is a no-op.  Keys may be any hashable:
     column indices, monomials or tensor keys.  Like every sparse vector,
     source holds no zero, so a key new to target is stored without an add.
     """
-    if factor is None:
-        for k, v in source.items():
-            acc = target.get(k)
-            if acc is None:
-                target[k] = v
-            else:
-                acc += v
-                if acc:
-                    target[k] = acc
-                else:
-                    del target[k]
-        return
     if not factor:
         return
     for k, v in source.items():
@@ -237,47 +223,18 @@ def scaled_equal(a: tuple[dict, int], b: tuple[dict, int]) -> bool:
         n * db == nb[k] * da for k, n in na.items())
 
 
-def _pivot_size(value: Fraction) -> int:
-    return abs(value.numerator).bit_length() + value.denominator.bit_length()
-
-
 def rref(rows: Sequence[Vector], ncols: int) -> tuple[list[Vector], dict[int, int]]:
-    """Reduced row echelon form.
+    """Reduced row echelon form of the rows restricted to columns
+    0..ncols-1: the rows of a ``LinearSolver`` spanned by them.
 
     Returns (reduced nonzero rows, {pivot column: row position}),
     with rows listed in ascending pivot-column order and pivot entries 1.
     """
-    work = [{j: v for j, v in r.items() if v} for r in rows]
-    reduced: list[Vector] = []
-    pivots: dict[int, int] = {}
-    for col in range(ncols):
-        best = None
-        for idx, row in enumerate(work):
-            v = row.get(col)
-            if v:
-                size = _pivot_size(v)
-                if best is None or (size, idx) < best[0]:
-                    best = ((size, idx), idx)
-        if best is None:
-            continue
-        idx = best[1]
-        pivot_row = work.pop(idx)
-        inv = ONE / pivot_row[col]
-        pivot_row = {j: v * inv for j, v in pivot_row.items()}
-        for row in work:
-            v = row.get(col)
-            if v:
-                vec_add_scaled(row, pivot_row, -v)
-        for row in reduced:
-            v = row.get(col)
-            if v:
-                vec_add_scaled(row, pivot_row, -v)
-        pivots[col] = len(reduced)
-        reduced.append(pivot_row)
-        work = [r for r in work if r]
-    order = sorted(pivots)
-    rows_sorted = [reduced[pivots[c]] for c in order]
-    return rows_sorted, {c: i for i, c in enumerate(order)}
+    solver = LinearSolver([{j: v for j, v in row.items() if 0 <= j < ncols}
+                           for row in rows])
+    order = sorted(solver._pivots)
+    return ([solver._rows[solver._pivots[c]][0] for c in order],
+            {c: i for i, c in enumerate(order)})
 
 
 RANK_PRIME = (1 << 61) - 1

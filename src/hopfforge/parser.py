@@ -110,10 +110,8 @@ class _TokenStream:
 
 
 def _parse_number(ts: _TokenStream) -> Fraction:
-    num = ts.next()
-    if not num.isdigit():
-        raise ParseError(f"expected a number, found {num!r}", ts.lineno, ts.col())
-    value = Fraction(int(num))
+    """p or p/q, read from a digit token (the only caller checks it)."""
+    value = Fraction(int(ts.next()))
     if ts.peek() == "/":
         ts.next("/")
         den = ts.next()
@@ -194,12 +192,23 @@ def _parse_poly(ts: _TokenStream, declared, order, tensor: bool):
         else:
             key = _mono_key(sides[0], order)
         add_term(out, key, coeff)
+        # a term ends at a sign (the next term) or at one of these
         if ts.peek() is None or ts.peek() in (",", "]", "}"):
             break
-        if ts.peek() not in ("+", "-"):
-            raise ParseError(f"expected + or - between terms, found "
-                             f"{ts.peek()!r}", ts.lineno, ts.col())
     return out
+
+
+def _defined_generator(ts: _TokenStream, order: dict, given: dict,
+                       head: str) -> str:
+    """The generator named by a coprod, counit, antipode or embed line,
+    read up to its '=': declared in order, and not yet in given."""
+    name = ts.next()
+    if name not in order:
+        raise ParseError(f"undeclared generator {name!r}", ts.lineno)
+    if name in given:
+        raise ParseError(f"duplicate {head} line for {name!r}", ts.lineno)
+    ts.next("=")
+    return name
 
 
 def parse(text: str) -> DefinitionFile:
@@ -278,10 +287,7 @@ def parse(text: str) -> DefinitionFile:
         if head == "embed":
             if sub is None:
                 raise ParseError("embed lines belong inside a sub block", lineno)
-            name = ts.next()
-            if name not in sub_order:
-                raise ParseError(f"undeclared generator {name!r}", lineno)
-            ts.next("=")
+            name = _defined_generator(ts, sub_order, sub.embeds, head)
             poly = _parse_poly(ts, host_order, host_order, tensor=False)
             ts.done()
             sub.embeds[name] = poly
@@ -290,10 +296,7 @@ def parse(text: str) -> DefinitionFile:
             raise ParseError(f"unexpected declaration {head!r} in a sub block",
                              lineno)
         if head == "coprod":
-            name = ts.next()
-            if name not in host_order:
-                raise ParseError(f"undeclared generator {name!r}", lineno)
-            ts.next("=")
+            name = _defined_generator(ts, host_order, df.coproducts, head)
             poly = _parse_poly(ts, host_order, host_order, tensor=True)
             ts.done()
             if not poly:
@@ -301,10 +304,7 @@ def parse(text: str) -> DefinitionFile:
             df.coproducts[name] = poly
             continue
         if head == "counit":
-            name = ts.next()
-            if name not in host_order:
-                raise ParseError(f"undeclared generator {name!r}", lineno)
-            ts.next("=")
+            name = _defined_generator(ts, host_order, df.counits, head)
             value = ts.next()
             ts.done()
             if value != "0":
@@ -314,10 +314,7 @@ def parse(text: str) -> DefinitionFile:
             df.counits[name] = Fraction(0)
             continue
         if head == "antipode":
-            name = ts.next()
-            if name not in host_order:
-                raise ParseError(f"undeclared generator {name!r}", lineno)
-            ts.next("=")
+            name = _defined_generator(ts, host_order, df.antipodes, head)
             poly = _parse_poly(ts, host_order, host_order, tensor=False)
             ts.done()
             df.antipodes[name] = poly
@@ -349,11 +346,21 @@ def _poly_terms(poly: Poly, names) -> dict:
     return {_exponent_vector(k, names): c for k, c in poly.items()}
 
 
+def _relation_table(relations: list, names) -> dict:
+    """{(gj, gi): terms} of parsed relations; a pair given twice raises
+    ValueError, as Presentation.indexed does for a repeated key."""
+    table: dict = {}
+    for gj, gi, poly in relations:
+        if (gj, gi) in table:
+            raise ValueError(f"generator {gj},{gi} is given twice")
+        table[gj, gi] = _poly_terms(poly, names)
+    return table
+
+
 def build_algebra(df: DefinitionFile) -> tuple[PresentedHopfAlgebra, list[SubBlock]]:
     """Instantiate the parsed definition (uncertified; certify separately)."""
     names = [g for g, _ in df.generators]
-    table = {(gj, gi): _poly_terms(p, names) for gj, gi, p in df.relations}
-    pres = Presentation(df.generators, table)
+    pres = Presentation(df.generators, _relation_table(df.relations, names))
     coproducts = {}
     for g, terms in df.coproducts.items():
         coproducts[g] = {
@@ -380,8 +387,7 @@ def sub_arguments(host: PresentedHopfAlgebra, block: SubBlock) -> dict:
                          + ", ".join(missing))
     return dict(
         host=host, name=block.name, generators=block.generators,
-        commutators={(gj, gi): _poly_terms(p, names)
-                     for gj, gi, p in block.relations},
+        commutators=_relation_table(block.relations, names),
         embedding={g: host.presentation.element(_poly_terms(p, host_names))
                    for g, p in block.embeds.items()},
         side=block.side)

@@ -90,7 +90,7 @@ class TensorElement(Scaled):
     def from_terms(cls, algebra: Presentation, arity: int, terms: Mapping) -> "TensorElement":
         out: dict[TensorKey, Fraction] = {}
         for key, coeff in dict(terms).items():
-            key = tuple(tuple(int(e) for e in mono) for mono in key)
+            key = tuple(map(algebra.as_monomial, key))
             if len(key) != arity:
                 raise ValueError(f"key {key} does not have arity {arity}")
             add_term(out, key, as_fraction(coeff))

@@ -252,3 +252,50 @@ def overlap_checks_by_resolution(pres) -> list[tuple[str, bool, str]]:
         out.append((f"overlap ({pres.names[k]},{pres.names[j]},{pres.names[i]})",
                     ok, "" if ok else f"normal forms differ by {delta}"))
     return out
+
+
+def _pivot_size(value: Fraction) -> int:
+    return abs(value.numerator).bit_length() + value.denominator.bit_length()
+
+
+def rref_by_pivot_size(rows, ncols: int) -> tuple[list[dict], dict[int, int]]:
+    """Reduced row echelon form by an elimination of its own, independent
+    of linalg.LinearSolver: columns in ascending order, and among candidate
+    rows the one whose pivot entry has the smallest numerator+denominator
+    bit-length, ties by row index.  Entries outside columns 0..ncols-1
+    are carried along in the rows but never pivoted on.
+
+    Returns (reduced nonzero rows, {pivot column: row position}),
+    with rows listed in ascending pivot-column order and pivot entries 1.
+    """
+    work = [{j: v for j, v in r.items() if v} for r in rows]
+    reduced: list[dict] = []
+    pivots: dict[int, int] = {}
+    for col in range(ncols):
+        best = None
+        for idx, row in enumerate(work):
+            v = row.get(col)
+            if v:
+                size = _pivot_size(v)
+                if best is None or (size, idx) < best[0]:
+                    best = ((size, idx), idx)
+        if best is None:
+            continue
+        idx = best[1]
+        pivot_row = work.pop(idx)
+        inv = 1 / pivot_row[col]
+        pivot_row = {j: v * inv for j, v in pivot_row.items()}
+        for row in work:
+            v = row.get(col)
+            if v:
+                vec_add_scaled(row, pivot_row, -v)
+        for row in reduced:
+            v = row.get(col)
+            if v:
+                vec_add_scaled(row, pivot_row, -v)
+        pivots[col] = len(reduced)
+        reduced.append(pivot_row)
+        work = [r for r in work if r]
+    order = sorted(pivots)
+    rows_sorted = [reduced[pivots[c]] for c in order]
+    return rows_sorted, {c: i for i, c in enumerate(order)}

@@ -271,6 +271,58 @@ def test_trivial_overlaps_match_the_full_resolution():
             == overlap_checks_by_resolution(pres)
 
 
+def _calls(tree: ast.AST, function: str) -> set[str]:
+    """Names called (as f(...) or obj.f(...)) in the named function."""
+    fn, = [n for n in ast.walk(tree)
+           if isinstance(n, ast.FunctionDef) and n.name == function]
+    return {getattr(c.func, "id", getattr(c.func, "attr", None))
+            for c in ast.walk(fn) if isinstance(c, ast.Call)}
+
+
+def _second_engines(algebra_source: str, linalg_source: str) -> list[str]:
+    """Each job done beside its engine: overlaps resolved without the
+    normal-form product, or an elimination over Q besides LinearSolver."""
+    found = sorted(_calls(ast.parse(algebra_source), "check_confluence")
+                   & {"reduce_word", "vec_add_scaled"})
+    tree = ast.parse(linalg_source)
+    if "LinearSolver" not in _calls(tree, "rref"):
+        found.append("rref eliminates by itself")
+    found += [n.name for n in ast.walk(tree)
+              if isinstance(n, ast.FunctionDef) and n.name == "_pivot_size"]
+    return found
+
+
+def test_second_engine_guard_flags_the_old_code():
+    old_confluence = (
+        "def check_confluence(pres):\n"
+        "    via_left = pres.reduce_word((j, k, i))\n"
+        "    for mono, c in pres.table.get((k, j), {}).items():\n"
+        "        vec_add_scaled(via_left, pres.reduce_word("
+        "pres.word_of(mono) + (i,), c))\n")
+    old_rref = (
+        "def _pivot_size(value):\n"
+        "    return abs(value.numerator).bit_length() + "
+        "value.denominator.bit_length()\n"
+        "def rref(rows, ncols):\n"
+        "    work = [{j: v for j, v in r.items() if v} for r in rows]\n"
+        "    size = _pivot_size(v)\n")
+    new_confluence = ("def check_confluence(pres):\n"
+                      "    delta = (x_k * x_j) * x_i - x_k * (x_j * x_i)\n")
+    new_rref = ("def rref(rows, ncols):\n"
+                "    solver = LinearSolver([dict(row) for row in rows])\n")
+    assert _second_engines(old_confluence, new_rref) \
+        == ["reduce_word", "vec_add_scaled"]
+    assert _second_engines(new_confluence, old_rref) \
+        == ["rref eliminates by itself", "_pivot_size"]
+    assert _second_engines(new_confluence, new_rref) == []
+
+
+def test_one_engine_per_job():
+    src = Path(__file__).parent.parent / "src" / "hopfforge"
+    assert _second_engines((src / "algebra.py").read_text(),
+                           (src / "linalg.py").read_text()) == []
+
+
 def test_commuting_triples_resolve_without_rewriting(monkeypatch):
     pres = _confluence_presentations()[-1]  # O(U_5): every pair commutes
     calls = []

@@ -62,6 +62,28 @@ def test_parse_failure_exit_2(capsys, tmp_path):
     assert run(["verify", str(tmp_path / "missing.hopf")]) == 2
 
 
+_REPEATED_RELS = ("hopf A\ngen X weight 1\ngen Y weight 1\n"
+                  "rel [Y,X] = Y\nrel [Y,X] = 0\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    # the last line of each kind used to win, certifying [Y,X] = 0
+    (_REPEATED_RELS + "coprod X = 1@X + X@1\ncoprod Y = 1@Y + Y@1 + 3@1\n"
+     "coprod Y = 1@Y + Y@1\nantipode X = -X\nantipode Y = -Y\n"
+     "antipode Y = -Y\n",
+     "parse error: line 8: duplicate coprod line for 'Y'"),
+    (_REPEATED_RELS + "coprod X = 1@X + X@1\ncoprod Y = 1@Y + Y@1\n",
+     "bad definition: generator Y,X is given twice"),
+], ids=["second coprod", "repeated rel"])
+def test_duplicate_declarations_exit_2(text, message, capsys, tmp_path):
+    path = tmp_path / "twice.hopf"
+    path.write_text(text)
+    assert run(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n"
+    assert not captured.out
+
+
 def test_coideal_subcommand_on_file(capsys):
     code = run(["coideal", str(DATA / "b_lambda.hopf")])
     out = capsys.readouterr().out

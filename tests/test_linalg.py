@@ -10,6 +10,7 @@ from hopfforge import linalg
 from hopfforge.linalg import (RANK_PRIME, LinearSolver, add_term,
                               clear_denominators, kernel_basis, rank, rref,
                               vec_add_scaled)
+from oracles import rref_by_pivot_size
 
 F = Fraction
 P = RANK_PRIME
@@ -188,6 +189,47 @@ _entries = st.one_of(
 def test_rank_equals_rref_rank_property(case):
     ncols, rows = case
     assert rank(rows, ncols) == len(rref(rows, ncols)[0])
+
+
+def _assert_rref_matches_the_reference(rows, ncols):
+    """rref and kernel_basis against rref_by_pivot_size: equal pivots and
+    kernels; equal rows when every entry lies in columns 0..ncols-1 (the
+    reference keeps entries outside them, rref drops them)."""
+    reduced, pivots = rref(rows, ncols)
+    ref_rows, ref_pivots = rref_by_pivot_size(rows, ncols)
+    assert pivots == ref_pivots and len(reduced) == len(ref_rows)
+    if all(0 <= j < ncols for row in rows for j in row):
+        assert reduced == ref_rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "rref", rref_by_pivot_size)
+        ref_kernel = kernel_basis(rows, ncols)
+    assert kernel_basis(rows, ncols) == ref_kernel
+
+
+def _outside_columns(rng):
+    rows = _sparse_rows(rng, 6, 8, 0.5)
+    return rows + [{9: F(1)}, {-1: F(2), 0: F(1, P)}]
+
+
+@pytest.mark.parametrize("build", [_full, _deficient, _wide, _tall,
+                                   _with_empty_rows, _outside_columns])
+def test_rref_matches_the_pivot_size_reference(build):
+    rng = random.Random(build.__name__)
+    for _ in range(20):
+        rows = build(rng)
+        rows.append({0: F(3, P), 1: F(P)})  # denominator, zero mod p
+        for ncols in (2, 1 + max(j for r in rows for j in r)):
+            _assert_rref_matches_the_reference(rows, ncols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda ncols: st.tuples(
+    st.just(ncols),
+    st.lists(st.dictionaries(st.integers(-1, ncols + 1), _entries,
+                             max_size=ncols), max_size=9))))
+def test_rref_matches_the_pivot_size_reference_property(case):
+    ncols, rows = case
+    _assert_rref_matches_the_reference(rows, ncols)
 
 
 def test_kernel_deterministic():

@@ -126,6 +126,92 @@ def test_coproduct_that_cancels_to_zero_is_rejected():
         parse("hopf A\ngen X weight 1\ncoprod X = X@1 - X@1\n")
 
 
+
+_HEAD = "hopf A\ngen X weight 1\ngen Y weight 1\n"
+_COPRODS = "coprod X = 1@X + X@1\ncoprod Y = 1@Y + Y@1\n"
+
+# one minimal file per ParseError raised by parse: (text, line, message)
+_PARSE_ERRORS = {
+    "unexpected end": (_HEAD + "rel [Y,X]\n", 4,
+                       "unexpected end of line, expected '='"),
+    "expected token": ("hopf A\ngen X mass 1\n", 2,
+                       "expected 'weight', found 'mass'"),
+    "trailing input": ("hopf A B\n", 1, "trailing input 'B'"),
+    "zero denominator": (_HEAD + "rel [Y,X] = 1/0*X\n", 4,
+                         "expected a nonzero integer denominator"),
+    "bad exponent": (_HEAD + "rel [Y,X] = X^Y\n", 4,
+                     "expected an integer exponent"),
+    "unexpected token": (_HEAD + "rel [Y,X] = X = Y\n", 4,
+                         "unexpected token '=' in a polynomial"),
+    "two @": (_HEAD + "coprod X = 1@X@X\n", 4,
+              "more than one tensor separator in a term"),
+    "empty term": (_HEAD + "rel [Y,X] = X +\n", 4, "empty term"),
+    "not a tensor": (_HEAD + "coprod X = X\n", 4,
+                     "expected a tensor term mono@mono"),
+    "duplicate header": ("hopf A\nhopf B\n", 2, "duplicate algebra header"),
+    "nested sub": (_HEAD + "sub S side left {\nsub T side left {\n", 5,
+                   "nested sub blocks are not allowed"),
+    "unknown side": (_HEAD + "sub S side up {\n", 4, "unknown side 'up'"),
+    "stray brace": (_HEAD + "}\n", 4, "stray closing brace"),
+    "zero weight": ("hopf A\ngen X weight 0\n", 2,
+                    "weight must be a positive integer"),
+    "undeclared in rel": (_HEAD + "rel [Z,X] = 0\n", 4,
+                          "undeclared generator 'Z'"),
+    "undeclared coprod": (_HEAD + "coprod Z = 1@Z + Z@1\n", 4,
+                          "undeclared generator 'Z'"),
+    "misplaced embed": (_HEAD + "embed X = Y\n", 4,
+                        "embed lines belong inside a sub block"),
+    "coprod in sub": (_HEAD + "sub S side left {\ncoprod X = 1@X + X@1\n", 5,
+                      "unexpected declaration 'coprod' in a sub block"),
+    "unknown declaration": (_HEAD + "frob X\n", 4,
+                            "unknown declaration 'frob'"),
+    # a generator's second coprod, counit, antipode or embed line
+    "second coprod": (_HEAD + "coprod Y = 1@Y + Y@1 + 3@1\n" + _COPRODS, 6,
+                      "duplicate coprod line for 'Y'"),
+    "second counit": (_HEAD + "counit X = 0\ncounit X = 0\n", 5,
+                      "duplicate counit line for 'X'"),
+    "second antipode": (_HEAD + "antipode Y = -Y\nantipode Y = -Y\n", 5,
+                        "duplicate antipode line for 'Y'"),
+    "second embed": (_HEAD + _COPRODS + "sub S side left {\ngen Z weight 1\n"
+                     "embed Z = X\nembed Z = Y\n}\n", 9,
+                     "duplicate embed line for 'Z'"),
+}
+
+
+@pytest.mark.parametrize("text,line,message", _PARSE_ERRORS.values(),
+                         ids=_PARSE_ERRORS.keys())
+def test_parse_error_sites(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line == line
+    assert str(err.value).endswith(message)
+
+
+_SUB = "sub S side left {\ngen Z weight 1\ngen W weight 1\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    (_HEAD + "rel [Y,X] = Y\nrel [Y,X] = 0\n" + _COPRODS,
+     "generator Y,X is given twice"),
+    (_HEAD + _COPRODS + "antipode X = -X\n",
+     "antipode lines must cover all generators or none; missing: Y"),
+], ids=["repeated rel", "partial antipodes"])
+def test_build_algebra_rejects(text, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_algebra(parse(text))
+
+
+@pytest.mark.parametrize("block,message", [
+    ("rel [W,Z] = 0\nrel [W,Z] = Z\nembed Z = X\nembed W = Y\n",
+     "generator W,Z is given twice"),
+    ("embed Z = X\n", "sub S: missing embed lines for W"),
+], ids=["repeated rel", "missing embed"])
+def test_sub_arguments_rejects(block, message):
+    H, (sub,) = build_algebra(parse(_HEAD + _COPRODS + _SUB + block + "}\n"))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sub_arguments(H, sub)
+
+
 # identifiers, some of them keywords of the format
 _NAMES = ("X", "Y2", "_z", "weight", "side", "sub", "gen")
 _COEFFS = st.builds(F, st.integers(1, 9), st.integers(1, 4)).flatmap(

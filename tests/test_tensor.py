@@ -148,3 +148,19 @@ def test_sum_with_a_non_tensor_is_a_type_error(combine):
     X = catalog.build_b_lambda(1).gen("X")
     with pytest.raises(TypeError):
         combine(tensor_product(X, X))
+
+
+@pytest.mark.parametrize("leg", [(0,), (0, 0, 0), (-1, 1)],
+                         ids=["short", "long", "negative"])
+def test_from_terms_refuses_a_malformed_leg(leg):
+    from hopfforge.algebra import Presentation
+    from hopfforge.hopf import PresentedHopfAlgebra
+    pres = Presentation([("X", 1), ("Y", 1)])
+    one, x, y = (0, 0), (1, 0), (0, 1)
+    with pytest.raises(ValueError, match="bad monomial"):
+        TensorElement.from_terms(pres, 2, {(one, x): 1, (leg, one): 3})
+    # as coproduct data it used to pass validation and print beside 1@1
+    coproducts = {"X": {(one, x): 1, (x, one): 1, (leg, one): 3},
+                  "Y": {(one, y): 1, (y, one): 1}}
+    with pytest.raises(ValueError, match="bad monomial"):
+        PresentedHopfAlgebra(pres, coproducts)
