@@ -9,12 +9,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .algebra import Presentation, as_fraction
-from .coideal import SubalgebraSpec, register_subalgebra
 from .grading import certify
 from .hopf import HopfAlgebraError, PresentedHopfAlgebra
 from .tensor import tensor_product as tp
+
+if TYPE_CHECKING:  # loaded by the subalgebra builders only
+    from .coideal import SubalgebraSpec
 
 INF = "inf"
 
@@ -58,6 +61,7 @@ def build_b_lambda(lam, truncation: int = 6) -> PresentedHopfAlgebra:
 @lru_cache(maxsize=None)
 def _b_coideal(lam: Fraction, which: str, parameter, truncation: int
                ) -> SubalgebraSpec:
+    from .coideal import register_subalgebra
     H = build_b_lambda(lam, truncation)
     pres = H.presentation
     X, Y, Z = pres.gen("X"), pres.gen("Y"), pres.gen("Z")
@@ -159,6 +163,7 @@ def build_e(a=1, b=1, l1=0, l2=0, truncation: int = 6) -> PresentedHopfAlgebra:
 @lru_cache(maxsize=None)
 def _e_coideal(a: Fraction, b: Fraction, l1: Fraction, l2: Fraction,
                truncation: int) -> SubalgebraSpec:
+    from .coideal import register_subalgebra
     H = build_e(a, b, l1, l2, truncation)
     pres = H.presentation
     X, Y, Z, W = (pres.gen(g) for g in ("X", "Y", "Z", "W"))

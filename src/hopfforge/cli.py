@@ -4,6 +4,9 @@ Exit codes: 0 all requested checks pass, 1 a requested check failed or
 the output could not be written, 2 parse failure, 3 certificate failure.
 Checks with status "info" are informational verdicts and never fail a
 run.
+
+Each command imports only what it runs: catalog for --builtin, parser for
+a file, coideal where subalgebras are registered and nakayama for nakayama.
 """
 
 from __future__ import annotations
@@ -14,17 +17,10 @@ import os
 import sys
 from fractions import Fraction
 
-from . import catalog
 from .algebra import as_fraction
-from .coideal import (SubalgebraSpec, is_hopf_subalgebra, primitive_of_coideal,
-                      register_subalgebra)
 from .grading import Signature, certify, hilbert_series, signature
 from .hopf import HopfAlgebraError, s_squared_analysis
 from .lantern import lantern, numerology_report, verify_lie
-from .nakayama import (character, counit_character, enveloping_integral_character,
-                       nakayama_automorphism, s4_identity_check,
-                       verify_character)
-from .parser import ParseError, build_algebra, parse, sub_arguments
 from .report import Check, Report
 
 EXIT_OK = 0
@@ -54,6 +50,7 @@ def _e_params(params: str) -> list[Fraction]:
 
 def _parse_builtin(spec: str, truncation: int):
     """Builtin names: B:<lam>, E[:a,b,l1,l2], U:<preset>."""
+    from . import catalog
     head, _, params = spec.partition(":")
     if head == "B":
         lam = as_fraction(params or "0")
@@ -66,7 +63,8 @@ def _parse_builtin(spec: str, truncation: int):
                       f"U:<{'|'.join(catalog.ENVELOPING_PRESETS)}>)", EXIT_PARSE)
 
 
-def _builtin_sub(name: str, truncation: int, builtin: str) -> SubalgebraSpec:
+def _builtin_sub(name: str, truncation: int, builtin: str):
+    from . import catalog
     head, _, params = builtin.partition(":")
     which, colon, param = name.partition(":")
     # the documented names, and whether each takes a parameter
@@ -100,7 +98,7 @@ class _Session:
             except (ValueError, ZeroDivisionError) as exc:
                 raise _CliFailure(f"bad builtin {args.builtin!r}: {exc}",
                                   EXIT_PARSE)
-            self.subs: list[SubalgebraSpec] = []
+            self.subs: list = []  # of SubalgebraSpec
             if args.sub:
                 try:
                     self.subs = [_builtin_sub(args.sub, self.truncation,
@@ -110,10 +108,16 @@ class _Session:
                                       EXIT_PARSE)
             self.note(self.H.certification)
         elif args.file:
+            from .parser import ParseError, build_algebra, parse, sub_arguments
             try:
-                text = open(args.file, "r", encoding="utf-8").read()
+                with open(args.file, "rb") as fh:
+                    text = fh.read().decode("utf-8")
             except OSError as exc:
                 raise _CliFailure(f"cannot read {args.file}: {exc}", EXIT_PARSE)
+            except UnicodeDecodeError as exc:
+                raise _CliFailure(f"cannot read {args.file}: not valid UTF-8 "
+                                  f"(byte 0x{exc.object[exc.start]:02x} at "
+                                  f"offset {exc.start})", EXIT_PARSE)
             try:
                 df = parse(text)
             except ParseError as exc:
@@ -133,6 +137,7 @@ class _Session:
                     EXIT_CERTIFICATE)
             self.subs = []
             for block in blocks:
+                from .coideal import register_subalgebra
                 try:
                     self.subs.append(register_subalgebra(
                         **sub_arguments(self.H, block)))
@@ -186,6 +191,7 @@ def _run_lantern(session: _Session) -> None:
 
 
 def _run_coideal(session: _Session) -> None:
+    from .coideal import is_hopf_subalgebra, primitive_of_coideal
     out = []
     for spec in session.subs:
         session.note(spec.coideal_report)
@@ -217,6 +223,8 @@ def _run_antipode_order(session: _Session) -> None:
 
 
 def _chi_for(session: _Session, target, spec: str):
+    from .nakayama import (character, counit_character,
+                           enveloping_integral_character, verify_character)
     if spec in (None, "", "eps", "counit"):
         return counit_character(target)
     if spec == "auto":
@@ -246,6 +254,8 @@ def _run_nakayama(session: _Session, chi_spec: str) -> None:
     if not session.subs:
         raise _CliFailure("nakayama needs --sub (the subalgebra to analyze)",
                           EXIT_PARSE)
+    from .coideal import is_hopf_subalgebra
+    from .nakayama import nakayama_automorphism, s4_identity_check
     out = []
     for spec in session.subs:
         chi = _chi_for(session, spec, chi_spec)

@@ -12,7 +12,6 @@ leading coproduct all become weight-level computations.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from . import linalg
 from .algebra import Element
@@ -34,7 +33,6 @@ class FiltrationError(HopfAlgebraError):
     """The weighted monomial filtration does not match the coalgebra one."""
 
 
-@dataclass(frozen=True)
 class FiltrationCertificate:
     """Exact filtration certificate with the graded dimensions dim H(n).
 
@@ -45,33 +43,35 @@ class FiltrationCertificate:
     it passed (carnot_report).
     """
 
-    truncation: int
-    graded_dims: tuple[int, ...]
-    lantern: GradedLieAlgebra
-    carnot_report: Report
-
-    def __post_init__(self):
-        if len(self.graded_dims) != self.truncation + 1:
+    def __init__(self, truncation: int, graded_dims: tuple[int, ...],
+                 lantern: GradedLieAlgebra, carnot_report: Report):
+        if len(graded_dims) != truncation + 1:
             raise ValueError("need one dimension per degree 0..truncation")
-        if self.graded_dims[0] != 1:
+        if graded_dims[0] != 1:
             raise ValueError("degree-0 layer must be one-dimensional")
+        self.truncation, self.graded_dims = truncation, graded_dims
+        self.lantern, self.carnot_report = lantern, carnot_report
 
     def cumulative(self, n: int) -> int:
         return sum(self.graded_dims[:n + 1])
 
 
-@dataclass(frozen=True)
 class Signature:
     """Multiset of generator degrees as sorted (degree, multiplicity) pairs."""
 
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        degrees = [d for d, _ in self.pairs]
+    def __init__(self, pairs: tuple[tuple[int, int], ...]):
+        degrees = [d for d, _ in pairs]
         if degrees != sorted(set(degrees)):
             raise ValueError("degrees must be strictly increasing")
-        if any(m <= 0 or d <= 0 for d, m in self.pairs):
+        if any(m <= 0 or d <= 0 for d, m in pairs):
             raise ValueError("degrees and multiplicities must be positive")
+        self.pairs = pairs
+
+    def __eq__(self, other):
+        return type(other) is Signature and other.pairs == self.pairs
+
+    def __hash__(self):
+        return hash(self.pairs)
 
     @classmethod
     def from_weights(cls, weights) -> "Signature":
@@ -107,16 +107,13 @@ class Signature:
         return "(" + ", ".join(parts) + ")"
 
 
-@dataclass(frozen=True)
 class PowerSeries:
     """Truncated power series with integer coefficients."""
 
-    order: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.order + 1:
+    def __init__(self, order: int, coeffs: tuple[int, ...]):
+        if len(coeffs) != order + 1:
             raise ValueError("need order+1 coefficients")
+        self.order, self.coeffs = order, coeffs
 
     def __str__(self):
         parts = []

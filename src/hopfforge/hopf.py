@@ -20,7 +20,6 @@ as T = H, so the invariants of T take H and its subalgebras alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -387,7 +386,6 @@ def verify_hopf(H: PresentedHopfAlgebra) -> Report:
     return report
 
 
-@dataclass
 class SquaredAntipodeAnalysis:
     """Outcome of the squared-antipode order analysis.
 
@@ -397,9 +395,9 @@ class SquaredAntipodeAnalysis:
     certifies S^(2m)(g) = g + m*r for all m, i.e. infinite order.
     """
 
-    identity: bool
-    target: str
-    witness: tuple[Element, Element] | None = None
+    def __init__(self, identity: bool, target: str,
+                 witness: tuple[Element, Element] | None):
+        self.identity, self.target, self.witness = identity, target, witness
 
     def describe(self) -> str:
         if self.identity:

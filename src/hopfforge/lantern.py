@@ -13,7 +13,6 @@ materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -26,7 +25,6 @@ if TYPE_CHECKING:  # grading imports this module
     from .grading import Signature
 
 
-@dataclass
 class GradedLieAlgebra:
     """Graded basis with structure constants; antisymmetry is built in.
 
@@ -34,14 +32,12 @@ class GradedLieAlgebra:
     basis vector e in [u_a, u_b]; pairs with zero bracket are absent.
     """
 
-    labels: tuple[str, ...]
-    degrees: tuple[int, ...]
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(self, labels: tuple[str, ...], degrees: tuple[int, ...],
+                 brackets: dict[tuple[int, int], dict[int, Fraction]]):
+        self.labels, self.degrees = labels, degrees
         self.brackets = {
             pair: {e: Fraction(c) for e, c in table.items() if c}
-            for pair, table in self.brackets.items()
+            for pair, table in brackets.items()
             if any(table.values())}
         for (a, b) in self.brackets:
             if not 0 <= a < b < len(self.labels):

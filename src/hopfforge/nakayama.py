@@ -12,7 +12,6 @@ is another algorithm (memoized monomial images, no solves).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -24,18 +23,14 @@ from .report import Report
 from .tensor import LEG_BITS, LEG_MASK
 
 
-@dataclass
 class Character:
     """Algebra map to the base field, given by its generator values."""
 
-    target: object
-    values: dict[int, Fraction]
-    report: Report | None = field(default=None, compare=False)
-    _mono_values: dict[Monomial, Fraction] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
-    _windings: dict[str, dict[Monomial, dict]] = field(
-        default_factory=lambda: {"left": {}, "right": {}},
-        init=False, compare=False, repr=False)
+    def __init__(self, target, values: dict[int, Fraction]):
+        self.target, self.values = target, values
+        self.report: Report | None = None
+        self._mono_values: dict[Monomial, Fraction] = {}
+        self._windings: dict[str, dict] = {"left": {}, "right": {}}
 
     def value(self, g) -> Fraction:
         return self.values.get(self.target.presentation.index(g), ZERO)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import Presentation, format_linear
@@ -43,24 +42,38 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass
-class SubBlock:
-    name: str
-    side: str
-    generators: list = field(default_factory=list)   # (name, weight)
-    relations: list = field(default_factory=list)    # (gj, gi, Poly)
-    embeds: dict = field(default_factory=dict)       # name -> host Poly
+class _Record:
+    """Parsed fields that start empty; keyword arguments replace them."""
+
+    def _fill(self, given: dict) -> None:
+        unknown = given.keys() - vars(self).keys()
+        if unknown:
+            raise TypeError(f"no field {min(unknown)!r} in {type(self)}")
+        vars(self).update(given)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
 
 
-@dataclass
-class DefinitionFile:
-    name: str
-    generators: list = field(default_factory=list)   # (name, weight)
-    relations: list = field(default_factory=list)    # (gj, gi, Poly)
-    coproducts: dict = field(default_factory=dict)   # name -> {(mk, mk): Fraction}
-    counits: dict = field(default_factory=dict)      # name -> Fraction(0)
-    antipodes: dict = field(default_factory=dict)    # name -> Poly
-    subs: list = field(default_factory=list)
+class SubBlock(_Record):
+    def __init__(self, name: str, side: str, **given):
+        self.name, self.side = name, side
+        self.generators: list = []    # (name, weight)
+        self.relations: list = []     # (gj, gi, Poly)
+        self.embeds: dict = {}        # name -> host Poly
+        self._fill(given)
+
+
+class DefinitionFile(_Record):
+    def __init__(self, name: str, **given):
+        self.name = name
+        self.generators: list = []    # (name, weight)
+        self.relations: list = []     # (gj, gi, Poly)
+        self.coproducts: dict = {}    # name -> {(mk, mk): Fraction}
+        self.counits: dict = {}       # name -> Fraction(0)
+        self.antipodes: dict = {}     # name -> Poly
+        self.subs: list = []
+        self._fill(given)
 
 
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|\d+|[\[\],=@^*/{}+-]|\S")
@@ -114,10 +127,10 @@ def _parse_number(ts: _TokenStream) -> Fraction:
     value = Fraction(int(ts.next()))
     if ts.peek() == "/":
         ts.next("/")
-        den = ts.next()
+        col, den = ts.col(), ts.next()
         if not den.isdigit() or int(den) == 0:
             raise ParseError("expected a nonzero integer denominator",
-                             ts.lineno, ts.col())
+                             ts.lineno, col)
         value /= int(den)
     return value
 
@@ -154,17 +167,17 @@ def _parse_term(ts: _TokenStream, declared, allow_tensor: bool):
             saw_factor = True
             continue
         if re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok):
-            name = ts.next()
+            col, name = ts.col(), ts.next()
             if name not in declared:
                 raise ParseError(f"undeclared generator {name!r}",
-                                 ts.lineno, ts.col())
+                                 ts.lineno, col)
             exp = 1
             if ts.peek() == "^":
                 ts.next("^")
-                e = ts.next()
+                col, e = ts.col(), ts.next()
                 if not e.isdigit():
                     raise ParseError("expected an integer exponent",
-                                     ts.lineno, ts.col())
+                                     ts.lineno, col)
                 exp = int(e)
             sides[-1][name] += exp
             saw_factor = True
@@ -236,9 +249,9 @@ def parse(text: str) -> DefinitionFile:
                 raise ParseError("nested sub blocks are not allowed", lineno)
             name = ts.next()
             ts.next("side")
-            side = ts.next()
+            col, side = ts.col(), ts.next()
             if side not in ("left", "right", "hopf"):
-                raise ParseError(f"unknown side {side!r}", lineno, ts.col())
+                raise ParseError(f"unknown side {side!r}", lineno, col)
             ts.next("{")
             ts.done()
             sub = SubBlock(name=name, side=side)
@@ -258,10 +271,10 @@ def parse(text: str) -> DefinitionFile:
             if name in order:
                 raise ParseError(f"duplicate declaration of {name!r}", lineno)
             ts.next("weight")
-            w = ts.next()
+            col, w = ts.col(), ts.next()
             if not w.isdigit() or int(w) == 0:
                 raise ParseError("weight must be a positive integer", lineno,
-                                 ts.col())
+                                 col)
             ts.done()
             order[name] = len(order)
             block.generators.append((name, int(w)))

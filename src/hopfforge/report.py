@@ -2,22 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass(frozen=True)
 class Check:
-    name: str
-    passed: bool
-    details: str = ""
+    def __init__(self, name: str, passed: bool, details: str):
+        self.name, self.passed, self.details = name, passed, details
 
 
-@dataclass
 class Report:
     """A named bundle of individual checks.  Truthy iff every check passed."""
 
-    name: str
-    checks: list[Check] = field(default_factory=list)
+    def __init__(self, name: str):
+        self.name = name
+        self.checks: list[Check] = []
 
     def add(self, name: str, passed: bool, details: str = "") -> None:
         self.checks.append(Check(name, bool(passed), details))

@@ -62,6 +62,19 @@ def test_parse_failure_exit_2(capsys, tmp_path):
     assert run(["verify", str(tmp_path / "missing.hopf")]) == 2
 
 
+@pytest.mark.parametrize("name,message", [
+    ("not_utf8.hopf", "cannot read {}: not valid UTF-8 (byte 0xe9 at offset 30)"),
+    ("parse_error.hopf", "parse error: line 5, column 15: expected a nonzero "
+                         "integer denominator"),
+], ids=["not UTF-8", "parse error"])
+def test_unreadable_file_exit_2(capsys, name, message):
+    path = str(DATA / "unparsable" / name)
+    assert run(["verify", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == message.format(path) + "\n"
+
+
 _REPEATED_RELS = ("hopf A\ngen X weight 1\ngen Y weight 1\n"
                   "rel [Y,X] = Y\nrel [Y,X] = 0\n")
 
@@ -453,3 +466,101 @@ def test_defaulted_parameters_ratchet():
                 count += len(node.args.defaults) + sum(
                     d is not None for d in node.args.kw_defaults)
     assert count <= 33
+
+
+# Each command in a fresh interpreter: the exit code, whether dataclasses
+# was loaded before hopfforge and after the run, and the hopfforge modules.
+_LOADED = """
+import json, sys
+before = "dataclasses" in sys.modules
+from hopfforge import cli
+code = cli.run(sys.argv[1:])
+sys.stderr.write(json.dumps([code, before, "dataclasses" in sys.modules,
+                             [m for m in sys.modules if m[:10] == "hopfforge."]]))
+"""
+
+
+@pytest.mark.parametrize("argv,loaded,absent", [
+    (["verify", "--builtin", "B:1"], {"catalog"},
+     {"coideal", "nakayama", "parser"}),
+    (["coideal", "--builtin", "B:1", "--sub", "R:inf"], {"catalog", "coideal"},
+     {"parser", "nakayama"}),
+    (["verify", "{host}"], {"parser"}, {"catalog", "coideal", "nakayama"}),
+    (["nakayama", "--builtin", "B:1", "--sub", "R:inf"], {"nakayama"},
+     {"parser"}),
+], ids=["verify builtin", "coideal builtin sub", "verify file", "nakayama"])
+def test_each_command_loads_only_what_it_runs(tmp_path, argv, loaded, absent):
+    host = tmp_path / "host.hopf"
+    host.write_text("hopf A\ngen X weight 1\ncoprod X = 1@X + X@1\n")
+    argv = [a.format(host=host) for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    code, before, after, modules = json.loads(proc.stderr.splitlines()[-1])
+    names = {m.split(".")[1] for m in modules}
+    assert code == 0
+    assert loaded <= names and not absent & names
+    assert before or not after
+
+
+def test_no_module_imports_dataclasses():
+    # a dataclass generates and compiles its methods at import
+    for path in sorted((SRC / "hopfforge").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "dataclasses" not in names, path.name
+
+
+# the public names of the package, by defining module; None: submodules
+_API = {
+    None: ("algebra", "coideal", "grading", "hopf", "linalg", "nakayama",
+           "report", "tensor"),
+    "algebra": ("Element", "Presentation", "PresentationMismatchError",
+                "check_confluence", "check_termination_weights", "commutator"),
+    "coideal": ("RegistrationError", "SubalgebraSpec", "antipode_image",
+                "coideal_check", "coinvariants", "containment_check",
+                "full_subalgebra", "is_hopf_subalgebra", "primitive_of_coideal",
+                "register_subalgebra", "spans_equal"),
+    "grading": ("FiltrationCertificate", "FiltrationError", "PowerSeries",
+                "Signature", "certify", "certify_filtration",
+                "graded_coproduct_leading", "hilbert_divides", "hilbert_series",
+                "signature"),
+    "hopf": ("AntipodeSolveError", "CertificateMissingError",
+             "HopfAlgebraError", "PresentedHopfAlgebra",
+             "SquaredAntipodeAnalysis", "antipode_eigenbasis",
+             "s_squared_analysis", "solve_antipode", "verify_bialgebra",
+             "verify_hopf"),
+    "lantern": ("GradedLieAlgebra", "cocommutativity_test", "lantern", "mobius",
+                "numerology_report", "verify_lie"),
+    "nakayama": ("Character", "GeneratorAutomorphism", "character",
+                 "compose_with_antipode", "counit_character",
+                 "enveloping_integral_character", "nakayama_automorphism",
+                 "normal_element_check", "s4_identity_check",
+                 "verify_character", "winding"),
+    "report": ("Check", "Report"),
+    "tensor": ("TensorElement", "contract", "tensor_multiply",
+               "tensor_product"),
+}
+
+
+def test_public_api_is_pinned():
+    import hopfforge
+    import hopfforge.cli  # loads the lantern submodule after the package
+    assert len(hopfforge.__all__) == 68
+    assert hopfforge.__all__ == sorted(n for names in _API.values()
+                                       for n in names)
+    for module, names in _API.items():
+        for name in names:
+            home = importlib.import_module(f"hopfforge.{module or name}")
+            expected = home if module is None else getattr(home, name)
+            assert getattr(hopfforge, name) is expected, name
+    assert callable(hopfforge.lantern)
+    namespace = {}
+    exec("from hopfforge import *", namespace)
+    del namespace["__builtins__"]
+    assert namespace == {n: getattr(hopfforge, n) for n in hopfforge.__all__}

@@ -130,60 +130,64 @@ def test_coproduct_that_cancels_to_zero_is_rejected():
 _HEAD = "hopf A\ngen X weight 1\ngen Y weight 1\n"
 _COPRODS = "coprod X = 1@X + X@1\ncoprod Y = 1@Y + Y@1\n"
 
-# one minimal file per ParseError raised by parse: (text, line, message)
+# one minimal file per ParseError raised by parse: (text, line, column,
+# message); the column is that of the offending token, one past the end of
+# the line when the line ended too soon, and 0 for whole-line errors
 _PARSE_ERRORS = {
-    "unexpected end": (_HEAD + "rel [Y,X]\n", 4,
+    "unexpected end": (_HEAD + "rel [Y,X]\n", 4, 10,
                        "unexpected end of line, expected '='"),
-    "expected token": ("hopf A\ngen X mass 1\n", 2,
+    "expected token": ("hopf A\ngen X mass 1\n", 2, 7,
                        "expected 'weight', found 'mass'"),
-    "trailing input": ("hopf A B\n", 1, "trailing input 'B'"),
-    "zero denominator": (_HEAD + "rel [Y,X] = 1/0*X\n", 4,
+    "trailing input": ("hopf A B\n", 1, 8, "trailing input 'B'"),
+    "zero denominator": (_HEAD + "rel [Y,X] = 1/0*X\n", 4, 15,
                          "expected a nonzero integer denominator"),
-    "bad exponent": (_HEAD + "rel [Y,X] = X^Y\n", 4,
+    "bad exponent": (_HEAD + "rel [Y,X] = X^Y\n", 4, 15,
                      "expected an integer exponent"),
-    "unexpected token": (_HEAD + "rel [Y,X] = X = Y\n", 4,
+    "unexpected token": (_HEAD + "rel [Y,X] = X = Y\n", 4, 15,
                          "unexpected token '=' in a polynomial"),
-    "two @": (_HEAD + "coprod X = 1@X@X\n", 4,
+    "two @": (_HEAD + "coprod X = 1@X@X\n", 4, 15,
               "more than one tensor separator in a term"),
-    "empty term": (_HEAD + "rel [Y,X] = X +\n", 4, "empty term"),
-    "not a tensor": (_HEAD + "coprod X = X\n", 4,
+    "empty term": (_HEAD + "rel [Y,X] = X +\n", 4, 16, "empty term"),
+    "not a tensor": (_HEAD + "coprod X = X\n", 4, 13,
                      "expected a tensor term mono@mono"),
-    "duplicate header": ("hopf A\nhopf B\n", 2, "duplicate algebra header"),
-    "nested sub": (_HEAD + "sub S side left {\nsub T side left {\n", 5,
+    "duplicate header": ("hopf A\nhopf B\n", 2, 0, "duplicate algebra header"),
+    "nested sub": (_HEAD + "sub S side left {\nsub T side left {\n", 5, 0,
                    "nested sub blocks are not allowed"),
-    "unknown side": (_HEAD + "sub S side up {\n", 4, "unknown side 'up'"),
-    "stray brace": (_HEAD + "}\n", 4, "stray closing brace"),
-    "zero weight": ("hopf A\ngen X weight 0\n", 2,
+    "unknown side": (_HEAD + "sub S side up {\n", 4, 12, "unknown side 'up'"),
+    "stray brace": (_HEAD + "}\n", 4, 0, "stray closing brace"),
+    "zero weight": ("hopf A\ngen X weight 0\n", 2, 14,
                     "weight must be a positive integer"),
-    "undeclared in rel": (_HEAD + "rel [Z,X] = 0\n", 4,
+    "undeclared in rel": (_HEAD + "rel [Z,X] = 0\n", 4, 0,
                           "undeclared generator 'Z'"),
-    "undeclared coprod": (_HEAD + "coprod Z = 1@Z + Z@1\n", 4,
+    "undeclared in poly": (_HEAD + "rel [Y,X] = Q\n", 4, 13,
+                           "undeclared generator 'Q'"),
+    "undeclared coprod": (_HEAD + "coprod Z = 1@Z + Z@1\n", 4, 0,
                           "undeclared generator 'Z'"),
-    "misplaced embed": (_HEAD + "embed X = Y\n", 4,
+    "misplaced embed": (_HEAD + "embed X = Y\n", 4, 0,
                         "embed lines belong inside a sub block"),
     "coprod in sub": (_HEAD + "sub S side left {\ncoprod X = 1@X + X@1\n", 5,
-                      "unexpected declaration 'coprod' in a sub block"),
-    "unknown declaration": (_HEAD + "frob X\n", 4,
+                      0, "unexpected declaration 'coprod' in a sub block"),
+    "unknown declaration": (_HEAD + "frob X\n", 4, 0,
                             "unknown declaration 'frob'"),
     # a generator's second coprod, counit, antipode or embed line
-    "second coprod": (_HEAD + "coprod Y = 1@Y + Y@1 + 3@1\n" + _COPRODS, 6,
+    "second coprod": (_HEAD + "coprod Y = 1@Y + Y@1 + 3@1\n" + _COPRODS, 6, 0,
                       "duplicate coprod line for 'Y'"),
-    "second counit": (_HEAD + "counit X = 0\ncounit X = 0\n", 5,
+    "second counit": (_HEAD + "counit X = 0\ncounit X = 0\n", 5, 0,
                       "duplicate counit line for 'X'"),
-    "second antipode": (_HEAD + "antipode Y = -Y\nantipode Y = -Y\n", 5,
+    "second antipode": (_HEAD + "antipode Y = -Y\nantipode Y = -Y\n", 5, 0,
                         "duplicate antipode line for 'Y'"),
     "second embed": (_HEAD + _COPRODS + "sub S side left {\ngen Z weight 1\n"
-                     "embed Z = X\nembed Z = Y\n}\n", 9,
+                     "embed Z = X\nembed Z = Y\n}\n", 9, 0,
                      "duplicate embed line for 'Z'"),
 }
 
 
-@pytest.mark.parametrize("text,line,message", _PARSE_ERRORS.values(),
+@pytest.mark.parametrize("text,line,col,message", _PARSE_ERRORS.values(),
                          ids=_PARSE_ERRORS.keys())
-def test_parse_error_sites(text, line, message):
+def test_parse_error_sites(text, line, col, message):
     with pytest.raises(ParseError) as err:
         parse(text)
-    assert err.value.line == line
+    assert (err.value.line, err.value.col) == (line, col)
     assert str(err.value).endswith(message)
 
 
