@@ -19,9 +19,10 @@ tests its presence.  Values are otherwise immutable and every operation
 is pure.
 
 Every map given by its values on generators -- coproduct, antipode,
-subalgebra embedding, generator automorphism -- is a GeneratorMap: it
-extends the images by peeling one factor, memoizes the monomial images
-in scaled form, and lists the relation defects that certify it.
+subalgebra embedding, generator automorphism, character (a map into k,
+presented with no generators) -- is a GeneratorMap: it extends the
+images by peeling one factor, memoizes the monomial images in scaled
+form, and lists the relation defects that certify it.
 """
 
 from __future__ import annotations
@@ -396,38 +397,15 @@ def format_monomial(algebra: Presentation, mono: Monomial) -> str:
     return "*".join(factors) if factors else "1"
 
 
-def memo_peel(memo: dict, mono: Monomial, last: bool, base, step):
-    """Memoized value of a map on monomials defined by peeling one factor.
-
-    value(1) = base(); otherwise, with k the first (last, if last is set)
-    generator occurring in m and m' the monomial with one factor g_k
-    removed, value(m) = step(k, value(m')).  Walks down to the first
-    memoized monomial, then fills memo for every monomial on the way back
-    up, so no exponent is limited by the interpreter's recursion depth.
-    """
-    chain = []
-    while mono not in memo:
-        if not any(mono):
-            memo[mono] = base()
-            break
-        occurring = [i for i, e in enumerate(mono) if e]
-        k = occurring[-1] if last else occurring[0]
-        chain.append((mono, k))
-        mono = tuple(e - 1 if i == k else e for i, e in enumerate(mono))
-    value = memo[mono]
-    for m, k in reversed(chain):
-        value = memo[m] = step(k, value)
-    return value
-
-
 class GeneratorMap:
     """The algebra map (anti-map, if anti is set) on source fixed by its
     generator images {index: value}; they and unit, the image of 1, are all
     ``Element``s or all ``TensorElement``s.  A monomial's image peels its
     first generator, f(g_k m') = f(g_k) f(m'), or for an anti-map its last,
     f(m' g_k) = f(g_k) f(m'); ``monomial`` returns it as the scaled pair
-    kept in ``memo``.  The map is well defined iff every relation defect
-    is zero.
+    kept in ``memo``, filled by a loop, not by recursion, so no exponent is
+    limited by the recursion depth.  The map is well defined iff every
+    relation defect is zero.
     """
 
     def __init__(self, source: Presentation, images: dict, unit, anti: bool):
@@ -438,12 +416,23 @@ class GeneratorMap:
         self.memo: dict = {}
 
     def monomial(self, mono: Monomial) -> tuple[dict, int]:
-        cached = self.memo.get(mono)
+        memo = self.memo
+        cached = memo.get(mono)
         if cached is not None:
             return cached
-        images, unit = self.images, self.unit
-        return memo_peel(self.memo, mono, self.anti, lambda: unit.scaled,
-                         lambda k, rest: (images[k] * unit._like(*rest)).scaled)
+        chain = []
+        while mono not in memo:
+            if not any(mono):
+                memo[mono] = self.unit.scaled
+                break
+            occurring = [i for i, e in enumerate(mono) if e]
+            k = occurring[-1] if self.anti else occurring[0]
+            chain.append((mono, k))
+            mono = tuple(e - 1 if i == k else e for i, e in enumerate(mono))
+        value, images, like = memo[mono], self.images, self.unit._like
+        for m, k in reversed(chain):
+            value = memo[m] = (images[k] * like(*value)).scaled
+        return value
 
     def __call__(self, x: Element):
         return self.unit._like(*extend_scaled(*x.scaled, self.monomial))

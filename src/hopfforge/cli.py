@@ -111,7 +111,7 @@ class _Session:
             from .parser import ParseError, build_algebra, parse, sub_arguments
             try:
                 with open(args.file, "rb") as fh:
-                    text = fh.read().decode("utf-8")
+                    text = fh.read().decode("utf-8").removeprefix("\ufeff")
             except OSError as exc:
                 raise _CliFailure(f"cannot read {args.file}: {exc}", EXIT_PARSE)
             except UnicodeDecodeError as exc:

@@ -7,13 +7,14 @@ list their relation defects.  Generators are normalized into the counit
 kernel, and every generator coproduct must contain the terms 1@g and g@1
 with coefficient one and nothing else with an identity leg; together with
 the weight bound on coproduct terms this is the connectedness normal form
-that makes the reduced-coproduct iteration terminate.
+that makes the reduced-coproduct iteration terminate.  The counit axioms
+hold by construction on it, so verify_bialgebra recomputes none.
 
 Each certificate has one owner that computes it once: confluence is the
 presentation's (Presentation.certify), the filtration and the passing
 certification are grading's.  A guard tests presence and rescans no
 report; a query never replaces one.  Memo tables hold linalg's scaled
-pairs (tensor ones on packed keys, read through ``TensorElement.terms``).
+pairs (tensor ones on packed keys, which only ``tensor`` reads).
 H answers the questions of a coideal subalgebra T (coideal.SubalgebraSpec)
 as T = H, so the invariants of T take H and its subalgebras alike.
 """
@@ -24,9 +25,10 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import linalg
-from .algebra import Element, GeneratorMap, Monomial, Presentation, ONE
+from .algebra import (Element, GeneratorMap, Monomial, Presentation, ONE,
+                      format_monomial)
 from .report import Report
-from .tensor import LEG_BITS, LEG_MASK, TensorElement, contract
+from .tensor import TensorElement, contract
 
 
 class HopfAlgebraError(Exception):
@@ -76,6 +78,8 @@ class PresentedHopfAlgebra:
     # -- construction-time validation ------------------------------------
 
     def _validate_coproduct(self, i: int, value) -> TensorElement:
+        """value, checked in connectedness normal form: with it the counit
+        axioms (eps@id)Delta(g) = g = (id@eps)Delta(g) hold."""
         pres = self.presentation
         if not isinstance(value, TensorElement):
             value = TensorElement.from_terms(pres, 2, value)
@@ -93,7 +97,8 @@ class PresentedHopfAlgebra:
         for (m1, m2) in terms:
             if (m1 == one or m2 == one) and (m1, m2) not in ((one, gen), (gen, one)):
                 raise ValueError(
-                    f"coproduct of {g} has a stray identity leg in {m1}@{m2}")
+                    f"coproduct of {g} has a stray identity leg in "
+                    f"{format_monomial(pres, m1)}@{format_monomial(pres, m2)}")
             if pres.monomial_weight(m1) + pres.monomial_weight(m2) > w:
                 raise ValueError(
                     f"coproduct of {g} has a term of weight "
@@ -193,7 +198,8 @@ class PresentedHopfAlgebra:
         return self.iterated_reduced_coproduct(x, 1)
 
     def _reduced_iterate_monomial(self, mono: Monomial, n: int) -> tuple:
-        """The n-fold reduced coproduct of a monomial (memoized, scaled)."""
+        """The n-fold reduced coproduct of a monomial (memoized, scaled),
+        iterated on the first leg."""
         key = (mono, n)
         cached = self._reduced_iter.get(key)
         if cached is None:
@@ -202,19 +208,12 @@ class PresentedHopfAlgebra:
                 one = pres.identity_monomial()
                 if mono == one:
                     raise ValueError("reduced coproduct of the identity monomial")
-                i, u = pres.mono_id(mono), pres.mono_id(one)
-                cached = linalg.combine(
-                    [(1, self._coproduct.monomial(mono)),
-                     (-1, ({u | i << LEG_BITS: 1, i | u << LEG_BITS: 1}, 1))], 1)
+                cached = (self._coproduct(pres.monomial(mono)) - TensorElement(
+                    pres, 2, {(one, mono): ONE, (mono, one): ONE})).scaled
             else:
-                prev, den = self._reduced_iterate_monomial(mono, n - 1)
-                images = []
-                for tkey, c in prev.items():
-                    head, d = self._reduced_iterate_monomial(
-                        pres.monos[tkey & LEG_MASK], 1)  # the first leg's
-                    rest = tkey >> LEG_BITS << 2 * LEG_BITS  # others, moved up
-                    images.append((c, ({h | rest: v for h, v in head.items()}, d)))
-                cached = linalg.combine(images, den)
+                cached = TensorElement.from_scaled(
+                    pres, n, *self._reduced_iterate_monomial(mono, n - 1)
+                ).apply_to_leg(1, self.reduced_coproduct).scaled
             self._reduced_iter[key] = cached
         return cached
 
@@ -239,14 +238,6 @@ class PresentedHopfAlgebra:
         if not x:
             raise ValueError("coradical degree of 0 is undefined")
         return (x - self.scalar(self.counit(x))).weight or 0
-
-    def counit_leg(self, t: TensorElement, leg: int) -> Element:
-        """Apply the counit to one leg of an arity-2 tensor."""
-        pres, kept = self.presentation, LEG_BITS * (2 - leg)  # the other leg
-        one, (nums, den) = pres.mono_id(pres.identity_monomial()), t.scaled
-        return Element.from_scaled(pres, *linalg.rescale(
-            {pres.monos[k >> kept & LEG_MASK]: n for k, n in nums.items()
-             if k >> LEG_BITS - kept & LEG_MASK == one}, den))
 
     # -- antipode -----------------------------------------------------------
 
@@ -291,7 +282,8 @@ class PresentedHopfAlgebra:
 
 
 def verify_bialgebra(H: PresentedHopfAlgebra) -> Report:
-    """Relation compatibility of coproduct/counit, coassociativity, counit axioms."""
+    """Relation compatibility of coproduct/counit, coassociativity, and
+    the counit axioms, which hold by _validate_coproduct."""
     H._require_confluence()
     if H._bialgebra is not None:
         return H._bialgebra
@@ -307,10 +299,7 @@ def verify_bialgebra(H: PresentedHopfAlgebra) -> Report:
         left = t.apply_to_leg(1, H.coproduct)
         right = t.apply_to_leg(2, H.coproduct)
         report.add(f"coassociativity on {g}", left == right)
-        lhs = H.counit_leg(t, 1)
-        rhs = H.counit_leg(t, 2)
-        report.add(f"counit axiom on {g}",
-                   lhs == pres.gen(g) and rhs == pres.gen(g))
+        report.add(f"counit axiom on {g}", True)  # by _validate_coproduct
     H._bialgebra = report
     return report
 
@@ -368,9 +357,9 @@ def verify_hopf(H: PresentedHopfAlgebra) -> Report:
     """All four axiom groups on generators (sufficient for (anti)algebra maps).
 
     (a) the coproduct, counit and antipode respect every relation;
-    (b) coassociativity; (c) the counit axioms; (d) both convolution
-    identities for the antipode: the left one by _antipode_recursion, the
-    right one by proof (see there).
+    (b) coassociativity; (c) the counit axioms, by construction; (d) both
+    convolution identities for the antipode: the left one by
+    _antipode_recursion, the right one by proof (see there).
     """
     H._require_antipode()  # verify_bialgebra requires confluence
     if H._hopf is not None:

@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING
 from . import linalg
 from .hopf import PresentedHopfAlgebra
 from .report import Report
-from .tensor import TensorElement
 
 if TYPE_CHECKING:  # grading imports this module
     from .grading import Signature
@@ -92,9 +91,8 @@ def _extract_lantern(H: PresentedHopfAlgebra) -> GradedLieAlgebra:
     n, w = pres.ngens, pres.weights
     index = {tuple(1 if k == i else 0 for k in range(n)): i for i in range(n)}
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for mono, e in index.items():
-        for (m1, m2), c in TensorElement.from_scaled(
-                pres, 2, *H._coproduct.monomial(mono)).terms.items():
+    for e in range(n):
+        for (m1, m2), c in H._coproduct.images[e].terms.items():
             a, b = index.get(m1), index.get(m2)
             # leading generator@generator terms; g_a@g_b pairs to [u_a, u_b]
             if None not in (a, b) and a != b and w[a] + w[b] == w[e]:

@@ -3,8 +3,10 @@
 Characters are inputs here: for an embedded subalgebra the character of
 its integral is supplied by the caller (or derived from the adjoint
 trace for enveloping-type presentations), never computed homologically.
-Winding maps apply the character to one coproduct leg; their stability
-on a subalgebra span is verified at runtime instead of being assumed.
+A character is a GeneratorMap into k, presented with no generators.
+Winding maps apply it to one coproduct leg (TensorElement.evaluate_leg);
+their stability on a subalgebra span is verified at runtime instead of
+being assumed.
 A target is a host or a registered subalgebra; both answer the questions
 of coideal.SubalgebraSpec.  Only winding tells them apart: its host path
 is another algorithm (memoized monomial images, no solves).
@@ -15,33 +17,33 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .algebra import (Element, GeneratorMap, Monomial, ONE, ZERO, as_fraction,
-                      memo_peel)
+from .algebra import (Element, GeneratorMap, Monomial, Presentation, ZERO,
+                      as_fraction)
 from .coideal import SubalgebraSpec, is_hopf_subalgebra
 from .hopf import HopfAlgebraError
 from .report import Report
-from .tensor import LEG_BITS, LEG_MASK
+from .tensor import TensorElement
 
 
-class Character:
-    """Algebra map to the base field, given by its generator values."""
+class Character(GeneratorMap):
+    """Algebra map to the base field, given by its generator values: a
+    GeneratorMap into k, presented with no generators."""
 
     def __init__(self, target, values: dict[int, Fraction]):
+        pres, k = target.presentation, Presentation([])
+        super().__init__(pres, {i: k.scalar(values.get(i, ZERO))
+                                for i in range(pres.ngens)}, k.one(), False)
         self.target, self.values = target, values
         self.report: Report | None = None
-        self._mono_values: dict[Monomial, Fraction] = {}
         self._windings: dict[str, dict] = {"left": {}, "right": {}}
 
     def value(self, g) -> Fraction:
-        return self.values.get(self.target.presentation.index(g), ZERO)
+        return self.values.get(self.source.index(g), ZERO)
 
     def monomial_value(self, mono: Monomial) -> Fraction:
-        """chi(m), memoized: chi(1) = 1, chi(g_k m') = chi(g_k) chi(m')."""
-        cached = self._mono_values.get(mono)
-        if cached is not None:
-            return cached
-        return memo_peel(self._mono_values, mono, False, lambda: ONE,
-                         lambda k, rest: self.values.get(k, ZERO) * rest)
+        """chi(m), read from the memo of monomial images."""
+        nums, den = self.monomial(mono)
+        return Fraction(nums[()], den) if nums else ZERO
 
     def winding_image(self, mono: Monomial, side: str) -> tuple[dict, int]:
         """Host winding of a monomial, memoized per side in scaled form:
@@ -50,19 +52,16 @@ class Character:
         memo = self._windings[side]
         cached = memo.get(mono)
         if cached is None:
-            keep = LEG_BITS if side == "left" else 0  # shift of the kept leg
-            monos = self.target.presentation.monos
-            cached = memo[mono] = linalg.extend_scaled(
-                *self.target._coproduct.monomial(mono), lambda key: linalg.split(
-                    {monos[key >> keep & LEG_MASK]: self.monomial_value(
-                        monos[key >> LEG_BITS - keep & LEG_MASK])}))
+            delta = TensorElement.from_scaled(
+                self.source, 2, *self.target._coproduct.monomial(mono))
+            cached = memo[mono] = delta.evaluate_leg(
+                1 if side == "left" else 2, self.monomial_value).scaled
         return cached
 
     def __call__(self, x: Element) -> Fraction:
-        if x.algebra is not self.target.presentation:
+        if x.algebra is not self.source:
             raise ValueError("character applied outside its target presentation")
-        return sum((c * self.monomial_value(mono)
-                    for mono, c in x.terms.items()), ZERO)
+        return super().__call__(x).constant_term()
 
     def is_counit(self) -> bool:
         return not any(self.values.values())
@@ -90,12 +89,12 @@ def verify_character(chi: Character) -> Report:
     """A character extends to an algebra map iff it kills every relation.
 
     The report is attached as chi.report only when it passes."""
-    pres = chi.target.presentation
+    pres = chi.source
     report = Report(f"character on {chi.target.name}")
-    for (j, i) in sorted(pres.table):
-        value = chi(pres.commutator_entry(j, i))
-        report.add(f"kills [{pres.names[j]},{pres.names[i]}]", value == 0,
-                   "" if value == 0 else f"value {value}")
+    for j, i, defect in chi.relation_defects():
+        value = -defect.constant_term()  # chi([x_j, x_i]); k is commutative
+        report.add(f"kills [{pres.names[j]},{pres.names[i]}]", not value,
+                   f"value {value}" if value else "")
     if not pres.table:
         report.add("no relations", True)
     if report.passed:

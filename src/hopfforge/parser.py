@@ -215,11 +215,11 @@ def _defined_generator(ts: _TokenStream, order: dict, given: dict,
                        head: str) -> str:
     """The generator named by a coprod, counit, antipode or embed line,
     read up to its '=': declared in order, and not yet in given."""
-    name = ts.next()
+    col, name = ts.col(), ts.next()
     if name not in order:
-        raise ParseError(f"undeclared generator {name!r}", ts.lineno)
+        raise ParseError(f"undeclared generator {name!r}", ts.lineno, col)
     if name in given:
-        raise ParseError(f"duplicate {head} line for {name!r}", ts.lineno)
+        raise ParseError(f"duplicate {head} line for {name!r}", ts.lineno, col)
     ts.next("=")
     return name
 
@@ -281,17 +281,17 @@ def parse(text: str) -> DefinitionFile:
             continue
         if head == "rel":
             ts.next("[")
-            gj = ts.next()
+            col_j, gj = ts.col(), ts.next()
             ts.next(",")
-            gi = ts.next()
+            col_i, gi = ts.col(), ts.next()
             ts.next("]")
-            for g in (gj, gi):
+            for g, col in ((gj, col_j), (gi, col_i)):
                 if g not in order:
-                    raise ParseError(f"undeclared generator {g!r}", lineno)
+                    raise ParseError(f"undeclared generator {g!r}", lineno, col)
             if order[gj] <= order[gi]:
                 raise ParseError(
                     f"relation [{gj},{gi}] must list the later-declared "
-                    "generator first", lineno)
+                    "generator first", lineno, col_j)
             ts.next("=")
             poly = _parse_poly(ts, order, order, tensor=False)
             ts.done()

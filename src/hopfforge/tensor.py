@@ -7,8 +7,9 @@ coproducts of unbounded depth uniform.
 
 The scaled form and hopf's tensor-valued memo tables key a term by one
 packed int: leg k (from 0) holds its monomial's ``Presentation.mono_id``
-in bits [LEG_BITS*k, LEG_BITS*(k+1)).  ``terms``, ``leg_cofactors``,
-``__str__`` and ``from_terms`` show a key as a tuple of monomials.
+in bits [LEG_BITS*k, LEG_BITS*(k+1)).  Only this module reads that
+layout; ``terms``, ``leg_cofactors``, ``__str__`` and ``from_terms`` show
+a key as a tuple of monomials.
 """
 
 from __future__ import annotations
@@ -186,6 +187,25 @@ class TensorElement(Scaled):
         key = self.algebra.monomial_key
         return [(m, Element(self.algebra, grouped[m]))
                 for m in sorted(grouped, key=key)]
+
+    def evaluate_leg(self, leg: int,
+                     value: Callable[[Monomial], Fraction]) -> Element:
+        """The sum of c * value(m_leg) * m_other over the terms
+        c * m_1@m_2 of an arity-2 tensor: the linear functional given by
+        value on monomials, applied at position ``leg`` (1-based)."""
+        if self.arity != 2:
+            raise ValueError("evaluate_leg needs arity 2")
+        if leg not in (1, 2):
+            raise ValueError("leg must be 1 or 2")
+        at = LEG_BITS * (leg - 1)  # shift of the evaluated leg
+        other, monos, (nums, den) = LEG_BITS - at, self.algebra.monos, self.scaled
+        # value is called once per distinct monomial in that leg
+        values, d = split({i: value(monos[i])
+                           for i in {key >> at & LEG_MASK for key in nums}})
+        return Element.from_scaled(self.algebra, *combine(
+            [(n * values[key >> at & LEG_MASK],
+              ({monos[key >> other & LEG_MASK]: 1}, 1))
+             for key, n in nums.items()], den * d))
 
     def __repr__(self):
         return f"<tensor {self}>"

@@ -66,6 +66,18 @@ def convolution_defects(H, g) -> tuple[Element, Element]:
     return tuple(contract(t.apply_to_leg(leg, H.antipode)) for leg in (1, 2))
 
 
+def counit_leg(H, t: TensorElement, leg: int) -> Element:
+    """The counit applied to one leg (1 or 2) of an arity-2 tensor, term
+    by term.  verify_bialgebra has the counit axioms on generators by
+    proof (hopf._validate_coproduct) and computes none of them."""
+    one = H.presentation.identity_monomial()
+    out: dict = {}
+    for key, c in t.terms.items():
+        if key[leg - 1] == one:
+            add_term(out, key[2 - leg], c)
+    return Element(H.presentation, out)
+
+
 def primitive_basis_by_kernel(H, weight_cutoff: int) -> list[Element]:
     """Basis of the kernel of the reduced coproduct on the non-identity
     monomials up to weight_cutoff: the definition that

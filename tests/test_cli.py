@@ -75,6 +75,23 @@ def test_unreadable_file_exit_2(capsys, name, message):
     assert err == message.format(path) + "\n"
 
 
+@pytest.mark.parametrize("command", ["report", "nakayama"])
+def test_a_leading_byte_order_mark_is_skipped(capsys, tmp_path, command):
+    original = (DATA / "b_lambda.hopf").read_bytes()
+    marked, twice = tmp_path / "marked.hopf", tmp_path / "twice.hopf"
+    marked.write_bytes(b"\xef\xbb\xbf" + original)
+    results = []
+    for path in (DATA / "b_lambda.hopf", marked):
+        code = run([command, str(path), "--format", "json"])
+        results.append((code, capsys.readouterr().out))
+    assert results[0] == results[1] and results[0][0] == 0
+    # only one mark is skipped: a second is a character of the text
+    twice.write_bytes(b"\xef\xbb\xbf" * 2 + original)
+    assert run([command, str(twice)]) == 2
+    assert capsys.readouterr().err == \
+        "parse error: line 1, column 1: unexpected character '\\ufeff'\n"
+
+
 _REPEATED_RELS = ("hopf A\ngen X weight 1\ngen Y weight 1\n"
                   "rel [Y,X] = Y\nrel [Y,X] = 0\n")
 
@@ -84,7 +101,7 @@ _REPEATED_RELS = ("hopf A\ngen X weight 1\ngen Y weight 1\n"
     (_REPEATED_RELS + "coprod X = 1@X + X@1\ncoprod Y = 1@Y + Y@1 + 3@1\n"
      "coprod Y = 1@Y + Y@1\nantipode X = -X\nantipode Y = -Y\n"
      "antipode Y = -Y\n",
-     "parse error: line 8: duplicate coprod line for 'Y'"),
+     "parse error: line 8, column 8: duplicate coprod line for 'Y'"),
     (_REPEATED_RELS + "coprod X = 1@X + X@1\ncoprod Y = 1@Y + Y@1\n",
      "bad definition: generator Y,X is given twice"),
 ], ids=["second coprod", "repeated rel"])

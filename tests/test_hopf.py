@@ -21,7 +21,7 @@ from hopfforge.parser import build_algebra, parse
 from hopfforge.tensor import tensor_product as tp
 
 from oracles import (convolution_defects, coradical_degree_by_iteration,
-                     primitive_basis_by_kernel)
+                     counit_leg, primitive_basis_by_kernel)
 from suites import random_element
 from test_kernels import _unitriangular_5
 
@@ -295,6 +295,44 @@ def test_iterated_coproduct_lives_in_hopf_and_the_filtration_check():
     assert not offenders, "\n".join(offenders)
 
 
+# the rejections of hopf._validate_coproduct, on Delta(X) over <X, Y> in
+# weight 1: (Delta(X) from one, X, Y; the same as a .hopf line; message)
+_UNIT_LEGS = "coproduct of X must contain 1@X and X@1 with coefficient 1"
+_BAD_COPRODUCTS = {
+    "missing X@1": (lambda one, X, Y: tp(one, X), "1@X", _UNIT_LEGS),
+    "non-unit 1@X": (lambda one, X, Y: tp(one, X) * 2 + tp(X, one),
+                     "2*1@X + X@1", _UNIT_LEGS),
+    "stray identity leg": (
+        lambda one, X, Y: tp(one, X) + tp(X, one) + tp(one, Y),
+        "1@X + X@1 + 1@Y", "coproduct of X has a stray identity leg in 1@Y"),
+    "over weight": (
+        lambda one, X, Y: tp(one, X) + tp(X, one) + tp(Y, Y),
+        "1@X + X@1 + Y@Y", "coproduct of X has a term of weight 2 above "
+        "the declared weight 1; reweight X"),
+}
+
+
+@pytest.mark.parametrize("delta,line,message", _BAD_COPRODUCTS.values(),
+                         ids=_BAD_COPRODUCTS.keys())
+def test_coproduct_outside_the_normal_form_is_rejected(delta, line, message):
+    pres = Presentation([("X", 1), ("Y", 1)])
+    one, X, Y = pres.one(), pres.gen("X"), pres.gen("Y")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PresentedHopfAlgebra(pres, {"X": delta(one, X, Y),
+                                    "Y": tp(one, Y) + tp(Y, one)})
+
+
+@pytest.mark.parametrize("delta,line,message", _BAD_COPRODUCTS.values(),
+                         ids=_BAD_COPRODUCTS.keys())
+def test_coproduct_outside_the_normal_form_exit_2(delta, line, message,
+                                                  capsys, tmp_path):
+    path = tmp_path / "bad_coproduct.hopf"
+    path.write_text("hopf A\ngen X weight 1\ngen Y weight 1\n"
+                    f"coprod X = {line}\ncoprod Y = 1@Y + Y@1\n")
+    assert run(["verify", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"bad definition: {message}\n")
+
+
 def test_certificate_gating():
     pres = Presentation([("X", 1)], {})
     one = pres.one()
@@ -459,6 +497,17 @@ def test_antipode_is_two_sided_and_the_lantern_is_a_lie_algebra(make):
 
 
 @pytest.mark.parametrize("make", PROOF_HOSTS)
+def test_counit_axioms_hold_on_every_generator(make):
+    # verify_bialgebra passes these lines by proof, computing nothing
+    H = make()
+    for g in H.presentation.names:
+        t = H.coproduct(H.gen(g))
+        assert counit_leg(H, t, 1) == counit_leg(H, t, 2) == H.gen(g), g
+    lines = {c.name: c.passed for c in verify_hopf(H).checks}
+    assert all(lines[f"counit axiom on {g}"] for g in H.presentation.names)
+
+
+@pytest.mark.parametrize("make", PROOF_HOSTS)
 def test_primitive_basis_is_the_kernel_of_the_reduced_coproduct(make):
     H = make()
     assert H.primitive_basis() == primitive_basis_by_kernel(H, 4)
@@ -497,7 +546,7 @@ def test_wrong_attached_antipode_fails_everywhere(tmp_path, right, wrong,
 # that would recompute it; anywhere, the names of the code that did
 _RECHECKS = {"hopf.py": r"apply_to_leg\(2, [^)]*antipode|_verify_convolution",
              "grading.py": r"verify_lie\("}
-_GONE = r"lie_report|solved antipode fails"
+_GONE = r"lie_report|solved antipode fails|counit_leg"
 
 
 def _proof_offenders(sources: dict[str, str]) -> list[str]:
@@ -537,6 +586,7 @@ class PresentedHopfAlgebra:
     def primitive_basis(self, weight_cutoff: int) -> list[Element]:
         right = t.apply_to_leg(2, H.coproduct)
         right = contract(t.apply_to_leg(2, H.antipode))
+        lhs = H.counit_leg(t, 1)
 """,
         "lantern.py": """
 def _extract_lantern(H):
@@ -555,6 +605,7 @@ def verify_lie(L):
         "hopf.py:5: raise AntipodeSolveError(\"solved antipode fails the "
         "convolution check; \"",
         "hopf.py:11: right = contract(t.apply_to_leg(2, H.antipode))",
+        "hopf.py:12: lhs = H.counit_leg(t, 1)",
         "hopf.py: solve_antipode forks on the data",
         "hopf.py: primitive_basis takes a cutoff",
         "lantern.py: a Lie check in _extract_lantern"]

@@ -583,9 +583,19 @@ def test_tensor_key_guard_flags_tuple_reads():
     assert not _tuple_key_reads("x = linalg.join(*H._antipode.monomial(m))")
 
 
+# the packed-key layout and the monomial numbering it packs
+_KEY_LAYOUT = ("LEG_BITS", "LEG_MASK", ".monos[", "mono_id(")
+
+
 def test_tensor_keys_are_read_only_in_tensor():
     offenders = [f"{path.name}:{line}"
                  for path in sorted(_SRC.glob("*.py")) if path.name != "tensor.py"
                  for line in _tuple_key_reads(path.read_text())]
-    assert not offenders, "read packed tensor keys by shift, or through " \
-        "TensorElement.terms:\n" + "\n".join(offenders)
+    offenders += [f"{path.name}:{lineno}: {line.strip()}"
+                  for path in sorted(_SRC.glob("*.py"))
+                  if path.name not in ("tensor.py", "algebra.py")
+                  for lineno, line in enumerate(
+                      path.read_text().splitlines(), 1)
+                  if any(name in line for name in _KEY_LAYOUT)]
+    assert not offenders, "work on tensor legs through tensor's maps, or " \
+        "read terms through TensorElement.terms:\n" + "\n".join(offenders)

@@ -157,11 +157,16 @@ _PARSE_ERRORS = {
     "stray brace": (_HEAD + "}\n", 4, 0, "stray closing brace"),
     "zero weight": ("hopf A\ngen X weight 0\n", 2, 14,
                     "weight must be a positive integer"),
-    "undeclared in rel": (_HEAD + "rel [Z,X] = 0\n", 4, 0,
+    "undeclared in rel": (_HEAD + "rel [Z,X] = 0\n", 4, 6,
                           "undeclared generator 'Z'"),
+    "undeclared second in rel": (_HEAD + "rel [Y,Q] = 0\n", 4, 8,
+                                 "undeclared generator 'Q'"),
+    "misordered rel": (_HEAD + "rel [X,Y] = 0\n", 4, 6,
+                       "relation [X,Y] must list the later-declared "
+                       "generator first"),
     "undeclared in poly": (_HEAD + "rel [Y,X] = Q\n", 4, 13,
                            "undeclared generator 'Q'"),
-    "undeclared coprod": (_HEAD + "coprod Z = 1@Z + Z@1\n", 4, 0,
+    "undeclared coprod": (_HEAD + "coprod Z = 1@Z + Z@1\n", 4, 8,
                           "undeclared generator 'Z'"),
     "misplaced embed": (_HEAD + "embed X = Y\n", 4, 0,
                         "embed lines belong inside a sub block"),
@@ -170,14 +175,14 @@ _PARSE_ERRORS = {
     "unknown declaration": (_HEAD + "frob X\n", 4, 0,
                             "unknown declaration 'frob'"),
     # a generator's second coprod, counit, antipode or embed line
-    "second coprod": (_HEAD + "coprod Y = 1@Y + Y@1 + 3@1\n" + _COPRODS, 6, 0,
+    "second coprod": (_HEAD + "coprod Y = 1@Y + Y@1 + 3@1\n" + _COPRODS, 6, 8,
                       "duplicate coprod line for 'Y'"),
-    "second counit": (_HEAD + "counit X = 0\ncounit X = 0\n", 5, 0,
+    "second counit": (_HEAD + "counit X = 0\ncounit X = 0\n", 5, 8,
                       "duplicate counit line for 'X'"),
-    "second antipode": (_HEAD + "antipode Y = -Y\nantipode Y = -Y\n", 5, 0,
+    "second antipode": (_HEAD + "antipode Y = -Y\nantipode Y = -Y\n", 5, 10,
                         "duplicate antipode line for 'Y'"),
     "second embed": (_HEAD + _COPRODS + "sub S side left {\ngen Z weight 1\n"
-                     "embed Z = X\nembed Z = Y\n}\n", 9, 0,
+                     "embed Z = X\nembed Z = Y\n}\n", 9, 7,
                      "duplicate embed line for 'Z'"),
 }
 

@@ -164,3 +164,24 @@ def test_from_terms_refuses_a_malformed_leg(leg):
                   "Y": {(one, y): 1, (y, one): 1}}
     with pytest.raises(ValueError, match="bad monomial"):
         PresentedHopfAlgebra(pres, coproducts)
+
+
+def test_evaluate_leg_sums_the_leg_cofactors():
+    pres = catalog.build_e().presentation
+    rng = random.Random(17)
+    monos = pres.monomials_up_to(3)
+    value = lambda m: Fraction(sum(m) - 2, 1 + m[0])  # zero in degree 2
+    for _ in range(60):
+        t = TensorElement.from_terms(pres, 2, {
+            (rng.choice(monos), rng.choice(monos)):
+            Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+            for _ in range(rng.randint(0, 6))})
+        for leg in (1, 2):
+            expect = pres.zero()
+            for m, cofactor in t.leg_cofactors(leg):
+                expect += cofactor * value(m)
+            assert t.evaluate_leg(leg, value) == expect
+    with pytest.raises(ValueError, match="arity 2"):
+        TensorElement.unit(pres, 3).evaluate_leg(1, value)
+    with pytest.raises(ValueError, match="leg must be 1 or 2"):
+        TensorElement.unit(pres, 2).evaluate_leg(3, value)
