@@ -79,8 +79,11 @@ class Presentation:
                     "later generator first")
             table[(j, i)] = self._clean_terms(value)
         self.table = table
+        self._words = {pair: [(self.word_of(m), c) for m, c in terms.items()]
+                       for pair, terms in table.items()}  # for reduce_word
         self.certificate: Report | None = None  # set by certify() once it passes
         self._prod_cache: dict[tuple[Monomial, Monomial], dict] = {}
+        self.id_products: dict[int, tuple[dict, int]] = {}  # product_ids
         self._monomial_cache: dict[int, tuple[Monomial, ...]] = {}
         ids = _MonomialIds()
         ids.monos = self.monos = []  # id -> monomial
@@ -240,19 +243,29 @@ class Presentation:
             p = positions[0] if rng is None else rng.choice(positions)
             j, i = w[p], w[p + 1]
             stack.append((w[:p] + (i, j) + w[p + 2:], c))
-            for mono, pc in self.table.get((j, i), {}).items():
-                stack.append((w[:p] + self.word_of(mono) + w[p + 2:], c * pc))
+            for word, pc in self._words.get((j, i), ()):
+                stack.append((w[:p] + word + w[p + 2:], c * pc))
         return result
 
     def product_terms(self, m1: Monomial, m2: Monomial) -> tuple[dict, int]:
-        """Normal form of the monomial product m1 * m2, memoized in scaled
-        form: (int numerators, denominator)."""
+        """Normal form of m1 * m2 in scaled form, memoized; a word in ascending
+        order (every word, if the table is empty) is its own: exponent sum."""
         key = (m1, m2)
         cached = self._prod_cache.get(key)
         if cached is None:
-            cached = split(self.reduce_word(self.word_of(m1) + self.word_of(m2)))
-            self._prod_cache[key] = cached
+            w1, w2 = self.word_of(m1), self.word_of(m2)
+            cached = self._prod_cache[key] = split(self.reduce_word(
+                w1 + w2)) if self.table and w1 and w2 and w1[-1] > w2[0] else (
+                {tuple(a + b for a, b in zip(m1, m2)): 1}, 1)
         return cached
+
+    def product_ids(self, key: int) -> tuple[dict, int]:
+        """product_terms of ids i, j (key = i << MONO_ID_BITS | j) on ids."""
+        i, j = divmod(key, 1 << MONO_ID_BITS)
+        nums, den = self.product_terms(self.monos[i], self.monos[j])
+        value = self.id_products[key] = (
+            {self.mono_id(m): n for m, n in nums.items()}, den)
+        return value
 
     def certify(self) -> Report:
         """check_confluence, kept as ``certificate`` once it passes."""

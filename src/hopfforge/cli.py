@@ -161,9 +161,6 @@ class _Session:
                                 "status": "pass" if c.passed else fail_status,
                                 "details": c.details})
 
-    def failed_checks(self) -> bool:
-        return any(c["status"] == "fail" for c in self.checks)
-
 
 def _sig_json(sig: Signature):
     return [[d, m] for d, m in sig.pairs]
@@ -171,9 +168,8 @@ def _sig_json(sig: Signature):
 
 def _run_signature(session: _Session, order: int) -> None:
     sig = signature(session.H)
-    series = hilbert_series(sig, order)
     session.data["signature"] = _sig_json(sig)
-    session.data["hilbert"] = list(series.coeffs)
+    session.data["hilbert"] = list(hilbert_series(sig, order).coeffs)
     session.data["signature_text"] = str(sig)
 
 
@@ -301,7 +297,7 @@ _MARKS = {"pass": "ok  ", "fail": "FAIL", "info": "info"}
 
 
 def _emit(session: _Session, args, code_hint: int) -> int:
-    failed = session.failed_checks()
+    failed = any(c["status"] == "fail" for c in session.checks)
     payload = {
         "algebra": session.H.name,
         "truncation": session.truncation,
@@ -313,16 +309,13 @@ def _emit(session: _Session, args, code_hint: int) -> int:
     else:
         print(f"algebra {session.H.name} (truncation {session.truncation})")
         for c in session.checks:
-            mark = _MARKS[c["status"]]
-            line = f"  {mark} {c['name']}"
+            line = f"  {_MARKS[c['status']]} {c['name']}"
             if c["details"]:
                 line += f": {c['details']}"
             print(line)
         _print_data(session.data)
         print("result: " + ("FAIL" if failed else "pass"))
-    if failed:
-        return code_hint
-    return EXIT_OK
+    return code_hint if failed else EXIT_OK
 
 
 def _print_data(data: dict, indent: str = "") -> None:
@@ -346,11 +339,7 @@ def _print_data(data: dict, indent: str = "") -> None:
                           else f"{indent}  {text}")
                 else:
                     print(f"{indent}  {json.dumps(item, sort_keys=False)}")
-        elif key == "signature":
-            pass
-        elif key == "hilbert":
-            print(f"{indent}hilbert: {value}")
-        else:
+        elif key != "signature":
             print(f"{indent}{key}: {value}")
     if "signature_text" in data:
         print(f"{indent}signature: {data['signature_text']}")

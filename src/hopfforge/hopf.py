@@ -28,7 +28,7 @@ from . import linalg
 from .algebra import (Element, GeneratorMap, Monomial, Presentation, ONE,
                       format_monomial)
 from .report import Report
-from .tensor import TensorElement, contract
+from .tensor import TensorElement, contract, pack, unpack
 
 
 class HopfAlgebraError(Exception):
@@ -86,23 +86,23 @@ class PresentedHopfAlgebra:
         elif value.algebra is not pres or value.arity != 2:
             raise ValueError("coproduct data must be an arity-2 tensor over "
                              "the same presentation")
-        terms = value.terms
-        g = pres.names[i]
-        one = pres.identity_monomial()
+        nums, den = value.scaled
+        g, w, one = pres.names[i], pres.weights[i], pres.identity_monomial()
         gen = tuple(1 if k == i else 0 for k in range(pres.ngens))
-        if terms.get((one, gen)) != ONE or terms.get((gen, one)) != ONE:
+        ends = (pack(pres, (one, gen)), pack(pres, (gen, one)))
+        if nums.get(ends[0]) != den or nums.get(ends[1]) != den:
             raise ValueError(
                 f"coproduct of {g} must contain 1@{g} and {g}@1 with coefficient 1")
-        w = pres.weights[i]
-        for (m1, m2) in terms:
-            if (m1 == one or m2 == one) and (m1, m2) not in ((one, gen), (gen, one)):
+        for key in nums:
+            m1, m2 = unpack(pres, 2, key)
+            if (m1 == one or m2 == one) and key not in ends:
                 raise ValueError(
                     f"coproduct of {g} has a stray identity leg in "
                     f"{format_monomial(pres, m1)}@{format_monomial(pres, m2)}")
-            if pres.monomial_weight(m1) + pres.monomial_weight(m2) > w:
+            weight = pres.monomial_weight(m1) + pres.monomial_weight(m2)
+            if weight > w:
                 raise ValueError(
-                    f"coproduct of {g} has a term of weight "
-                    f"{pres.monomial_weight(m1) + pres.monomial_weight(m2)} "
+                    f"coproduct of {g} has a term of weight {weight} "
                     f"above the declared weight {w}; reweight {g}")
         return value
 

@@ -10,7 +10,8 @@ and the structure maps' memo tables keep ``(nums, den)``, int numerators
 with no zero over one positive denominator in lowest terms, keyed by
 monomial or by tensor's packed int key, and add ints only: ``combine``,
 the one multiply-add loop, first brings its values to the lcm of their
-denominators; ``accumulate_legs`` sums a tensor product on packed keys.
+denominators; ``multiply_legs`` sums a tensor product on packed keys per
+pair of terms, each leg's product read from a memo on monomial ids.
 ``Scaled`` owns the linear structure of both classes; public
 coefficients (``terms``, solver results) are Fractions.
 
@@ -118,36 +119,42 @@ def combine(images: list, den: int) -> tuple[dict, int]:
     return rescale(out, den * common)
 
 
-def accumulate_legs(groups_a: dict, groups_b: dict, tables: list, den: int,
-                    width: int) -> tuple[dict, int]:
-    """Scaled form over den of a product summed leg by leg on int keys of
-    one id per ``width`` bits, each side's terms (numerator, last leg id)
-    grouped by their other legs: each entry (offset, numerator) of leg k's
-    tables[k][i][j] = (d, entries) adds offset to the key, numerator / d."""
-    *heads, last = tables
-    mask = (1 << width) - 1
-    common = lcm(*{d for table in tables for row in table.values()
-                   for d, _ in row.values()})
+def multiply_legs(groups_a: dict, groups_b: dict, get, fill, den: int,
+                  width: int, last: int) -> tuple[dict, int]:
+    """Scaled form over den of a product of two sides' terms (numerator,
+    last leg's id), grouped by their other legs, on int keys of one id per
+    ``width`` bits, the last leg at shift ``last``: ids i of a (shifted up
+    by ``width``) and j of b multiply to get(i << width | j) or, where get
+    returns None, fill(...); the denominators go to their running lcm."""
+    mask, heads = (1 << width) - 1, range(0, last, width)
     out: dict = {}
-    get = out.get
+    acc, common = out.get, 1
     for ga, group_a in groups_a.items():
         for gb, group_b in groups_b.items():
-            partial = [(0, 1)]
-            for k, table in enumerate(heads):
-                d, entries = table[ga >> width * k & mask][gb >> width * k & mask]
-                f = common // d
-                partial = [(p + o, g * f * n) for p, g in partial
-                           for o, n in entries]
-            for base, g in partial:
-                for c1, i in group_a:
-                    row, c1 = last[i], c1 * g
-                    for c2, j in group_b:
-                        d, entries = row[j]
-                        c = c1 * c2 * (common // d)
-                        for o, n in entries:
-                            k = base + o
-                            out[k] = get(k, 0) + c * n
-    return rescale(out, den * common ** len(tables))
+            partial, dh = {0: 1}, 1  # the product on all legs but the last
+            for shift in heads:
+                x = (ga >> shift & mask) << width | gb >> shift & mask
+                nums, d = get(x) or fill(x)
+                partial = nums if not shift else {
+                    p | i << shift: g * n
+                    for p, g in partial.items() for i, n in nums.items()}
+                dh *= d
+            for p, g in partial.items():
+                for ca, i in group_a:
+                    ca *= g
+                    for cb, j in group_b:
+                        nums, d = get(i | j) or fill(i | j)
+                        d, c = d * dh, ca * cb
+                        if d != common:
+                            if common % d:
+                                f = lcm(common, d) // common
+                                out = {k: v * f for k, v in out.items()}
+                                acc, common = out.get, common * f
+                            c *= common // d
+                        for m, n in nums.items():
+                            k = p | m << last
+                            out[k] = acc(k, 0) + c * n
+    return rescale(out, den * common)
 
 
 class Scaled:

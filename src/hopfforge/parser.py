@@ -13,6 +13,7 @@ Grammar (one declaration per line, '#' starts a comment, UTF-8):
         embed <Name> = <poly of host generators>
     }
 
+Names are identifiers (a letter or '_', then letters, digits or '_').
 Monomials are written X, X^2, X^2*Y; rationals as p/q or integers.
 Parsed polynomials keep their generator names, so a definition file can
 be printed back and reparsed into an equal structure.
@@ -21,14 +22,13 @@ be printed back and reparsed into an equal structure.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from fractions import Fraction
 
 from .algebra import Presentation, format_linear
 from .hopf import PresentedHopfAlgebra
 from .linalg import add_term
 
-# a polynomial is {mono-key: Fraction}; a mono-key is a tuple of
+# a polynomial is {mono-key: int or Fraction}; a mono-key is a tuple of
 # (generator name, exponent) pairs in declaration order, () meaning 1
 Poly = dict
 MonoKey = tuple
@@ -76,18 +76,23 @@ class DefinitionFile(_Record):
         self._fill(given)
 
 
-_TOKEN = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|\d+|[\[\],=@^*/{}+-]|\S")
+# a token is a name, an integer or a mark, by the group that matched it
+_TOKEN = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)|(\d+)|([\[\],=@^*/{}+-])")
+_NAME, _INT = 1, 2
+_UNEXPECTED = re.compile(r"[^\s\dA-Za-z_\[\],=@^*/{}+-]")
+_TERM_ENDS = frozenset("+-,]}")
 
 
 def _tokenize(text: str, lineno: int):
-    out = []
-    for m in _TOKEN.finditer(text):
-        tok = m.group(0)
-        if tok not in "[],=@^*/{}+-" and not tok.isdigit() \
-                and not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok):
-            raise ParseError(f"unexpected character {tok!r}", lineno,
-                             m.start() + 1)
-        out.append((tok, m.start() + 1))
+    """The tokens (text, column, class) of a line, then an end marker
+    (None, the column after the last token's start, 0)."""
+    bad = _UNEXPECTED.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r}", lineno,
+                         bad.start() + 1)
+    out = [(m.group(), m.start() + 1, m.lastindex)
+           for m in _TOKEN.finditer(text)]
+    out.append((None, out[-1][1] + 1 if out else 1, 0))
     return out
 
 
@@ -98,102 +103,108 @@ class _TokenStream:
         self.pos = 0
 
     def peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos][0]
 
     def col(self):
-        return (self.tokens[self.pos][1] if self.pos < len(self.tokens)
-                else (self.tokens[-1][1] + 1 if self.tokens else 1))
+        return self.tokens[self.pos][1]
 
     def next(self, expect=None):
-        if self.pos >= len(self.tokens):
+        tok, col, _ = self.tokens[self.pos]
+        if tok is None:
             raise ParseError(f"unexpected end of line"
                              + (f", expected {expect!r}" if expect else ""),
-                             self.lineno, self.col())
-        tok, col = self.tokens[self.pos]
+                             self.lineno, col)
         if expect is not None and tok != expect:
             raise ParseError(f"expected {expect!r}, found {tok!r}",
                              self.lineno, col)
         self.pos += 1
         return tok
 
+    def name(self):
+        """The next token, which must be a name (an identifier)."""
+        tok, col, cls = self.tokens[self.pos]
+        if tok is not None and cls != _NAME:
+            raise ParseError(f"expected a name, found {tok!r}", self.lineno,
+                             col)
+        return self.next()
+
     def done(self):
-        if self.pos < len(self.tokens):
-            tok, col = self.tokens[self.pos]
+        tok, col, _ = self.tokens[self.pos]
+        if tok is not None:
             raise ParseError(f"trailing input {tok!r}", self.lineno, col)
 
 
-def _parse_number(ts: _TokenStream) -> Fraction:
-    """p or p/q, read from a digit token (the only caller checks it)."""
-    value = Fraction(int(ts.next()))
+def _parse_number(ts: _TokenStream) -> int | Fraction:
+    """p or p/q, read from an integer token (the only caller checks it): an
+    int, or a Fraction once a '/' appears."""
+    value = int(ts.next())
     if ts.peek() == "/":
         ts.next("/")
         col, den = ts.col(), ts.next()
         if not den.isdigit() or int(den) == 0:
             raise ParseError("expected a nonzero integer denominator",
                              ts.lineno, col)
-        value /= int(den)
+        value = Fraction(value, int(den))
     return value
 
 
 def _parse_term(ts: _TokenStream, declared, allow_tensor: bool):
-    """One signed term: returns (coeff, left mono dict, right mono dict or None)."""
-    sign = Fraction(1)
+    """One signed term: returns (coeff, [mono dict per tensor side])."""
+    tokens, lineno = ts.tokens, ts.lineno
+    coeff = 1
     while ts.peek() in ("+", "-"):
         if ts.next() == "-":
-            sign = -sign
-    coeff = sign
-    sides: list[Counter] = [Counter()]
+            coeff = -coeff
+    sides: list[dict] = [{}]
     saw_factor = False
     while True:
-        tok = ts.peek()
-        if tok is None or tok in ("+", "-") or tok in (",", "]", "}"):
-            break
-        if tok == "@":
-            if not allow_tensor:
-                raise ParseError("tensor syntax not allowed in relations",
-                                 ts.lineno, ts.col())
-            if len(sides) > 1:
-                raise ParseError("more than one tensor separator in a term",
-                                 ts.lineno, ts.col())
-            ts.next("@")
-            sides.append(Counter())
-            saw_factor = False
-            continue
-        if tok == "*":
-            ts.next("*")
-            continue
-        if tok.isdigit():
-            coeff *= _parse_number(ts)
-            saw_factor = True
-            continue
-        if re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok):
-            col, name = ts.col(), ts.next()
-            if name not in declared:
-                raise ParseError(f"undeclared generator {name!r}",
-                                 ts.lineno, col)
+        tok, col, cls = tokens[ts.pos]
+        if cls == _NAME:
+            if tok not in declared:
+                raise ParseError(f"undeclared generator {tok!r}", lineno, col)
+            ts.pos += 1
             exp = 1
             if ts.peek() == "^":
-                ts.next("^")
+                ts.pos += 1
                 col, e = ts.col(), ts.next()
                 if not e.isdigit():
-                    raise ParseError("expected an integer exponent",
-                                     ts.lineno, col)
+                    raise ParseError("expected an integer exponent", lineno,
+                                     col)
                 exp = int(e)
-            sides[-1][name] += exp
+            add_term(sides[-1], tok, exp)
             saw_factor = True
-            continue
-        raise ParseError(f"unexpected token {tok!r} in a polynomial",
-                         ts.lineno, ts.col())
-    if not saw_factor and len(sides) == 1 and not sides[0]:
-        raise ParseError("empty term", ts.lineno, ts.col())
+        elif cls == _INT:
+            coeff *= _parse_number(ts)
+            saw_factor = True
+        elif tok == "*":
+            ts.pos += 1
+        elif tok == "@":
+            if not allow_tensor:
+                raise ParseError("tensor syntax not allowed in relations",
+                                 lineno, col)
+            if len(sides) > 1:
+                raise ParseError("more than one tensor separator in a term",
+                                 lineno, col)
+            ts.pos += 1
+            sides.append({})
+            saw_factor = False
+        elif tok is None or tok in _TERM_ENDS:
+            break
+        else:
+            raise ParseError(f"unexpected token {tok!r} in a polynomial",
+                             lineno, col)
+    if not saw_factor and len(sides) == 1:
+        raise ParseError("empty term", lineno, ts.col())
     if allow_tensor and len(sides) == 1:
-        raise ParseError("expected a tensor term mono@mono", ts.lineno, ts.col())
+        raise ParseError("expected a tensor term mono@mono", lineno, ts.col())
     return coeff, sides
 
 
 def _mono_key(mono: dict, order: dict) -> MonoKey:
-    return tuple(sorted(((n, e) for n, e in mono.items() if e),
-                        key=lambda p: order[p[0]]))
+    """The (name, exponent) pairs of mono (no zero exponent) in order."""
+    if len(mono) < 2:
+        return tuple(mono.items())
+    return tuple(sorted(mono.items(), key=lambda p: order[p[0]]))
 
 
 def _parse_poly(ts: _TokenStream, declared, order, tensor: bool):
@@ -206,7 +217,7 @@ def _parse_poly(ts: _TokenStream, declared, order, tensor: bool):
             key = _mono_key(sides[0], order)
         add_term(out, key, coeff)
         # a term ends at a sign (the next term) or at one of these
-        if ts.peek() is None or ts.peek() in (",", "]", "}"):
+        if ts.peek() in (None, ",", "]", "}"):
             break
     return out
 
@@ -239,7 +250,7 @@ def parse(text: str) -> DefinitionFile:
             if head != "hopf":
                 raise ParseError("no algebra header: the first declaration "
                                  "must be 'hopf <name>'", lineno)
-            df = DefinitionFile(name=ts.next())
+            df = DefinitionFile(name=ts.name())
             ts.done()
             continue
         if head == "hopf":
@@ -247,7 +258,7 @@ def parse(text: str) -> DefinitionFile:
         if head == "sub":
             if sub is not None:
                 raise ParseError("nested sub blocks are not allowed", lineno)
-            name = ts.next()
+            name = ts.name()
             ts.next("side")
             col, side = ts.col(), ts.next()
             if side not in ("left", "right", "hopf"):
@@ -267,7 +278,7 @@ def parse(text: str) -> DefinitionFile:
         block = sub if sub is not None else df
         order = sub_order if sub is not None else host_order
         if head == "gen":
-            name = ts.next()
+            name = ts.name()
             if name in order:
                 raise ParseError(f"duplicate declaration of {name!r}", lineno)
             ts.next("weight")
@@ -347,61 +358,61 @@ def parse(text: str) -> DefinitionFile:
 # -- conversion to working objects --------------------------------------------
 
 
-def _exponent_vector(key: MonoKey, names) -> tuple:
-    index = {n: i for i, n in enumerate(names)}
-    vec = [0] * len(names)
+def _exponent_vector(key: MonoKey, index: dict) -> tuple:
+    vec = [0] * len(index)
     for name, e in key:
         vec[index[name]] += e
     return tuple(vec)
 
 
-def _poly_terms(poly: Poly, names) -> dict:
-    return {_exponent_vector(k, names): c for k, c in poly.items()}
+def _poly_terms(poly: Poly, index: dict) -> dict:
+    return {_exponent_vector(k, index): c for k, c in poly.items()}
 
 
-def _relation_table(relations: list, names) -> dict:
-    """{(gj, gi): terms} of parsed relations; a pair given twice raises
-    ValueError, as Presentation.indexed does for a repeated key."""
+def _relation_table(relations: list, index: dict) -> dict:
+    """{(gj, gi): terms} of parsed relations, for generators numbered by
+    index; a pair given twice raises ValueError, as
+    Presentation.indexed does for a repeated key."""
     table: dict = {}
     for gj, gi, poly in relations:
         if (gj, gi) in table:
             raise ValueError(f"generator {gj},{gi} is given twice")
-        table[gj, gi] = _poly_terms(poly, names)
+        table[gj, gi] = _poly_terms(poly, index)
     return table
 
 
 def build_algebra(df: DefinitionFile) -> tuple[PresentedHopfAlgebra, list[SubBlock]]:
     """Instantiate the parsed definition (uncertified; certify separately)."""
-    names = [g for g, _ in df.generators]
-    pres = Presentation(df.generators, _relation_table(df.relations, names))
+    index = {g: i for i, (g, _) in enumerate(df.generators)}
+    pres = Presentation(df.generators, _relation_table(df.relations, index))
     coproducts = {}
     for g, terms in df.coproducts.items():
         coproducts[g] = {
-            (_exponent_vector(k1, names), _exponent_vector(k2, names)): c
+            (_exponent_vector(k1, index), _exponent_vector(k2, index)): c
             for (k1, k2), c in terms.items()}
     antipodes = None
     if df.antipodes:
-        missing = [g for g in names if g not in df.antipodes]
+        missing = [g for g in index if g not in df.antipodes]
         if missing:
             raise ValueError("antipode lines must cover all generators or "
                              "none; missing: " + ", ".join(missing))
-        antipodes = {g: _poly_terms(p, names) for g, p in df.antipodes.items()}
+        antipodes = {g: _poly_terms(p, index) for g, p in df.antipodes.items()}
     H = PresentedHopfAlgebra(pres, coproducts, antipodes, name=df.name)
     return H, df.subs
 
 
 def sub_arguments(host: PresentedHopfAlgebra, block: SubBlock) -> dict:
     """Keyword arguments for register_subalgebra from a parsed sub block."""
-    names = [g for g, _ in block.generators]
-    host_names = host.presentation.names
-    missing = [g for g in names if g not in block.embeds]
+    index = {g: i for i, (g, _) in enumerate(block.generators)}
+    host_index = {g: i for i, g in enumerate(host.presentation.names)}
+    missing = [g for g in index if g not in block.embeds]
     if missing:
         raise ValueError(f"sub {block.name}: missing embed lines for "
                          + ", ".join(missing))
     return dict(
         host=host, name=block.name, generators=block.generators,
-        commutators=_relation_table(block.relations, names),
-        embedding={g: host.presentation.element(_poly_terms(p, host_names))
+        commutators=_relation_table(block.relations, index),
+        embedding={g: host.presentation.element(_poly_terms(p, host_index))
                    for g, p in block.embeds.items()},
         side=block.side)
 

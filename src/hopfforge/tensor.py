@@ -9,7 +9,8 @@ The scaled form and hopf's tensor-valued memo tables key a term by one
 packed int: leg k (from 0) holds its monomial's ``Presentation.mono_id``
 in bits [LEG_BITS*k, LEG_BITS*(k+1)).  Only this module reads that
 layout; ``terms``, ``leg_cofactors``, ``__str__`` and ``from_terms`` show
-a key as a tuple of monomials.
+a key as a tuple of monomials.  ``tensor_multiply`` reads each leg's
+product from the presentation's memo on mono ids, ``id_products``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import Callable, Mapping
 from .algebra import (MONO_ID_BITS, Element, Monomial, Presentation,
                       PresentationMismatchError, as_fraction, format_linear,
                       format_monomial)
-from .linalg import (Scaled, accumulate_legs, add_term, combine,
-                     extend_scaled, join, scaled_equal, split)
+from .linalg import (Scaled, add_term, combine, extend_scaled, join,
+                     multiply_legs, scaled_equal, split)
 
 TensorKey = tuple  # tuple of Monomials, length = arity: the public key
 LEG_BITS = MONO_ID_BITS  # bits of one leg of a packed key
@@ -235,35 +236,24 @@ def tensor_product(*factors: Element) -> TensorElement:
 
 def tensor_multiply(s: TensorElement, t: TensorElement) -> TensorElement:
     """Componentwise product: (a1@...@ak) * (b1@...@bk) = a1*b1 @ ... @ ak*bk,
-    one product lookup per leg and pair of distinct leg monomials, summed
-    on packed keys (a product's key is the sum of its legs' shifted ids)."""
+    summed per pair of terms on packed keys (a product's key is the sum of
+    its legs' shifted ids); ``product_ids`` fills a memo entry once."""
     s._coerce(t)
     algebra = s.algebra
-    product, monos, mono_id = algebra.product_terms, algebra.monos, algebra.mono_id
     (a, da), (b, db) = s.scaled, t.scaled
-    tables = []
-    for shift in range(0, LEG_BITS * s.arity, LEG_BITS):
-        rights = {k >> shift & LEG_MASK for k in b}
-        table: dict[int, dict] = {}  # i -> j -> (d, [(offset, numerator)])
-        for i in {k >> shift & LEG_MASK for k in a}:
-            row = table[i] = {}
-            for j in rights:
-                nums, d = product(monos[i], monos[j])
-                row[j] = d, (entries := [])
-                for m, n in nums.items():
-                    entries.append((mono_id(m) << shift, n))
-        tables.append(table)
-    return TensorElement.from_scaled(algebra, s.arity, *accumulate_legs(
-        _legs(a, s.arity), _legs(b, s.arity), tables, da * db, LEG_BITS))
+    last = LEG_BITS * (s.arity - 1)
+    return TensorElement.from_scaled(algebra, s.arity, *multiply_legs(
+        _legs(a, last, LEG_BITS), _legs(b, last, 0), algebra.id_products.get,
+        algebra.product_ids, da * db, LEG_BITS, last))
 
 
-def _legs(terms: dict, arity: int) -> dict:
-    """The terms (numerator, last leg id) grouped by their other legs."""
-    last = LEG_BITS * (arity - 1)
+def _legs(terms: dict, last: int, up: int) -> dict:
+    """The terms (numerator, last leg's id shifted up by ``up`` bits)
+    grouped by their other legs, for the last leg at shift ``last``."""
     low = (1 << last) - 1
     groups: dict[int, list] = {}
-    for key, c in terms.items():
-        groups.setdefault(key & low, []).append((c, key >> last))
+    for key, n in terms.items():
+        groups.setdefault(key & low, []).append((n, key >> last << up))
     return groups
 
 

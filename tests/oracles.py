@@ -1,11 +1,12 @@
 """Slow reference definitions that the tests check fast paths against."""
 
 from fractions import Fraction
+from math import lcm
 
 from hopfforge import linalg
 from hopfforge.algebra import Element
-from hopfforge.linalg import add_term, vec_add_scaled
-from hopfforge.tensor import TensorElement, contract
+from hopfforge.linalg import add_term, rescale, vec_add_scaled
+from hopfforge.tensor import LEG_BITS, LEG_MASK, TensorElement, contract
 
 
 def truncated_filtration_check(H, truncation: int) -> bool:
@@ -138,6 +139,54 @@ def tensor_multiply_by_fractions(s: TensorElement, t: TensorElement
                            for key, c in partial.items() for m, pc in prod.items()}
             vec_add_scaled(out, partial)
     return TensorElement(s.algebra, s.arity, out)
+
+
+def tensor_multiply_by_tables(s: TensorElement, t: TensorElement
+                              ) -> TensorElement:
+    """The product by per-call leg tables, on packed keys: each leg's
+    distinct monomials on both sides, one product_terms lookup per distinct
+    (leg, m, n), and the terms summed group by group, a group being the
+    terms that share all legs but the last.  This is the algorithm that
+    tensor_multiply replaces by sums per pair of terms from the
+    presentation's product memo on mono ids."""
+    algebra = s.algebra
+    product, monos, mono_id = algebra.product_terms, algebra.monos, algebra.mono_id
+    (a, da), (b, db) = s.scaled, t.scaled
+    shifts = range(0, LEG_BITS * s.arity, LEG_BITS)
+    tables = []  # leg -> i -> j -> (d, [(shifted id, numerator)])
+    for shift in shifts:
+        rights = {k >> shift & LEG_MASK for k in b}
+        tables.append({i: {j: (d, [(mono_id(m) << shift, n)
+                                   for m, n in nums.items()])
+                           for j in rights
+                           for nums, d in [product(monos[i], monos[j])]}
+                       for i in {k >> shift & LEG_MASK for k in a}})
+    *heads, last_table = tables
+    last = shifts[-1]
+    groups_a, groups_b = {}, {}
+    for terms, groups in ((a, groups_a), (b, groups_b)):
+        for key, n in terms.items():
+            groups.setdefault(key & (1 << last) - 1, []).append(
+                (n, key >> last))
+    common = lcm(*{d for table in tables for row in table.values()
+                   for d, _ in row.values()})
+    out: dict = {}
+    for ga, group_a in groups_a.items():
+        for gb, group_b in groups_b.items():
+            partial = [(0, 1)]
+            for shift, table in zip(shifts, heads):
+                d, entries = table[ga >> shift & LEG_MASK][gb >> shift & LEG_MASK]
+                partial = [(p + o, g * (common // d) * n) for p, g in partial
+                           for o, n in entries]
+            for base, g in partial:
+                for c1, i in group_a:
+                    for c2, j in group_b:
+                        d, entries = last_table[i][j]
+                        c = g * c1 * c2 * (common // d)
+                        for o, n in entries:
+                            add_term(out, base + o, c * n)
+    return TensorElement.from_scaled(algebra, s.arity, *rescale(
+        out, da * db * common ** len(tables)))
 
 
 def contract_by_fractions(t: TensorElement) -> Element:

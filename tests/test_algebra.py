@@ -10,6 +10,7 @@ from hopfforge import algebra, catalog
 from hopfforge.algebra import (GeneratorMap, Presentation,
                                PresentationMismatchError, check_confluence,
                                check_termination_weights, commutator)
+from hopfforge.linalg import split
 from hopfforge.nakayama import Character
 from hopfforge.parser import build_algebra, parse, sub_arguments
 
@@ -385,3 +386,44 @@ def test_a_second_key_for_one_generator_pair_is_rejected():
     assert pres.indexed({"Y": "a", 0: "b"}) == {1: "a", 0: "b"}
     with pytest.raises(ValueError, match="generator X is given twice"):
         pres.indexed({"X": 1, 0: 2})
+
+
+def _data_presentation(path):
+    return lambda: build_algebra(parse(path.read_text()))[0].presentation
+
+
+def _builtin_presentations():
+    from test_grading import _unitriangular
+    from test_hopf import _upper_triangular_lie
+    return [
+        *[pytest.param(lambda lam=lam: b_presentation(lam), id=f"B:{lam}")
+          for lam in ("0", "1", "-2", "1/2", "-2/3")],
+        pytest.param(lambda: catalog.build_e().presentation, id="E"),
+        pytest.param(lambda: catalog.build_e(2, -1, 1, 3).presentation,
+                     id="E(2,-1,1,3)"),
+        *[pytest.param(lambda p=p: catalog.build_enveloping_preset(p)
+                       .presentation, id=f"U:{p}")
+          for p in catalog.ENVELOPING_PRESETS],
+        *[pytest.param(_data_presentation(path), id=path.name)
+          for path in sorted(DATA.glob("*.hopf")) + sorted(
+              (DATA.parent.parent / "bench" / "data").glob("*.hopf"))],
+        pytest.param(lambda: _unitriangular(5).presentation, id="O(U_5)"),
+        pytest.param(lambda: _upper_triangular_lie(5).presentation,
+                     id="U(n_5)"),
+    ]
+
+
+@pytest.mark.parametrize("make", _builtin_presentations())
+def test_products_are_the_rewriting_of_their_words(make):
+    """product_terms (the exponent sum when the table is empty) and the
+    product memo on mono ids against reduce_word, on seeded pairs."""
+    pres = make()
+    rng = random.Random(91)
+    monomials = pres.monomials_up_to(3)
+    for _ in range(40):
+        m1, m2 = rng.choice(monomials), rng.choice(monomials)
+        expect = split(pres.reduce_word(pres.word_of(m1) + pres.word_of(m2)))
+        assert pres.product_terms(m1, m2) == expect
+        nums, den = pres.product_ids(
+            pres.mono_id(m1) << algebra.MONO_ID_BITS | pres.mono_id(m2))
+        assert ({pres.monos[i]: n for i, n in nums.items()}, den) == expect

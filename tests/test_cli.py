@@ -520,6 +520,27 @@ def test_each_command_loads_only_what_it_runs(tmp_path, argv, loaded, absent):
     assert before or not after
 
 
+# The hopfforge source a fresh interpreter loads for `import hopfforge.cli`.
+_SOURCE_LINES = """
+import sys
+from hopfforge import cli
+sys.stderr.write(str(sum(
+    len(open(module.__file__, encoding="utf-8").read().splitlines())
+    for name, module in sorted(sys.modules.items())
+    if name.partition(".")[0] == "hopfforge")))
+"""
+
+
+def test_cold_start_source_ratchet():
+    """Without bytecode written (PYTHONDONTWRITEBYTECODE), every CLI start
+    compiles the modules `import hopfforge.cli` loads from source, so their
+    line count may only go down: a change that lowers it lowers the pin."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", _SOURCE_LINES], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert int(proc.stderr.splitlines()[-1]) <= 2703
+
+
 def test_no_module_imports_dataclasses():
     # a dataclass generates and compiles its methods at import
     for path in sorted((SRC / "hopfforge").glob("*.py")):
@@ -581,3 +602,21 @@ def test_public_api_is_pinned():
     exec("from hopfforge import *", namespace)
     del namespace["__builtins__"]
     assert namespace == {n: getattr(hopfforge, n) for n in hopfforge.__all__}
+
+
+@pytest.mark.parametrize("text,message", [
+    ("hopf =\ngen X weight 1\ncoprod X = 1@X + X@1\n",
+     "parse error: line 1, column 6: expected a name, found '='"),
+    ("hopf A\ngen * weight 1\ncoprod X = 1@X + X@1\n",
+     "parse error: line 2, column 5: expected a name, found '*'"),
+], ids=["algebra", "generator"])
+def test_names_that_are_not_identifiers_exit_2(text, message, capsys,
+                                               tmp_path):
+    # "hopf =" used to certify an algebra named "=", and "gen *" to fail
+    # only at the last line, with "missing coproduct lines for: *"
+    path = tmp_path / "named.hopf"
+    path.write_text(text)
+    assert run(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n"
+    assert not captured.out

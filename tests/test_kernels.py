@@ -38,7 +38,7 @@ from oracles import (antipode_by_fractions, antipode_inverse_by_solving,
                      automorphism_by_products, character_by_powers,
                      contract_by_fractions, coproduct_by_fractions,
                      product_by_fractions, tensor_multiply_by_fractions,
-                     winding_by_powers)
+                     tensor_multiply_by_tables, winding_by_powers)
 from suites import random_element
 from test_grading import _unitriangular
 
@@ -150,6 +150,50 @@ def test_tensor_multiply_matches_fractions_at_every_arity(make):
             assert tensor_multiply(zero, s).arity == arity
 
 
+# every builtin host, and the two of HOSTS the CLI does not name
+TABLE_HOSTS = HOSTS[:3] + [
+    *[pytest.param(lambda lam=lam: catalog.build_b_lambda(lam), id=f"B:{lam}")
+      for lam in ("0", "1", "-2", "1/2")],
+    pytest.param(catalog.build_e, id="E"),
+    *[pytest.param(lambda p=p: catalog.build_enveloping_preset(p), id=f"U:{p}")
+      for p in catalog.ENVELOPING_PRESETS],
+]
+
+
+@pytest.mark.parametrize("make", TABLE_HOSTS)
+def test_tensor_multiply_matches_the_table_algorithm(make):
+    H = make()
+    pres = H.presentation
+    for a, b in _pairs(H, 83, count=4):
+        for arity in (1, 2, 3):
+            s, t = _iterated(H, a, arity), _iterated(H, b, arity)
+            zero = TensorElement.zero(pres, arity)
+            for x, y in ((s, t), (t, s), (s, s), (s, zero), (zero, t),
+                         (zero, zero)):
+                expect = tensor_multiply_by_tables(x, y)
+                product = tensor_multiply(x, y)
+                assert product == expect and _scaled_ok(product)
+                # the second call reads every leg product from the memo
+                assert tensor_multiply(x, y) == expect
+
+
+def test_tensor_products_interleaved_over_two_presentations():
+    # the same generators and monomials, other products: each
+    # presentation keeps its own memo
+    hosts = [catalog.build_b_lambda(lam)
+             for lam in (Fraction(1, 2), Fraction(-2, 3))]
+    operands = [[(H.coproduct(a), H.coproduct(b)) for a, b in _pairs(H, 84)]
+                for H in hosts]
+    for _ in range(2):
+        for pairs in zip(*operands):
+            for s, t in pairs:
+                assert tensor_multiply(s, t) == tensor_multiply_by_tables(s, t)
+    first, second = (H.presentation.id_products for H in hosts)
+    assert first is not second and first and second
+    with pytest.raises(algebra.PresentationMismatchError):
+        tensor_multiply(operands[0][0][0], operands[1][0][1])
+
+
 @pytest.mark.parametrize("make", KERNEL_HOSTS)
 def test_apply_to_leg_matches_fractions_on_every_leg(make):
     H = make()
@@ -163,26 +207,30 @@ def test_apply_to_leg_matches_fractions_on_every_leg(make):
 
 
 def test_tensor_multiply_looks_up_each_leg_product_once(monkeypatch):
-    H = catalog.build_b_lambda(Fraction(1, 2))
+    """Over a sequence of products on one presentation, each distinct pair
+    of leg monomials reaches product_terms at most once: the product memo
+    on mono ids (Presentation.id_products) keeps it for every later call."""
+    H = catalog._b_lambda.__wrapped__(Fraction(1, 2), 6)  # not the cached one
     pres = H.presentation
-    a, b = _pairs(H, 82, count=1)[0]
+    pairs = _pairs(H, 82, count=3)
+    operands = [(_iterated(H, a, arity), _iterated(H, b, arity))
+                for a, b in pairs for arity in (1, 2, 3)]
     calls = []
     product_terms = pres.product_terms
     monkeypatch.setattr(pres, "product_terms",
                         lambda m1, m2: calls.append((m1, m2))
                         or product_terms(m1, m2))
-    for arity in (2, 3):
-        s, t = _iterated(H, a, arity), _iterated(H, b, arity)
-        del calls[:]
-        tensor_multiply(s, t)
-        legs = [{(k1[pos], k2[pos]) for k1 in s.terms for k2 in t.terms}
-                for pos in range(arity)]
-        assert len(calls) == sum(len(pairs) for pairs in legs)
-        # a lookup per leg of every pair of keys would make this many
-        assert len(calls) < arity * len(s.terms) * len(t.terms)
-        counts = Counter(calls)
-        assert all(n <= sum(pair in pairs for pairs in legs)
-                   for pair, n in counts.items())
+    needed = set()
+    for s, t in operands + operands:
+        for x, y in ((s, t), (t, s), (s, s)):
+            tensor_multiply(x, y)
+            needed |= {(k1[pos], k2[pos]) for k1 in x.terms
+                       for k2 in y.terms for pos in range(x.arity)}
+    assert calls and set(calls) <= needed
+    assert max(Counter(calls).values()) == 1
+    ids = pres.mono_id
+    assert all(ids(m1) << algebra.MONO_ID_BITS | ids(m2) in pres.id_products
+               for m1, m2 in needed)
 
 
 def test_apply_to_leg_calls_its_map_once_per_leg_monomial():
@@ -599,3 +647,20 @@ def test_tensor_keys_are_read_only_in_tensor():
                   if any(name in line for name in _KEY_LAYOUT)]
     assert not offenders, "work on tensor legs through tensor's maps, or " \
         "read terms through TensorElement.terms:\n" + "\n".join(offenders)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_tensor_terms(), st.data())
+def test_tensor_multiply_matches_the_table_algorithm_on_drawn_terms(drawn, data):
+    arity, terms = drawn
+    keys = st.tuples(*[st.sampled_from(_KEY_MONOS)] * arity)
+    coeffs = st.builds(Fraction, st.integers(-5, 5).filter(bool),
+                       st.integers(1, 6))
+    s = TensorElement(_KEY_PRES, arity, terms)
+    t = TensorElement(_KEY_PRES, arity, data.draw(
+        st.dictionaries(keys, coeffs, max_size=6)))
+    for x, y in ((s, t), (t, s), (s, s)):
+        product = tensor_multiply(x, y)
+        assert product == tensor_multiply_by_tables(x, y)
+        assert product == tensor_multiply_by_fractions(x, y)
+        assert product.arity == arity

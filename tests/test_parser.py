@@ -184,6 +184,22 @@ _PARSE_ERRORS = {
     "second embed": (_HEAD + _COPRODS + "sub S side left {\ngen Z weight 1\n"
                      "embed Z = X\nembed Z = Y\n}\n", 9, 7,
                      "duplicate embed line for 'Z'"),
+    # a declared name must be an identifier
+    "mark as algebra name": ("hopf =\n", 1, 6, "expected a name, found '='"),
+    "number as algebra name": ("hopf 2\n", 1, 6, "expected a name, found '2'"),
+    "mark as generator": ("hopf A\ngen * weight 1\n", 2, 5,
+                          "expected a name, found '*'"),
+    "number as generator": ("hopf A\ngen 2 weight 1\n", 2, 5,
+                            "expected a name, found '2'"),
+    "mark as sub name": (_HEAD + "sub { side left {\n", 4, 5,
+                         "expected a name, found '{'"),
+    "number as sub name": (_HEAD + "sub 1 side left {\n", 4, 5,
+                           "expected a name, found '1'"),
+    "mark as sub generator": (_HEAD + "sub S side left {\ngen @ weight 1\n",
+                              5, 5, "expected a name, found '@'"),
+    # a digit that is no decimal digit is no integer (int() raised on it)
+    "superscript digit": ("hopf A\ngen X weight \u00b2\n", 2, 14,
+                          "unexpected character '\u00b2'"),
 }
 
 
