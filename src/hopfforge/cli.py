@@ -227,15 +227,18 @@ def _chi_for(session: _Session, target, spec: str):
         return enveloping_integral_character(target)
     values = {}
     for piece in spec.split(","):
-        name, _, value = piece.partition("=")
+        name, _, value = map(str.strip, piece.partition("="))
         if not value:
             raise _CliFailure(
                 f"bad --chi entry {piece!r}; use name=value,...", EXIT_PARSE)
+        if name in values:
+            raise _CliFailure(f"bad --chi {spec!r}: generator {name} is given "
+                              "twice", EXIT_PARSE)
         try:
-            values[name.strip()] = as_fraction(value.strip())
+            values[name] = as_fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise _CliFailure(f"bad --chi value {value.strip()!r}: not an "
-                              "exact rational", EXIT_PARSE)
+            raise _CliFailure(f"bad --chi value {value!r}: not an exact "
+                              "rational", EXIT_PARSE)
     try:
         chi = character(target, values)
     except ValueError as exc:

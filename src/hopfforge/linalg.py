@@ -10,8 +10,9 @@ and the structure maps' memo tables keep ``(nums, den)``, int numerators
 with no zero over one positive denominator in lowest terms, keyed by
 monomial or by tensor's packed int key, and add ints only: ``combine``,
 the one multiply-add loop, first brings its values to the lcm of their
-denominators; ``multiply_legs`` sums a tensor product on packed keys per
-pair of terms, each leg's product read from a memo on monomial ids.
+denominators; ``multiply_legs`` sums a tensor product (an ``Element``
+product is its arity-1 case) on packed keys per pair of terms, each leg's
+product read from the presentation's one memo on monomial ids.
 ``Scaled`` owns the linear structure of both classes; public
 coefficients (``terms``, solver results) are Fractions.
 

@@ -85,14 +85,14 @@ _TERM_ENDS = frozenset("+-,]}")
 
 def _tokenize(text: str, lineno: int):
     """The tokens (text, column, class) of a line, then an end marker
-    (None, the column after the last token's start, 0)."""
+    (None, the column one past the end of the line, 0)."""
     bad = _UNEXPECTED.search(text)
     if bad:
         raise ParseError(f"unexpected character {bad.group()!r}", lineno,
                          bad.start() + 1)
     out = [(m.group(), m.start() + 1, m.lastindex)
            for m in _TOKEN.finditer(text)]
-    out.append((None, out[-1][1] + 1 if out else 1, 0))
+    out.append((None, len(text.rstrip()) + 1, 0))
     return out
 
 
@@ -241,8 +241,8 @@ def parse(text: str) -> DefinitionFile:
     host_order: dict = {}
     sub_order: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0]  # not stripped: columns count indentation
+        if not line.strip():
             continue
         ts = _TokenStream(_tokenize(line, lineno), lineno)
         head = ts.next()

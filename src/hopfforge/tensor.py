@@ -9,8 +9,9 @@ The scaled form and hopf's tensor-valued memo tables key a term by one
 packed int: leg k (from 0) holds its monomial's ``Presentation.mono_id``
 in bits [LEG_BITS*k, LEG_BITS*(k+1)).  Only this module reads that
 layout; ``terms``, ``leg_cofactors``, ``__str__`` and ``from_terms`` show
-a key as a tuple of monomials.  ``tensor_multiply`` reads each leg's
-product from the presentation's memo on mono ids, ``id_products``.
+a key as a tuple of monomials.  Each leg's product in ``tensor_multiply``
+and ``contract``, like an ``Element`` product, reads the presentation's
+one product memo on mono ids, ``id_products``.
 """
 
 from __future__ import annotations
@@ -261,7 +262,11 @@ def contract(t: TensorElement) -> Element:
     """Multiply the two legs of an arity-2 tensor into a single element."""
     if t.arity != 2:
         raise ValueError("contract needs arity 2")
-    product, monos = t.algebra.product_terms, t.algebra.monos
-    return Element.from_scaled(t.algebra, *extend_scaled(
-        *t.scaled, lambda key: product(monos[key & LEG_MASK],
-                                       monos[key >> LEG_BITS])))
+    algebra = t.algebra
+    get, fill = algebra.id_products.get, algebra.product_ids
+    def product(key):  # the memo key of the legs' ids, in product order
+        key = (key & LEG_MASK) << LEG_BITS | key >> LEG_BITS
+        return get(key) or fill(key)
+    nums, den = extend_scaled(*t.scaled, product)
+    return Element.from_scaled(
+        algebra, {algebra.monos[i]: n for i, n in nums.items()}, den)

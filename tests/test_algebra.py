@@ -13,6 +13,7 @@ from hopfforge.algebra import (GeneratorMap, Presentation,
 from hopfforge.linalg import split
 from hopfforge.nakayama import Character
 from hopfforge.parser import build_algebra, parse, sub_arguments
+from hopfforge.tensor import contract, tensor_multiply, tensor_product
 
 from oracles import overlap_checks_by_resolution
 
@@ -124,6 +125,55 @@ def test_presentation_checks_run_only_in_algebra():
     assert not offenders, \
         "use Presentation.certify() for the presentation certificate:\n" + \
         "\n".join(offenders)
+
+
+def _product_terms_readers(source: str) -> set[str]:
+    """The innermost function (or <module>) around each read of
+    .product_terms in the source."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if getattr(child, "attr", None) == "product_terms":
+                found.add(where)
+            visit(child, child.name if isinstance(child, ast.FunctionDef)
+                  else where)
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_product_terms_guard_flags_the_old_code():
+    old_mul = ("def __mul__(self, other):\n"
+               "    product = self.algebra.product_terms\n")
+    old_contract = ("def contract(t):\n"
+                    "    product, monos = t.algebra.product_terms, t.algebra.monos\n")
+    new_fill = ("def product_ids(self, key):\n"
+                "    nums, den = self.product_terms(self.monos[i], self.monos[j])\n")
+    assert _product_terms_readers(old_mul) == {"__mul__"}
+    assert _product_terms_readers(old_contract) == {"contract"}
+    assert _product_terms_readers(new_fill) == {"product_ids"}
+
+
+def test_one_product_memo_per_presentation():
+    """Only product_ids, the memo-miss branch, calls product_terms; products
+    of every kind grow no presentation attribute but the one memo
+    id_products (_prod_cache is its alias) and the monomial numbering."""
+    src = Path(__file__).parent.parent / "src" / "hopfforge"
+    readers = {path.stem: _product_terms_readers(path.read_text())
+               for path in sorted(src.glob("*.py"))}
+    assert {name: found for name, found in readers.items() if found} \
+        == {"algebra": {"product_ids"}}
+    pres = Presentation([("x", 1), ("y", 1), ("z", 1)],
+                        {("y", "x"): {(0, 0, 1): Fraction(1, 2)}})
+    x, y, z = (pres.gen(g) for g in "xyz")
+    sizes = lambda: {name: len(value) for name, value in vars(pres).items()
+                     if isinstance(value, (dict, list))}
+    before = sizes()
+    s, t = tensor_product(y * y, x + z), tensor_product(x, y * x)
+    assert contract(tensor_multiply(s, t)) == (y * y * x) * ((x + z) * y * x)
+    assert {name for name, n in sizes().items() if n > before[name]} \
+        == {"id_products", "_prod_cache", "monos"}
+    assert pres._prod_cache is pres.id_products
 
 
 def test_confluence_b_lambda():

@@ -269,6 +269,15 @@ def test_nakayama_unknown_chi_generator_exit_2(capsys):
     assert err == "bad --chi 'Q=1': unknown generator 'Q'\n"
 
 
+def test_nakayama_repeated_chi_generator_exit_2(capsys):
+    # Y=5 breaks a relation of R_inf and Y=0 kills them all: neither wins
+    code = run(["nakayama", "--builtin", "B:1", "--sub", "R:inf",
+                "--chi", "Y=5,Y=0"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "bad --chi 'Y=5,Y=0': generator Y is given twice\n"
+
+
 def test_nakayama_character_that_breaks_a_relation_exit_1(capsys):
     code = run(["nakayama", "--builtin", "B:1", "--sub", "L:0",
                 "--chi", "X=1,Y=1"])
@@ -538,7 +547,7 @@ def test_cold_start_source_ratchet():
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-c", _SOURCE_LINES], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert int(proc.stderr.splitlines()[-1]) <= 2703
+    assert int(proc.stderr.splitlines()[-1]) <= 2702
 
 
 def test_no_module_imports_dataclasses():

@@ -179,19 +179,24 @@ def test_tensor_multiply_matches_the_table_algorithm(make):
 
 def test_tensor_products_interleaved_over_two_presentations():
     # the same generators and monomials, other products: each
-    # presentation keeps its own memo
+    # presentation keeps its own memo, which element products, tensor
+    # products and contractions all read
     hosts = [catalog.build_b_lambda(lam)
              for lam in (Fraction(1, 2), Fraction(-2, 3))]
-    operands = [[(H.coproduct(a), H.coproduct(b)) for a, b in _pairs(H, 84)]
-                for H in hosts]
+    operands = [[(a, b, H.coproduct(a), H.coproduct(b))
+                 for a, b in _pairs(H, 84)] for H in hosts]
     for _ in range(2):
         for pairs in zip(*operands):
-            for s, t in pairs:
+            for a, b, s, t in pairs:
+                assert a * b == product_by_fractions(a, b)
                 assert tensor_multiply(s, t) == tensor_multiply_by_tables(s, t)
+                assert contract(t) == contract_by_fractions(t)
     first, second = (H.presentation.id_products for H in hosts)
     assert first is not second and first and second
     with pytest.raises(algebra.PresentationMismatchError):
-        tensor_multiply(operands[0][0][0], operands[1][0][1])
+        tensor_multiply(operands[0][0][2], operands[1][0][3])
+    with pytest.raises(algebra.PresentationMismatchError):
+        operands[0][0][0] * operands[1][0][1]
 
 
 @pytest.mark.parametrize("make", KERNEL_HOSTS)
@@ -207,14 +212,15 @@ def test_apply_to_leg_matches_fractions_on_every_leg(make):
 
 
 def test_tensor_multiply_looks_up_each_leg_product_once(monkeypatch):
-    """Over a sequence of products on one presentation, each distinct pair
-    of leg monomials reaches product_terms at most once: the product memo
+    """Over a sequence of products on one presentation -- element products,
+    tensor products and contractions, interleaved -- each distinct pair of
+    leg monomials reaches product_terms at most once: the one product memo
     on mono ids (Presentation.id_products) keeps it for every later call."""
     H = catalog._b_lambda.__wrapped__(Fraction(1, 2), 6)  # not the cached one
     pres = H.presentation
     pairs = _pairs(H, 82, count=3)
-    operands = [(_iterated(H, a, arity), _iterated(H, b, arity))
-                for a, b in pairs for arity in (1, 2, 3)]
+    operands = [pair for a, b in pairs for pair in [(a, b)] + [
+        (_iterated(H, a, arity), _iterated(H, b, arity)) for arity in (1, 2, 3)]]
     calls = []
     product_terms = pres.product_terms
     monkeypatch.setattr(pres, "product_terms",
@@ -223,9 +229,15 @@ def test_tensor_multiply_looks_up_each_leg_product_once(monkeypatch):
     needed = set()
     for s, t in operands + operands:
         for x, y in ((s, t), (t, s), (s, s)):
-            tensor_multiply(x, y)
+            x * y
+            if isinstance(x, Element):
+                needed |= {(m1, m2) for m1 in x.terms for m2 in y.terms}
+                continue
             needed |= {(k1[pos], k2[pos]) for k1 in x.terms
                        for k2 in y.terms for pos in range(x.arity)}
+            if x.arity == 2:
+                contract(x)
+                needed |= set(x.terms)
     assert calls and set(calls) <= needed
     assert max(Counter(calls).values()) == 1
     ids = pres.mono_id

@@ -197,6 +197,16 @@ _PARSE_ERRORS = {
                            "expected a name, found '1'"),
     "mark as sub generator": (_HEAD + "sub S side left {\ngen @ weight 1\n",
                               5, 5, "expected a name, found '@'"),
+    # columns count the indentation of a line, and the end of a line is
+    # one past its last character before a comment
+    "indented sub generator": (_HEAD + "sub S side left {\n    gen * weight 1\n",
+                               5, 9, "expected a name, found '*'"),
+    "indented embed": (_HEAD + _COPRODS + "sub S side left {\n  gen Z weight 1\n"
+                       "    embed Z = X + Q\n", 8, 19,
+                       "undeclared generator 'Q'"),
+    "bare header": ("hopf\n", 1, 5, "unexpected end of line"),
+    "missing weight": ("hopf A\ngen X weight  # none\n", 2, 13,
+                       "unexpected end of line"),
     # a digit that is no decimal digit is no integer (int() raised on it)
     "superscript digit": ("hopf A\ngen X weight \u00b2\n", 2, 14,
                           "unexpected character '\u00b2'"),
