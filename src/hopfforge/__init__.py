@@ -4,16 +4,14 @@ weighted generators and commutator relations."""
 from .algebra import (Element, Presentation, PresentationMismatchError,
                       check_confluence, check_termination_weights, commutator)
 from .grading import (FiltrationCertificate, FiltrationError, PowerSeries,
-                      Signature, certify, certify_filtration,
-                      graded_coproduct_leading, hilbert_divides, hilbert_series,
-                      signature)
+                      Signature, certify, certify_filtration, hilbert_divides,
+                      hilbert_series, signature)
 from .hopf import (AntipodeSolveError, CertificateMissingError,
                    HopfAlgebraError, PresentedHopfAlgebra,
-                   SquaredAntipodeAnalysis, antipode_eigenbasis,
-                   s_squared_analysis, solve_antipode, verify_bialgebra,
-                   verify_hopf)
-from .lantern import (GradedLieAlgebra, cocommutativity_test, lantern, mobius,
-                      numerology_report, verify_lie)
+                   SquaredAntipodeAnalysis, s_squared_analysis,
+                   solve_antipode, verify_bialgebra, verify_hopf)
+from .lantern import (GradedLieAlgebra, lantern, mobius, numerology_report,
+                      verify_lie)
 from .report import Check, Report
 from .tensor import TensorElement, contract, tensor_multiply, tensor_product
 
@@ -22,14 +20,13 @@ __version__ = "0.1.0"
 # the names of coideal and nakayama load on first use (PEP 562)
 _LAZY = {
     "coideal": ("RegistrationError", "SubalgebraSpec", "antipode_image",
-                "coideal_check", "coinvariants", "containment_check",
-                "full_subalgebra", "is_hopf_subalgebra", "primitive_of_coideal",
+                "coideal_check", "containment_check", "full_subalgebra",
+                "is_hopf_subalgebra", "primitive_of_coideal",
                 "register_subalgebra", "spans_equal"),
     "nakayama": ("Character", "GeneratorAutomorphism", "character",
                  "compose_with_antipode", "counit_character",
                  "enveloping_integral_character", "nakayama_automorphism",
-                 "normal_element_check", "s4_identity_check",
-                 "verify_character", "winding"),
+                 "s4_identity_check", "verify_character", "winding"),
 }
 
 __all__ = sorted([name for name in dir() if not name.startswith("_")]

@@ -74,9 +74,10 @@ class Presentation:
         table: dict[tuple[int, int], dict[Monomial, Fraction]] = {}
         for (j, i), value in self.indexed(commutators or {}).items():
             if j <= i:
+                fault = ("names one generator twice" if j == i
+                         else "must list the later generator first")
                 raise ValueError(
-                    f"commutator [{self.names[j]},{self.names[i]}] must list the "
-                    "later generator first")
+                    f"commutator [{self.names[j]},{self.names[i]}] {fault}")
             table[(j, i)] = self._clean_terms(value)
         self.table = table
         self._words = {pair: [(self.word_of(m), c) for m, c in terms.items()]
@@ -440,15 +441,18 @@ class GeneratorMap:
     def __call__(self, x: Element):
         return self.unit._like(*extend_scaled(*x.scaled, self.monomial))
 
+    def relation_defect(self, j: int, i: int):
+        """f(a)f(b) - f(b)f(a) - f([x_j, x_i]), with (a, b) = (x_j, x_i),
+        swapped for an anti-map."""
+        a, b = self.images[j], self.images[i]
+        if self.anti:
+            a, b = b, a
+        return a * b - b * a - self(self.source.commutator_entry(j, i))
+
     def relation_defects(self):
-        """(j, i, f(a)f(b) - f(b)f(a) - f([x_j, x_i])) per table entry in
-        sorted order, with (a, b) = (x_j, x_i), swapped for an anti-map."""
-        pres = self.source
-        for j, i in sorted(pres.table):
-            a, b = self.images[j], self.images[i]
-            if self.anti:
-                a, b = b, a
-            yield j, i, a * b - b * a - self(pres.commutator_entry(j, i))
+        """(j, i, relation_defect(j, i)) per table entry in sorted order."""
+        for j, i in sorted(self.source.table):
+            yield j, i, self.relation_defect(j, i)
 
 
 def commutator(a: Element, b: Element) -> Element:

@@ -1,5 +1,5 @@
 """Subalgebras of a host Hopf algebra: registration, coideal certificates,
-antipode images, coinvariants and containment.
+antipode images and containment.
 
 A subalgebra is always supplied *with* its own presentation (generators,
 weights, commutator table) and an embedding into the host; the tool
@@ -18,7 +18,7 @@ from __future__ import annotations
 from math import prod
 
 from . import linalg
-from .algebra import (Element, GeneratorMap, Monomial, Presentation, ONE,
+from .algebra import (Element, GeneratorMap, Monomial, Presentation,
                       format_monomial)
 from .grading import Signature
 from .hopf import (CertificateMissingError, HopfAlgebraError,
@@ -319,44 +319,6 @@ def full_subalgebra(H: PresentedHopfAlgebra) -> SubalgebraSpec:
     return register_subalgebra(
         H, H.name, list(zip(pres.names, pres.weights)), table,
         {g: pres.gen(g) for g in pres.names}, "hopf")
-
-
-def coinvariants(H: PresentedHopfAlgebra, spec: SubalgebraSpec,
-                 weight_cutoff: int) -> list[Element]:
-    """Basis of the coinvariants of the quotient by the right ideal of the
-    subalgebra's augmentation part, up to the weight cutoff.
-
-    With pi the projection of H onto H modulo (T+ * H), solves
-    sum h_1 (x) pi(h_2) = h (x) pi(1) by exact linear algebra.  For a
-    certified left coideal subalgebra the solution space is the
-    subalgebra itself (the quotient correspondence round-trips).
-    """
-    spec._require_registered()
-    H._require_filtration()
-    pres = H.presentation
-    monomials = pres.monomials_up_to(weight_cutoff)
-    # span of T+ H up to the cutoff: generator images times all monomials
-    products = []
-    for i in range(spec.presentation.ngens):
-        img = spec.embedding[i]
-        w = img.weight
-        for m in pres.monomials_up_to(weight_cutoff - w):
-            products.append(dict((img * pres.monomial(m)).terms))
-    ideal = linalg.LinearSolver(products)
-    pi = {m: ideal.residual({m: ONE}) for m in monomials}
-    # unknown h = sum x_m m; one equation per (first-leg monomial, quotient coord)
-    columns: dict = {}
-    for m in monomials:
-        image = columns[m] = {}
-        for mono, cofactor in H.coproduct(pres.monomial(m)).leg_cofactors(1):
-            acc: dict = {}
-            for v_mono, c in cofactor.terms.items():
-                linalg.vec_add_scaled(acc, pi[v_mono], c)
-            for q, c in acc.items():
-                linalg.add_term(image, (mono, q), c)
-        for q, c in pi[pres.identity_monomial()].items():
-            linalg.add_term(image, (m, q), -c)
-    return [Element(pres, vec) for vec in linalg.kernel(columns)]
 
 
 def primitive_of_coideal(spec: SubalgebraSpec) -> Element | None:

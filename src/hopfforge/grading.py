@@ -1,12 +1,12 @@
 """Certification that generator weights realize the coalgebra filtration,
-plus signatures, Hilbert series and leading coproducts.
+plus signatures and Hilbert series.
 
 The certificate is exact: it proves that the span of monomials of weight
 <= n is the n-th term of the coradical filtration for every n, by one
 rank check per degree layer of the lantern g, the graded Lie algebra with
 U(g) the graded dual of gr_w H (see certify_filtration).  Once it holds,
-weights may be read as degrees: signatures, graded dimensions and the
-leading coproduct all become weight-level computations.
+weights may be read as degrees: signatures and graded dimensions become
+weight-level computations.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .hopf import (HopfAlgebraError, PresentedHopfAlgebra, solve_antipode,
 from .lantern import (GradedLieAlgebra, _carnot_check, _carnot_layers,
                       _extract_lantern)
 from .report import Report
-from .tensor import TensorElement
 
 DEFAULT_TRUNCATION = 6
 
@@ -260,17 +259,3 @@ def _leading_terms(pres, terms: dict, d: int) -> dict:
     """The terms m@m' of an arity-2 tensor with weight(m) + weight(m') = d."""
     mw = pres.monomial_weight
     return {(a, b): c for (a, b), c in terms.items() if mw(a) + mw(b) == d}
-
-
-def graded_coproduct_leading(H: PresentedHopfAlgebra, gen) -> TensorElement:
-    """Weight-homogeneous top part of a generator coproduct.
-
-    Keeps the terms m@m' with weight(m) + weight(m') equal to the
-    generator weight; this is the coproduct induced on the generator's
-    symbol in the associated graded algebra.
-    """
-    H._require_filtration()
-    pres = H.presentation
-    i = pres.index(gen)
-    t = H.coproduct(pres.gen(i))
-    return TensorElement(pres, 2, _leading_terms(pres, t.terms, pres.weights[i]))

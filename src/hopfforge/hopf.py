@@ -3,12 +3,13 @@
 Structure maps are given on generators and extended: the coproduct and
 counit multiplicatively, the antipode anti-multiplicatively.  Coproduct
 and antipode are algebra.GeneratorMaps; verify_bialgebra and verify_hopf
-list their relation defects.  Generators are normalized into the counit
-kernel, and every generator coproduct must contain the terms 1@g and g@1
-with coefficient one and nothing else with an identity leg; together with
-the weight bound on coproduct terms this is the connectedness normal form
-that makes the reduced-coproduct iteration terminate.  The counit axioms
-hold by construction on it, so verify_bialgebra recomputes none.
+compute the relation defects and coassociativity lines that no proof
+covers.  Generators are normalized into the counit kernel, and every
+generator coproduct must contain the terms 1@g and g@1 with coefficient
+one and nothing else with an identity leg; together with the weight bound
+on coproduct terms this is the connectedness normal form that makes the
+reduced-coproduct iteration terminate.  The counit axioms hold by
+construction on it, so verify_bialgebra recomputes none.
 
 Each certificate has one owner that computes it once: confluence is the
 presentation's (Presentation.certify), the filtration and the passing
@@ -283,22 +284,42 @@ class PresentedHopfAlgebra:
 
 def verify_bialgebra(H: PresentedHopfAlgebra) -> Report:
     """Relation compatibility of coproduct/counit, coassociativity, and
-    the counit axioms, which hold by _validate_coproduct."""
+    the counit axioms, which hold by _validate_coproduct.  Three families
+    of lines are theorems and are not computed:
+
+    - Coassociativity on g of weight <= 2.  Every term of the reduced
+      coproduct Delta(g) - g@1 - 1@g has two non-identity legs of total
+      weight <= w_g, so a weight-1 generator is primitive and a weight-2
+      one has Delta(g) = g@1 + 1@g + sum c_ab x_a@x_b over weight-1, so
+      primitive, generators x_a, x_b.
+      Both (Delta@id)Delta(g) and (id@Delta)Delta(g) then expand to
+      g@1@1 + 1@g@1 + 1@1@g + sum c_ab (x_a@x_b@1 + x_a@1@x_b + 1@x_a@x_b).
+    - "coproduct respects [x_j,x_i]" with w_j = w_i = 1: both are
+      primitive, so [Delta x_j, Delta x_i] = c@1 + 1@c for the table entry
+      c, of weight <= 1 by the termination check in the confluence
+      certificate; c is a scalar plus primitives, Delta(c) = c@1 + 1@c -
+      eps(c) 1@1, and the defect eps(c) 1@1 is zero exactly when the
+      counit line passes.
+    - The counit axioms, by _validate_coproduct.
+    """
     H._require_confluence()
     if H._bialgebra is not None:
         return H._bialgebra
-    pres = H.presentation
+    pres, w = H.presentation, H.presentation.weights
     report = Report(f"{H.name}: bialgebra")
-    for j, i, defect in H._coproduct.relation_defects():
+    for j, i in sorted(pres.table):
         rel = f"[{pres.names[j]},{pres.names[i]}]"
-        report.add(f"coproduct respects {rel}", not defect)
-        report.add(f"counit respects {rel}",
-                   H.counit(pres.commutator_entry(j, i)) == 0)
-    for g in pres.names:
-        t = H.coproduct(pres.gen(g))
-        left = t.apply_to_leg(1, H.coproduct)
-        right = t.apply_to_leg(2, H.coproduct)
-        report.add(f"coassociativity on {g}", left == right)
+        counit = H.counit(pres.commutator_entry(j, i)) == 0
+        report.add(f"coproduct respects {rel}", counit if w[j] == w[i] == 1
+                   else not H._coproduct.relation_defect(j, i))
+        report.add(f"counit respects {rel}", counit)
+    for k, g in enumerate(pres.names):
+        holds = True  # by weight
+        if w[k] > 2:
+            t = H.coproduct(pres.gen(k))
+            holds = t.apply_to_leg(1, H.coproduct) == t.apply_to_leg(
+                2, H.coproduct)
+        report.add(f"coassociativity on {g}", holds)
         report.add(f"counit axiom on {g}", True)  # by _validate_coproduct
     H._bialgebra = report
     return report
@@ -360,17 +381,31 @@ def verify_hopf(H: PresentedHopfAlgebra) -> Report:
     (b) coassociativity; (c) the counit axioms, by construction; (d) both
     convolution identities for the antipode: the left one by
     _antipode_recursion, the right one by proof (see there).
+
+    Once the bialgebra and convolution reports pass, the antipode respects
+    every relation by proof.  H is then a connected bialgebra, so it has
+    an antipode S_H, an anti-algebra map (Takeuchi 1971), and S_H meets
+    the recursion S(g) = -g - sum S(g')g'' of _antipode_recursion.  By
+    induction on weight S agrees with S_H on every generator: the legs g'
+    are strictly lighter, and S on a monomial is the anti-multiplicative
+    product of its generator images, as S_H is.  So each defect is
+    S_H(x_j x_i - x_i x_j - [x_j,x_i]) = S_H(0) = 0.  Otherwise the
+    defects are computed.
     """
     H._require_antipode()  # verify_bialgebra requires confluence
     if H._hopf is not None:
         return H._hopf
     pres = H.presentation
     report = Report(f"{H.name}: hopf axioms")
-    report.extend(verify_bialgebra(H))
-    for j, i, defect in H._antipode.relation_defects():
+    bialgebra, convolution = verify_bialgebra(H), _antipode_recursion(H)
+    report.extend(bialgebra)
+    defects = (((j, i, None) for j, i in sorted(pres.table))
+               if bialgebra.passed and convolution.passed
+               else H._antipode.relation_defects())
+    for j, i, defect in defects:
         report.add(f"antipode respects [{pres.names[j]},{pres.names[i]}]",
                    not defect)
-    report.extend(_antipode_recursion(H))
+    report.extend(convolution)
     H._hopf = report
     return report
 
@@ -420,43 +455,3 @@ def s_squared_analysis(target) -> SquaredAntipodeAnalysis:
                     "certificate violated")
             witness = (u, r)
     return SquaredAntipodeAnalysis(witness is None, target.name, witness)
-
-
-def antipode_eigenbasis(H: PresentedHopfAlgebra, max_weight: int
-                        ) -> list[tuple[Element, int]]:
-    """Graded basis on which the antipode acts as +/-1 modulo lower degree.
-
-    For each weight n <= max_weight the antipode induces an involution on
-    the degree-n layer; its eigenvectors lift to elements b with
-    S(b) = sign*b + r and coradical_degree(r) < n.  The lifted basis is
-    returned as (element, sign) pairs and every drop is verified; the
-    eigenspaces fill each layer (checked) exactly when it is an involution.
-    """
-    H._require_antipode()
-    H._require_filtration()
-    pres = H.presentation
-    out: list[tuple[Element, int]] = []
-    for n in range(1, max_weight + 1):
-        monomials = pres.monomials_of_weight(n)
-        # matrix of the induced map on the degree-n layer
-        cols = {m: {mm: c for mm, c in
-                    linalg.join(*H._antipode.monomial(m)).items()
-                    if pres.monomial_weight(mm) == n} for m in monomials}
-        start = len(out)
-        for sign in (1, -1):
-            shifted = {m: dict(col) for m, col in cols.items()}
-            for m, col in shifted.items():
-                linalg.add_term(col, m, -sign * ONE)
-            for vec in linalg.kernel(shifted):
-                b = Element(pres, vec)
-                r = H.antipode(b) - b * sign
-                if r and H.coradical_degree(r) >= n:
-                    raise HopfAlgebraError(
-                        "eigenvector lift fails the degree drop; filtration "
-                        "certificate violated")
-                out.append((b, sign))
-        if len(out) - start != len(monomials):
-            raise HopfAlgebraError(
-                f"eigenspaces of the induced antipode do not fill the "
-                f"weight-{n} layer")
-    return out

@@ -214,24 +214,3 @@ def _carnot_layers(L: GradedLieAlgebra):
         rows = [{col_of[e]: c for e, c in L.bracket(x, y).items() if e in col_of}
                 for x in ones for y in L.degree_indices(d - 1)]
         yield d, linalg.rank(rows, len(layer)), len(layer)
-
-
-def cocommutativity_test(H: PresentedHopfAlgebra) -> tuple[bool, Report]:
-    """True iff all generator weights are one, with cross-checked evidence.
-
-    When true, every generator must be primitive and the extracted Lie
-    algebra must be abelian (the leading coproducts of weight-one
-    generators carry no generator@generator terms).
-    """
-    H._require_filtration()
-    pres = H.presentation
-    verdict = all(w == 1 for w in pres.weights)
-    evidence = Report(f"{H.name}: cocommutativity evidence")
-    evidence.add("all generator weights are 1", verdict,
-                 f"weights {list(pres.weights)}")
-    if verdict:
-        for g in pres.names:
-            prim = not H.reduced_coproduct(pres.gen(g))
-            evidence.add(f"{g} primitive", prim)
-        evidence.add("dual lie algebra abelian", lantern(H).is_abelian())
-    return verdict, evidence

@@ -271,14 +271,6 @@ def s4_identity_check(spec: SubalgebraSpec, chi: Character) -> Report:
     return report
 
 
-def normal_element_check(b: Element, tau: GeneratorAutomorphism) -> bool:
-    """True iff tau(t)*b = b*t for every generator t of tau's target."""
-    pres = tau.source
-    if b.algebra is not pres:
-        raise ValueError("normal-element candidate must live in the target")
-    return all(tau.images[i] * b == b * pres.gen(i) for i in range(pres.ngens))
-
-
 def enveloping_integral_character(target) -> Character:
     """Adjoint-trace character for an enveloping-type presentation.
 

@@ -299,7 +299,10 @@ def parse(text: str) -> DefinitionFile:
             for g, col in ((gj, col_j), (gi, col_i)):
                 if g not in order:
                     raise ParseError(f"undeclared generator {g!r}", lineno, col)
-            if order[gj] <= order[gi]:
+            if gj == gi:
+                raise ParseError(f"relation [{gj},{gi}] names one generator "
+                                 "twice", lineno, col_j)
+            if order[gj] < order[gi]:
                 raise ParseError(
                     f"relation [{gj},{gi}] must list the later-declared "
                     "generator first", lineno, col_j)

@@ -4,8 +4,12 @@ from fractions import Fraction
 from math import lcm
 
 from hopfforge import linalg
-from hopfforge.algebra import Element
+from hopfforge.algebra import ONE, Element
+from hopfforge.grading import _leading_terms
+from hopfforge.hopf import HopfAlgebraError
+from hopfforge.lantern import lantern
 from hopfforge.linalg import add_term, rescale, vec_add_scaled
+from hopfforge.report import Report
 from hopfforge.tensor import LEG_BITS, LEG_MASK, TensorElement, contract
 
 
@@ -77,6 +81,44 @@ def counit_leg(H, t: TensorElement, leg: int) -> Element:
         if key[leg - 1] == one:
             add_term(out, key[2 - leg], c)
     return Element(H.presentation, out)
+
+
+def bialgebra_lines_by_computation(H) -> list[tuple[str, bool, str]]:
+    """(name, passed, details) of every verify_bialgebra line, each one
+    computed: every relation defect of the coproduct, coassociativity on
+    every generator and the counit axioms term by term.  verify_bialgebra
+    has coassociativity below weight 3, the coproduct lines of weight-1
+    pairs and the counit axioms by proof."""
+    pres = H.presentation
+    lines = []
+    for j, i, defect in H._coproduct.relation_defects():
+        rel = f"[{pres.names[j]},{pres.names[i]}]"
+        lines.append((f"coproduct respects {rel}", not defect, ""))
+        lines.append((f"counit respects {rel}",
+                      H.counit(pres.commutator_entry(j, i)) == 0, ""))
+    for g in pres.names:
+        t = H.coproduct(pres.gen(g))
+        lines.append((f"coassociativity on {g}", t.apply_to_leg(
+            1, H.coproduct) == t.apply_to_leg(2, H.coproduct), ""))
+        lines.append((f"counit axiom on {g}", counit_leg(H, t, 1)
+                      == counit_leg(H, t, 2) == H.gen(g), ""))
+    return lines
+
+
+def hopf_lines_by_computation(H) -> list[tuple[str, bool, str]]:
+    """(name, passed, details) of every verify_hopf line, each one
+    computed: the bialgebra lines above, every relation defect of the
+    antipode (which verify_hopf has by proof once the bialgebra and
+    convolution reports pass) and the left convolution identity."""
+    pres = H.presentation
+    lines = bialgebra_lines_by_computation(H)
+    for j, i, defect in H._antipode.relation_defects():
+        lines.append((f"antipode respects [{pres.names[j]},{pres.names[i]}]",
+                      not defect, ""))
+    for g in pres.names:
+        lines.append((f"antipode axiom on {g}",
+                      not convolution_defects(H, g)[0], ""))
+    return lines
 
 
 def primitive_basis_by_kernel(H, weight_cutoff: int) -> list[Element]:
@@ -360,3 +402,125 @@ def rref_by_pivot_size(rows, ncols: int) -> tuple[list[dict], dict[int, int]]:
     order = sorted(pivots)
     rows_sorted = [reduced[pivots[c]] for c in order]
     return rows_sorted, {c: i for i, c in enumerate(order)}
+
+
+# Theorem checks and helpers that only tests call: certification has each
+# of these facts by proof, or no command needs them.
+
+def antipode_eigenbasis(H, max_weight: int) -> list[tuple[Element, int]]:
+    """Graded basis on which the antipode acts as +/-1 modulo lower degree.
+
+    For each weight n <= max_weight the antipode induces an involution on
+    the degree-n layer; its eigenvectors lift to elements b with
+    S(b) = sign*b + r and coradical_degree(r) < n.  The lifted basis is
+    returned as (element, sign) pairs and every drop is verified; the
+    eigenspaces fill each layer (checked) exactly when it is an involution.
+    """
+    H._require_antipode()
+    H._require_filtration()
+    pres = H.presentation
+    out: list[tuple[Element, int]] = []
+    for n in range(1, max_weight + 1):
+        monomials = pres.monomials_of_weight(n)
+        # matrix of the induced map on the degree-n layer
+        cols = {m: {mm: c for mm, c in
+                    linalg.join(*H._antipode.monomial(m)).items()
+                    if pres.monomial_weight(mm) == n} for m in monomials}
+        start = len(out)
+        for sign in (1, -1):
+            shifted = {m: dict(col) for m, col in cols.items()}
+            for m, col in shifted.items():
+                linalg.add_term(col, m, -sign * ONE)
+            for vec in linalg.kernel(shifted):
+                b = Element(pres, vec)
+                r = H.antipode(b) - b * sign
+                if r and H.coradical_degree(r) >= n:
+                    raise HopfAlgebraError(
+                        "eigenvector lift fails the degree drop; filtration "
+                        "certificate violated")
+                out.append((b, sign))
+        if len(out) - start != len(monomials):
+            raise HopfAlgebraError(
+                f"eigenspaces of the induced antipode do not fill the "
+                f"weight-{n} layer")
+    return out
+
+
+def graded_coproduct_leading(H, gen) -> TensorElement:
+    """Weight-homogeneous top part of a generator coproduct.
+
+    Keeps the terms m@m' with weight(m) + weight(m') equal to the
+    generator weight; this is the coproduct induced on the generator's
+    symbol in the associated graded algebra.
+    """
+    H._require_filtration()
+    pres = H.presentation
+    i = pres.index(gen)
+    t = H.coproduct(pres.gen(i))
+    return TensorElement(pres, 2, _leading_terms(pres, t.terms, pres.weights[i]))
+
+
+def cocommutativity_test(H) -> tuple[bool, Report]:
+    """True iff all generator weights are one, with cross-checked evidence.
+
+    When true, every generator must be primitive and the extracted Lie
+    algebra must be abelian (the leading coproducts of weight-one
+    generators carry no generator@generator terms).
+    """
+    H._require_filtration()
+    pres = H.presentation
+    verdict = all(w == 1 for w in pres.weights)
+    evidence = Report(f"{H.name}: cocommutativity evidence")
+    evidence.add("all generator weights are 1", verdict,
+                 f"weights {list(pres.weights)}")
+    if verdict:
+        for g in pres.names:
+            prim = not H.reduced_coproduct(pres.gen(g))
+            evidence.add(f"{g} primitive", prim)
+        evidence.add("dual lie algebra abelian", lantern(H).is_abelian())
+    return verdict, evidence
+
+
+def coinvariants(H, spec, weight_cutoff: int) -> list[Element]:
+    """Basis of the coinvariants of the quotient by the right ideal of the
+    subalgebra's augmentation part, up to the weight cutoff.
+
+    With pi the projection of H onto H modulo (T+ * H), solves
+    sum h_1 (x) pi(h_2) = h (x) pi(1) by exact linear algebra.  For a
+    certified left coideal subalgebra the solution space is the
+    subalgebra itself (the quotient correspondence round-trips).
+    """
+    spec._require_registered()
+    H._require_filtration()
+    pres = H.presentation
+    monomials = pres.monomials_up_to(weight_cutoff)
+    # span of T+ H up to the cutoff: generator images times all monomials
+    products = []
+    for i in range(spec.presentation.ngens):
+        img = spec.embedding[i]
+        w = img.weight
+        for m in pres.monomials_up_to(weight_cutoff - w):
+            products.append(dict((img * pres.monomial(m)).terms))
+    ideal = linalg.LinearSolver(products)
+    pi = {m: ideal.residual({m: ONE}) for m in monomials}
+    # unknown h = sum x_m m; one equation per (first-leg monomial, quotient coord)
+    columns: dict = {}
+    for m in monomials:
+        image = columns[m] = {}
+        for mono, cofactor in H.coproduct(pres.monomial(m)).leg_cofactors(1):
+            acc: dict = {}
+            for v_mono, c in cofactor.terms.items():
+                linalg.vec_add_scaled(acc, pi[v_mono], c)
+            for q, c in acc.items():
+                linalg.add_term(image, (mono, q), c)
+        for q, c in pi[pres.identity_monomial()].items():
+            linalg.add_term(image, (m, q), -c)
+    return [Element(pres, vec) for vec in linalg.kernel(columns)]
+
+
+def normal_element_check(b: Element, tau) -> bool:
+    """True iff tau(t)*b = b*t for every generator t of tau's target."""
+    pres = tau.source
+    if b.algebra is not pres:
+        raise ValueError("normal-element candidate must live in the target")
+    return all(tau.images[i] * b == b * pres.gen(i) for i in range(pres.ngens))

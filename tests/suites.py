@@ -10,10 +10,10 @@ import random
 from fractions import Fraction
 
 from hopfforge import catalog
-from hopfforge.hopf import antipode_eigenbasis
 from hopfforge.nakayama import character, winding
 from hopfforge.tensor import contract, tensor_multiply
 
+from oracles import antipode_eigenbasis
 from oracles import coradical_degree_by_iteration as degree
 
 SEED = 0x5EED

@@ -438,6 +438,16 @@ def test_a_second_key_for_one_generator_pair_is_rejected():
         pres.indexed({"X": 1, 0: 2})
 
 
+def test_a_commutator_key_must_name_two_generators_in_order():
+    gens = [("X", 1), ("Y", 1)]
+    with pytest.raises(ValueError, match=r"^commutator \[X,X\] names one "
+                       "generator twice$"):
+        Presentation(gens, {(0, 0): {}})
+    with pytest.raises(ValueError, match=r"^commutator \[X,Y\] must list the "
+                       "later generator first$"):
+        Presentation(gens, {("X", "Y"): {}})
+
+
 def _data_presentation(path):
     return lambda: build_algebra(parse(path.read_text()))[0].presentation
 

@@ -10,7 +10,7 @@ import pytest
 
 from hopfforge import algebra, catalog
 from hopfforge.coideal import (RegistrationError, SubalgebraSpec,
-                               antipode_image, coideal_check, coinvariants,
+                               antipode_image, coideal_check,
                                containment_check, full_subalgebra,
                                is_hopf_subalgebra, primitive_of_coideal,
                                register_subalgebra, spans_equal)
@@ -19,7 +19,7 @@ from hopfforge.nakayama import counit_character
 from hopfforge.parser import build_algebra, parse, sub_arguments
 from hopfforge.report import Report
 
-from oracles import membership_by_cutoff
+from oracles import coinvariants, membership_by_cutoff
 from suites import random_element
 
 F = Fraction

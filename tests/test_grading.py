@@ -7,15 +7,14 @@ from hopfforge import catalog
 from hopfforge.algebra import Presentation
 from hopfforge.grading import (FiltrationError, PowerSeries, Signature,
                                certify, certify_filtration, default_truncation,
-                               graded_coproduct_leading, hilbert_divides,
-                               hilbert_series, signature)
+                               hilbert_divides, hilbert_series, signature)
 from hopfforge.hopf import (HopfAlgebraError, PresentedHopfAlgebra,
                             s_squared_analysis, solve_antipode, verify_hopf)
 from hopfforge.lantern import lantern
 from hopfforge.parser import build_algebra, parse
 from hopfforge.tensor import tensor_product as tp
 
-from oracles import truncated_filtration_check
+from oracles import graded_coproduct_leading, truncated_filtration_check
 
 DATA = Path(__file__).parent / "data"
 

@@ -8,21 +8,23 @@ from pathlib import Path
 
 import pytest
 
-from hopfforge import catalog
-from hopfforge.algebra import Presentation
+from hopfforge import catalog, tensor
+from hopfforge.algebra import GeneratorMap, Presentation
 from hopfforge.cli import run
-from hopfforge.coideal import coinvariants
 from hopfforge.grading import certify
 from hopfforge.hopf import (AntipodeSolveError, CertificateMissingError,
-                            PresentedHopfAlgebra, antipode_eigenbasis,
-                            s_squared_analysis, solve_antipode, verify_hopf)
+                            PresentedHopfAlgebra, s_squared_analysis,
+                            solve_antipode, verify_bialgebra, verify_hopf)
 from hopfforge.lantern import lantern, verify_lie
 from hopfforge.parser import build_algebra, parse
-from hopfforge.tensor import tensor_product as tp
+from hopfforge.tensor import TensorElement, tensor_product as tp
 
-from oracles import (convolution_defects, coradical_degree_by_iteration,
-                     counit_leg, primitive_basis_by_kernel)
+from oracles import (antipode_eigenbasis, bialgebra_lines_by_computation,
+                     coinvariants, convolution_defects,
+                     coradical_degree_by_iteration, counit_leg,
+                     hopf_lines_by_computation, primitive_basis_by_kernel)
 from suites import random_element
+from test_grading import _unitriangular
 from test_kernels import _unitriangular_5
 
 ROOT = Path(__file__).parent.parent
@@ -615,3 +617,105 @@ def test_certification_recomputes_nothing_it_has_by_proof():
     src = ROOT / "src" / "hopfforge"
     assert not _proof_offenders(
         {path.name: path.read_text() for path in src.glob("*.py")})
+
+
+# -- proved report lines against computed ones -----------------------------
+
+def _confluent(path):
+    def make():
+        H, _ = build_algebra(parse((ROOT / path).read_text()))
+        H.certify_presentation()
+        return H
+    return make
+
+
+def _confluent_unitriangular_5():
+    H = _unitriangular(5)
+    H.certify_presentation()
+    return H
+
+
+_DATA_FILES = sorted(path.relative_to(ROOT).as_posix()
+                     for folder in ("tests/data", "bench/data")
+                     for path in (ROOT / folder).glob("*.hopf"))
+
+# fresh hosts, built while the test watches: the catalog's own builders
+# (uncached) certify, the files and O(U_5) carry only their confluence
+ORACLE_HOSTS = [
+    *[pytest.param(lambda lam=lam: catalog._b_lambda.__wrapped__(F(lam), 6),
+                   id=f"B:{lam}") for lam in ("0", "1", "-2", "1/2")],
+    *[pytest.param(lambda p=p: catalog._e.__wrapped__(*map(F, p), 6), id=name)
+      for name, p in (("E", (1, 1, 0, 0)), ("E(3,-1,1,0)", (3, -1, 1, 0)))],
+    *[pytest.param(lambda p=p: catalog.build_enveloping_preset.__wrapped__(p),
+                   id=f"U:{p}") for p in catalog.ENVELOPING_PRESETS],
+    *[pytest.param(_confluent(path), id=path) for path in _DATA_FILES],
+    pytest.param(_confluent_unitriangular_5, id="O(U_5)"),
+    pytest.param(lambda: _upper_triangular_lie(5), id="U(n_5)"),
+]
+
+
+def _lines(report):
+    return [(c.name, c.passed, c.details) for c in report.checks]
+
+
+def _watch(monkeypatch, owner, name):
+    calls = []
+    method = getattr(owner, name)
+    monkeypatch.setattr(owner, name,
+                        lambda *args: calls.append(args) or method(*args))
+    return calls
+
+
+@pytest.mark.parametrize("make", ORACLE_HOSTS)
+def test_proved_lines_equal_computed_lines(make, monkeypatch):
+    calls = _watch(monkeypatch, GeneratorMap, "relation_defects")
+    H = make()
+    if H.confluence_report is None:  # both sides need the confluence
+        for lines in (verify_bialgebra, bialgebra_lines_by_computation):
+            with pytest.raises(CertificateMissingError):
+                lines(H)
+        return
+    bialgebra = verify_bialgebra(H)
+    assert _lines(bialgebra) == bialgebra_lines_by_computation(H)
+    if H._antipode is None:
+        solve_antipode(H)
+    hopf = verify_hopf(H)
+    # the antipode relation defects are computed where no proof applies
+    assert any(m is H._antipode for m, in calls) == (not hopf.passed)
+    assert _lines(hopf) == hopf_lines_by_computation(H)
+
+
+@pytest.mark.parametrize("path,failing", [
+    ("tests/data/weyl.hopf", ["coproduct respects [Y,X]",
+                              "counit respects [Y,X]",
+                              "antipode respects [Y,X]"]),
+    ("tests/data/not_coassociative.hopf", ["coassociativity on W"]),
+    ("tests/data/wrong_antipode.hopf", ["antipode respects [Z,Y]",
+                                        "antipode axiom on Z"]),
+], ids=["weyl", "not coassociative", "wrong antipode"])
+def test_failing_fixtures_fail_exactly_their_lines(path, failing):
+    H = _confluent(path)()
+    assert [c.name for c in verify_hopf(H).failures()] == failing
+
+
+# legs: the (generator, leg) pairs whose coproduct apply_to_leg expands;
+# multiplies: whether a relation outside the weight-1 pairs needs a tensor
+# product (U(heisenberg) has one relation, on a weight-1 pair)
+@pytest.mark.parametrize("path,legs,multiplies", [
+    ("bench/data/heisenberg.hopf", [], False),
+    ("tests/data/b_lambda.hopf", [], True),
+    ("bench/data/e_solved.hopf", [("W", 1), ("W", 2)], True),
+], ids=["U(heisenberg)", "B(1)", "E"])
+def test_bialgebra_stage_expands_only_what_no_proof_covers(
+        path, legs, multiplies, monkeypatch):
+    H = _confluent(path)()
+    applied = _watch(monkeypatch, TensorElement, "apply_to_leg")
+    multiplied = _watch(monkeypatch, tensor, "tensor_multiply")
+    assert verify_bialgebra(H).passed
+    assert [(t, leg) for t, leg, _ in applied] == [
+        (H.coproduct(H.gen(g)), leg) for g, leg in legs]
+    assert bool(multiplied) == multiplies
+    if H._antipode is None:
+        solve_antipode(H)
+    defects = _watch(monkeypatch, H._antipode, "relation_defects")
+    assert verify_hopf(H).passed and not defects

@@ -27,13 +27,14 @@ from hopfforge import algebra, catalog, linalg
 from hopfforge.algebra import Element, Presentation
 from hopfforge.grading import certify
 from hopfforge.linalg import vec_add_scaled
-from hopfforge.hopf import PresentedHopfAlgebra, antipode_eigenbasis
+from hopfforge.hopf import PresentedHopfAlgebra
 from hopfforge.lantern import lantern
 from hopfforge.nakayama import GeneratorAutomorphism, character, winding
 from hopfforge.tensor import (TensorElement, contract, tensor_multiply,
                               tensor_product, unpack)
 
-from oracles import (antipode_by_fractions, antipode_inverse_by_solving,
+from oracles import (antipode_by_fractions, antipode_eigenbasis,
+                     antipode_inverse_by_solving,
                      apply_to_leg_by_fractions,
                      automorphism_by_products, character_by_powers,
                      contract_by_fractions, coproduct_by_fractions,

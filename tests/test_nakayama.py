@@ -8,8 +8,10 @@ from hopfforge.hopf import HopfAlgebraError, s_squared_analysis
 from hopfforge.nakayama import (Character, GeneratorAutomorphism, character,
                                 compose_with_antipode, counit_character,
                                 enveloping_integral_character,
-                                nakayama_automorphism, normal_element_check,
-                                s4_identity_check, verify_character, winding)
+                                nakayama_automorphism, s4_identity_check,
+                                verify_character, winding)
+
+from oracles import normal_element_check
 
 F = Fraction
 

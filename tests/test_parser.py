@@ -164,6 +164,8 @@ _PARSE_ERRORS = {
     "misordered rel": (_HEAD + "rel [X,Y] = 0\n", 4, 6,
                        "relation [X,Y] must list the later-declared "
                        "generator first"),
+    "rel on one generator": (_HEAD + "rel [X,X] = 0\n", 4, 6,
+                             "relation [X,X] names one generator twice"),
     "undeclared in poly": (_HEAD + "rel [Y,X] = Q\n", 4, 13,
                            "undeclared generator 'Q'"),
     "undeclared coprod": (_HEAD + "coprod Z = 1@Z + Z@1\n", 4, 8,
