@@ -18,17 +18,20 @@ once it passes, as pure memoization like the one product memo
 ``id_products``, so a guard tests its presence.  Values are otherwise
 immutable and every operation is pure.
 
-Every map given by its values on generators -- coproduct, antipode,
-subalgebra embedding, generator automorphism, character (a map into k,
-presented with no generators) -- is a GeneratorMap: it extends the
-images by peeling one factor, memoizes the monomial images in scaled
-form, and lists the relation defects that certify it.
+An ``Element`` keys its terms by ``mono_id`` as a tensor leg does
+(``terms`` is the tuple view; a read numbers no monomial).  Every map
+given by its values on generators -- coproduct, antipode, subalgebra
+embedding, generator automorphism, character (a map into k, presented
+with no generators) -- is a GeneratorMap: it extends the images by
+peeling one factor, memoizes the monomial images in scaled form on mono
+ids, and lists the relation defects that certify it.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import (ONE, ZERO, Scaled, add_term, as_fraction, extend_scaled,
@@ -41,13 +44,13 @@ MONO_ID_BITS = 32  # a monomial id fits one leg of a packed tensor key
 
 
 class _MonomialIds(dict):
-    """{monomial: id}, numbering a monomial on its first lookup (appended
-    to ``monos``); an id of more than MONO_ID_BITS bits is refused."""
+    """{monomial: id}, numbering a new monomial into monos and weights."""
 
     def __missing__(self, mono: Monomial) -> int:
         if len(self) >> MONO_ID_BITS:
             raise OverflowError(f"more than 2^{MONO_ID_BITS} monomials")
         self.monos.append(mono)
+        self.weights.append(self.weight(mono))
         self[mono] = i = len(self)
         return i
 
@@ -87,9 +90,10 @@ class Presentation:
         # name under which the benchmark's traced runs read its size
         self.id_products = self._prod_cache = {}
         self._monomial_cache: dict[int, tuple[Monomial, ...]] = {}
-        ids = _MonomialIds()
-        ids.monos = self.monos = []  # id -> monomial
-        self.mono_id = ids.__getitem__  # monomial -> id, numbered on first use
+        ids = _MonomialIds()  # monomial -> id; find_id numbers nothing
+        ids.monos, ids.weights, ids.weight = [], [], self.monomial_weight
+        self.monos, self.id_weights = ids.monos, ids.weights  # by id
+        self.mono_id, self.find_id = ids.__getitem__, ids.get
 
     # -- basic queries -------------------------------------------------
 
@@ -149,7 +153,7 @@ class Presentation:
         return -elt if j < i else elt
 
     def monomial_weight(self, mono: Monomial) -> int:
-        return sum(e * w for e, w in zip(mono, self.weights))
+        return sum(map(mul, mono, self.weights))
 
     def identity_monomial(self) -> Monomial:
         return (0,) * self.ngens
@@ -181,22 +185,23 @@ class Presentation:
     # -- element factories ----------------------------------------------
 
     def zero(self) -> "Element":
-        return Element(self, {})
+        return Element.from_scaled(self, {}, 1)
 
     def one(self) -> "Element":
-        return Element(self, {self.identity_monomial(): ONE})
+        return Element.from_scaled(self, {self.mono_id(self.identity_monomial()): 1}, 1)
 
     def scalar(self, c) -> "Element":
         c = as_fraction(c)
-        return Element(self, {self.identity_monomial(): c} if c else {})
+        nums = {self.mono_id(self.identity_monomial()): c.numerator} if c else {}
+        return Element.from_scaled(self, nums, c.denominator)
 
     def gen(self, g) -> "Element":
         i = self._resolve(g)
         mono = tuple(1 if k == i else 0 for k in range(self.ngens))
-        return Element(self, {mono: ONE})
+        return Element.from_scaled(self, {self.mono_id(mono): 1}, 1)
 
     def monomial(self, mono: Monomial) -> "Element":
-        return Element(self, {self.as_monomial(mono): ONE})
+        return Element.from_scaled(self, {self.mono_id(self.as_monomial(mono)): 1}, 1)
 
     def element(self, terms: Mapping) -> "Element":
         return Element(self, self._clean_terms(terms))
@@ -204,10 +209,7 @@ class Presentation:
     # -- rewriting -------------------------------------------------------
 
     def word_of(self, mono: Monomial) -> tuple[int, ...]:
-        word = []
-        for i, e in enumerate(mono):
-            word.extend([i] * e)
-        return tuple(word)
+        return tuple(i for i, e in enumerate(mono) for _ in range(e))
 
     def _mono_of_sorted_word(self, word) -> Monomial:
         mono = [0] * self.ngens
@@ -241,11 +243,12 @@ class Presentation:
         return result
 
     def product_terms(self, m1: Monomial, m2: Monomial) -> tuple[dict, int]:
-        """The normal form of m1 * m2, scaled and not memoized: an ascending
-        word (any word, if the table is empty) is its own: exponent sum."""
-        w1, w2 = self.word_of(m1), self.word_of(m2)
-        if self.table and w1 and w2 and w1[-1] > w2[0]:
-            return split(self.reduce_word(w1 + w2))
+        """The normal form of m1 * m2, scaled and not memoized: the words
+        are rewritten only if a generator of m2 precedes the last one of m1
+        (and the table is nonempty); otherwise it is the exponent sum."""
+        last = max((g for g, e in enumerate(m1) if e), default=0)
+        if self.table and any(m2[:last]):
+            return split(self.reduce_word(self.word_of(m1) + self.word_of(m2)))
         return {tuple(a + b for a, b in zip(m1, m2)): 1}, 1
 
     def product_ids(self, key: int) -> tuple[dict, int]:
@@ -275,30 +278,32 @@ class Element(Scaled):
     """Exact-rational combination of ordered monomials of one presentation.
 
     Every ring operation reads and returns the scaled form (see
-    ``linalg.Scaled``); ``terms`` is the public {monomial: Fraction}
-    view.  Instances are immutable in intent, and no stored coefficient
-    is zero.
+    ``linalg.Scaled``) on mono ids, the layout of an arity-1 tensor;
+    ``terms`` is the public {monomial: Fraction} view.  Instances are
+    immutable in intent, and no stored coefficient is zero.
     """
 
     __slots__ = ("algebra",)
+    arity = 1
 
     def __init__(self, algebra: Presentation, terms: dict[Monomial, Fraction]):
         self.algebra = algebra
         self._terms = terms
-        self.scaled = split(terms)
+        self.scaled = split({algebra.mono_id(m): c for m, c in terms.items()})
 
     @classmethod
-    def from_scaled(cls, algebra: Presentation, nums: dict[Monomial, int],
+    def from_scaled(cls, algebra: Presentation, nums: dict[int, int],
                     den: int) -> "Element":
-        """The element nums / den (int numerators, none zero, den > 0)."""
+        """nums / den (mono ids, int numerators, none zero, den > 0)."""
         x = cls.__new__(cls)
-        x.algebra = algebra
-        x._terms = None
-        x.scaled = (nums, den)
+        x.algebra, x._terms, x.scaled = algebra, None, (nums, den)
         return x
 
     def _like(self, nums, den) -> "Element":
         return Element.from_scaled(self.algebra, nums, den)
+
+    def _view(self):
+        return self.algebra.monos.__getitem__
 
     # -- ring operations --------------------------------------------------
 
@@ -320,13 +325,11 @@ class Element(Scaled):
             return self.scale(other)
         # the arity-1 tensor product: per pair of terms on mono ids
         pres, other = self.algebra, self._coerce(other)
-        ids, monos = pres.mono_id, pres.monos
         (a, da), (b, db) = self.scaled, other.scaled
-        nums, den = multiply_legs(
-            {0: [(n, ids(m) << MONO_ID_BITS) for m, n in a.items()]},
-            {0: [(n, ids(m)) for m, n in b.items()]}, pres.id_products.get,
-            pres.product_ids, da * db, MONO_ID_BITS, 0)
-        return self._like({monos[i]: n for i, n in nums.items()}, den)
+        return self._like(*multiply_legs(
+            {0: [(n, i << MONO_ID_BITS) for i, n in a.items()]},
+            {0: [(n, j) for j, n in b.items()]}, pres.id_products.get,
+            pres.product_ids, da * db, MONO_ID_BITS, 0))
 
     def __rmul__(self, other):
         # scalars commute; Element * Element never reaches here
@@ -345,7 +348,8 @@ class Element(Scaled):
             return (self.algebra is other.algebra
                     and scaled_equal(self.scaled, other.scaled))
         if isinstance(other, (int, Fraction)):
-            return self == self.algebra.scalar(other)
+            # a multiple of 1: one term, or none for 0
+            return len(self.scaled[0]) == bool(other) and self.constant_term() == other
         return NotImplemented
 
     # -- structure ---------------------------------------------------------
@@ -353,7 +357,7 @@ class Element(Scaled):
     @property
     def weight(self):
         """Max monomial weight; None for the zero element."""
-        return max(map(self.algebra.monomial_weight, self.scaled[0]),
+        return max(map(self.algebra.id_weights.__getitem__, self.scaled[0]),
                    default=None)
 
     def constant_term(self) -> Fraction:
@@ -361,7 +365,7 @@ class Element(Scaled):
 
     def coefficient(self, mono: Monomial) -> Fraction:
         nums, den = self.scaled
-        n = nums.get(tuple(mono))
+        n = nums.get(self.algebra.find_id(tuple(mono)))
         return ZERO if n is None else Fraction(n, den)
 
     def __repr__(self):
@@ -406,10 +410,10 @@ class GeneratorMap:
     generator images {index: value}; they and unit, the image of 1, are all
     ``Element``s or all ``TensorElement``s.  A monomial's image peels its
     first generator, f(g_k m') = f(g_k) f(m'), or for an anti-map its last,
-    f(m' g_k) = f(g_k) f(m'); ``monomial`` returns it as the scaled pair
-    kept in ``memo``, filled by a loop, not by recursion, so no exponent is
-    limited by the recursion depth.  The map is well defined iff every
-    relation defect is zero.
+    f(m' g_k) = f(g_k) f(m'); ``of_id`` returns it as the scaled pair kept
+    in ``memo`` on the monomial's id, filled by a loop, not by recursion,
+    so no exponent is limited by the recursion depth.  The map is well
+    defined iff every relation defect is zero.
     """
 
     def __init__(self, source: Presentation, images: dict, unit, anti: bool):
@@ -419,27 +423,28 @@ class GeneratorMap:
         self.anti = anti
         self.memo: dict = {}
 
-    def monomial(self, mono: Monomial) -> tuple[dict, int]:
+    def of_id(self, i: int) -> tuple[dict, int]:
         memo = self.memo
-        cached = memo.get(mono)
+        cached = memo.get(i)
         if cached is not None:
             return cached
-        chain = []
-        while mono not in memo:
+        monos, ids, chain = self.source.monos, self.source.mono_id, []
+        while i not in memo:
+            mono = monos[i]
             if not any(mono):
-                memo[mono] = self.unit.scaled
+                memo[i] = self.unit.scaled
                 break
-            occurring = [i for i, e in enumerate(mono) if e]
+            occurring = [g for g, e in enumerate(mono) if e]
             k = occurring[-1] if self.anti else occurring[0]
-            chain.append((mono, k))
-            mono = tuple(e - 1 if i == k else e for i, e in enumerate(mono))
-        value, images, like = memo[mono], self.images, self.unit._like
+            chain.append((i, k))
+            i = ids(tuple(e - 1 if g == k else e for g, e in enumerate(mono)))
+        value, images, like = memo[i], self.images, self.unit._like
         for m, k in reversed(chain):
             value = memo[m] = (images[k] * like(*value)).scaled
         return value
 
     def __call__(self, x: Element):
-        return self.unit._like(*extend_scaled(*x.scaled, self.monomial))
+        return self.unit._like(*extend_scaled(*x.scaled, self.of_id))
 
     def relation_defect(self, j: int, i: int):
         """f(a)f(b) - f(b)f(a) - f([x_j, x_i]), with (a, b) = (x_j, x_i),

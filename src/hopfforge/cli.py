@@ -95,7 +95,7 @@ class _Session:
                 self.H = _parse_builtin(args.builtin, self.truncation)
             except HopfAlgebraError as exc:
                 raise _CliFailure(str(exc), EXIT_CERTIFICATE)
-            except (ValueError, ZeroDivisionError) as exc:
+            except ValueError as exc:
                 raise _CliFailure(f"bad builtin {args.builtin!r}: {exc}",
                                   EXIT_PARSE)
             self.subs: list = []  # of SubalgebraSpec
@@ -103,7 +103,7 @@ class _Session:
                 try:
                     self.subs = [_builtin_sub(args.sub, self.truncation,
                                               args.builtin)]
-                except (ValueError, ZeroDivisionError) as exc:
+                except ValueError as exc:
                     raise _CliFailure(f"bad subalgebra {args.sub!r}: {exc}",
                                       EXIT_PARSE)
             self.note(self.H.certification)
@@ -236,9 +236,8 @@ def _chi_for(session: _Session, target, spec: str):
                               "twice", EXIT_PARSE)
         try:
             values[name] = as_fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise _CliFailure(f"bad --chi value {value!r}: not an exact "
-                              "rational", EXIT_PARSE)
+        except ValueError as exc:
+            raise _CliFailure(f"bad --chi {piece!r}: {exc}", EXIT_PARSE)
     try:
         chi = character(target, values)
     except ValueError as exc:

@@ -71,8 +71,7 @@ class SubalgebraSpec:
                 "run register_subalgebra first")
 
     def monomial_image(self, mono: Monomial) -> Element:
-        return Element.from_scaled(self.host.presentation,
-                                   *self.image.monomial(mono))
+        return self.image(self.presentation.monomial(mono))
 
     def _solver_to(self, weight: int) -> linalg.LinearSolver:
         """The solver, grown to the ordered monomials up to weight."""

@@ -15,7 +15,7 @@ Each certificate has one owner that computes it once: confluence is the
 presentation's (Presentation.certify), the filtration and the passing
 certification are grading's.  A guard tests presence and rescans no
 report; a query never replaces one.  Memo tables hold linalg's scaled
-pairs (tensor ones on packed keys, which only ``tensor`` reads).
+pairs on mono ids (tensor ones on packed keys, which only ``tensor`` reads).
 H answers the questions of a coideal subalgebra T (coideal.SubalgebraSpec)
 as T = H, so the invariants of T take H and its subalgebras alike.
 """
@@ -26,8 +26,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import linalg
-from .algebra import (Element, GeneratorMap, Monomial, Presentation, ONE,
-                      format_monomial)
+from .algebra import ONE, Element, GeneratorMap, Presentation, format_monomial
 from .report import Report
 from .tensor import TensorElement, contract, pack, unpack
 
@@ -62,10 +61,10 @@ class PresentedHopfAlgebra:
             i: self._validate_coproduct(i, value)
             for i, value in coproducts.items()},
             TensorElement.unit(presentation, 2), False)
-        # memo tables on monomials, in scaled form
-        self._coprod_mono: dict[Monomial, tuple] = self._coproduct.memo
-        self._reduced_iter: dict[tuple[Monomial, int], tuple] = {}
-        self._antipode_mono: dict[Monomial, tuple] = {}
+        # memo tables on monomial ids, in scaled form
+        self._coprod_mono: dict[int, tuple] = self._coproduct.memo
+        self._reduced_iter: dict[tuple[int, int], tuple] = {}
+        self._antipode_mono: dict[int, tuple] = {}
         self._antipode: GeneratorMap | None = None
         if antipodes is not None:
             self.attach_antipode(antipodes)
@@ -198,22 +197,21 @@ class PresentedHopfAlgebra:
         """coproduct(x) - 1@x - x@1, defined on the counit kernel."""
         return self.iterated_reduced_coproduct(x, 1)
 
-    def _reduced_iterate_monomial(self, mono: Monomial, n: int) -> tuple:
-        """The n-fold reduced coproduct of a monomial (memoized, scaled),
-        iterated on the first leg."""
-        key = (mono, n)
+    def _reduced_iterate_monomial(self, i: int, n: int) -> tuple:
+        """The n-fold reduced coproduct of the monomial with id i, not 1
+        (memoized, scaled), iterated on the first leg."""
+        key = (i, n)
         cached = self._reduced_iter.get(key)
         if cached is None:
             pres = self.presentation
             if n == 1:
-                one = pres.identity_monomial()
-                if mono == one:
-                    raise ValueError("reduced coproduct of the identity monomial")
-                cached = (self._coproduct(pres.monomial(mono)) - TensorElement(
+                x, one = Element.from_scaled(pres, {i: 1}, 1), pres.identity_monomial()
+                (mono,) = x.terms
+                cached = (self._coproduct(x) - TensorElement(
                     pres, 2, {(one, mono): ONE, (mono, one): ONE})).scaled
             else:
                 cached = TensorElement.from_scaled(
-                    pres, n, *self._reduced_iterate_monomial(mono, n - 1)
+                    pres, n, *self._reduced_iterate_monomial(i, n - 1)
                 ).apply_to_leg(1, self.reduced_coproduct).scaled
             self._reduced_iter[key] = cached
         return cached
@@ -227,7 +225,7 @@ class PresentedHopfAlgebra:
         self._require_confluence()
         return TensorElement.from_scaled(
             self.presentation, n + 1, *linalg.extend_scaled(
-                *x.scaled, lambda mono: self._reduced_iterate_monomial(mono, n)))
+                *x.scaled, lambda i: self._reduced_iterate_monomial(i, n)))
 
     def coradical_degree(self, x: Element) -> int:
         """Smallest n with the n-fold reduced coproduct of x - counit(x) zero.

@@ -8,11 +8,11 @@ only ``add_term``, ``vec_add_scaled`` and the integer seam add into one.
 Scaled form (FLINT's fmpq_poly layout): ``Element``, ``TensorElement``
 and the structure maps' memo tables keep ``(nums, den)``, int numerators
 with no zero over one positive denominator in lowest terms, keyed by
-monomial or by tensor's packed int key, and add ints only: ``combine``,
-the one multiply-add loop, first brings its values to the lcm of their
-denominators; ``multiply_legs`` sums a tensor product (an ``Element``
-product is its arity-1 case) on packed keys per pair of terms, each leg's
-product read from the presentation's one memo on monomial ids.
+monomial id or by tensor's packed key of ids, and add ints only:
+``combine``, the one multiply-add loop, first brings its values to the
+lcm of their denominators; ``multiply_legs`` sums a tensor product (an
+``Element`` product is its arity-1 case) per pair of terms over a running
+lcm (``widen``), each leg's product read from the one memo on ids.
 ``Scaled`` owns the linear structure of both classes; public
 coefficients (``terms``, solver results) are Fractions.
 
@@ -53,7 +53,10 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:  # a text such as "1/0"
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"not an exact rational: {x!r}")
 
 
@@ -147,15 +150,19 @@ def multiply_legs(groups_a: dict, groups_b: dict, get, fill, den: int,
                         nums, d = get(i | j) or fill(i | j)
                         d, c = d * dh, ca * cb
                         if d != common:
-                            if common % d:
-                                f = lcm(common, d) // common
-                                out = {k: v * f for k, v in out.items()}
-                                acc, common = out.get, common * f
+                            out, common = widen(out, common, d)
+                            acc = out.get
                             c *= common // d
                         for m, n in nums.items():
                             k = p | m << last
                             out[k] = acc(k, 0) + c * n
     return rescale(out, den * common)
+
+
+def widen(out: dict, common: int, d: int) -> tuple[dict, int]:
+    """The sums out over common, brought to lcm(common, d) as new sums."""
+    f = lcm(common, d) // common
+    return ({k: v * f for k, v in out.items()} if f > 1 else out), common * f
 
 
 class Scaled:
@@ -164,9 +171,9 @@ class Scaled:
 
     ``scaled`` is the one stored form, split once when an instance is
     built from a terms dict (``from_scaled`` stores it as given); ``terms``
-    is its Fraction view, joined on first read and cached.  A subclass
-    supplies its product, ``_coerce`` (an operand of the same kind, or an
-    error) and ``_like(nums, den)``, its own fast ``from_scaled``.
+    is its Fraction view on the public keys of ``_view()``, joined on first
+    read and cached.  A subclass supplies ``_view``, its product, ``_coerce``
+    (an operand of the same kind, or an error) and ``_like(nums, den)``.
     """
 
     __slots__ = ("_terms", "scaled")
@@ -174,7 +181,8 @@ class Scaled:
     @property
     def terms(self) -> dict:
         if self._terms is None:
-            self._terms = join(*self.scaled)
+            view = self._view()
+            self._terms = {view(k): c for k, c in join(*self.scaled).items()}
         return self._terms
 
     def __bool__(self):
@@ -218,7 +226,9 @@ def join(nums: dict, den: int) -> dict:
 
 def extend_scaled(nums: dict, den: int, mono_map) -> tuple[dict, int]:
     """Linear extension on scaled form: sum of n * mono_map(key) / den,
-    mono_map returning scaled pairs (memo entries)."""
+    mono_map returning scaled pairs (memo entries), one key over 1/1 its own."""
+    if den == 1 and len(nums) == 1 and 1 in nums.values():
+        return mono_map(*nums)
     return combine([(n, mono_map(key)) for key, n in nums.items()], den)
 
 

@@ -17,8 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .algebra import (Element, GeneratorMap, Monomial, Presentation, ZERO,
-                      as_fraction)
+from .algebra import Element, GeneratorMap, Presentation, ZERO, as_fraction
 from .coideal import SubalgebraSpec, is_hopf_subalgebra
 from .hopf import HopfAlgebraError
 from .report import Report
@@ -40,22 +39,18 @@ class Character(GeneratorMap):
     def value(self, g) -> Fraction:
         return self.values.get(self.source.index(g), ZERO)
 
-    def monomial_value(self, mono: Monomial) -> Fraction:
-        """chi(m), read from the memo of monomial images."""
-        nums, den = self.monomial(mono)
-        return Fraction(nums[()], den) if nums else ZERO
-
-    def winding_image(self, mono: Monomial, side: str) -> tuple[dict, int]:
-        """Host winding of a monomial, memoized per side in scaled form:
-        chi on the first legs of Delta(m) (side 'left') or on the second
-        legs (side 'right')."""
+    def winding_image(self, i: int, side: str) -> tuple[dict, int]:
+        """Host winding of the monomial with id i, memoized per side in
+        scaled form: chi on the first legs of Delta(m) (side 'left') or on
+        the second legs (side 'right')."""
         memo = self._windings[side]
-        cached = memo.get(mono)
+        cached = memo.get(i)
         if cached is None:
             delta = TensorElement.from_scaled(
-                self.source, 2, *self.target._coproduct.monomial(mono))
-            cached = memo[mono] = delta.evaluate_leg(
-                1 if side == "left" else 2, self.monomial_value).scaled
+                self.source, 2, *self.target._coproduct.of_id(i))
+            cached = memo[i] = delta.evaluate_leg(
+                1 if side == "left" else 2,
+                lambda m: self(self.source.monomial(m))).scaled
         return cached
 
     def __call__(self, x: Element) -> Fraction:
@@ -157,7 +152,7 @@ def winding(chi: Character, x: Element, side: str) -> Element:
         return result
     target._require_confluence()
     return Element.from_scaled(pres, *linalg.extend_scaled(
-        *x.scaled, lambda mono: chi.winding_image(mono, side)))
+        *x.scaled, lambda i: chi.winding_image(i, side)))
 
 
 class GeneratorAutomorphism(GeneratorMap):

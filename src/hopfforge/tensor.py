@@ -7,11 +7,12 @@ coproducts of unbounded depth uniform.
 
 The scaled form and hopf's tensor-valued memo tables key a term by one
 packed int: leg k (from 0) holds its monomial's ``Presentation.mono_id``
-in bits [LEG_BITS*k, LEG_BITS*(k+1)).  Only this module reads that
-layout; ``terms``, ``leg_cofactors``, ``__str__`` and ``from_terms`` show
-a key as a tuple of monomials.  Each leg's product in ``tensor_multiply``
-and ``contract``, like an ``Element`` product, reads the presentation's
-one product memo on mono ids, ``id_products``.
+in bits [LEG_BITS*k, LEG_BITS*(k+1)); an ``Element`` is its arity-1 case.
+Only this module reads that layout; ``terms``, ``leg_cofactors``,
+``__str__`` and ``from_terms`` show a key as a tuple of monomials.  Each
+leg's product in ``tensor_multiply`` and ``contract``, like an ``Element``
+product, reads the presentation's one product memo on mono ids,
+``id_products``.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from typing import Callable, Mapping
 from .algebra import (MONO_ID_BITS, Element, Monomial, Presentation,
                       PresentationMismatchError, as_fraction, format_linear,
                       format_monomial)
-from .linalg import (Scaled, add_term, combine, extend_scaled, join,
-                     multiply_legs, scaled_equal, split)
+from .linalg import (Scaled, add_term, combine, extend_scaled,
+                     multiply_legs, rescale, scaled_equal, split, widen)
 
 TensorKey = tuple  # tuple of Monomials, length = arity: the public key
 LEG_BITS = MONO_ID_BITS  # bits of one leg of a packed key
@@ -54,9 +55,7 @@ class TensorElement(Scaled):
                  terms: dict[TensorKey, Fraction]):
         if arity < 1:
             raise ValueError("arity must be >= 1")
-        self.algebra = algebra
-        self.arity = arity
-        self._terms = terms
+        self.algebra, self.arity, self._terms = algebra, arity, terms
         self.scaled = split({pack(algebra, key): c for key, c in terms.items()})
 
     @classmethod
@@ -64,21 +63,15 @@ class TensorElement(Scaled):
                     nums: dict[int, int], den: int) -> "TensorElement":
         """The tensor nums / den (packed keys, int numerators, none zero)."""
         t = cls.__new__(cls)
-        t.algebra = algebra
-        t.arity = arity
-        t._terms = None
-        t.scaled = (nums, den)
+        t.algebra, t.arity = algebra, arity
+        t._terms, t.scaled = None, (nums, den)
         return t
 
     def _like(self, nums, den) -> "TensorElement":
         return TensorElement.from_scaled(self.algebra, self.arity, nums, den)
 
-    @property
-    def terms(self) -> dict[TensorKey, Fraction]:
-        if self._terms is None:
-            self._terms = {unpack(self.algebra, self.arity, key): c
-                           for key, c in join(*self.scaled).items()}
-        return self._terms
+    def _view(self):
+        return lambda key: unpack(self.algebra, self.arity, key)
 
     @classmethod
     def zero(cls, algebra: Presentation, arity: int) -> "TensorElement":
@@ -86,8 +79,7 @@ class TensorElement(Scaled):
 
     @classmethod
     def unit(cls, algebra: Presentation, arity: int) -> "TensorElement":
-        one = algebra.identity_monomial()
-        return cls(algebra, arity, {(one,) * arity: Fraction(1)})
+        return tensor_product(*[algebra.one()] * arity)
 
     @classmethod
     def from_terms(cls, algebra: Presentation, arity: int, terms: Mapping) -> "TensorElement":
@@ -132,7 +124,8 @@ class TensorElement(Scaled):
         f maps Element -> Element or Element -> TensorElement; in the
         tensor-valued case the result arity grows accordingly.  All other
         legs are untouched.  f is called once per distinct monomial in
-        that leg, and each image term is spliced into that group of keys.
+        that leg, and each image term is spliced into that group of keys,
+        summed in one output over the images' running lcm (``widen``).
         """
         if not 1 <= leg <= self.arity:
             raise ValueError(f"leg {leg} out of range for arity {self.arity}")
@@ -144,33 +137,30 @@ class TensorElement(Scaled):
         for key, n in nums.items():
             groups.setdefault(key >> shift & LEG_MASK, []).append(
                 (key & low, key >> shift + LEG_BITS, n))
-        images: list = []
-        grown = None
+        out, common, grown = {}, 1, None
+        acc = out.get
         for i, group in groups.items():
-            image = f(Element.from_scaled(algebra, {algebra.monos[i]: 1}, 1))
-            if isinstance(image, Element):
-                (pieces, d), arity = image.scaled, 1
-                pieces = {algebra.mono_id(m): c for m, c in pieces.items()}
-            elif isinstance(image, TensorElement):
-                (pieces, d), arity = image.scaled, image.arity
-            else:
+            image = f(Element.from_scaled(algebra, {i: 1}, 1))
+            if not isinstance(image, Scaled):  # an Element has arity 1
                 raise TypeError("leg map must return Element or TensorElement")
-            if grown is None:
-                grown = arity - 1
-            elif grown != arity - 1:
+            if grown not in (None, image.arity - 1):
                 raise ValueError("leg map returned inconsistent arities")
-            after = shift + LEG_BITS * arity
-            rest = [(before | tail << after, n) for before, tail, n in group]
-            # distinct (image term, key) give distinct keys
-            images.append((1, ({mid << shift | r: c * n
-                                for mid, c in pieces.items()
-                                for r, n in rest}, d)))
+            grown, (pieces, d) = image.arity - 1, image.scaled
+            if common % d:
+                out, common = widen(out, common, d)
+                acc = out.get
+            after, up = shift + LEG_BITS * image.arity, common // d
+            rest = [(before | tail << after, n * up) for before, tail, n in group]
+            for mid, c in pieces.items():
+                mid <<= shift
+                for r, n in rest:
+                    k = mid | r
+                    out[k] = acc(k, 0) + c * n
         if grown is None:
             # zero tensor: probe f on zero to learn the target arity
-            probe = f(algebra.zero())
-            grown = probe.arity - 1 if isinstance(probe, TensorElement) else 0
+            grown = f(algebra.zero()).arity - 1
         return TensorElement.from_scaled(algebra, self.arity + grown,
-                                         *combine(images, den))
+                                         *rescale(out, den * common))
 
     def leg_cofactors(self, leg: int) -> list[tuple[Monomial, Element]]:
         """Group terms by the monomial in position ``leg`` (1-based).
@@ -186,9 +176,8 @@ class TensorElement(Scaled):
         for (m1, m2), c in self.terms.items():
             anchor, other = (m1, m2) if leg == 1 else (m2, m1)
             grouped.setdefault(anchor, {})[other] = c
-        key = self.algebra.monomial_key
         return [(m, Element(self.algebra, grouped[m]))
-                for m in sorted(grouped, key=key)]
+                for m in sorted(grouped, key=self.algebra.monomial_key)]
 
     def evaluate_leg(self, leg: int,
                      value: Callable[[Monomial], Fraction]) -> Element:
@@ -205,8 +194,7 @@ class TensorElement(Scaled):
         values, d = split({i: value(monos[i])
                            for i in {key >> at & LEG_MASK for key in nums}})
         return Element.from_scaled(self.algebra, *combine(
-            [(n * values[key >> at & LEG_MASK],
-              ({monos[key >> other & LEG_MASK]: 1}, 1))
+            [(n * values[key >> at & LEG_MASK], ({key >> other & LEG_MASK: 1}, 1))
              for key, n in nums.items()], den * d))
 
     def __repr__(self):
@@ -225,14 +213,16 @@ def tensor_product(*factors: Element) -> TensorElement:
     if not factors:
         raise ValueError("need at least one factor")
     algebra = factors[0].algebra
-    terms: dict[TensorKey, Fraction] = {(): Fraction(1)}
-    for e in factors:
+    nums, den = {0: 1}, 1
+    for leg, e in enumerate(factors):
         if e.algebra is not algebra:
             raise PresentationMismatchError("factors over different presentations")
-        # distinct (key, m) give distinct keys, and nonzero times nonzero
-        terms = {key + (m,): c * cm
-                 for key, c in terms.items() for m, cm in e.terms.items()}
-    return TensorElement(algebra, len(factors), terms)
+        # distinct (key, id) give distinct keys, and nonzero times nonzero
+        (b, db), shift = e.scaled, LEG_BITS * leg
+        nums = {key | i << shift: c * n
+                for key, c in nums.items() for i, n in b.items()}
+        den *= db
+    return TensorElement.from_scaled(algebra, len(factors), *rescale(nums, den))
 
 
 def tensor_multiply(s: TensorElement, t: TensorElement) -> TensorElement:
@@ -267,6 +257,4 @@ def contract(t: TensorElement) -> Element:
     def product(key):  # the memo key of the legs' ids, in product order
         key = (key & LEG_MASK) << LEG_BITS | key >> LEG_BITS
         return get(key) or fill(key)
-    nums, den = extend_scaled(*t.scaled, product)
-    return Element.from_scaled(
-        algebra, {algebra.monos[i]: n for i, n in nums.items()}, den)
+    return Element.from_scaled(algebra, *extend_scaled(*t.scaled, product))

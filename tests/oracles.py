@@ -30,7 +30,7 @@ def truncated_filtration_check(H, truncation: int) -> bool:
         expected = 0
         rows: dict = {}
         for col, mono in enumerate(monomials):
-            terms = linalg.join(*H._reduced_iterate_monomial(mono, n))
+            terms = H.iterated_reduced_coproduct(pres.monomial(mono), n).terms
             if weights[col] <= n:
                 expected += 1
                 if terms:
@@ -424,7 +424,7 @@ def antipode_eigenbasis(H, max_weight: int) -> list[tuple[Element, int]]:
         monomials = pres.monomials_of_weight(n)
         # matrix of the induced map on the degree-n layer
         cols = {m: {mm: c for mm, c in
-                    linalg.join(*H._antipode.monomial(m)).items()
+                    H.antipode(pres.monomial(m)).terms.items()
                     if pres.monomial_weight(mm) == n} for m in monomials}
         start = len(out)
         for sign in (1, -1):

@@ -157,7 +157,8 @@ def test_product_terms_guard_flags_the_old_code():
 def test_one_product_memo_per_presentation():
     """Only product_ids, the memo-miss branch, calls product_terms; products
     of every kind grow no presentation attribute but the one memo
-    id_products (_prod_cache is its alias) and the monomial numbering."""
+    id_products (_prod_cache is its alias) and the monomial numbering
+    (monos and its weight table id_weights)."""
     src = Path(__file__).parent.parent / "src" / "hopfforge"
     readers = {path.stem: _product_terms_readers(path.read_text())
                for path in sorted(src.glob("*.py"))}
@@ -172,8 +173,32 @@ def test_one_product_memo_per_presentation():
     s, t = tensor_product(y * y, x + z), tensor_product(x, y * x)
     assert contract(tensor_multiply(s, t)) == (y * y * x) * ((x + z) * y * x)
     assert {name for name, n in sizes().items() if n > before[name]} \
-        == {"id_products", "_prod_cache", "monos"}
+        == {"id_products", "_prod_cache", "monos", "id_weights"}
     assert pres._prod_cache is pres.id_products
+
+
+def test_reads_number_no_monomial():
+    """coefficient, constant_term, weight, == with a scalar and str look
+    ids up; none numbers a monomial it has not met."""
+    pres = Presentation([("x", 1), ("y", 1), ("z", 2)],
+                        {("y", "x"): {(0, 0, 1): Fraction(1, 2)}})
+    x, y = pres.gen("x"), pres.gen("y")
+    a = x * y - Fraction(1, 3) * x
+    b = Fraction(2, 5) * y * x
+    seen = list(pres.monos)
+    assert pres.find_id(pres.identity_monomial()) is None
+    assert [a.coefficient(m) for m in ((1, 1, 0), (1, 0, 0), (0, 0, 3),
+                                       (2, 0, 0))] == [1, Fraction(-1, 3), 0, 0]
+    assert a.constant_term() == 0 == b.constant_term()
+    assert (a.weight, b.weight) == (2, 2)
+    assert a != 0 and a != 1 and not a == Fraction(1, 2) and not b == 0
+    assert str(a) == "x*y - 1/3*x" and str(b) == "2/5*x*y + 1/5*z"
+    assert pres.monos == seen
+    assert pres.id_weights == [pres.monomial_weight(m) for m in seen]
+    # scalars compare as multiples of 1 once it is numbered
+    one = pres.one()
+    assert one * Fraction(3, 4) == Fraction(3, 4) and pres.zero() == 0
+    assert one != 2 and one + x != 1
 
 
 def test_confluence_b_lambda():
@@ -476,14 +501,19 @@ def _builtin_presentations():
 @pytest.mark.parametrize("make", _builtin_presentations())
 def test_products_are_the_rewriting_of_their_words(make):
     """product_terms (the exponent sum when the table is empty) and the
-    product memo on mono ids against reduce_word, on seeded pairs."""
+    product memo on mono ids against reduce_word, on seeded pairs: both
+    ascending words and words that need rewriting occur."""
     pres = make()
     rng = random.Random(91)
     monomials = pres.monomials_up_to(3)
+    ascending = set()
     for _ in range(40):
         m1, m2 = rng.choice(monomials), rng.choice(monomials)
-        expect = split(pres.reduce_word(pres.word_of(m1) + pres.word_of(m2)))
+        w1, w2 = pres.word_of(m1), pres.word_of(m2)
+        ascending.add(not (w1 and w2 and w1[-1] > w2[0]))
+        expect = split(pres.reduce_word(w1 + w2))
         assert pres.product_terms(m1, m2) == expect
         nums, den = pres.product_ids(
             pres.mono_id(m1) << algebra.MONO_ID_BITS | pres.mono_id(m2))
         assert ({pres.monos[i]: n for i, n in nums.items()}, den) == expect
+    assert ascending == ({True, False} if pres.ngens > 1 else {True})

@@ -371,6 +371,26 @@ def test_fifth_e_parameter_exit_2(capsys):
                    "a,b,l1,l2, got 5\n")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--builtin", "B:1/0"], "bad builtin 'B:1/0'"),
+    (["verify", "--builtin", "E:1/0"], "bad builtin 'E:1/0'"),
+    (["verify", "--builtin", "E:1,2,1/0"], "bad builtin 'E:1,2,1/0'"),
+    (["coideal", "--builtin", "B:1", "--sub", "g_alpha:1/0"],
+     "bad subalgebra 'g_alpha:1/0'"),
+    (["coideal", "--builtin", "B:1", "--sub", "R:1/0"],
+     "bad subalgebra 'R:1/0'"),
+    (["coideal", "--builtin", "B:1", "--sub", "L:1/0"],
+     "bad subalgebra 'L:1/0'"),
+    (["nakayama", "--builtin", "B:1", "--sub", "R:inf", "--chi", "X=1/0"],
+     "bad --chi 'X=1/0'"),
+])
+def test_zero_denominator_exit_2(capsys, argv, message):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"{message}: zero denominator in '1/0'\n"
+
+
 def _cli(argv, stdout):
     """hopfforge in a fresh interpreter, its output sent to stdout."""
     env = dict(os.environ, PYTHONPATH=str(SRC))

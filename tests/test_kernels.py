@@ -260,6 +260,68 @@ def test_apply_to_leg_calls_its_map_once_per_leg_monomial():
         assert out == apply_to_leg_by_fractions(t, 1, f)
 
 
+_LEG_DENS = (2, 3, 5)  # pairwise coprime: the running lcm grows per image
+
+
+def _leg_piece(pres, arity, mono, coeff):
+    """coeff * mono as an Element (arity 1), else coeff * mono@...@mono."""
+    if arity == 1:
+        return pres.element({mono: coeff})
+    return TensorElement(pres, arity, {(mono,) * arity: coeff})
+
+
+def _leg_map(table, zero):
+    """The linear map with the values table[m] on monomials m."""
+    def f(x):
+        out = zero
+        for m, c in x.terms.items():
+            out = out + table[m].scale(c)
+        return out
+    return f
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_apply_to_leg_sums_images_over_a_running_lcm(seed):
+    """Images over 2, 3 and 5, summed in one pass: their w-terms cancel on
+    the keys of rest r0, and one map cancels the whole tensor."""
+    rng = random.Random(96 + seed)
+    pres = _KEY_PRES
+    arity = rng.randint(1, 3)
+    leg = rng.randint(1, arity)
+    legs = rng.sample(_KEY_MONOS, 3)
+    r0, r1 = ([rng.choice(_KEY_MONOS) for _ in range(arity - 1)]
+              for _ in range(2))
+    key = lambda m, rest, n=1: tuple(rest[:leg - 1] + [m] * n + rest[leg - 1:])
+    g = Fraction(rng.choice((1, -2)), rng.choice((1, 7)))
+    terms = {key(m, r0): c * g for m, c in zip(legs, (2, 3, -10))}
+    cancelling = TensorElement(pres, arity, dict(terms))
+    if r1 != r0:
+        terms.update({key(m, r1): Fraction(rng.choice((-3, 1, 2)),
+                                           rng.choice((1, 7))) for m in legs})
+    t = TensorElement(pres, arity, terms)
+    u, v, w = rng.sample(_KEY_MONOS, 3)
+    a = rng.choice((1, -1, 7))
+    for out in (1, 2):
+        zero = pres.zero() if out == 1 else TensorElement.zero(pres, out)
+        piece = lambda mono, c: _leg_piece(pres, out, mono, c)
+        table = {legs[0]: piece(u, Fraction(1, 2)) + piece(w, Fraction(a, 2)),
+                 legs[1]: piece(v, Fraction(1, 3)) + piece(w, Fraction(-a, 3)),
+                 legs[2]: piece(u, Fraction(2, 5)) + piece(v, Fraction(-1, 5))}
+        assert [table[m].scaled[1] for m in legs] == list(_LEG_DENS)
+        f = _leg_map(table, zero)
+        result = t.apply_to_leg(leg, f)
+        assert result.arity == arity + out - 1 and _scaled_ok(result)
+        assert result == apply_to_leg_by_fractions(t, leg, f)
+        # 2g * a/2 + 3g * (-a/3) = 0 at w (x) rest r0
+        assert key(w, r0, out) not in result.terms and result
+        # 2g/2 + 3g/3 - 10g/5 = 0 on every key
+        whole = _leg_map({m: piece(u, Fraction(1, d))
+                          for m, d in zip(legs, _LEG_DENS)}, zero)
+        gone = cancelling.apply_to_leg(leg, whole)
+        assert not gone and gone.arity == arity + out - 1 and _scaled_ok(gone)
+        assert gone == apply_to_leg_by_fractions(cancelling, leg, whole)
+
+
 def _is_fraction_dict(terms) -> bool:
     return all(type(c) is Fraction for c in terms.values())
 
@@ -288,7 +350,7 @@ def test_public_coefficients_are_fractions(make):
     monomials = pres.monomials_up_to(2)
     index = {m: i for i, m in enumerate(monomials)}
     columns = [{index[mm]: c for mm, c in
-                linalg.join(*H._antipode.monomial(m)).items()}
+                H.antipode(pres.monomial(m)).terms.items()}
                for m in monomials]
     coeffs = linalg.LinearSolver(columns).solve(columns[-1])
     assert coeffs[-1] == 1 and all(type(c) is Fraction for c in coeffs)
@@ -329,10 +391,9 @@ def test_memo_tables_hold_scaled_pairs(lam):
     assert any(den > 1 for _, den in entries)
     # each entry is the Fraction image the map defines
     mono = max(pres.monomials_of_weight(4), key=pres.monomial_key)
-    assert TensorElement.from_scaled(
-        pres, 2, *H._coproduct.monomial(mono)).terms == \
+    assert H.coproduct(pres.monomial(mono)).terms == \
         coproduct_by_fractions(H, pres.monomial(mono)).terms
-    assert linalg.join(*phi.monomial(mono)) == \
+    assert phi.apply(pres.monomial(mono)).terms == \
         automorphism_by_products(phi, pres.monomial(mono)).terms
 
 
@@ -370,6 +431,28 @@ def test_split_join_round_trip():
     assert linalg.rescale({0: 8, 1: 2, 2: 0}, 4) == ({0: 4, 1: 1}, 2)
     assert linalg.rescale({0: 4, 1: -2, 2: 0}, 2) == ({0: 2, 1: -1}, 1)
     assert linalg.rescale({0: 0}, 6) == ({}, 1)
+
+
+def test_extend_scaled_returns_a_lone_monomial_s_memo_entry():
+    """One key with numerator 1 over 1 maps to the memo's pair itself, which
+    is the Fraction image; any other input is summed anew."""
+    memo = {7: ({1: 3, 2: -1}, 4), 8: ({1: 1}, 2)}
+    entry = linalg.extend_scaled({7: 1}, 1, memo.__getitem__)
+    assert entry is memo[7]
+    assert linalg.join(*entry) == _extend({7: 1}, lambda k: linalg.join(*memo[k]))
+    for nums, den in (({7: 2}, 1), ({7: 1}, 3), ({7: 1, 8: -2}, 1)):
+        out = linalg.extend_scaled(nums, den, memo.__getitem__)
+        assert out is not memo[7] and _is_scaled_pair(out)
+        assert linalg.join(*out) == _extend(
+            linalg.join(nums, den), lambda k: linalg.join(*memo[k]))
+    H = catalog.build_b_lambda(Fraction(1, 2))
+    pres = H.presentation
+    for m in pres.monomials_of_weight(3):
+        x = pres.monomial(m)
+        assert H.antipode(x).scaled[0] is H._antipode.memo[pres.mono_id(m)][0]
+        assert H.antipode(x) == antipode_by_fractions(H, x)
+        assert H.coproduct(x).scaled[0] is H._coproduct.memo[pres.mono_id(m)][0]
+        assert H.coproduct(x) == coproduct_by_fractions(H, x)
 
 
 def _extend(terms, mono_map):
@@ -416,8 +499,8 @@ _terms = st.dictionaries(
 def _overscaled(terms, k):
     """The element of terms as numerators over a denominator k times too
     large, so two equal elements may carry different denominators."""
-    nums, den = linalg.split(terms)
-    return Element.from_scaled(_PRES, {m: n * k for m, n in nums.items()},
+    nums, den = Element(_PRES, dict(terms)).scaled
+    return Element.from_scaled(_PRES, {i: n * k for i, n in nums.items()},
                                den * k)
 
 
@@ -451,7 +534,7 @@ def _public_key(x, key):
     """The key of x's terms view for a key of its scaled form."""
     if isinstance(x, TensorElement):
         return unpack(x.algebra, x.arity, key)
-    return key
+    return x.algebra.monos[key]
 
 
 @pytest.mark.parametrize("make", HOSTS)
