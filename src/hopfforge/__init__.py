@@ -10,8 +10,7 @@ from .hopf import (AntipodeSolveError, CertificateMissingError,
                    HopfAlgebraError, PresentedHopfAlgebra,
                    SquaredAntipodeAnalysis, s_squared_analysis,
                    solve_antipode, verify_bialgebra, verify_hopf)
-from .lantern import (GradedLieAlgebra, lantern, mobius, numerology_report,
-                      verify_lie)
+from .lantern import GradedLieAlgebra, lantern, mobius, numerology_report
 from .report import Check, Report
 from .tensor import TensorElement, contract, tensor_multiply, tensor_product
 

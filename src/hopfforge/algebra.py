@@ -20,9 +20,10 @@ immutable and every operation is pure.
 
 An ``Element`` keys its terms by ``mono_id`` as a tensor leg does
 (``terms`` is the tuple view; a read numbers no monomial).  Every map
-given by its values on generators -- coproduct, antipode, subalgebra
-embedding, generator automorphism, character (a map into k, presented
-with no generators) -- is a GeneratorMap: it extends the images by
+given by its values on generators -- coproduct, antipode and its
+inverse, subalgebra embedding, generator automorphism, host winding,
+character (a map into k, presented with no generators) -- is a
+GeneratorMap: it extends the images by
 peeling one factor, memoizes the monomial images in scaled form on mono
 ids, and lists the relation defects that certify it.
 """
@@ -287,8 +288,7 @@ class Element(Scaled):
     arity = 1
 
     def __init__(self, algebra: Presentation, terms: dict[Monomial, Fraction]):
-        self.algebra = algebra
-        self._terms = terms
+        self.algebra, self._terms = algebra, None
         self.scaled = split({algebra.mono_id(m): c for m, c in terms.items()})
 
     @classmethod

@@ -1,8 +1,9 @@
 """Hopf-algebra structure on a presented algebra.
 
 Structure maps are given on generators and extended: the coproduct and
-counit multiplicatively, the antipode anti-multiplicatively.  Coproduct
-and antipode are algebra.GeneratorMaps; verify_bialgebra and verify_hopf
+counit multiplicatively, the antipode and its inverse
+anti-multiplicatively.  Coproduct, antipode and S^-1 are
+algebra.GeneratorMaps; verify_bialgebra and verify_hopf
 compute the relation defects and coassociativity lines that no proof
 covers.  Generators are normalized into the counit kernel, and every
 generator coproduct must contain the terms 1@g and g@1 with coefficient
@@ -66,6 +67,7 @@ class PresentedHopfAlgebra:
         self._reduced_iter: dict[tuple[int, int], tuple] = {}
         self._antipode_mono: dict[int, tuple] = {}
         self._antipode: GeneratorMap | None = None
+        self._antipode_inverse: GeneratorMap | None = None  # on first use
         if antipodes is not None:
             self.attach_antipode(antipodes)
         # write-once certificates
@@ -249,22 +251,33 @@ class PresentedHopfAlgebra:
         return self.antipode(self.antipode(x))
 
     def antipode_inverse(self, x: Element) -> Element:
-        """The y with antipode(y) = x: the sum of S(r) over r = x,
-        (1 - S^2)(x), (1 - S^2)^2(x), ... down to 0.  S lowers no weight and
-        induces an involution on each layer of the associated graded algebra
-        (commutative once the filtration is certified), so each r is lighter."""
+        """The y with antipode(y) = x, by S^-1, an anti-algebra map as S is:
+        the GeneratorMap of the S^-1(g), filled on first use.  S^-1(g) is
+        the sum of S(r) over r = g, (1 - S^2)(g), (1 - S^2)^2(g), ... down
+        to 0.  S lowers no weight and induces an involution on each layer
+        of the associated graded algebra (commutative once the filtration
+        is certified), so each r is lighter.  S^2 is an algebra map, so
+        once it fixes the top layer of every generator it fixes that of
+        every element: the check on the generators covers them all."""
         self._require_antipode()
         if not x:
             return self.zero()
         self._require_filtration()
-        y, r = self.zero(), x
-        while r:
-            w, z = r.weight, self.antipode(r)
-            y, r = y + z, r - self.antipode(z)
-            if r and r.weight >= w:
-                raise HopfAlgebraError(f"S^2 fails to fix the weight-{w} "
-                                       "layer; filtration certificate violated")
-        return y
+        if self._antipode_inverse is None:
+            images = {}
+            for i in range(self.presentation.ngens):
+                y, r = self.zero(), self.gen(i)
+                while r:
+                    w, z = r.weight, self.antipode(r)
+                    y, r = y + z, r - self.antipode(z)
+                    if r and r.weight >= w:
+                        raise HopfAlgebraError(
+                            f"S^2 fails to fix the weight-{w} layer; "
+                            "filtration certificate violated")
+                images[i] = y
+            self._antipode_inverse = GeneratorMap(
+                self.presentation, images, self.one(), True)
+        return self._antipode_inverse(x)
 
     # -- primitives ------------------------------------------------------------
 

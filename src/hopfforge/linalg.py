@@ -172,7 +172,8 @@ class Scaled:
     ``scaled`` is the one stored form, split once when an instance is
     built from a terms dict (``from_scaled`` stores it as given); ``terms``
     is its Fraction view on the public keys of ``_view()``, joined on first
-    read and cached.  A subclass supplies ``_view``, its product, ``_coerce``
+    read and cached, never the caller's dict, which the caller may change.
+    A subclass supplies ``_view``, its product, ``_coerce``
     (an operand of the same kind, or an error) and ``_like(nums, den)``.
     """
 

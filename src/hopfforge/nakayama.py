@@ -4,12 +4,12 @@ Characters are inputs here: for an embedded subalgebra the character of
 its integral is supplied by the caller (or derived from the adjoint
 trace for enveloping-type presentations), never computed homologically.
 A character is a GeneratorMap into k, presented with no generators.
-Winding maps apply it to one coproduct leg (TensorElement.evaluate_leg);
-their stability on a subalgebra span is verified at runtime instead of
-being assumed.
-A target is a host or a registered subalgebra; both answer the questions
-of coideal.SubalgebraSpec.  Only winding tells them apart: its host path
-is another algorithm (memoized monomial images, no solves).
+A winding applies it to one coproduct leg; chi and Delta are algebra
+maps, so the winding is one too.  A target is a host or a registered
+subalgebra; both answer the questions of coideal.SubalgebraSpec, and both
+wind through one cofactor loop (_wind).  On a host the windings of the
+generators fix a GeneratorMap per side; on a subalgebra every winding is
+computed anew, its cofactors and image verified to lie in the span.
 """
 
 from __future__ import annotations
@@ -34,24 +34,10 @@ class Character(GeneratorMap):
                                 for i in range(pres.ngens)}, k.one(), False)
         self.target, self.values = target, values
         self.report: Report | None = None
-        self._windings: dict[str, dict] = {"left": {}, "right": {}}
+        self._windings: dict[str, GeneratorMap] = {}  # host winding per side
 
     def value(self, g) -> Fraction:
         return self.values.get(self.source.index(g), ZERO)
-
-    def winding_image(self, i: int, side: str) -> tuple[dict, int]:
-        """Host winding of the monomial with id i, memoized per side in
-        scaled form: chi on the first legs of Delta(m) (side 'left') or on
-        the second legs (side 'right')."""
-        memo = self._windings[side]
-        cached = memo.get(i)
-        if cached is None:
-            delta = TensorElement.from_scaled(
-                self.source, 2, *self.target._coproduct.of_id(i))
-            cached = memo[i] = delta.evaluate_leg(
-                1 if side == "left" else 2,
-                lambda m: self(self.source.monomial(m))).scaled
-        return cached
 
     def __call__(self, x: Element) -> Fraction:
         if x.algebra is not self.source:
@@ -116,11 +102,12 @@ def winding(chi: Character, x: Element, side: str) -> Element:
     """Winding endomorphism: the character applied to one coproduct leg.
 
     side 'left' evaluates the character on first legs, side 'right' on
-    second legs.  On a host it extends the memoized monomial images
-    (Character.winding_image) linearly, without building Delta(x).  For
-    a subalgebra target the evaluated cofactors, and the final image,
-    must lie in the embedded span; both memberships are verified and a
-    violation raises.
+    second legs.  W = (chi@id)Delta is an algebra map, as chi and Delta
+    are, so on a host it is the GeneratorMap of the generator windings,
+    built on first use per side (Character._windings); no Delta(x) is
+    built.  For a subalgebra target the evaluated cofactors, and the
+    final image, must lie in the embedded span; both memberships are
+    verified per call and a violation raises.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
@@ -130,29 +117,36 @@ def winding(chi: Character, x: Element, side: str) -> Element:
     if x.algebra is not pres:
         raise ValueError("winding input must live in the target presentation")
     if isinstance(target, SubalgebraSpec):
-        host = target.host
-        hx = target.embed(x)
-        if not hx:
-            return pres.zero()
-        anchor_leg = 2 if side == "left" else 1
-        out: dict = {}
-        for mono, cofactor in host.coproduct(hx).leg_cofactors(anchor_leg):
-            rep = target.represent(cofactor)
-            if rep is None:
-                raise HopfAlgebraError(
-                    f"winding cofactor {cofactor} is outside the subalgebra "
-                    "span; the declared coideal side does not support this "
-                    "winding")
-            linalg.add_term(out, mono, chi(rep))
-        result = target.represent(Element(host.presentation, out))
-        if result is None:
-            raise HopfAlgebraError(
-                "winding image escapes the subalgebra span; stability "
-                "verification failed")
-        return result
+        return _wind(chi, target.host.coproduct(target.embed(x)), side)
     target._require_confluence()
-    return Element.from_scaled(pres, *linalg.extend_scaled(
-        *x.scaled, lambda i: chi.winding_image(i, side)))
+    wind = chi._windings.get(side)
+    if wind is None:
+        wind = chi._windings[side] = GeneratorMap(pres, {
+            i: _wind(chi, target._coproduct.images[i], side)
+            for i in range(pres.ngens)}, pres.one(), False)
+    return wind(x)
+
+
+def _wind(chi: Character, delta: TensorElement, side: str) -> Element:
+    """chi on the first (side 'left') or second legs of delta, a host
+    coproduct, as an element of chi's target: each cofactor and the sum
+    must lie in its span (target.represent, the identity on a host)."""
+    target = chi.target
+    out: dict = {}
+    for mono, cofactor in delta.leg_cofactors(2 if side == "left" else 1):
+        rep = target.represent(cofactor)
+        if rep is None:
+            raise HopfAlgebraError(
+                f"winding cofactor {cofactor} is outside the subalgebra "
+                "span; the declared coideal side does not support this "
+                "winding")
+        linalg.add_term(out, mono, chi(rep))
+    result = target.represent(Element(target.host.presentation, out))
+    if result is None:
+        raise HopfAlgebraError(
+            "winding image escapes the subalgebra span; stability "
+            "verification failed")
+    return result
 
 
 class GeneratorAutomorphism(GeneratorMap):

@@ -9,7 +9,8 @@ The scaled form and hopf's tensor-valued memo tables key a term by one
 packed int: leg k (from 0) holds its monomial's ``Presentation.mono_id``
 in bits [LEG_BITS*k, LEG_BITS*(k+1)); an ``Element`` is its arity-1 case.
 Only this module reads that layout; ``terms``, ``leg_cofactors``,
-``__str__`` and ``from_terms`` show a key as a tuple of monomials.  Each
+``__str__`` and ``from_terms`` show a key as a tuple of monomials (a
+winding reads a leg only through ``leg_cofactors``).  Each
 leg's product in ``tensor_multiply`` and ``contract``, like an ``Element``
 product, reads the presentation's one product memo on mono ids,
 ``id_products``.
@@ -23,8 +24,8 @@ from typing import Callable, Mapping
 from .algebra import (MONO_ID_BITS, Element, Monomial, Presentation,
                       PresentationMismatchError, as_fraction, format_linear,
                       format_monomial)
-from .linalg import (Scaled, add_term, combine, extend_scaled,
-                     multiply_legs, rescale, scaled_equal, split, widen)
+from .linalg import (Scaled, add_term, extend_scaled, multiply_legs, rescale,
+                     scaled_equal, split, widen)
 
 TensorKey = tuple  # tuple of Monomials, length = arity: the public key
 LEG_BITS = MONO_ID_BITS  # bits of one leg of a packed key
@@ -55,7 +56,7 @@ class TensorElement(Scaled):
                  terms: dict[TensorKey, Fraction]):
         if arity < 1:
             raise ValueError("arity must be >= 1")
-        self.algebra, self.arity, self._terms = algebra, arity, terms
+        self.algebra, self.arity, self._terms = algebra, arity, None
         self.scaled = split({pack(algebra, key): c for key, c in terms.items()})
 
     @classmethod
@@ -178,24 +179,6 @@ class TensorElement(Scaled):
             grouped.setdefault(anchor, {})[other] = c
         return [(m, Element(self.algebra, grouped[m]))
                 for m in sorted(grouped, key=self.algebra.monomial_key)]
-
-    def evaluate_leg(self, leg: int,
-                     value: Callable[[Monomial], Fraction]) -> Element:
-        """The sum of c * value(m_leg) * m_other over the terms
-        c * m_1@m_2 of an arity-2 tensor: the linear functional given by
-        value on monomials, applied at position ``leg`` (1-based)."""
-        if self.arity != 2:
-            raise ValueError("evaluate_leg needs arity 2")
-        if leg not in (1, 2):
-            raise ValueError("leg must be 1 or 2")
-        at = LEG_BITS * (leg - 1)  # shift of the evaluated leg
-        other, monos, (nums, den) = LEG_BITS - at, self.algebra.monos, self.scaled
-        # value is called once per distinct monomial in that leg
-        values, d = split({i: value(monos[i])
-                           for i in {key >> at & LEG_MASK for key in nums}})
-        return Element.from_scaled(self.algebra, *combine(
-            [(n * values[key >> at & LEG_MASK], ({key >> other & LEG_MASK: 1}, 1))
-             for key, n in nums.items()], den * d))
 
     def __repr__(self):
         return f"<tensor {self}>"

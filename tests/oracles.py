@@ -524,3 +524,38 @@ def normal_element_check(b: Element, tau) -> bool:
     if b.algebra is not pres:
         raise ValueError("normal-element candidate must live in the target")
     return all(tau.images[i] * b == b * pres.gen(i) for i in range(pres.ngens))
+
+
+def verify_lie(L) -> Report:
+    """Jacobi on all basis triples plus grading additivity: the graded Lie
+    axioms that lantern._extract_lantern has by proof."""
+    report = Report("graded lie axioms")
+    graded_ok = True
+    for (a, b), table in sorted(L.brackets.items()):
+        for e in table:
+            if L.degrees[e] != L.degrees[a] + L.degrees[b]:
+                graded_ok = False
+                report.add(
+                    f"grading of [u_{L.labels[a]},u_{L.labels[b]}]", False,
+                    f"hits degree {L.degrees[e]} != "
+                    f"{L.degrees[a]}+{L.degrees[b]}")
+    if graded_ok:
+        report.add("grading additivity", True)
+    n = L.dimension
+    jacobi_ok = True
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(b + 1, n):
+                acc: dict[int, Fraction] = {}
+                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                    # [u_x, [u_y, u_z]]
+                    for e, coeff in L.bracket(y, z).items():
+                        linalg.vec_add_scaled(acc, L.bracket(x, e), coeff)
+                if acc:
+                    jacobi_ok = False
+                    report.add(
+                        f"jacobi ({L.labels[a]},{L.labels[b]},{L.labels[c]})",
+                        False, "cyclic sum nonzero")
+    if jacobi_ok:
+        report.add("jacobi identity", True)
+    return report

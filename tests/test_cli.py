@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,9 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from hopfforge import catalog
 from hopfforge.cli import SUBCOMMANDS, main, run
+from hopfforge.lantern import GradedLieAlgebra
+
+from oracles import verify_lie
 
 DATA = Path(__file__).parent / "data"
-SRC = Path(__file__).parent.parent / "src"
+ROOT = Path(__file__).parent.parent
+SRC = ROOT / "src"
 
 
 def test_signature_builtin(capsys):
@@ -177,10 +182,39 @@ def test_report_checks_the_lantern_once(monkeypatch, count_calls, capsys,
     # certify afresh: the catalog's cached E was checked in an earlier test
     monkeypatch.setattr(catalog, "_e", catalog._e.__wrapped__)
     lantern = importlib.import_module("hopfforge.lantern")  # not the function
-    lie = count_calls(lantern, "verify_lie")
     layers = count_calls(lantern, "_carnot_layers")
     assert run(argv) == 0
-    assert (len(lie), len(layers)) == (1, 1)
+    assert len(layers) == 1
+    # the graded Lie lines hold by proof: no module can call verify_lie
+    assert not [name for name, module in sys.modules.items()
+                if name.partition(".")[0] == "hopfforge"
+                and hasattr(module, "verify_lie")]
+
+
+@pytest.mark.parametrize("source", [
+    *[["--builtin", name] for name in (
+        "B:0", "B:1", "B:-2", "B:1/2", "E",
+        *[f"U:{p}" for p in catalog.ENVELOPING_PRESETS])],
+    *[[str(path)] for path in (DATA / "b_lambda.hopf", *[
+        ROOT / "bench" / "data" / name
+        for name in ("b_half.hopf", "e_solved.hopf", "heisenberg.hopf")])]],
+    ids=lambda source: source[-1].rsplit("/", 1)[-1])
+def test_lantern_lines_by_proof_are_the_oracle_lines(source, capsys):
+    # the graded Lie lines that lantern prints without computing them,
+    # against verify_lie on the lantern it prints; verify_lie passes on
+    # the same hosts' lanterns, O(U_5)'s and U(n_5)'s in test_hopf
+    assert run(["lantern", *source, "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    lan = out["data"]["lantern"]
+    index = {label: i for i, label in enumerate(lan["labels"])}
+    brackets = {}
+    for a, b, e, c in lan["brackets"]:
+        brackets.setdefault((index[a], index[b]), {})[index[e]] = Fraction(c)
+    L = GradedLieAlgebra(tuple(lan["labels"]), tuple(lan["degrees"]),
+                         brackets)
+    assert out["checks"][-2:] == [
+        {"name": c.name, "status": "pass" if c.passed else "fail",
+         "details": c.details} for c in verify_lie(L).checks]
 
 
 def test_unknown_builtin(capsys):
@@ -298,6 +332,40 @@ def test_sub_heavier_than_cutoff_exit_3(capsys, tmp_path):
                      "  embed A = X^3000*Y\n}\n")
     assert run(["verify", str(heavy)]) == 3
     assert "exceeds the certification cutoff" in capsys.readouterr().err
+
+
+_REFUSED_SUBS = {
+    "failing overlap": (
+        "sub T side hopf {\n  gen X weight 1\n  gen Y weight 1\n"
+        "  gen Z weight 2\n  rel [Y,X] = -Y\n  rel [Z,X] = -Z + Y\n"
+        "  rel [Z,Y] = Y^2 + X\n  embed X = X\n  embed Y = Y\n"
+        "  embed Z = Z\n}\n",
+        "sub T: T: subalgebra presentation is not confluent/terminating: "
+        "overlap (Z,Y,X)"),
+    "entry as heavy as its pair": (
+        "sub T side left {\n  gen Y weight 1\n  gen Z weight 2\n"
+        "  rel [Z,Y] = Y*Z\n  embed Y = Y\n  embed Z = Z\n}\n",
+        "sub T: T: subalgebra presentation is not confluent/terminating: "
+        "[Z,Y]"),
+    "embeds to zero": ("sub T side left {\n  gen Y weight 1\n"
+                       "  embed Y = 0\n}\n",
+                       "sub T: T: generator Y embeds to zero"),
+    "side fails": (
+        "sub L_inf side right {\n  gen Y weight 1\n  gen Z weight 2\n"
+        "  rel [Z,Y] = 1/2*Y^2\n  embed Y = Y\n  embed Z = Z\n}\n",
+        "sub L_inf: L_inf: declared side 'right' fails: right legs of "
+        "coproduct(Z) lie in the span (offending term (X)@Y)"),
+}
+
+
+@pytest.mark.parametrize("name", _REFUSED_SUBS)
+def test_refused_sub_exit_3(capsys, tmp_path, name):
+    block, message = _REFUSED_SUBS[name]
+    host = (DATA / "b_lambda.hopf").read_text().split("# rank-2 left")[0]
+    path = tmp_path / "refused.hopf"
+    path.write_text(host + block)
+    assert run(["verify", str(path)]) == 3
+    assert capsys.readouterr() == ("", message + "\n")
 
 
 def test_sub_with_dependent_leading_symbols_exit_3(capsys, tmp_path):
@@ -567,7 +635,7 @@ def test_cold_start_source_ratchet():
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-c", _SOURCE_LINES], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert int(proc.stderr.splitlines()[-1]) <= 2662
+    assert int(proc.stderr.splitlines()[-1]) <= 2629
 
 
 def test_no_module_imports_dataclasses():
@@ -600,8 +668,7 @@ _API = {
              "HopfAlgebraError", "PresentedHopfAlgebra",
              "SquaredAntipodeAnalysis", "s_squared_analysis",
              "solve_antipode", "verify_bialgebra", "verify_hopf"),
-    "lantern": ("GradedLieAlgebra", "lantern", "mobius", "numerology_report",
-                "verify_lie"),
+    "lantern": ("GradedLieAlgebra", "lantern", "mobius", "numerology_report"),
     "nakayama": ("Character", "GeneratorAutomorphism", "character",
                  "compose_with_antipode", "counit_character",
                  "enveloping_integral_character", "nakayama_automorphism",
@@ -615,7 +682,7 @@ _API = {
 def test_public_api_is_pinned():
     import hopfforge
     import hopfforge.cli  # loads the lantern submodule after the package
-    assert len(hopfforge.__all__) == 63
+    assert len(hopfforge.__all__) == 62
     assert hopfforge.__all__ == sorted(n for names in _API.values()
                                        for n in names)
     for module, names in _API.items():

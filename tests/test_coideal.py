@@ -105,6 +105,43 @@ def test_register_rejects_dependent_leading_symbols():
                             {"A": X1, "B": X1 ** 2 + X2}, "hopf")
 
 
+@pytest.mark.parametrize("gens,table,failing", [
+    # B(1)'s table with [Z,Y] broken, as in tests/data/bad_overlap.hopf
+    ([("X", 1), ("Y", 1), ("Z", 2)],
+     {("Y", "X"): {(0, 1, 0): -1}, ("Z", "X"): {(0, 0, 1): -1, (0, 1, 0): 1},
+      ("Z", "Y"): {(0, 2, 0): 1, (1, 0, 0): 1}}, "overlap (Z,Y,X)"),
+    # Y*Z weighs 3 = w_Z + w_Y, so rewriting need not stop
+    ([("Y", 1), ("Z", 2)], {("Z", "Y"): {(1, 1): 1}}, "[Z,Y]"),
+], ids=["failing overlap", "entry as heavy as its pair"])
+def test_register_rejects_a_presentation_that_is_not_confluent(gens, table,
+                                                               failing):
+    H = catalog.build_b_lambda(1)
+    with pytest.raises(RegistrationError) as exc:
+        register_subalgebra(H, "T", gens, table,
+                            {g: H.gen(g) for g, _ in gens}, "hopf")
+    assert str(exc.value) == ("T: subalgebra presentation is not "
+                              f"confluent/terminating: {failing}")
+
+
+def test_register_rejects_a_generator_that_embeds_to_zero():
+    H = catalog.build_b_lambda(1)
+    with pytest.raises(RegistrationError,
+                       match="^T: generator Y embeds to zero$"):
+        register_subalgebra(H, "T", [("Y", 1)], {}, {"Y": H.zero()}, "left")
+
+
+def test_register_rejects_a_side_that_fails():
+    # L_inf is a left coideal: Delta(Z) has the right leg Y beside X
+    H = catalog.build_b_lambda(1)
+    with pytest.raises(RegistrationError) as exc:
+        register_subalgebra(H, "L", [("Y", 1), ("Z", 2)],
+                            {("Z", "Y"): {(2, 0): F(1, 2)}},
+                            {"Y": H.gen("Y"), "Z": H.gen("Z")}, "right")
+    assert str(exc.value) == (
+        "L: declared side 'right' fails: right legs of coproduct(Z) lie in "
+        "the span (offending term (X)@Y)")
+
+
 def test_coideal_sides():
     Linf = catalog.build_b_coideal(1, "L", "inf")
     assert coideal_check(Linf, "left").passed

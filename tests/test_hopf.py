@@ -15,14 +15,15 @@ from hopfforge.grading import certify
 from hopfforge.hopf import (AntipodeSolveError, CertificateMissingError,
                             PresentedHopfAlgebra, s_squared_analysis,
                             solve_antipode, verify_bialgebra, verify_hopf)
-from hopfforge.lantern import lantern, verify_lie
+from hopfforge.lantern import lantern
 from hopfforge.parser import build_algebra, parse
 from hopfforge.tensor import TensorElement, tensor_product as tp
 
 from oracles import (antipode_eigenbasis, bialgebra_lines_by_computation,
                      coinvariants, convolution_defects,
                      coradical_degree_by_iteration, counit_leg,
-                     hopf_lines_by_computation, primitive_basis_by_kernel)
+                     hopf_lines_by_computation, primitive_basis_by_kernel,
+                     verify_lie)
 from suites import random_element
 from test_grading import _unitriangular
 from test_kernels import _unitriangular_5
@@ -547,7 +548,7 @@ def test_wrong_attached_antipode_fails_everywhere(tmp_path, right, wrong,
 # what certification has by proof is not recomputed: per file, the lines
 # that would recompute it; anywhere, the names of the code that did
 _RECHECKS = {"hopf.py": r"apply_to_leg\(2, [^)]*antipode|_verify_convolution",
-             "grading.py": r"verify_lie\("}
+             "grading.py": r"verify_lie\(", "cli.py": r"verify_lie\("}
 _GONE = r"lie_report|solved antipode fails|counit_leg"
 
 
@@ -601,6 +602,7 @@ def verify_lie(L):
         "grading.py": "L, lie_report = _extract_lantern(H)\nverify_lie(L)\n",
         "cli.py": "session.note(verify_lie(L))\n"}
     assert _proof_offenders(old) == [
+        "cli.py:1: session.note(verify_lie(L))",
         "grading.py:1: L, lie_report = _extract_lantern(H)",
         "grading.py:2: verify_lie(L)",
         "hopf.py:4: rep = _verify_convolution(H)",

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfforge import algebra, catalog, linalg
-from hopfforge.algebra import Element, Presentation
+from hopfforge.algebra import Element, GeneratorMap, Presentation
 from hopfforge.grading import certify
 from hopfforge.linalg import vec_add_scaled
 from hopfforge.hopf import PresentedHopfAlgebra
@@ -383,8 +383,8 @@ def test_memo_tables_hold_scaled_pairs(lam):
                                     "Z": Z + Fraction(1, 5) * Y})
     phi.apply(x * x)
     tables = [H._coprod_mono, H._reduced_iter, H._antipode_mono,
-              pres._prod_cache, chi._windings["left"], chi._windings["right"],
-              phi.memo]
+              pres._prod_cache, chi._windings["left"].memo,
+              chi._windings["right"].memo, phi.memo]
     assert all(tables)
     entries = [v for table in tables for v in table.values()]
     assert all(_is_scaled_pair(v) for v in entries)
@@ -596,6 +596,52 @@ def test_host_winding_builds_no_coproduct(make, monkeypatch):
                 wound = winding(chi, x, side)
                 assert not calls
                 assert wound == winding_by_powers(chi, x, side)
+
+
+@pytest.mark.parametrize("make", HOSTS)
+def test_host_winding_is_a_generator_map(make, monkeypatch):
+    # (chi@id)Delta is an algebra map: the first winding per side runs the
+    # cofactor loop once per generator, and no later one runs it
+    H = make()
+    rng = random.Random(80)
+    pick = lambda: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                            rng.choice((1, 2, 3)))
+    chi = character(H, CHARACTER_VALUES[H.name](pick))
+    calls = []
+    cofactors = TensorElement.leg_cofactors
+    monkeypatch.setattr(
+        TensorElement, "leg_cofactors",
+        lambda self, leg: calls.append(leg) or cofactors(self, leg))
+    for side in ("left", "right"):
+        for n, (a, b) in enumerate(_pairs(H, 81, count=3)):
+            del calls[:]
+            xs = (a, b, a * b)
+            wound = [winding(chi, x, side) for x in xs]
+            assert len(calls) == (0 if n else H.presentation.ngens)
+            assert wound == [winding_by_powers(chi, x, side) for x in xs]
+        assert isinstance(chi._windings[side], GeneratorMap)
+        assert not chi._windings[side].anti
+
+
+@pytest.mark.parametrize("make", KERNEL_HOSTS)
+def test_antipode_inverse_is_an_anti_generator_map(make, monkeypatch):
+    # S^-1 is an anti-algebra map: after the first call, whose generator
+    # series fill its images, no call applies S
+    H = make()
+    rng = random.Random(86)
+    xs = [random_element(rng, H.presentation, w, 4, nonzero=True)
+          for w in range(1, 7)]
+    images = [H.antipode(x) for x in xs]
+    calls = []
+    antipode = PresentedHopfAlgebra.antipode
+    monkeypatch.setattr(PresentedHopfAlgebra, "antipode",
+                        lambda self, x: calls.append(x) or antipode(self, x))
+    assert H.antipode_inverse(images[0]) == xs[0]
+    del calls[:]
+    assert [H.antipode_inverse(s) for s in images] == xs
+    assert not calls
+    assert isinstance(H._antipode_inverse, GeneratorMap)
+    assert H._antipode_inverse.anti
 
 
 # -- static guard -------------------------------------------------------------

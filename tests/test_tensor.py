@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hopfforge import catalog
+from hopfforge.algebra import Element
 from hopfforge.tensor import (TensorElement, contract, tensor_multiply,
                               tensor_product)
 
@@ -166,22 +167,17 @@ def test_from_terms_refuses_a_malformed_leg(leg):
         PresentedHopfAlgebra(pres, coproducts)
 
 
-def test_evaluate_leg_sums_the_leg_cofactors():
-    pres = catalog.build_e().presentation
-    rng = random.Random(17)
-    monos = pres.monomials_up_to(3)
-    value = lambda m: Fraction(sum(m) - 2, 1 + m[0])  # zero in degree 2
-    for _ in range(60):
-        t = TensorElement.from_terms(pres, 2, {
-            (rng.choice(monos), rng.choice(monos)):
-            Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
-            for _ in range(rng.randint(0, 6))})
-        for leg in (1, 2):
-            expect = pres.zero()
-            for m, cofactor in t.leg_cofactors(leg):
-                expect += cofactor * value(m)
-            assert t.evaluate_leg(leg, value) == expect
-    with pytest.raises(ValueError, match="arity 2"):
-        TensorElement.unit(pres, 3).evaluate_leg(1, value)
-    with pytest.raises(ValueError, match="leg must be 1 or 2"):
-        TensorElement.unit(pres, 2).evaluate_leg(3, value)
+def test_constructors_keep_no_view_of_the_callers_dict():
+    H = catalog.build_b_lambda(1)
+    pres = H.presentation
+    X, Y = pres.gen("X"), pres.gen("Y")
+    x_terms = {(1, 0, 0): Fraction(2)}
+    t_terms = {((1, 0, 0), (0, 1, 0)): Fraction(3)}
+    x, t = Element(pres, x_terms), TensorElement(pres, 2, t_terms)
+    x_terms[(1, 0, 0)], x_terms[(0, 1, 0)] = Fraction(7), Fraction(5)
+    t_terms.clear()
+    assert x.terms == {(1, 0, 0): 2} and str(x) == "2*X" and x == 2 * X
+    assert t.terms == {((1, 0, 0), (0, 1, 0)): 3} and str(t) == "3*X@Y"
+    assert t == 3 * tensor_product(X, Y)
+    assert t.apply_to_leg(1, H.coproduct) == \
+        3 * tensor_product(X, Y).apply_to_leg(1, H.coproduct)
