@@ -23,9 +23,9 @@ An ``Element`` keys its terms by ``mono_id`` as a tensor leg does
 given by its values on generators -- coproduct, antipode and its
 inverse, subalgebra embedding, generator automorphism, host winding,
 character (a map into k, presented with no generators) -- is a
-GeneratorMap: it extends the images by
-peeling one factor, memoizes the monomial images in scaled form on mono
-ids, and lists the relation defects that certify it.
+GeneratorMap: it extends the images by peeling one factor, memoizes the
+monomial images in scaled form on mono ids, and lists the relation
+defects that certify it.
 """
 
 from __future__ import annotations

@@ -173,8 +173,8 @@ class Scaled:
     built from a terms dict (``from_scaled`` stores it as given); ``terms``
     is its Fraction view on the public keys of ``_view()``, joined on first
     read and cached, never the caller's dict, which the caller may change.
-    A subclass supplies ``_view``, its product, ``_coerce``
-    (an operand of the same kind, or an error) and ``_like(nums, den)``.
+    A subclass supplies ``_view``, its product, ``_coerce`` (an operand of
+    the same kind, or an error) and ``_like(nums, den)``.
     """
 
     __slots__ = ("_terms", "scaled")
