@@ -10,7 +10,8 @@ represent).  Registration certifies that the leading symbols (top-weight
 parts) of the generator images are algebraically independent in gr H =
 k[x] (_symbol_rank).  Then gr T = k[symbols], so an ordered T-monomial's
 image has exactly its T-weight, and membership of h solved over the
-T-monomials up to weight(h) is exact at every weight.
+T-monomials up to weight(h) is exact at every weight.  A derived
+subalgebra (antipode_image) carries its source's certificates by proof.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ class SubalgebraSpec:
         self._solver = linalg.LinearSolver([])  # holds the images of
         self._monomials: list[Monomial] = []  # these ordered monomials,
         self._solved_to = -1  # all of those up to this weight
+        # write-once; a derived spec holds the reports of its source
         self.morphism_report: Report | None = None  # relations, independence
         self.coideal_report: Report | None = None  # the declared side
 
@@ -235,27 +237,39 @@ def coideal_check(spec: SubalgebraSpec, side: str | None = None) -> Report:
 
 
 def antipode_image(spec: SubalgebraSpec) -> SubalgebraSpec:
-    """The embedded image of the subalgebra under the host antipode.
+    """The embedded image of the subalgebra under the host antipode,
+    certified by proof from T's certificates, none computed anew.
 
-    S is an anti-automorphism, so S(T) is presented by T^op: S(T) lists
-    T's generators in reverse, y_k = S(x_(n-1-k)) with x_(n-1-k)'s name
-    and weight, and for J > I the entry [y_(n-1-I), y_(n-1-J)] =
-    S([x_J, x_I]) is T's entry with every exponent vector reversed.  The
-    declared side flips; register_subalgebra certifies everything anew.
+    S is an anti-algebra and anti-coalgebra automorphism (Sweedler, Hopf
+    Algebras, 1969, ch. 4), so S(T) is presented by T^op: S(T) lists T's
+    generators in reverse, y_k = S(x_(n-1-k)) with x_(n-1-k)'s name and
+    weight, and for J > I the entry [y_(n-1-I), y_(n-1-J)] = S([x_J, x_I])
+    is T's entry with every exponent vector reversed.  And by proof:
+
+    - T^op is confluent because T is: its ordered monomials are T's read
+      backwards, a basis of T^op, and its weights are T's.
+    - S([x_J, x_I]) = [S x_I, S x_J], so every relation maps to zero.
+    - S keeps the coradical filtration and gr S is an automorphism of
+      gr H: the weights hold, and the leading symbols (gr S of T's) stay
+      independent, so membership stays exact.
+    - Delta S = (S@S) tau Delta, so the declared side flips.
     """
     spec._require_registered()
     host = spec.host
     host._require_antipode()
     pres = spec.presentation
     last = pres.ngens - 1
-    table = {(last - i, last - j): {mono[::-1]: c for mono, c in terms.items()}
-             for (j, i), terms in pres.table.items()}
-    return register_subalgebra(
-        host, f"S({spec.name})",
-        [(pres.names[k], pres.weights[k]) for k in reversed(range(pres.ngens))],
-        table,
+    op = Presentation(list(zip(pres.names, pres.weights))[::-1], {
+        (last - i, last - j): {mono[::-1]: c for mono, c in terms.items()}
+        for (j, i), terms in pres.table.items()})
+    op.certificate = pres.certificate
+    image = SubalgebraSpec(
+        host, f"S({spec.name})", op,
         {last - i: host.antipode(spec.embedding[i]) for i in range(pres.ngens)},
         {"left": "right", "right": "left", "hopf": "hopf"}[spec.side])
+    image.morphism_report = spec.morphism_report
+    image.coideal_report = spec.coideal_report
+    return image
 
 
 def is_hopf_subalgebra(spec: SubalgebraSpec) -> bool:

@@ -51,9 +51,6 @@ class FiltrationCertificate:
         self.truncation, self.graded_dims = truncation, graded_dims
         self.lantern, self.carnot_report = lantern, carnot_report
 
-    def cumulative(self, n: int) -> int:
-        return sum(self.graded_dims[:n + 1])
-
 
 class Signature:
     """Multiset of generator degrees as sorted (degree, multiplicity) pairs."""
@@ -75,10 +72,6 @@ class Signature:
     @classmethod
     def from_weights(cls, weights) -> "Signature":
         return cls(tuple(sorted(Counter(weights).items())))
-
-    @property
-    def generator_count(self) -> int:
-        return sum(m for _, m in self.pairs)
 
     @property
     def total(self) -> int:

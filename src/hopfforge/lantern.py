@@ -57,12 +57,6 @@ class GradedLieAlgebra:
     def degree_indices(self, d: int) -> list[int]:
         return [i for i, deg in enumerate(self.degrees) if deg == d]
 
-    def dimension_of_degree(self, d: int) -> int:
-        return len(self.degree_indices(d))
-
-    def is_abelian(self) -> bool:
-        return not self.brackets
-
     def __str__(self):
         rels = []
         for (a, b), table in sorted(self.brackets.items()):

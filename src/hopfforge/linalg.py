@@ -96,12 +96,13 @@ def vec_add_scaled(target: dict, source: dict, factor: Fraction = ONE) -> None:
 
 
 def split(terms: dict) -> tuple[dict, int]:
-    """Int numerators over the lcm of the denominators: terms = nums / den."""
+    """Int numerators over the lcm of the denominators, zero terms dropped:
+    terms = nums / den."""
     den = lcm(*{v.denominator for v in terms.values()})
     if den == 1:
-        return {k: v.numerator for k, v in terms.items()}, 1
+        return {k: v.numerator for k, v in terms.items() if v}, 1
     return {k: v.numerator * (den // v.denominator)
-            for k, v in terms.items()}, den
+            for k, v in terms.items() if v}, den
 
 
 def combine(images: list, den: int) -> tuple[dict, int]:

@@ -44,9 +44,6 @@ class Character(GeneratorMap):
             raise ValueError("character applied outside its target presentation")
         return super().__call__(x).constant_term()
 
-    def is_counit(self) -> bool:
-        return not any(self.values.values())
-
     def _require_verified(self) -> None:
         if self.report is None:
             raise HopfAlgebraError(

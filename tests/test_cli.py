@@ -635,7 +635,7 @@ def test_cold_start_source_ratchet():
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-c", _SOURCE_LINES], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert int(proc.stderr.splitlines()[-1]) <= 2629
+    assert int(proc.stderr.splitlines()[-1]) <= 2617
 
 
 def test_no_module_imports_dataclasses():

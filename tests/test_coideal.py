@@ -8,19 +8,23 @@ from pathlib import Path
 
 import pytest
 
-from hopfforge import algebra, catalog
+from hopfforge import algebra, catalog, coideal
+from hopfforge.algebra import GeneratorMap, Presentation
 from hopfforge.coideal import (RegistrationError, SubalgebraSpec,
                                antipode_image, coideal_check,
                                containment_check, full_subalgebra,
                                is_hopf_subalgebra, primitive_of_coideal,
                                register_subalgebra, spans_equal)
 from hopfforge.grading import Signature, certify
+from hopfforge.hopf import PresentedHopfAlgebra
 from hopfforge.nakayama import counit_character
 from hopfforge.parser import build_algebra, parse, sub_arguments
 from hopfforge.report import Report
 
-from oracles import coinvariants, membership_by_cutoff
+from oracles import (antipode_image_by_registration, coinvariants,
+                     membership_by_cutoff)
 from suites import random_element
+from test_grading import _unitriangular
 
 F = Fraction
 
@@ -361,6 +365,64 @@ def test_antipode_image_is_the_opposite_presentation_on_e():
         {"X": X, "Y": Y, "U": W + X * Z}, "left")
     assert spans_equal(S, expected)
     assert spans_equal(antipode_image(S), T)
+
+
+def _unitriangular_coideals(n):
+    """The last column of O(U_n), a left coideal subalgebra, and its first
+    row, a right one: Delta(x_ij) = sum_k x_ik @ x_kj."""
+    H = _unitriangular(n)
+    assert certify(H, n - 1).passed
+    column = [(i, n) for i in range(n - 1, 0, -1)]
+    row = [(1, j) for j in range(2, n + 1)]
+    return [register_subalgebra(
+        H, name, [(f"x{i}{j}", j - i) for i, j in cells], {},
+        {f"x{i}{j}": H.gen(f"x{i}{j}") for i, j in cells}, side)
+            for name, cells, side in (("column", column, "left"),
+                                      ("row", row, "right"))]
+
+
+def _antipode_image_sources():
+    specs = _catalog_and_data_coideals()
+    specs += _unitriangular_coideals(6) + _unitriangular_coideals(8)
+    hosts = [catalog.build_b_lambda(lam) for lam in (0, 1, F(1, 2), -2)]
+    hosts += [catalog.build_e(), catalog.build_enveloping_preset("heisenberg")]
+    U5 = _unitriangular(5)
+    assert certify(U5, 4).passed
+    return specs + [full_subalgebra(H) for H in hosts + [U5]]
+
+
+def test_antipode_image_matches_registration():
+    """S(T) by proof against S(T) registered anew: the same presentation,
+    images and side; the registration's certificates pass, so S(T) may
+    hold T's reports."""
+    specs = _antipode_image_sources()
+    assert len(specs) == 65
+    for T in specs:
+        S, oracle = antipode_image(T), antipode_image_by_registration(T)
+        op, ref = S.presentation, oracle.presentation
+        assert (op.names, op.weights, op.table) == \
+            (ref.names, ref.weights, ref.table), T.name
+        assert S.embedding == oracle.embedding and S.side == oracle.side
+        assert oracle.morphism_report.passed and oracle.coideal_report.passed
+        assert coideal_check(S).passed, T.name
+        assert S.morphism_report is T.morphism_report
+        assert S.coideal_report is T.coideal_report
+        assert op.certificate is T.presentation.certificate
+        assert spans_equal(antipode_image(S), T), T.name
+
+
+def test_antipode_image_computes_no_certificate(count_calls):
+    specs = [catalog.build_b_coideal(1, "L", "inf"), catalog.build_e_coideal(),
+             *_unitriangular_coideals(6)]
+    calls = {name: count_calls(owner, name) for owner, name in (
+        (PresentedHopfAlgebra, "coproduct"),
+        (PresentedHopfAlgebra, "coradical_degree"),
+        (Presentation, "certify"), (algebra, "check_confluence"),
+        (GeneratorMap, "relation_defects"), (coideal, "_symbol_rank"),
+        (coideal, "coideal_check"), (coideal, "register_subalgebra"))}
+    for T in specs:
+        antipode_image(antipode_image(T))
+    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 0)
 
 
 def _calls_by_owner(path):

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import random
 import re
 import sys
@@ -19,11 +20,11 @@ from hopfforge.lantern import lantern
 from hopfforge.parser import build_algebra, parse
 from hopfforge.tensor import TensorElement, tensor_product as tp
 
-from oracles import (antipode_eigenbasis, bialgebra_lines_by_computation,
-                     coinvariants, convolution_defects,
-                     coradical_degree_by_iteration, counit_leg,
-                     hopf_lines_by_computation, primitive_basis_by_kernel,
-                     verify_lie)
+from oracles import (antipode_eigenbasis, antipode_image_by_registration,
+                     bialgebra_lines_by_computation, coinvariants,
+                     convolution_defects, coradical_degree_by_iteration,
+                     counit_leg, hopf_lines_by_computation,
+                     primitive_basis_by_kernel, verify_lie)
 from suites import random_element
 from test_grading import _unitriangular
 from test_kernels import _unitriangular_5
@@ -573,6 +574,11 @@ def _proof_offenders(sources: dict[str, str]) -> list[str]:
                 offenders.append(f"{name}: solve_antipode forks on the data")
             if f.name == "primitive_basis" and len(f.args.args) > 1:
                 offenders.append(f"{name}: primitive_basis takes a cutoff")
+            if f.name == "antipode_image" and any(
+                    isinstance(n, ast.Call) and ast.unparse(n.func).rpartition(
+                        ".")[2] in ("register_subalgebra", "coideal_check")
+                    for n in body):
+                offenders.append(f"{name}: antipode_image certifies S(T) anew")
     return offenders
 
 
@@ -599,10 +605,13 @@ def _extract_lantern(H):
 def verify_lie(L):
     pass
 """,
+        "coideal.py": inspect.getsource(antipode_image_by_registration).replace(
+            "antipode_image_by_registration", "antipode_image"),
         "grading.py": "L, lie_report = _extract_lantern(H)\nverify_lie(L)\n",
         "cli.py": "session.note(verify_lie(L))\n"}
     assert _proof_offenders(old) == [
         "cli.py:1: session.note(verify_lie(L))",
+        "coideal.py: antipode_image certifies S(T) anew",
         "grading.py:1: L, lie_report = _extract_lantern(H)",
         "grading.py:2: verify_lie(L)",
         "hopf.py:4: rep = _verify_convolution(H)",

@@ -105,7 +105,7 @@ def test_monomial_maps_match_term_by_term_definitions(make):
     pick = lambda: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
                             rng.choice((1, 2, 3)))
     chi = character(H, CHARACTER_VALUES[H.name](pick))
-    assert chi.report.passed and not chi.is_counit()
+    assert chi.report.passed and any(chi.values.values())
     phi = GeneratorAutomorphism(H, {
         i: random_element(rng, pres, 2, 2, nonzero=True)
         for i in range(pres.ngens)})

@@ -23,7 +23,7 @@ def test_lantern_of_enveloping_is_abelian():
     # equivalently, degree-one-only duals are abelian
     for preset in ("heisenberg", "nonabelian2", "abelian2"):
         L = lantern(catalog.build_enveloping_preset(preset))
-        assert L.is_abelian()
+        assert not L.brackets
         assert set(L.degrees) == {1}
 
 
@@ -40,7 +40,7 @@ def test_lantern_dimension_matches_signature():
         L = lantern(H)
         sig = signature(H)
         for d, m in sig.pairs:
-            assert L.dimension_of_degree(d) == m
+            assert len(L.degree_indices(d)) == m
 
 
 def test_verify_lie_flags_grading_violation():

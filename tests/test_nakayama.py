@@ -135,9 +135,9 @@ def test_enveloping_integral_character_values():
     chi = enveloping_integral_character(L0)
     assert chi.value("X") == 1 and chi.value("Y") == 0
     abelian = full_subalgebra(catalog.build_enveloping_preset("abelian2"))
-    assert enveloping_integral_character(abelian).is_counit()
+    assert not any(enveloping_integral_character(abelian).values.values())
     heis = full_subalgebra(catalog.build_enveloping_preset("heisenberg"))
-    assert enveloping_integral_character(heis).is_counit()
+    assert not any(enveloping_integral_character(heis).values.values())
 
 
 def test_integral_character_reuses_the_certificate(count_calls):

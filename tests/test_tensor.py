@@ -181,3 +181,25 @@ def test_constructors_keep_no_view_of_the_callers_dict():
     assert t == 3 * tensor_product(X, Y)
     assert t.apply_to_leg(1, H.coproduct) == \
         3 * tensor_product(X, Y).apply_to_leg(1, H.coproduct)
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+def test_constructors_drop_zero_coefficients(arity):
+    pres = catalog.build_b_lambda(1).presentation
+    X, Y = (1, 0, 0), (0, 1, 0)
+    if arity == 1:
+        make = lambda terms: Element(pres, terms)
+        keys = (X, Y)
+    else:
+        make = lambda terms: TensorElement(pres, 2, terms)
+        keys = ((X, Y), (Y, X))
+    for terms, cleaned in (({keys[0]: Fraction(0)}, {}),
+                           ({keys[0]: Fraction(0), keys[1]: Fraction(-3, 2)},
+                            {keys[1]: Fraction(-3, 2)})):
+        x, y = make(terms), make(cleaned)
+        assert x == y and bool(x) == bool(y) and str(x) == str(y)
+        assert x.scaled == y.scaled and x.terms == cleaned
+        if arity == 1:
+            assert x.weight == y.weight
+    assert make({keys[0]: Fraction(0)}) == (pres.zero() if arity == 1
+                                             else TensorElement.zero(pres, 2))
