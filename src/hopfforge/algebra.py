@@ -179,10 +179,6 @@ class Presentation:
             self._monomial_cache[w] = tuple(sorted(found, key=self.monomial_key))
         return self._monomial_cache[w]
 
-    def monomials_up_to(self, max_weight: int, include_identity: bool = True) -> list[Monomial]:
-        return [m for w in range(0 if include_identity else 1, max_weight + 1)
-                for m in self.monomials_of_weight(w)]
-
     # -- element factories ----------------------------------------------
 
     def zero(self) -> "Element":
@@ -218,8 +214,8 @@ class Presentation:
             mono[i] += 1
         return tuple(mono)
 
-    def reduce_word(self, word: Iterable[int], coeff=1, rng=None) -> dict[Monomial, Fraction]:
-        """Normal form of coeff * x_{w0} x_{w1} ... as a terms dict.
+    def reduce_word(self, word: Iterable[int], rng=None) -> dict[Monomial, Fraction]:
+        """Normal form of x_{w0} x_{w1} ... as a terms dict.
 
         With rng given, the rewrite position among the misordered adjacent
         pairs is chosen at random at every step (used by the confluence
@@ -227,11 +223,9 @@ class Presentation:
         presentation is confluent.
         """
         result: dict[Monomial, Fraction] = {}
-        stack: list[tuple[tuple[int, ...], Fraction]] = [(tuple(word), as_fraction(coeff))]
+        stack: list[tuple[tuple[int, ...], Fraction]] = [(tuple(word), ONE)]
         while stack:
             w, c = stack.pop()
-            if not c:
-                continue
             positions = [p for p in range(len(w) - 1) if w[p] > w[p + 1]]
             if not positions:
                 add_term(result, self._mono_of_sorted_word(w), c)
@@ -412,8 +406,9 @@ class GeneratorMap:
     first generator, f(g_k m') = f(g_k) f(m'), or for an anti-map its last,
     f(m' g_k) = f(g_k) f(m'); ``of_id`` returns it as the scaled pair kept
     in ``memo`` on the monomial's id, filled by a loop, not by recursion,
-    so no exponent is limited by the recursion depth.  The map is well
-    defined iff every relation defect is zero.
+    so no exponent is limited by the recursion depth.  It takes only
+    elements of source (PresentationMismatchError otherwise).  The map is
+    well defined iff every relation defect is zero.
     """
 
     def __init__(self, source: Presentation, images: dict, unit, anti: bool):
@@ -444,6 +439,9 @@ class GeneratorMap:
         return value
 
     def __call__(self, x: Element):
+        if x.algebra is not self.source:
+            raise PresentationMismatchError(
+                "map applied to an element of another presentation")
         return self.unit._like(*extend_scaled(*x.scaled, self.of_id))
 
     def relation_defect(self, j: int, i: int):

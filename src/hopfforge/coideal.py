@@ -20,7 +20,7 @@ from math import prod
 
 from . import linalg
 from .algebra import (Element, GeneratorMap, Monomial, Presentation,
-                      format_monomial)
+                      PresentationMismatchError, format_monomial)
 from .grading import Signature
 from .hopf import (CertificateMissingError, HopfAlgebraError,
                    PresentedHopfAlgebra)
@@ -75,8 +75,13 @@ class SubalgebraSpec:
     def monomial_image(self, mono: Monomial) -> Element:
         return self.image(self.presentation.monomial(mono))
 
-    def _solver_to(self, weight: int) -> linalg.LinearSolver:
-        """The solver, grown to the ordered monomials up to weight."""
+    def _solver_to(self, h: Element) -> linalg.LinearSolver:
+        """The solver, grown to the ordered monomials up to weight(h), for
+        h in the host (PresentationMismatchError otherwise)."""
+        if h.algebra is not self.host.presentation:
+            raise PresentationMismatchError(
+                f"{self.name}: element outside the host's presentation")
+        weight = h.weight or 0
         while self._solved_to < weight:
             self._solved_to += 1
             for m in self.presentation.monomials_of_weight(self._solved_to):
@@ -95,12 +100,12 @@ class SubalgebraSpec:
     def contains(self, h: Element) -> bool:
         """Membership, solved at weight <= weight(h): exact (module doc)."""
         self._require_registered()
-        return not h or self._solver_to(h.weight).contains(dict(h.terms))
+        return self._solver_to(h).contains(dict(h.terms))
 
     def represent(self, h: Element) -> Element | None:
         """The preimage of h, solved at weight <= weight(h), or None."""
         self._require_registered()
-        coeffs = self._solver_to(h.weight or 0).solve(dict(h.terms))
+        coeffs = self._solver_to(h).solve(dict(h.terms))
         if coeffs is None:
             return None
         return Element(self.presentation,
@@ -205,9 +210,9 @@ def _symbol_rank(spec: SubalgebraSpec) -> int | None:
     return linalg._rank_mod_p(rows, len(rows))
 
 
-def coideal_check(spec: SubalgebraSpec, side: str | None = None) -> Report:
-    """Report on a coideal side (default: the declared one) by membership
-    of coproduct legs; the spec keeps the one registration attached.
+def coideal_check(spec: SubalgebraSpec) -> Report:
+    """Report on the declared coideal side by membership of coproduct legs;
+    the spec keeps the one registration attached.
 
     For each generator image u: every second-leg cofactor of the host
     coproduct of u must lie in the embedded span (left side), or every
@@ -215,11 +220,8 @@ def coideal_check(spec: SubalgebraSpec, side: str | None = None) -> Report:
     exact once registration has certified the leading symbols.
     """
     spec._require_registered()
-    side = side or spec.side
-    if side not in SIDES:
-        raise ValueError("side must be left, right or hopf")
-    sides = ("left", "right") if side == "hopf" else (side,)
-    report = Report(f"{spec.name}: coideal ({side})")
+    sides = ("left", "right") if spec.side == "hopf" else (spec.side,)
+    report = Report(f"{spec.name}: coideal ({spec.side})")
     for s in sides:
         anchor_leg = 1 if s == "left" else 2
         for i, g in enumerate(spec.presentation.names):

@@ -199,17 +199,17 @@ def certify(H: PresentedHopfAlgebra, truncation: int | None = None) -> Report:
     certification got, and is attached as H.certification when it passes.
     """
     report = Report(f"{H.name}: certification")
-    report.extend(H.certify_presentation())
-    if H.confluence_report is None:
+    report.extend(H.presentation.certify())
+    if H.presentation.certificate is None:
         return report
     try:
         solve_antipode(H)
     except HopfAlgebraError as exc:
         report.add("antipode", False, str(exc))
         return report
-    hopf_report = verify_hopf(H)
-    report.extend(hopf_report)
-    if not hopf_report.passed:
+    axioms = verify_hopf(H)
+    report.extend(axioms)
+    if not axioms.passed:
         return report
     try:
         cert = certify_filtration(H, truncation)

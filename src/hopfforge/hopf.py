@@ -27,7 +27,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import linalg
-from .algebra import ONE, Element, GeneratorMap, Presentation, format_monomial
+from .algebra import (ONE, Element, GeneratorMap, Presentation,
+                      PresentationMismatchError, format_monomial)
 from .report import Report
 from .tensor import TensorElement, contract, pack, unpack
 
@@ -127,23 +128,11 @@ class PresentedHopfAlgebra:
 
     # -- certificates -------------------------------------------------------
 
-    def certify_presentation(self) -> Report:
-        """The presentation's own certificate (Presentation.certify)."""
-        return self.presentation.certify()
-
-    @property
-    def confluence_report(self) -> Report | None:
-        return self.presentation.certificate
-
-    @property
-    def hopf_report(self) -> Report | None:
-        return self._hopf
-
     def _require_confluence(self) -> None:
         if self.presentation.certificate is None:
             raise CertificateMissingError(
                 f"{self.name}: confluence certificate absent or failing; "
-                "run certify_presentation() first")
+                "run presentation.certify() first")
 
     def _require_antipode(self) -> None:
         if self._antipode is None:
@@ -222,6 +211,9 @@ class PresentedHopfAlgebra:
         """n-fold reduced coproduct, iterated on the first leg; arity n+1."""
         if n < 1:
             raise ValueError("n must be >= 1")
+        if x.algebra is not self.presentation:
+            raise PresentationMismatchError(
+                "reduced coproduct of an element of another presentation")
         if self.counit(x):
             raise ValueError("reduced coproduct needs counit(x) = 0")
         self._require_confluence()
@@ -251,43 +243,39 @@ class PresentedHopfAlgebra:
         return self.antipode(self.antipode(x))
 
     def antipode_inverse(self, x: Element) -> Element:
-        """The y with antipode(y) = x, by S^-1, an anti-algebra map as S is:
-        the GeneratorMap of the S^-1(g), filled on first use.  S^-1(g) is
-        the sum of S(r) over r = g, (1 - S^2)(g), (1 - S^2)^2(g), ... down
-        to 0.  S lowers no weight and induces an involution on each layer
-        of the associated graded algebra (commutative once the filtration
-        is certified), so each r is lighter.  S^2 is an algebra map, so
-        once it fixes the top layer of every generator it fixes that of
-        every element: the check on the generators covers them all."""
+        """The y with antipode(y) = x: the anti-algebra GeneratorMap of the
+        S^-1(g), filled on first use in ascending weight by the recursion
+        that defines S, read on H^cop:
+
+            S^-1(g) = -g - sum S^-1(g'')g'  over the reduced coproduct
+            sum g'@g'' of g; both legs are strictly lighter than g
+            (_validate_coproduct), so only filled images are read.
+
+        H is connected, so S is bijective and S^-1 is the antipode of H^cop
+        (Takeuchi 1971; Montgomery, Hopf Algebras and Their Actions on
+        Rings, 1993, Lemma 1.5.11), hence an anti-algebra map of H's
+        algebra.  Its convolution identity on H^cop, whose coproduct is
+        1@g + g@1 + sum g''@g', reads S^-1(g) + g + sum S^-1(g'')g' = 0.
+        By induction on weight S^-1 agrees with the map on every generator:
+        the g'' lie in the span of monomials in lighter generators, where
+        both are the anti-multiplicative products of the same generator
+        images.  This is the argument verify_hopf gives for S."""
         self._require_antipode()
         if not x:
             return self.zero()
         self._require_filtration()
         if self._antipode_inverse is None:
-            images = {}
-            for i in range(self.presentation.ngens):
-                y, r = self.zero(), self.gen(i)
-                while r:
-                    w, z = r.weight, self.antipode(r)
-                    y, r = y + z, r - self.antipode(z)
-                    if r and r.weight >= w:
-                        raise HopfAlgebraError(
-                            f"S^2 fails to fix the weight-{w} layer; "
-                            "filtration certificate violated")
-                images[i] = y
-            self._antipode_inverse = GeneratorMap(
-                self.presentation, images, self.one(), True)
+            pres = self.presentation
+            inv = GeneratorMap(pres, {}, self.one(), True)
+            for i in sorted(range(pres.ngens),
+                            key=lambda k: (pres.weights[k], k)):
+                g = pres.gen(i)
+                y = -g
+                for m, c in self.reduced_coproduct(g).leg_cofactors(1):
+                    y -= inv(c) * pres.monomial(m)
+                inv.images[i] = y
+            self._antipode_inverse = inv
         return self._antipode_inverse(x)
-
-    # -- primitives ------------------------------------------------------------
-
-    def primitive_basis(self) -> list[Element]:
-        """Basis of the primitives: the weight-1 generators.  They are
-        primitive (_validate_coproduct leaves no other term in weight 1),
-        and the filtration certificate puts every primitive in weight 1."""
-        self._require_filtration()
-        pres = self.presentation
-        return [pres.monomial(m) for m in pres.monomials_of_weight(1)]
 
     def __repr__(self):
         return f"PresentedHopfAlgebra({self.name})"

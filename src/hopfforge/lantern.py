@@ -43,10 +43,6 @@ class GradedLieAlgebra:
             if not 0 <= a < b < len(self.labels):
                 raise ValueError("brackets must be stored for a < b")
 
-    @property
-    def dimension(self) -> int:
-        return len(self.labels)
-
     def bracket(self, a: int, b: int) -> dict[int, Fraction]:
         if a == b:
             return {}
@@ -124,13 +120,13 @@ def _witt_bound(i: int, m1: int) -> Fraction:
     return Fraction(total, i)
 
 
-def numerology_report(sig: Signature, L: GradedLieAlgebra | None = None) -> Report:
+def numerology_report(sig: Signature) -> Report:
     """Numerical constraints satisfied by the signature of a full Hopf object.
 
-    Verdicts: generated-in-degree-one (only when a Lie algebra is given),
-    no gaps in the degree set, Witt bounds on the multiplicities, and the
-    two-primitive bound when the total exceeds one.  Signatures of proper
-    coideals may legitimately fail these checks.
+    Verdicts: no gaps in the degree set, Witt bounds on the multiplicities,
+    and the two-primitive bound when the total exceeds one.  Signatures of
+    proper coideals may legitimately fail these checks.  Generation in
+    degree one is the filtration certificate's carnot_report.
     """
     report = Report(f"numerology {sig}")
     degrees = sig.degrees()
@@ -147,8 +143,6 @@ def numerology_report(sig: Signature, L: GradedLieAlgebra | None = None) -> Repo
                    f"m_{i} = {mi} <= {bound}")
     if sig.total > 1:
         report.add("at least two primitives", m1 >= 2, f"m_1 = {m1}")
-    if L is not None:
-        report.extend(_carnot_check(L, _carnot_layers(L)))
     return report
 
 

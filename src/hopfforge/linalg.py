@@ -74,7 +74,7 @@ def add_term(target: dict, key, value: Fraction) -> None:
             del target[key]
 
 
-def vec_add_scaled(target: dict, source: dict, factor: Fraction = ONE) -> None:
+def vec_add_scaled(target: dict, source: dict, factor: Fraction) -> None:
     """target += factor * source in place, dropping entries that cancel.
 
     A zero factor is a no-op.  Keys may be any hashable:
@@ -400,16 +400,11 @@ class LinearSolver:
         main, _ = self._reduce(vector)
         return not main
 
-    def residual(self, vector: Vector) -> Vector:
-        """Canonical representative of the vector modulo the span."""
-        main, _ = self._reduce(vector)
-        return main
-
     def solve(self, vector: Vector) -> list[Fraction] | None:
         """Coefficients over the added vectors, or None if not in the span.
 
-        Invariant maintained by add/_reduce: vector = residual + sum of
-        coeffs[i] * vectors[i], so a zero residual means the coeffs are
+        Invariant maintained by add/_reduce: vector = main + sum of
+        coeffs[i] * vectors[i], so a zero main part means the coeffs are
         the answer.
         """
         main, coeffs = self._reduce(vector)

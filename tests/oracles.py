@@ -14,6 +14,24 @@ from hopfforge.report import Report
 from hopfforge.tensor import LEG_BITS, LEG_MASK, TensorElement, contract
 
 
+def monomials_up_to(pres, max_weight: int, include_identity: bool = True
+                    ) -> list[tuple]:
+    """The ordered monomials of pres of weight <= max_weight (and >= 1
+    without include_identity), in (weight, lex) order."""
+    return [m for w in range(0 if include_identity else 1, max_weight + 1)
+            for m in pres.monomials_of_weight(w)]
+
+
+def primitive_basis(H) -> list[Element]:
+    """Basis of the primitives of a certified host: the weight-1
+    generators.  They are primitive (_validate_coproduct leaves no other
+    term in weight 1), and the filtration certificate puts every primitive
+    in weight 1."""
+    H._require_filtration()
+    pres = H.presentation
+    return [pres.monomial(m) for m in pres.monomials_of_weight(1)]
+
+
 def truncated_filtration_check(H, truncation: int) -> bool:
     """Truncated kernel-rank check of the filtration, by exact elimination.
 
@@ -24,7 +42,7 @@ def truncated_filtration_check(H, truncation: int) -> bool:
     on the associated graded; H needs its confluence certificate.
     """
     pres = H.presentation
-    monomials = pres.monomials_up_to(truncation, include_identity=False)
+    monomials = monomials_up_to(pres, truncation, include_identity=False)
     ncols = len(monomials)
     weights = [pres.monomial_weight(m) for m in monomials]
     for n in range(1, truncation + 1):
@@ -124,11 +142,10 @@ def hopf_lines_by_computation(H) -> list[tuple[str, bool, str]]:
 
 def primitive_basis_by_kernel(H, weight_cutoff: int) -> list[Element]:
     """Basis of the kernel of the reduced coproduct on the non-identity
-    monomials up to weight_cutoff: the definition that
-    PresentedHopfAlgebra.primitive_basis replaces by the weight-1
-    generators on certified hosts."""
+    monomials up to weight_cutoff: the definition that primitive_basis
+    above replaces by the weight-1 generators on certified hosts."""
     pres = H.presentation
-    monomials = pres.monomials_up_to(weight_cutoff, include_identity=False)
+    monomials = monomials_up_to(pres, weight_cutoff, include_identity=False)
     return [Element(pres, vec) for vec in linalg.kernel(
         {m: H.reduced_coproduct(pres.monomial(m)).terms for m in monomials})]
 
@@ -139,7 +156,7 @@ def membership_by_cutoff(spec, cutoff: int):
     (and, by its independence, the rank test) that registration's symbol
     certificate replaces.  Exact only below the cutoff; asserts that the
     images it spans are independent."""
-    monomials = spec.presentation.monomials_up_to(cutoff)
+    monomials = monomials_up_to(spec.presentation, cutoff)
     solver = linalg.LinearSolver(
         [dict(spec.monomial_image(m).terms) for m in monomials])
     assert solver.independent, f"{spec.name}: monomial images are dependent"
@@ -180,7 +197,7 @@ def tensor_multiply_by_fractions(s: TensorElement, t: TensorElement
                 prod = _product_terms(s.algebra, m1, m2)
                 partial = {key + (m,): c * pc
                            for key, c in partial.items() for m, pc in prod.items()}
-            vec_add_scaled(out, partial)
+            vec_add_scaled(out, partial, ONE)
     return TensorElement(s.algebra, s.arity, out)
 
 
@@ -283,9 +300,10 @@ def apply_to_leg_by_fractions(t: TensorElement, leg: int, f) -> TensorElement:
 def antipode_inverse_by_solving(H, x: Element) -> Element:
     """The y with S(y) = x, solved on the Fraction antipode images of the
     monomials up to the weight of x (nonzero): the solve that
-    PresentedHopfAlgebra.antipode_inverse replaces by weight layers."""
+    PresentedHopfAlgebra.antipode_inverse replaces by the recursion that
+    defines the antipode of H^cop."""
     pres = H.presentation
-    monomials = pres.monomials_up_to(x.weight)
+    monomials = monomials_up_to(pres, x.weight)
     index = {m: i for i, m in enumerate(monomials)}
     columns = [{index[mm]: c for mm, c in
                 antipode_by_fractions(H, pres.monomial(m)).terms.items()}
@@ -347,10 +365,12 @@ def overlap_checks_by_resolution(pres) -> list[tuple[str, bool, str]]:
     for k, j, i in itertools.combinations(range(pres.ngens - 1, -1, -1), 3):
         via_left = pres.reduce_word((j, k, i))
         for mono, c in pres.table.get((k, j), {}).items():
-            vec_add_scaled(via_left, pres.reduce_word(pres.word_of(mono) + (i,), c))
+            vec_add_scaled(
+                via_left, pres.reduce_word(pres.word_of(mono) + (i,)), c)
         via_right = pres.reduce_word((k, i, j))
         for mono, c in pres.table.get((j, i), {}).items():
-            vec_add_scaled(via_right, pres.reduce_word((k,) + pres.word_of(mono), c))
+            vec_add_scaled(
+                via_right, pres.reduce_word((k,) + pres.word_of(mono)), c)
         ok = via_left == via_right
         delta = Element(pres, via_left) - Element(pres, via_right)
         out.append((f"overlap ({pres.names[k]},{pres.names[j]},{pres.names[i]})",
@@ -494,16 +514,16 @@ def coinvariants(H, spec, weight_cutoff: int) -> list[Element]:
     spec._require_registered()
     H._require_filtration()
     pres = H.presentation
-    monomials = pres.monomials_up_to(weight_cutoff)
+    monomials = monomials_up_to(pres, weight_cutoff)
     # span of T+ H up to the cutoff: generator images times all monomials
     products = []
     for i in range(spec.presentation.ngens):
         img = spec.embedding[i]
         w = img.weight
-        for m in pres.monomials_up_to(weight_cutoff - w):
+        for m in monomials_up_to(pres, weight_cutoff - w):
             products.append(dict((img * pres.monomial(m)).terms))
     ideal = linalg.LinearSolver(products)
-    pi = {m: ideal.residual({m: ONE}) for m in monomials}
+    pi = {m: ideal._reduce({m: ONE})[0] for m in monomials}
     # unknown h = sum x_m m; one equation per (first-leg monomial, quotient coord)
     columns: dict = {}
     for m in monomials:
@@ -542,7 +562,7 @@ def verify_lie(L) -> Report:
                     f"{L.degrees[a]}+{L.degrees[b]}")
     if graded_ok:
         report.add("grading additivity", True)
-    n = L.dimension
+    n = len(L.labels)
     jacobi_ok = True
     for a in range(n):
         for b in range(a + 1, n):

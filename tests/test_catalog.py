@@ -7,7 +7,7 @@ from hopfforge.algebra import commutator
 from hopfforge.coideal import (antipode_image, containment_check,
                                full_subalgebra, is_hopf_subalgebra, spans_equal)
 from hopfforge.grading import signature
-from hopfforge.hopf import s_squared_analysis
+from hopfforge.hopf import s_squared_analysis, verify_hopf
 
 F = Fraction
 
@@ -15,8 +15,8 @@ F = Fraction
 @pytest.mark.parametrize("lam", [0, 1, -2, F(1, 2)])
 def test_b_lambda_fully_certified(lam):
     H = catalog.build_b_lambda(lam)
-    assert H.confluence_report.passed
-    assert H.hopf_report.passed
+    assert H.presentation.certificate.passed
+    assert verify_hopf(H).passed
     assert H.filtration is not None
     assert str(signature(H)) == "(1^2, 2)"
 
@@ -29,7 +29,7 @@ def test_builders_are_memoized():
 
 def test_e_certified_and_antipode_solved():
     H = catalog.build_e()
-    assert H.hopf_report.passed
+    assert verify_hopf(H).passed
     assert H.antipode(H.gen("Z")) == -H.gen("Z")
 
 
@@ -92,7 +92,7 @@ def test_jordan_plane_normalization():
 def test_enveloping_presets():
     for preset in catalog.ENVELOPING_PRESETS:
         H = catalog.build_enveloping_preset(preset)
-        assert H.hopf_report.passed
+        assert verify_hopf(H).passed
         assert set(H.presentation.weights) == {1}
         assert s_squared_analysis(H).identity
 
@@ -167,10 +167,12 @@ def test_commutative_coideals_have_identity_squared_antipode():
 
 
 def test_numerology_holds_for_all_catalog_hopf_algebras():
-    from hopfforge.lantern import lantern, numerology_report
+    from hopfforge.lantern import numerology_report
     algebras = [catalog.build_b_lambda(lam) for lam in (0, 1, -2)]
     algebras.append(catalog.build_e())
     algebras += [catalog.build_enveloping_preset(p)
                  for p in catalog.ENVELOPING_PRESETS]
     for H in algebras:
-        assert numerology_report(signature(H), lantern(H)).passed
+        report = numerology_report(signature(H))
+        report.extend(H.filtration.carnot_report)
+        assert report.passed

@@ -579,7 +579,7 @@ def test_defaulted_parameters_ratchet():
                                  ast.Lambda)):
                 count += len(node.args.defaults) + sum(
                     d is not None for d in node.args.kw_defaults)
-    assert count <= 33
+    assert count <= 28
 
 
 # Each command in a fresh interpreter: the exit code, whether dataclasses
@@ -635,7 +635,7 @@ def test_cold_start_source_ratchet():
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-c", _SOURCE_LINES], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert int(proc.stderr.splitlines()[-1]) <= 2617
+    assert int(proc.stderr.splitlines()[-1]) <= 2592
 
 
 def test_no_module_imports_dataclasses():

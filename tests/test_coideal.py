@@ -22,7 +22,7 @@ from hopfforge.parser import build_algebra, parse, sub_arguments
 from hopfforge.report import Report
 
 from oracles import (antipode_image_by_registration, coinvariants,
-                     membership_by_cutoff)
+                     membership_by_cutoff, monomials_up_to)
 from suites import random_element
 from test_grading import _unitriangular
 
@@ -43,10 +43,22 @@ def test_register_t_in_e():
     assert spec.side == "right"
 
 
+def _registered_as(spec, side):
+    """spec's presentation and embedding registered anew on its host, with
+    the given side declared."""
+    pres = spec.presentation
+    return register_subalgebra(
+        spec.host, spec.name, list(zip(pres.names, pres.weights)),
+        {(pres.names[j], pres.names[i]): dict(terms)
+         for (j, i), terms in pres.table.items()},
+        dict(spec.embedding), side)
+
+
 def test_querying_the_other_side_keeps_the_declared_certificate():
     spec = catalog.build_b_coideal(1, "L", "inf")
     declared = spec.coideal_report
-    assert not coideal_check(spec, "right").passed
+    with pytest.raises(RegistrationError, match="declared side 'right' fails"):
+        _registered_as(spec, "right")
     assert spec.coideal_report is declared and declared.passed
     assert declared.name == "L_inf: coideal (left)"
 
@@ -148,13 +160,14 @@ def test_register_rejects_a_side_that_fails():
 
 def test_coideal_sides():
     Linf = catalog.build_b_coideal(1, "L", "inf")
-    assert coideal_check(Linf, "left").passed
-    wrong = coideal_check(Linf, "right")
-    assert not wrong.passed
-    assert any("(X)@Y" in c.details for c in wrong.failures())
+    assert coideal_check(Linf).passed and Linf.side == "left"
+    assert _registered_as(Linf, "left").coideal_report.passed
+    with pytest.raises(RegistrationError, match=r"right legs .*\(X\)@Y"):
+        _registered_as(Linf, "right")
     Rinf = catalog.build_b_coideal(1, "R", "inf")
-    assert coideal_check(Rinf, "right").passed
-    assert not coideal_check(Rinf, "left").passed
+    assert coideal_check(Rinf).passed and Rinf.side == "right"
+    with pytest.raises(RegistrationError, match="declared side 'left' fails"):
+        _registered_as(Rinf, "left")
 
 
 def test_coideal_check_second_legs_of_l_inf():
@@ -228,7 +241,7 @@ def test_coinvariants_round_trip_recovers_the_coideal():
     Linf = catalog.build_b_coideal(1, "L", "inf")
     basis = coinvariants(H, Linf, 3)
     # exactly the embedded span of the subalgebra's monomials up to weight 3
-    t_monos = Linf.presentation.monomials_up_to(3)
+    t_monos = monomials_up_to(Linf.presentation, 3)
     assert len(basis) == len(t_monos)
     for e in basis:
         assert Linf.contains(e)
@@ -240,7 +253,7 @@ def test_coinvariants_trivial_cases():
     # every element is coinvariant
     full = full_subalgebra(H)
     basis = coinvariants(H, full, 2)
-    assert len(basis) == len(H.presentation.monomials_up_to(2))
+    assert len(basis) == len(monomials_up_to(H.presentation, 2))
     # the trivial subalgebra: only scalars are coinvariant
     trivial = register_subalgebra(H, "k", [], {}, {}, "left")
     basis = coinvariants(H, trivial, 3)
@@ -308,7 +321,7 @@ def test_integer_generator_keys_are_range_checked():
 def test_coideal_check_rejects_an_unknown_side():
     Linf = catalog.build_b_coideal(1, "L", "inf")
     with pytest.raises(ValueError, match="side must be left, right or hopf"):
-        coideal_check(Linf, "bogus")
+        _registered_as(Linf, "bogus")
 
 
 def test_containment_checks_each_generator_once(monkeypatch):
@@ -488,7 +501,7 @@ def test_membership_matches_the_cutoff_solver():
     for spec in specs:
         host = spec.host.presentation
         oracle = membership_by_cutoff(spec, 7)
-        outside = [host.monomial(m) for m in host.monomials_up_to(4)
+        outside = [host.monomial(m) for m in monomials_up_to(host, 4)
                    if oracle(host.monomial(m)) is None]
         assert outside, spec.name
         for _ in range(6):

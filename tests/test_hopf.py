@@ -10,13 +10,15 @@ from pathlib import Path
 import pytest
 
 from hopfforge import catalog, tensor
-from hopfforge.algebra import GeneratorMap, Presentation
+from hopfforge.algebra import (GeneratorMap, Presentation,
+                               PresentationMismatchError)
 from hopfforge.cli import run
 from hopfforge.grading import certify
 from hopfforge.hopf import (AntipodeSolveError, CertificateMissingError,
                             PresentedHopfAlgebra, s_squared_analysis,
                             solve_antipode, verify_bialgebra, verify_hopf)
 from hopfforge.lantern import lantern
+from hopfforge.nakayama import counit_character, winding
 from hopfforge.parser import build_algebra, parse
 from hopfforge.tensor import TensorElement, tensor_product as tp
 
@@ -24,6 +26,7 @@ from oracles import (antipode_eigenbasis, antipode_image_by_registration,
                      bialgebra_lines_by_computation, coinvariants,
                      convolution_defects, coradical_degree_by_iteration,
                      counit_leg, hopf_lines_by_computation,
+                     monomials_up_to, primitive_basis,
                      primitive_basis_by_kernel, verify_lie)
 from suites import random_element
 from test_grading import _unitriangular
@@ -99,11 +102,11 @@ def test_solve_antipode_primitive_generator():
 @pytest.mark.parametrize("lam", [0, 1, -2])
 def test_verify_hopf_b(lam):
     H = catalog.build_b_lambda(lam)
-    assert H.hopf_report is not None and H.hopf_report.passed
+    assert verify_hopf(H).passed
 
 
 def test_verify_hopf_e():
-    assert catalog.build_e().hopf_report.passed
+    assert verify_hopf(catalog.build_e()).passed
 
 
 def test_corrupted_coproduct_fails_verification():
@@ -122,7 +125,7 @@ def test_corrupted_coproduct_fails_verification():
         "Y": tp(one, Y) + tp(Y, one),
         "Z": tp(one, Z) + tp(Y, X) + tp(Z, one),   # legs swapped
     }, antipodes={"X": -X, "Y": -Y, "Z": -Z + X * Y})
-    H.certify_presentation()
+    H.presentation.certify()
     report = verify_hopf(H)
     assert not report.passed
     failing = {c.name for c in report.failures()}
@@ -140,7 +143,7 @@ def test_corrupted_coproduct_fails_verification():
         "Y": tp(one2, Y2) + tp(Y2, one2),
         "Z": tp(one2, Z2) + tp(X2, Y2) + tp(Z2, one2),
     }, antipodes={"X": -X2, "Y": -Y2, "Z": -Z2 + X2 * Y2})
-    H2.certify_presentation()
+    H2.presentation.certify()
     report2 = verify_hopf(H2)
     assert not report2.passed
     assert any("coproduct respects" in c.name for c in report2.failures())
@@ -178,13 +181,13 @@ def test_coradical_degree():
 
 def test_primitive_basis():
     H = catalog.build_b_lambda(1)
-    prims = H.primitive_basis()
+    prims = primitive_basis(H)
     names = {str(p) for p in prims}
     assert names == {"X", "Y"}
     E = catalog.build_e()
-    assert {str(p) for p in E.primitive_basis()} == {"X", "Y"}
+    assert {str(p) for p in primitive_basis(E)} == {"X", "Y"}
     U = catalog.build_enveloping_preset("nonabelian2")
-    assert {str(p) for p in U.primitive_basis()} == {"X", "Y"}
+    assert {str(p) for p in primitive_basis(U)} == {"X", "Y"}
 
 
 def test_antipode_inverse():
@@ -196,11 +199,49 @@ def test_antipode_inverse():
     assert y == -Z + X * Y - Y
     assert H.antipode(y) == Z
     rng = random.Random(17)
-    monos = pres.monomials_up_to(4)
+    monos = monomials_up_to(pres, 4)
     for _ in range(40):
         a = pres.element({monos[rng.randrange(len(monos))]:
                           F(rng.randint(-3, 3))})
         assert H.antipode_inverse(H.antipode(a)) == a
+
+
+def _b1():
+    return catalog.build_b_lambda(1)
+
+
+def _l_inf():
+    return catalog.build_b_coideal(1, "L", "inf")
+
+
+# each use reads the monomial ids or terms of its input as those of its
+# own presentation: B(1)'s, or that of B(1)'s subalgebra L_inf
+_FOREIGN_USES = {
+    "coproduct": lambda x: _b1().coproduct(x),
+    "reduced_coproduct": lambda x: _b1().reduced_coproduct(x),
+    "iterated_reduced_coproduct":
+        lambda x: _b1().iterated_reduced_coproduct(x, 2),
+    "antipode": lambda x: _b1().antipode(x),
+    "antipode_inverse": lambda x: _b1().antipode_inverse(x),
+    "coradical_degree": lambda x: _b1().coradical_degree(x),
+    "character": lambda x: counit_character(_b1())(x),
+    "winding": lambda x: winding(counit_character(_b1()), x, "left"),
+    "contains": lambda x: _l_inf().contains(x),
+    "represent": lambda x: _l_inf().represent(x),
+    "embed": lambda x: _l_inf().embed(x),
+    "subalgebra winding":
+        lambda x: winding(counit_character(_l_inf()), x, "right"),
+}
+
+
+@pytest.mark.parametrize("element", ["E", "B(2)"])
+@pytest.mark.parametrize("use", list(_FOREIGN_USES))
+def test_an_element_of_another_presentation_is_refused(use, element):
+    # B(2) has B(1)'s shape: its ids would read as B(1)'s monomials
+    x = (catalog.build_e().gen("W") if element == "E"
+         else catalog.build_b_lambda(2).gen("Y"))
+    with pytest.raises(PresentationMismatchError):
+        _FOREIGN_USES[use](x)
 
 
 def test_s_squared_analysis_b_and_enveloping():
@@ -227,8 +268,8 @@ def test_s_squared_analysis_on_registered_subalgebra():
 def test_antipode_eigenbasis_structure():
     H = catalog.build_b_lambda(1)
     basis = antipode_eigenbasis(H, 3)
-    assert len(basis) == len(H.presentation.monomials_up_to(
-        3, include_identity=False))
+    assert len(basis) == len(monomials_up_to(H.presentation, 3,
+                                             include_identity=False))
     for b, sign in basis:
         assert sign in (1, -1)
         r = H.antipode(b) - b * sign
@@ -255,7 +296,7 @@ def test_coradical_degree_needs_the_filtration_certificate():
     pres = Presentation([("X", 1)], {})
     one, X = pres.one(), pres.gen("X")
     H = PresentedHopfAlgebra(pres, {"X": tp(one, X) + tp(X, one)})
-    H.certify_presentation()
+    H.presentation.certify()
     with pytest.raises(CertificateMissingError):
         H.coradical_degree(X)
 
@@ -268,7 +309,7 @@ def test_certified_host_works_above_its_listing_order():
     Z4 = pres.gen("Z") ** 4
     assert H.antipode_inverse(H.antipode(Z4)) == Z4
     basis = antipode_eigenbasis(H, 7)
-    assert len(basis) == len(pres.monomials_up_to(7, include_identity=False))
+    assert len(basis) == len(monomials_up_to(pres, 7, include_identity=False))
     for b, sign in basis:
         if b.weight == 7:
             r = H.antipode(b) - b * sign
@@ -276,7 +317,7 @@ def test_certified_host_works_above_its_listing_order():
     # the coinvariants of L_inf = k<Y, Z> are its span: no X in any term
     Linf = catalog.build_b_coideal(1, "L", "inf")
     invariants = coinvariants(H, Linf, 7)
-    assert len(invariants) == len(Linf.presentation.monomials_up_to(7))
+    assert len(invariants) == len(monomials_up_to(Linf.presentation, 7))
     assert all(m[0] == 0 for e in invariants for m in e.terms)
 
 
@@ -344,7 +385,7 @@ def test_certificate_gating():
     H = PresentedHopfAlgebra(pres, {"X": tp(one, X) + tp(X, one)})
     with pytest.raises(CertificateMissingError):
         H.coproduct(X)
-    H.certify_presentation()
+    H.presentation.certify()
     H.coproduct(X)  # now fine
     with pytest.raises(AntipodeSolveError):
         H.antipode(X)
@@ -368,7 +409,7 @@ def test_solve_antipode_refuses_broken_bialgebra():
         "Y": tp(one, Y) + tp(Y, one),
         "Z": tp(one, Z) + tp(X, Y) + tp(Z, one),
     })
-    H.certify_presentation()
+    H.presentation.certify()
     with pytest.raises(AntipodeSolveError, match="bialgebra checks fail"):
         solve_antipode(H)
 
@@ -385,7 +426,7 @@ def test_solve_antipode_verifies_supplied_data():
     one, X = pres.one(), pres.gen("X")
     H = PresentedHopfAlgebra(pres, {"X": tp(one, X) + tp(X, one)},
                              antipodes={"X": X})
-    H.certify_presentation()
+    H.presentation.certify()
     with pytest.raises(AntipodeSolveError, match="convolution"):
         solve_antipode(H)
 
@@ -443,7 +484,7 @@ def test_a_second_key_for_one_generator_is_rejected_in_the_hopf_data():
     with pytest.raises(ValueError, match="generator X is given twice"):
         PresentedHopfAlgebra(pres, {**prim, 0: 2 * prim["X"]})
     H = PresentedHopfAlgebra(pres, {0: prim["X"], 1: prim["Y"]})
-    assert H.certify_presentation().passed
+    assert H.presentation.certify().passed
     assert H.coproduct(X) == prim["X"]
     with pytest.raises(ValueError, match="generator Y is given twice"):
         H.attach_antipode({"X": -X, "Y": -Y, 1: Y})
@@ -514,7 +555,7 @@ def test_counit_axioms_hold_on_every_generator(make):
 @pytest.mark.parametrize("make", PROOF_HOSTS)
 def test_primitive_basis_is_the_kernel_of_the_reduced_coproduct(make):
     H = make()
-    assert H.primitive_basis() == primitive_basis_by_kernel(H, 4)
+    assert primitive_basis(H) == primitive_basis_by_kernel(H, 4)
 
 
 _B1 = (ROOT / "tests/data/b_lambda.hopf").read_text().split("# rank-2 left")[0]
@@ -531,7 +572,7 @@ def test_wrong_attached_antipode_fails_everywhere(tmp_path, right, wrong,
 
     def host():
         H, _ = build_algebra(parse(text))
-        H.certify_presentation()
+        H.presentation.certify()
         return H
     named = "; ".join(f"antipode axiom on {g}" for g in failing)
     with pytest.raises(AntipodeSolveError) as exc:
@@ -579,6 +620,11 @@ def _proof_offenders(sources: dict[str, str]) -> list[str]:
                         ".")[2] in ("register_subalgebra", "coideal_check")
                     for n in body):
                 offenders.append(f"{name}: antipode_image certifies S(T) anew")
+            if f.name == "antipode_inverse" and any(
+                    isinstance(n, ast.Call) and ast.unparse(n.func).rpartition(
+                        ".")[2] in ("antipode", "s_squared")
+                    for n in body):
+                offenders.append(f"{name}: antipode_inverse inverts S by S")
     return offenders
 
 
@@ -596,6 +642,27 @@ class PresentedHopfAlgebra:
         right = t.apply_to_leg(2, H.coproduct)
         right = contract(t.apply_to_leg(2, H.antipode))
         lhs = H.counit_leg(t, 1)
+
+    def antipode_inverse(self, x: Element) -> Element:
+        self._require_antipode()
+        if not x:
+            return self.zero()
+        self._require_filtration()
+        if self._antipode_inverse is None:
+            images = {}
+            for i in range(self.presentation.ngens):
+                y, r = self.zero(), self.gen(i)
+                while r:
+                    w, z = r.weight, self.antipode(r)
+                    y, r = y + z, r - self.antipode(z)
+                    if r and r.weight >= w:
+                        raise HopfAlgebraError(
+                            f"S^2 fails to fix the weight-{w} layer; "
+                            "filtration certificate violated")
+                images[i] = y
+            self._antipode_inverse = GeneratorMap(
+                self.presentation, images, self.one(), True)
+        return self._antipode_inverse(x)
 """,
         "lantern.py": """
 def _extract_lantern(H):
@@ -621,6 +688,7 @@ def verify_lie(L):
         "hopf.py:12: lhs = H.counit_leg(t, 1)",
         "hopf.py: solve_antipode forks on the data",
         "hopf.py: primitive_basis takes a cutoff",
+        "hopf.py: antipode_inverse inverts S by S",
         "lantern.py: a Lie check in _extract_lantern"]
 
 
@@ -635,14 +703,14 @@ def test_certification_recomputes_nothing_it_has_by_proof():
 def _confluent(path):
     def make():
         H, _ = build_algebra(parse((ROOT / path).read_text()))
-        H.certify_presentation()
+        H.presentation.certify()
         return H
     return make
 
 
 def _confluent_unitriangular_5():
     H = _unitriangular(5)
-    H.certify_presentation()
+    H.presentation.certify()
     return H
 
 
@@ -681,7 +749,7 @@ def _watch(monkeypatch, owner, name):
 def test_proved_lines_equal_computed_lines(make, monkeypatch):
     calls = _watch(monkeypatch, GeneratorMap, "relation_defects")
     H = make()
-    if H.confluence_report is None:  # both sides need the confluence
+    if H.presentation.certificate is None:  # both sides need the confluence
         for lines in (verify_bialgebra, bialgebra_lines_by_computation):
             with pytest.raises(CertificateMissingError):
                 lines(H)

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 from hopfforge import catalog
 from hopfforge.grading import Signature, signature
-from hopfforge.lantern import (GradedLieAlgebra, lantern, mobius,
+from hopfforge.lantern import (GradedLieAlgebra, _carnot_check,
+                               _carnot_layers, lantern, mobius,
                                numerology_report)
 
 from oracles import cocommutativity_test, verify_lie
@@ -69,7 +70,8 @@ def test_mobius_values():
 
 def test_numerology_b():
     H = catalog.build_b_lambda(1)
-    report = numerology_report(signature(H), lantern(H))
+    report = numerology_report(signature(H))
+    report.extend(H.filtration.carnot_report)
     assert report.passed
     names = {c.name: c for c in report.checks}
     assert names["no gaps"].passed
@@ -88,7 +90,8 @@ def test_numerology_gap_signature_fails():
 
 def test_numerology_e():
     H = catalog.build_e()
-    report = numerology_report(signature(H), lantern(H))
+    report = numerology_report(signature(H))
+    report.extend(H.filtration.carnot_report)
     assert report.passed
     names = {c.name: c for c in report.checks}
     assert names["witt bound at degree 3"].passed  # m_3 = 1 <= 2
@@ -97,7 +100,8 @@ def test_numerology_e():
 def test_carnot_fails_without_degree_one_generation():
     # one degree-1 and one degree-2 basis vector with a zero bracket
     L = GradedLieAlgebra(("a", "b"), (1, 2), {})
-    report = numerology_report(Signature(((1, 1), (2, 1))), L)
+    report = numerology_report(Signature(((1, 1), (2, 1))))
+    report.extend(_carnot_check(L, _carnot_layers(L)))
     assert any("degree 2 generated from degree 1" in c.name
                for c in report.failures())
 

@@ -51,8 +51,8 @@ def test_solver_detects_dependence():
 
 def test_solver_residual_is_linear_and_canonical():
     s = LinearSolver([{0: F(1), 1: F(1)}])
-    r1 = s.residual({0: F(1)})
-    r2 = s.residual({1: F(-1)})
+    r1, _ = s._reduce({0: F(1)})
+    r2, _ = s._reduce({1: F(-1)})
     assert r1 == r2  # both reduce to the same representative mod the span
 
 
@@ -255,7 +255,7 @@ def test_vec_add_scaled_cancellation_removes_key():
 
 def test_vec_add_scaled_none_adds_unscaled():
     vec = {0: F(1)}
-    vec_add_scaled(vec, {0: F(-1), 1: F(3, 4)})
+    vec_add_scaled(vec, {0: F(-1), 1: F(3, 4)}, F(1))
     assert vec == {1: F(3, 4)}
 
 

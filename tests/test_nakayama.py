@@ -11,7 +11,7 @@ from hopfforge.nakayama import (Character, GeneratorAutomorphism, character,
                                 nakayama_automorphism, s4_identity_check,
                                 verify_character, winding)
 
-from oracles import normal_element_check
+from oracles import monomials_up_to, normal_element_check
 
 F = Fraction
 
@@ -203,7 +203,7 @@ def test_winding_respects_products_on_spec_targets():
     pres = L0.presentation
     import random
     rng = random.Random(23)
-    monos = pres.monomials_up_to(3)
+    monos = monomials_up_to(pres, 3)
     for _ in range(40):
         a = pres.element({monos[rng.randrange(len(monos))]: F(rng.randint(-3, 3))})
         b = pres.element({monos[rng.randrange(len(monos))]: F(rng.randint(-3, 3))})
@@ -235,7 +235,7 @@ def test_generator_automorphism_reports_a_broken_relation():
     assert [c.name for c in report.checks] == ["[Y,X]", "[Z,X]", "[Z,Y]"]
     defects = {(j, i): d for j, i, d in phi.relation_defects()}
     assert defects[(1, 0)] == -Y and defects[(2, 1)] == 0
-    assert phi.apply(X * Y) == X * Y * 2  # on the ordered monomial
+    assert phi(X * Y) == X * Y * 2  # on the ordered monomial
 
 
 # hosts with a character and whether it is the integral one (so that the
@@ -275,4 +275,4 @@ def test_a_second_key_for_one_generator_is_rejected():
     with pytest.raises(ValueError, match="generator X is given twice"):
         GeneratorAutomorphism(H, {"X": X, 0: 2 * X, "Y": Y, "Z": Z})
     phi = GeneratorAutomorphism(H, {0: X, "Y": Y, "Z": Z})
-    assert phi.apply(Z * X) == Z * X
+    assert phi(Z * X) == Z * X

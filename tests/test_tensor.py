@@ -7,6 +7,7 @@ from hopfforge import catalog
 from hopfforge.algebra import Element
 from hopfforge.tensor import (TensorElement, contract, tensor_multiply,
                               tensor_product)
+from oracles import monomials_up_to
 
 
 def test_componentwise_product_in_e():
@@ -81,7 +82,7 @@ def test_leg_maps_commute_on_distinct_legs():
     H = catalog.build_e()
     pres = H.presentation
     rng = random.Random(3)
-    monos = pres.monomials_up_to(4)
+    monos = monomials_up_to(pres, 4)
     for _ in range(50):
         t = tensor_product(pres.monomial(monos[rng.randrange(len(monos))]),
                            pres.monomial(monos[rng.randrange(len(monos))]))
@@ -95,7 +96,7 @@ def test_leg_maps_commute_on_distinct_legs():
 def test_tensor_multiply_associative():
     pres = catalog.build_b_lambda(1).presentation
     rng = random.Random(5)
-    monos = pres.monomials_up_to(3)
+    monos = monomials_up_to(pres, 3)
     def rand_tensor():
         terms = {}
         for _ in range(rng.randint(1, 3)):
@@ -113,7 +114,7 @@ def test_contract_of_coproduct_product_consistency():
     H = catalog.build_b_lambda(1)
     pres = H.presentation
     rng = random.Random(9)
-    monos = pres.monomials_up_to(4)
+    monos = monomials_up_to(pres, 4)
     for _ in range(60):
         a = pres.monomial(monos[rng.randrange(len(monos))])
         b = pres.monomial(monos[rng.randrange(len(monos))])
