@@ -7,16 +7,15 @@ from .grading import (FiltrationCertificate, FiltrationError, PowerSeries,
                       Signature, certify, certify_filtration, hilbert_divides,
                       hilbert_series, signature)
 from .hopf import (AntipodeSolveError, CertificateMissingError,
-                   HopfAlgebraError, PresentedHopfAlgebra,
-                   SquaredAntipodeAnalysis, s_squared_analysis,
-                   solve_antipode, verify_bialgebra, verify_hopf)
+                   HopfAlgebraError, PresentedHopfAlgebra, solve_antipode,
+                   verify_bialgebra, verify_hopf)
 from .lantern import GradedLieAlgebra, lantern, mobius, numerology_report
 from .report import Check, Report
 from .tensor import TensorElement, contract, tensor_multiply, tensor_product
 
 __version__ = "0.1.0"
 
-# the names of coideal and nakayama load on first use (PEP 562)
+# the names of coideal, nakayama and order load on first use (PEP 562)
 _LAZY = {
     "coideal": ("RegistrationError", "SubalgebraSpec", "antipode_image",
                 "coideal_check", "containment_check", "full_subalgebra",
@@ -26,6 +25,7 @@ _LAZY = {
                  "compose_with_antipode", "counit_character",
                  "enveloping_integral_character", "nakayama_automorphism",
                  "s4_identity_check", "verify_character", "winding"),
+    "order": ("SquaredAntipodeAnalysis", "s_squared_analysis"),
 }
 
 __all__ = sorted([name for name in dir() if not name.startswith("_")]

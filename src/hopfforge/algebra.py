@@ -255,6 +255,14 @@ class Presentation:
             {self.mono_id(m): n for m, n in nums.items()}, den)
         return value
 
+    def lie_constants(self) -> dict | None:
+        """{(a, b): [x_a, x_b]} for both orders of every table pair, or None
+        unless the table is of Lie type: linear entries plus constants."""
+        if any(sum(m) > 1 for terms in self.table.values() for m in terms):
+            return None
+        return {pair: self.commutator_entry(*pair)
+                for j, i in self.table for pair in ((j, i), (i, j))}
+
     def certify(self) -> Report:
         """check_confluence, kept as ``certificate`` once it passes."""
         if self.certificate is None:
@@ -490,19 +498,34 @@ def check_confluence(pres: Presentation) -> Report:
     every downstream computation over this presentation is unsound.  A
     triple whose pairs all commute exactly resolves by swaps alone, both
     ways reaching x_i x_j x_k.
+
+    On a Lie-type table (Presentation.lie_constants) delta is the
+    Jacobiator [[x_k,x_j],x_i] + [[x_j,x_i],x_k] + [[x_i,x_k],x_j] of the
+    structure constants (the PBW example of Bergman's paper): with N the
+    normal form, leftmost rewriting gives delta = N(x_j [x_k,x_i]) -
+    N([x_k,x_i] x_j) + N([x_j,x_i] x_k) - N(x_k [x_j,x_i]) + N([x_k,x_j]
+    x_i) - N(x_i [x_k,x_j]), and N(x_a L) - N(L x_a) = [x_a, L] for L of
+    degree <= 1, as a word of two letters rewrites one way.
     """
     report = Report("confluence")
     report.extend(check_termination_weights(pres))
     if not report.passed:
         return report
     gens, table = [pres.gen(g) for g in range(pres.ngens)], pres.table
+    lie, zero = pres.lie_constants(), pres.zero()
     for k, j, i in itertools.combinations(range(pres.ngens - 1, -1, -1), 3):
         name = f"overlap ({pres.names[k]},{pres.names[j]},{pres.names[i]})"
         if not (table.get((k, j)) or table.get((j, i)) or table.get((k, i))):
             report.add(name, True)
             continue
-        x_k, x_j, x_i = gens[k], gens[j], gens[i]
-        delta = (x_k * x_j) * x_i - x_k * (x_j * x_i)
+        if lie is None:
+            x_k, x_j, x_i = gens[k], gens[j], gens[i]
+            delta = (x_k * x_j) * x_i - x_k * (x_j * x_i)
+        else:  # the Jacobiator (above); a constant brackets to zero
+            delta = sum((lie.get((m.index(1), c), zero).scale(s)
+                         for a, b, c in ((k, j, i), (j, i, k), (i, k, j))
+                         for m, s in lie.get((a, b), zero).terms.items()
+                         if any(m)), zero)
         report.add(name, not delta,
                    f"normal forms differ by {delta}" if delta else "")
     if pres.ngens < 3:

@@ -6,7 +6,7 @@ Checks with status "info" are informational verdicts and never fail a
 run.
 
 Each command imports only what it runs: catalog for --builtin, parser for
-a file, coideal where subalgebras are registered and nakayama for nakayama.
+a file, coideal for subalgebras, nakayama and order for their commands.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .algebra import as_fraction
 from .grading import Signature, certify, hilbert_series, signature
-from .hopf import HopfAlgebraError, s_squared_analysis
+from .hopf import HopfAlgebraError
 from .lantern import lantern, numerology_report
 from .report import Check, Report
 
@@ -207,6 +207,7 @@ def _run_coideal(session: _Session) -> None:
 
 
 def _run_antipode_order(session: _Session) -> None:
+    from .order import s_squared_analysis
     targets = session.subs if session.subs else [session.H]
     out = []
     for target in targets:

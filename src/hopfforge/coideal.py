@@ -62,7 +62,7 @@ class SubalgebraSpec:
         self._solver = linalg.LinearSolver([])  # holds the images of
         self._monomials: list[Monomial] = []  # these ordered monomials,
         self._solved_to = -1  # all of those up to this weight
-        # write-once; a derived spec holds the reports of its source
+        # write-once; a derived spec's reports hold by proof from its source's
         self.morphism_report: Report | None = None  # relations, independence
         self.coideal_report: Report | None = None  # the declared side
 
@@ -158,12 +158,7 @@ def register_subalgebra(host: PresentedHopfAlgebra, name: str,
                 f"{name}: reweight {g} to {deg}: declared weight {w} is not "
                 "the coradical degree of its image")
 
-    report = Report(f"{name}: morphism")
-    for j, i, defect in spec.image.relation_defects():
-        report.add(f"[{pres.names[j]},{pres.names[i]}] maps to zero",
-                   not defect, f"defect {defect}" if defect else "")
-    if pres.table == {}:
-        report.add("no relations", True)
+    report = _morphism_report(spec, spec.image.relation_defects())
     if not report.passed:
         raise RegistrationError(
             f"{name}: embedding does not respect the relations: "
@@ -183,6 +178,19 @@ def register_subalgebra(host: PresentedHopfAlgebra, name: str,
             + "; ".join(f"{c.name} ({c.details})" for c in rep.failures()))
     spec.coideal_report = rep
     return spec
+
+
+def _morphism_report(spec: SubalgebraSpec, defects) -> Report:
+    """The relation lines of spec's morphism report, from (j, i, defect) per
+    table entry in sorted order (defect None: zero by proof)."""
+    pres = spec.presentation
+    report = Report(f"{spec.name}: morphism")
+    for j, i, defect in defects:
+        report.add(f"[{pres.names[j]},{pres.names[i]}] maps to zero",
+                   not defect, f"defect {defect}" if defect else "")
+    if pres.table == {}:
+        report.add("no relations", True)
+    return report
 
 
 def _symbol_rank(spec: SubalgebraSpec) -> int | None:
@@ -220,27 +228,31 @@ def coideal_check(spec: SubalgebraSpec) -> Report:
     exact once registration has certified the leading symbols.
     """
     spec._require_registered()
-    sides = ("left", "right") if spec.side == "hopf" else (spec.side,)
     report = Report(f"{spec.name}: coideal ({spec.side})")
-    for s in sides:
-        anchor_leg = 1 if s == "left" else 2
-        for i, g in enumerate(spec.presentation.names):
-            t = spec.host.coproduct(spec.embedding[i])
-            bad = []
-            for mono, cofactor in t.leg_cofactors(anchor_leg):
-                if not spec.contains(cofactor):
-                    mono_str = format_monomial(spec.host.presentation, mono)
-                    pair = (f"{mono_str}@({cofactor})" if s == "left"
-                            else f"({cofactor})@{mono_str}")
-                    bad.append(f"offending term {pair}")
-            report.add(f"{s} legs of coproduct({g}) lie in the span",
-                       not bad, "; ".join(bad))
+    for s, i, line in _coideal_lines(spec):
+        t = spec.host.coproduct(spec.embedding[i])
+        bad = []
+        for mono, cofactor in t.leg_cofactors(1 if s == "left" else 2):
+            if not spec.contains(cofactor):
+                mono_str = format_monomial(spec.host.presentation, mono)
+                pair = (f"{mono_str}@({cofactor})" if s == "left"
+                        else f"({cofactor})@{mono_str}")
+                bad.append(f"offending term {pair}")
+        report.add(line, not bad, "; ".join(bad))
     return report
+
+
+def _coideal_lines(spec: SubalgebraSpec):
+    """(side, generator index, name) of each line of coideal_check."""
+    for s in ("left", "right") if spec.side == "hopf" else (spec.side,):
+        for i, g in enumerate(spec.presentation.names):
+            yield s, i, f"{s} legs of coproduct({g}) lie in the span"
 
 
 def antipode_image(spec: SubalgebraSpec) -> SubalgebraSpec:
     """The embedded image of the subalgebra under the host antipode,
-    certified by proof from T's certificates, none computed anew.
+    certified by proof from T's certificates, none computed anew: S(T)'s
+    reports list the lines register_subalgebra would, each passing.
 
     S is an anti-algebra and anti-coalgebra automorphism (Sweedler, Hopf
     Algebras, 1969, ch. 4), so S(T) is presented by T^op: S(T) lists T's
@@ -269,8 +281,13 @@ def antipode_image(spec: SubalgebraSpec) -> SubalgebraSpec:
         host, f"S({spec.name})", op,
         {last - i: host.antipode(spec.embedding[i]) for i in range(pres.ngens)},
         {"left": "right", "right": "left", "hopf": "hopf"}[spec.side])
-    image.morphism_report = spec.morphism_report
-    image.coideal_report = spec.coideal_report
+    image.morphism_report = _morphism_report(
+        image, ((j, i, None) for j, i in sorted(op.table)))
+    image.morphism_report.add("leading symbols algebraically independent",
+                              True)
+    image.coideal_report = Report(f"{image.name}: coideal ({image.side})")
+    for _, _, line in _coideal_lines(image):
+        image.coideal_report.add(line, True)
     return image
 
 

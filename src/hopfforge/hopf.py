@@ -30,7 +30,7 @@ from . import linalg
 from .algebra import (ONE, Element, GeneratorMap, Presentation,
                       PresentationMismatchError, format_monomial)
 from .report import Report
-from .tensor import TensorElement, contract, pack, unpack
+from .tensor import TensorElement, pack, unpack
 
 
 class HopfAlgebraError(Exception):
@@ -265,16 +265,7 @@ class PresentedHopfAlgebra:
             return self.zero()
         self._require_filtration()
         if self._antipode_inverse is None:
-            pres = self.presentation
-            inv = GeneratorMap(pres, {}, self.one(), True)
-            for i in sorted(range(pres.ngens),
-                            key=lambda k: (pres.weights[k], k)):
-                g = pres.gen(i)
-                y = -g
-                for m, c in self.reduced_coproduct(g).leg_cofactors(1):
-                    y -= inv(c) * pres.monomial(m)
-                inv.images[i] = y
-            self._antipode_inverse = inv
+            self._antipode_inverse = _ConvolutionInverse(self, 1).map
         return self._antipode_inverse(x)
 
     def __repr__(self):
@@ -325,9 +316,16 @@ def verify_bialgebra(H: PresentedHopfAlgebra) -> Report:
 
 
 def solve_antipode(H: PresentedHopfAlgebra) -> dict[str, Element]:
-    """The antipode on the generators by _antipode_recursion: solved and
-    attached when H has none, else the attached data, checked.  Raises
-    AntipodeSolveError when the bialgebra axioms or that check fail."""
+    """{name: S(g)} for every generator, each computed, of H's unique
+    antipode (Takeuchi 1971); _checked_antipode raises AntipodeSolveError."""
+    images = _checked_antipode(H).images
+    return {g: images[i] for i, g in enumerate(H.presentation.names)}
+
+
+def _checked_antipode(H: PresentedHopfAlgebra) -> GeneratorMap:
+    """The antipode by _antipode_recursion: the attached data, checked, or
+    the S it defines, with no image computed.  Raises AntipodeSolveError
+    when the bialgebra axioms or that check fail."""
     bire = verify_bialgebra(H)
     if not bire.passed:
         raise AntipodeSolveError(
@@ -338,17 +336,45 @@ def solve_antipode(H: PresentedHopfAlgebra) -> dict[str, Element]:
         raise AntipodeSolveError(
             "attached antipode data violates the convolution identities: "
             + "; ".join(c.name for c in rep.failures()))
-    names = H.presentation.names
-    return {names[i]: e for i, e in H._antipode.images.items()}
+    return H._antipode
+
+
+def _recursion(H: PresentedHopfAlgebra, leg: int, i: int,
+               f: GeneratorMap) -> Element:
+    """-g - sum f(c)m over the leg cofactors (m, c) of the reduced coproduct
+    of g = x_i: -g on weight 1, where g is primitive (_validate_coproduct)."""
+    pres = H.presentation
+    y = -pres.gen(i)
+    if pres.weights[i] > 1:
+        for m, c in H.reduced_coproduct(pres.gen(i)).leg_cofactors(leg):
+            y -= f(c) * pres.monomial(m)
+    return y
+
+
+class _ConvolutionInverse(dict):
+    """The generator images of S (leg 2) or S^-1 (leg 1), all filled by
+    _recursion on first use in (weight, index) order, as each reads only
+    lighter ones; ``map`` is their anti-algebra GeneratorMap."""
+
+    def __init__(self, H: PresentedHopfAlgebra, leg: int):
+        self.H, self.leg = H, leg
+        self.map = GeneratorMap(H.presentation, self, H.one(), True)
+
+    def __missing__(self, i: int) -> Element:
+        w = self.H.presentation.weights
+        for k in sorted(range(len(w)), key=lambda k: (w[k], k)):
+            self[k] = _recursion(self.H, self.leg, k, self.map)
+        return self[i]
 
 
 def _antipode_recursion(H: PresentedHopfAlgebra) -> Report:
     """S(g) = -g - sum S(g')g'' over the reduced coproduct sum g'@g'' of
     each generator, in ascending weight: first legs are strictly lighter
-    (_validate_coproduct).  Without antipode data this defines S(g) and
-    attaches it; attached data is checked against it, which is the left
-    convolution identity on g.  The report, one line per generator in
-    declaration order, is memoized.
+    (_validate_coproduct).  Without antipode data this defines S(g): S is
+    attached as _ConvolutionInverse's map, which computes S(g) on first
+    use, and each line holds by definition.  Attached data is checked
+    against it, which is the left convolution identity on g.  The report,
+    one line per generator in declaration order, is memoized.
 
     The right identity follows: H is connected (_validate_coproduct), so
     id has a two-sided convolution inverse (Takeuchi 1971), and an
@@ -357,18 +383,14 @@ def _antipode_recursion(H: PresentedHopfAlgebra) -> Report:
     """
     if H._convolution is not None:
         return H._convolution
-    pres = H.presentation
-    S = H._antipode or GeneratorMap(pres, {}, pres.one(), True)
-    holds = {}
-    for i in sorted(range(pres.ngens), key=lambda k: (pres.weights[k], k)):
-        g = pres.gen(i)
-        rhs = -g - contract(H.reduced_coproduct(g).apply_to_leg(1, S))
-        holds[i] = S.images.setdefault(i, rhs) == rhs  # defines or checks
-    if H._antipode is None:  # S itself, memo kept; no S(g) outweighs g
-        H._antipode, H._antipode_mono = S, S.memo
+    S, names = H._antipode, H.presentation.names
     report = Report(f"{H.name}: convolution")
-    for i, g in enumerate(pres.names):
-        report.add(f"antipode axiom on {g}", holds[i])
+    for i, g in enumerate(names):
+        report.add(f"antipode axiom on {g}", S is None
+                   or S.images[i] == _recursion(H, 2, i, S))
+    if S is None:
+        H._antipode = _ConvolutionInverse(H, 2).map
+        H._antipode_mono = H._antipode.memo
     H._convolution = report
     return report
 
@@ -408,49 +430,3 @@ def verify_hopf(H: PresentedHopfAlgebra) -> Report:
     H._hopf = report
     return report
 
-
-class SquaredAntipodeAnalysis:
-    """Outcome of the squared-antipode order analysis.
-
-    ``identity`` means the squared antipode fixes every generator of the
-    target.  Otherwise ``witness`` is a pair (g, r) of host elements, g a
-    generator image, with S^2(g) = g + r, r nonzero and S^2(r) = r, which
-    certifies S^(2m)(g) = g + m*r for all m, i.e. infinite order.
-    """
-
-    def __init__(self, identity: bool, target: str,
-                 witness: tuple[Element, Element] | None):
-        self.identity, self.target, self.witness = identity, target, witness
-
-    def describe(self) -> str:
-        if self.identity:
-            return "identity"
-        g, r = self.witness
-        return f"infinite; witness S^2({g}) = {g + r}"
-
-
-def s_squared_analysis(target) -> SquaredAntipodeAnalysis:
-    """Decide identity-or-infinite order of the squared antipode on the target.
-
-    The target is a PresentedHopfAlgebra or a registered subalgebra; the
-    squared antipode must preserve the target's span (checked, with a
-    certificate violation raised otherwise).
-    """
-    H = target.host
-    H._require_antipode()
-    witness = None
-    for g in target.presentation.names:
-        u = target.embed_generator(g)
-        s2u = H.s_squared(u)
-        if target.represent(s2u) is None:
-            raise CertificateMissingError(
-                f"S^2({g}) escapes the subalgebra span; "
-                "coideal certificate violated")
-        r = s2u - u
-        if r and witness is None:
-            if H.s_squared(r) != r:
-                raise HopfAlgebraError(
-                    f"S^2 drop of {g} is not itself fixed; filtration "
-                    "certificate violated")
-            witness = (u, r)
-    return SquaredAntipodeAnalysis(witness is None, target.name, witness)

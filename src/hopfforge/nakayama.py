@@ -252,30 +252,27 @@ def enveloping_integral_character(target) -> Character:
     """Adjoint-trace character for an enveloping-type presentation.
 
     Requires every generator weight to be one, every commutator to be
-    linear in the generators, and confluence, i.e. the Jacobi identity
-    (Presentation.certify, kept once certified); the character sends each
-    generator to the trace of its adjoint action.
+    linear in the generators (Presentation.lie_constants, with no constant
+    term), and confluence, i.e. the Jacobi identity (Presentation.certify,
+    kept once certified); the character sends each generator to the trace
+    of its adjoint action.
     """
     pres = target.presentation
     if any(w != 1 for w in pres.weights):
         raise HopfAlgebraError(
             "adjoint-trace character needs all generators in weight one")
-    gen_monos = [tuple(1 if k == i else 0 for k in range(pres.ngens))
-                 for i in range(pres.ngens)]
-    for (j, i), terms in pres.table.items():
-        if any(m not in gen_monos for m in terms):
-            raise HopfAlgebraError(
-                "adjoint-trace character needs linear commutators")
+    lie = pres.lie_constants()
+    if lie is None or any(e.constant_term() for e in lie.values()):
+        raise HopfAlgebraError(
+            "adjoint-trace character needs linear commutators")
     conf = pres.certify()
     if pres.certificate is None:
         raise HopfAlgebraError(
             "presentation fails the overlap (Jacobi) check: "
             + "; ".join(c.name for c in conf.failures()))
-    values = {}
-    for a, g in enumerate(pres.names):
-        trace = ZERO
-        for b in range(pres.ngens):
-            bracket = pres.commutator_entry(a, b)
-            trace += bracket.coefficient(gen_monos[b])
-        values[g] = trace
-    return character(target, values)
+    units = [tuple(int(e == b) for e in range(pres.ngens))
+             for b in range(pres.ngens)]  # x_b as a monomial
+    return character(target, {
+        g: sum((lie[(a, b)].coefficient(x_b) for b, x_b in enumerate(units)
+                if (a, b) in lie), ZERO)
+        for a, g in enumerate(pres.names)})

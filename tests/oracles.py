@@ -1,10 +1,12 @@
 """Slow reference definitions that the tests check fast paths against."""
 
+import itertools
 from fractions import Fraction
 from math import lcm
 
 from hopfforge import linalg
-from hopfforge.algebra import ONE, Element
+from hopfforge.algebra import (ONE, Element, GeneratorMap,
+                               check_termination_weights)
 from hopfforge.coideal import register_subalgebra
 from hopfforge.grading import _leading_terms
 from hopfforge.hopf import HopfAlgebraError
@@ -356,11 +358,34 @@ def automorphism_by_products(phi, x: Element) -> Element:
     return Element(pres, out)
 
 
+def confluence_by_normal_forms(pres) -> Report:
+    """check_confluence with every overlap of a non-commuting triple
+    resolved by normal-form products, as it is on tables that are not of
+    Lie type: the computation that check_confluence replaces by the
+    Jacobiator on Lie-type tables."""
+    report = Report("confluence")
+    report.extend(check_termination_weights(pres))
+    if not report.passed:
+        return report
+    gens, table = [pres.gen(g) for g in range(pres.ngens)], pres.table
+    for k, j, i in itertools.combinations(range(pres.ngens - 1, -1, -1), 3):
+        name = f"overlap ({pres.names[k]},{pres.names[j]},{pres.names[i]})"
+        if not (table.get((k, j)) or table.get((j, i)) or table.get((k, i))):
+            report.add(name, True)
+            continue
+        x_k, x_j, x_i = gens[k], gens[j], gens[i]
+        delta = (x_k * x_j) * x_i - x_k * (x_j * x_i)
+        report.add(name, not delta,
+                   f"normal forms differ by {delta}" if delta else "")
+    if pres.ngens < 3:
+        report.add("no overlaps", True, "fewer than three generators")
+    return report
+
+
 def overlap_checks_by_resolution(pres) -> list[tuple[str, bool, str]]:
     """(name, passed, details) of every overlap x_k x_j x_i (k > j > i),
     each resolved both ways by rewriting: the check_confluence lines with
     no shortcut for triples whose pairs commute."""
-    import itertools
     out = []
     for k, j, i in itertools.combinations(range(pres.ngens - 1, -1, -1), 3):
         via_left = pres.reduce_word((j, k, i))
@@ -600,3 +625,23 @@ def antipode_image_by_registration(spec):
         table,
         {last - i: host.antipode(spec.embedding[i]) for i in range(pres.ngens)},
         {"left": "right", "right": "left", "hopf": "hopf"}[spec.side])
+
+
+def antipode_images_by_recursion(H, leg: int) -> dict:
+    """{index: image} of S (leg 2) or S^-1 (leg 1) on every generator,
+    filled eagerly in ascending weight: S(g) = -g - contract((S@id) of the
+    reduced coproduct of g), S^-1(g) = -g - sum S^-1(g'')g'.  These are
+    the loops that the antipode's and S^-1's images replace by fills on
+    first use; H needs its confluence certificate."""
+    pres = H.presentation
+    f = GeneratorMap(pres, {}, pres.one(), True)
+    for i in sorted(range(pres.ngens), key=lambda k: (pres.weights[k], k)):
+        g = pres.gen(i)
+        t = H.reduced_coproduct(g)
+        if leg == 2:
+            f.images[i] = -g - contract(t.apply_to_leg(1, f))
+        else:
+            f.images[i] = -g
+            for m, c in t.leg_cofactors(1):
+                f.images[i] -= f(c) * pres.monomial(m)
+    return f.images

@@ -15,10 +15,11 @@ from hopfforge.coideal import (antipode_image, coideal_check, containment_check,
                                primitive_of_coideal, spans_equal)
 from hopfforge.grading import (Signature, hilbert_divides, hilbert_series,
                                signature)
-from hopfforge.hopf import s_squared_analysis, verify_hopf
+from hopfforge.hopf import verify_hopf
 from hopfforge.lantern import lantern, mobius, numerology_report
 from hopfforge.nakayama import (character, counit_character,
                                 nakayama_automorphism, s4_identity_check)
+from hopfforge.order import s_squared_analysis
 from hopfforge.tensor import contract
 
 F = Fraction

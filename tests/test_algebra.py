@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from hopfforge import algebra, catalog
-from hopfforge.algebra import (GeneratorMap, Presentation,
+from hopfforge.algebra import (Element, GeneratorMap, Presentation,
                                PresentationMismatchError, check_confluence,
                                check_termination_weights, commutator)
 from hopfforge.linalg import split
@@ -15,7 +15,8 @@ from hopfforge.nakayama import Character
 from hopfforge.parser import build_algebra, parse, sub_arguments
 from hopfforge.tensor import contract, tensor_multiply, tensor_product
 
-from oracles import monomials_up_to, overlap_checks_by_resolution
+from oracles import (confluence_by_normal_forms, monomials_up_to,
+                     overlap_checks_by_resolution)
 
 DATA = Path(__file__).parent / "data"
 
@@ -410,6 +411,98 @@ def test_commuting_triples_resolve_without_rewriting(monkeypatch):
     report = check_confluence(pres)
     assert report.passed and len(report.checks) == 1 + 120
     assert calls == []
+
+
+def _upper_triangular_lie(n):
+    """The presentation of U(n_n): [e_ij, e_kl] = [j = k] e_il - [l = i] e_kj."""
+    from test_hopf import _upper_triangular_lie as build
+    return build(n).presentation
+
+
+def _random_lie_table(rng: random.Random) -> Presentation:
+    """3-5 generators of weight 1-3; about half the pairs get a bracket, a
+    seeded combination of the generators lighter than the pair (so
+    termination holds) plus, now and then, a constant."""
+    n = rng.randint(3, 5)
+    gens = [(f"g{a}", rng.randint(1, 3)) for a in range(n)]
+    table = {}
+    for j in range(n):
+        for i in range(j):
+            if rng.random() < 0.5:
+                continue
+            bound = gens[i][1] + gens[j][1]
+            entry = {tuple(int(g == e) for g in range(n)): rng.randint(-2, 2)
+                     for e in range(n) if gens[e][1] < bound
+                     and rng.random() < 0.4}
+            if rng.random() < 0.3:
+                entry[(0,) * n] = rng.randint(-2, 2)
+            table[(gens[j][0], gens[i][0])] = entry
+    return Presentation(gens, table)
+
+
+def _lines(report):
+    return [(c.name, c.passed, c.details) for c in report.checks]
+
+
+def test_jacobi_confluence_matches_the_normal_forms():
+    """On Lie-type tables check_confluence reads each overlap off the
+    structure constants (the Jacobiator): its report equals the
+    normal-form one line for line, here and on every other table."""
+    presentations = _confluence_presentations() + [
+        build_algebra(parse(path.read_text()))[0].presentation
+        for path in sorted((DATA.parent.parent / "bench" / "data").glob("*.hopf"))]
+    presentations += [_upper_triangular_lie(5), _upper_triangular_lie(6)]
+    assert sum(p.lie_constants() is not None for p in presentations) >= 15
+    for pres in presentations:
+        assert _lines(check_confluence(pres)) == \
+            _lines(confluence_by_normal_forms(pres))
+    rng, failing = random.Random(29), 0
+    for _ in range(240):
+        pres = _random_lie_table(rng)
+        assert pres.lie_constants() is not None
+        report = check_confluence(pres)
+        assert _lines(report) == _lines(confluence_by_normal_forms(pres))
+        failing += len(report.failures())
+    assert failing >= 200
+
+
+def test_jacobi_fails_fails_exactly_its_two_triples():
+    H, _ = build_algebra(parse((DATA / "jacobi_fails.hopf").read_text()))
+    assert H.presentation.lie_constants() is not None
+    assert [(c.name, c.details) for c in
+            check_confluence(H.presentation).failures()] == [
+        ("overlap (D,C,B)", "normal forms differ by -3*A"),
+        ("overlap (C,B,A)", "normal forms differ by -B")]
+
+
+def test_lie_type_confluence_makes_no_product(count_calls):
+    presentations = [catalog.build_e().presentation, _upper_triangular_lie(5),
+                     build_algebra(parse((DATA / "jacobi_fails.hopf").read_text(
+                     )))[0].presentation]
+    presentations += [catalog.build_enveloping_preset(p).presentation
+                      for p in catalog.ENVELOPING_PRESETS]
+    calls = [count_calls(Element, "__mul__"),
+             count_calls(Presentation, "product_ids")]
+    for pres in presentations:
+        assert pres.lie_constants() is not None
+        check_confluence(pres)
+    assert calls == [[], []]
+    # the counters see the normal-form path of a table that is not Lie
+    # type, on a fresh copy of B(1)'s presentation (empty product memo)
+    b = b_presentation(1)
+    check_confluence(Presentation(list(zip(b.names, b.weights)), {
+        (b.names[j], b.names[i]): t for (j, i), t in b.table.items()}))
+    assert all(calls)
+
+
+def test_lie_constants_refuse_tables_that_are_not_lie_type():
+    assert b_presentation(1).lie_constants() is None  # [Z,Y] = Y^2/2
+    pres = Presentation([("X", 1), ("Y", 1), ("Z", 2)], {
+        ("Y", "X"): {(0, 0, 0): 3}, ("Z", "X"): {(0, 1, 0): -1, (1, 0, 0): 2}})
+    X, Y = pres.gen("X"), pres.gen("Y")
+    assert pres.lie_constants() == {
+        (1, 0): pres.scalar(3), (0, 1): pres.scalar(-3),
+        (2, 0): 2 * X - Y, (0, 2): Y - 2 * X}
 
 
 def test_generator_map_order_of_an_anti_map():

@@ -7,7 +7,8 @@ from hopfforge.algebra import commutator
 from hopfforge.coideal import (antipode_image, containment_check,
                                full_subalgebra, is_hopf_subalgebra, spans_equal)
 from hopfforge.grading import signature
-from hopfforge.hopf import s_squared_analysis, verify_hopf
+from hopfforge.hopf import verify_hopf
+from hopfforge.order import s_squared_analysis
 
 F = Fraction
 

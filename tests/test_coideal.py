@@ -406,8 +406,8 @@ def _antipode_image_sources():
 
 def test_antipode_image_matches_registration():
     """S(T) by proof against S(T) registered anew: the same presentation,
-    images and side; the registration's certificates pass, so S(T) may
-    hold T's reports."""
+    images and side, and the same reports, named for S(T), line for line;
+    the registration's lines all pass, as S(T)'s do by proof."""
     specs = _antipode_image_sources()
     assert len(specs) == 65
     for T in specs:
@@ -418,8 +418,11 @@ def test_antipode_image_matches_registration():
         assert S.embedding == oracle.embedding and S.side == oracle.side
         assert oracle.morphism_report.passed and oracle.coideal_report.passed
         assert coideal_check(S).passed, T.name
-        assert S.morphism_report is T.morphism_report
-        assert S.coideal_report is T.coideal_report
+        for report in ("morphism_report", "coideal_report"):
+            got, ref = getattr(S, report), getattr(oracle, report)
+            assert got.name == ref.name and got.name.startswith(S.name)
+            assert [(c.name, c.passed) for c in got.checks] == \
+                [(c.name, c.passed) for c in ref.checks], T.name
         assert op.certificate is T.presentation.certificate
         assert spans_equal(antipode_image(S), T), T.name
 

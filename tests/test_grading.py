@@ -9,8 +9,9 @@ from hopfforge.grading import (FiltrationError, PowerSeries, Signature,
                                certify, certify_filtration, default_truncation,
                                hilbert_divides, hilbert_series, signature)
 from hopfforge.hopf import (HopfAlgebraError, PresentedHopfAlgebra,
-                            s_squared_analysis, solve_antipode, verify_hopf)
+                            solve_antipode, verify_hopf)
 from hopfforge.lantern import lantern
+from hopfforge.order import s_squared_analysis
 from hopfforge.parser import build_algebra, parse
 from hopfforge.tensor import tensor_product as tp
 

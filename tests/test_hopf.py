@@ -15,14 +15,16 @@ from hopfforge.algebra import (GeneratorMap, Presentation,
 from hopfforge.cli import run
 from hopfforge.grading import certify
 from hopfforge.hopf import (AntipodeSolveError, CertificateMissingError,
-                            PresentedHopfAlgebra, s_squared_analysis,
+                            PresentedHopfAlgebra, _ConvolutionInverse,
                             solve_antipode, verify_bialgebra, verify_hopf)
 from hopfforge.lantern import lantern
 from hopfforge.nakayama import counit_character, winding
+from hopfforge.order import s_squared_analysis
 from hopfforge.parser import build_algebra, parse
 from hopfforge.tensor import TensorElement, tensor_product as tp
 
 from oracles import (antipode_eigenbasis, antipode_image_by_registration,
+                     antipode_images_by_recursion,
                      bialgebra_lines_by_computation, coinvariants,
                      convolution_defects, coradical_degree_by_iteration,
                      counit_leg, hopf_lines_by_computation,
@@ -798,3 +800,82 @@ def test_bialgebra_stage_expands_only_what_no_proof_covers(
         solve_antipode(H)
     defects = _watch(monkeypatch, H._antipode, "relation_defects")
     assert verify_hopf(H).passed and not defects
+
+
+# -- the antipode on demand ---------------------------------------------------
+
+@pytest.mark.parametrize("make", ORACLE_HOSTS)
+def test_images_filled_on_demand_equal_the_eager_recursion(make):
+    H = make()
+    passed = certify(H).passed  # the builtins' builders have certified
+    assert passed == (H.name not in {"Bad", "jacobi_fails", "weyl",
+                                     "not_coassociative", "B1_wrong_antipode",
+                                     "negative_control"}), H.name
+    if H._antipode is None or not verify_hopf(H).passed:
+        return  # no antipode, or attached data that fails its check
+    pres = H.presentation
+    S = H._antipode.images
+    # E, e_solved.hopf, negative_control.hopf and O(U_5) carry no data
+    assert isinstance(S, _ConvolutionInverse) == (
+        H.name[0] in "EO" or H.name == "negative_control"), H.name
+    if isinstance(S, _ConvolutionInverse):  # certification filled none
+        assert S == {} and H._antipode.memo == {}
+    heaviest_first = sorted(range(pres.ngens), key=lambda k: -pres.weights[k])
+    eager = antipode_images_by_recursion(H, 2)
+    assert [H.antipode(pres.gen(i)) for i in heaviest_first] == \
+        [eager[i] for i in heaviest_first]
+    assert S == eager
+    if passed:  # S^-1 needs the filtration certificate
+        eager = antipode_images_by_recursion(H, 1)
+        assert [H.antipode_inverse(pres.gen(i)) for i in heaviest_first] == \
+            [eager[i] for i in heaviest_first]
+        assert isinstance(H._antipode_inverse.images, _ConvolutionInverse)
+        assert H._antipode_inverse.images == eager
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_algebra(parse((ROOT / "bench/data/e_solved.hopf").read_text()))[0],
+    lambda: build_algebra(parse(
+        (ROOT / "bench/data/negative_control.hopf").read_text()))[0],
+    lambda: _unitriangular(5), lambda: _unitriangular(7)],
+    ids=["E", "negative control", "O(U_5)", "O(U_7)"])
+def test_certify_without_antipode_data_computes_no_image(make, count_calls):
+    H = make()
+    assert H._antipode is None
+    calls = count_calls(tensor, "contract")
+    certify(H)
+    assert calls == [] and H._antipode is not None
+    assert H._antipode.images == {} and H._antipode.memo == {}
+    assert all(c.passed for c in H._convolution.checks)
+
+
+def test_solve_antipode_returns_every_generator_image():
+    E = build_algebra(parse((ROOT / "bench/data/e_solved.hopf").read_text()))[0]
+    for H in (E, _unitriangular(5)):
+        assert certify(H).passed
+        assert H._antipode.images == {}  # certification forced none
+        images, names = solve_antipode(H), H.presentation.names
+        assert list(images) == list(names)
+        assert images == {g: H.antipode(H.gen(g)) for g in names}
+
+
+def test_attached_weight_one_data_is_compared_directly(count_calls):
+    # U(heisenberg)'s generators have weight 1: no reduced coproduct
+    H, _ = build_algebra(parse(
+        (ROOT / "bench/data/heisenberg.hopf").read_text()))
+    H.presentation.certify()
+    calls = count_calls(PresentedHopfAlgebra, "reduced_coproduct")
+    solve_antipode(H)
+    assert calls == [] and verify_hopf(H).passed
+
+
+@pytest.mark.parametrize("path", ["bench/data/heisenberg.hopf",
+                                  "tests/data/b_lambda.hopf",
+                                  "tests/data/wrong_antipode.hopf"])
+def test_attached_data_is_checked_without_a_fill(path, count_calls):
+    # the recursion reads the data's own images; no on-demand map is built
+    H = _confluent(path)()
+    built = count_calls(_ConvolutionInverse, "__init__")
+    report = verify_hopf(H)
+    assert built == [] and type(H._antipode.images) is dict
+    assert report.passed == (path != "tests/data/wrong_antipode.hopf")

@@ -4,12 +4,13 @@ import pytest
 
 from hopfforge import algebra, catalog
 from hopfforge.coideal import full_subalgebra
-from hopfforge.hopf import HopfAlgebraError, s_squared_analysis
+from hopfforge.hopf import HopfAlgebraError
 from hopfforge.nakayama import (Character, GeneratorAutomorphism, character,
                                 compose_with_antipode, counit_character,
                                 enveloping_integral_character,
                                 nakayama_automorphism, s4_identity_check,
                                 verify_character, winding)
+from hopfforge.order import s_squared_analysis
 
 from oracles import monomials_up_to, normal_element_check
 
@@ -193,7 +194,7 @@ def test_nakayama_hopf_formulas_agree_on_full_subalgebra():
 
 
 def test_s_squared_identity_on_hopf_side_coideal():
-    from hopfforge.hopf import s_squared_analysis
+    from hopfforge.order import s_squared_analysis
     assert s_squared_analysis(l_zero()).identity
 
 

@@ -1,12 +1,13 @@
 """Snapshot of the CLI's output on a fixed set of invocations.
 
 Runs every command of `hopfforge`, in text and json format, on each of
-25 targets: the builtins B:0, B:1, B:-2, B:1/2, E, U:heisenberg and
+26 targets: the builtins B:0, B:1, B:-2, B:1/2, E, U:heisenberg and
 U:nonabelian2, seven builtin subalgebras, the four `bench/data` files, the
-five `tests/data` files (weyl, not_coassociative and wrong_antipode fail
-the bialgebra or Hopf axioms) and the two `tests/data/unparsable`
-files (exit 2: one is not UTF-8, one has a parse error); 8 x 2 x 25 = 400
-invocations, each in a fresh interpreter.  The result is one JSON object
+six `tests/data` files (weyl, not_coassociative and wrong_antipode fail
+the bialgebra or Hopf axioms, bad_overlap and jacobi_fails the overlaps)
+and the two `tests/data/unparsable` files (exit 2: one is not UTF-8, one
+has a parse error); 8 x 2 x 26 = 416 invocations, each in a fresh
+interpreter.  The result is one JSON object
 {argv: [stdout, stderr, exit code]} with sorted keys, so two trees are
 compared with `cmp`:
 
@@ -41,7 +42,8 @@ SUBS = (("B:1", "L:inf"), ("B:1", "R:inf"), ("B:1", "L:1/2"),
 FILES = ("bench/data/b_half.hopf", "bench/data/e_solved.hopf",
          "bench/data/heisenberg.hopf", "bench/data/negative_control.hopf",
          "tests/data/b_lambda.hopf", "tests/data/bad_overlap.hopf",
-         "tests/data/not_coassociative.hopf", "tests/data/weyl.hopf",
+         "tests/data/jacobi_fails.hopf", "tests/data/not_coassociative.hopf",
+         "tests/data/weyl.hopf",
          "tests/data/wrong_antipode.hopf",
          "tests/data/unparsable/not_utf8.hopf",
          "tests/data/unparsable/parse_error.hopf")
