@@ -392,10 +392,6 @@ class LinearSolver:
                 vec_add_scaled(coeffs, row_coeffs, -v)
         return main, coeffs
 
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
     def contains(self, vector: Vector) -> bool:
         main, _ = self._reduce(vector)
         return not main

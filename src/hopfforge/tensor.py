@@ -75,10 +75,6 @@ class TensorElement(Scaled):
         return lambda key: unpack(self.algebra, self.arity, key)
 
     @classmethod
-    def zero(cls, algebra: Presentation, arity: int) -> "TensorElement":
-        return cls(algebra, arity, {})
-
-    @classmethod
     def unit(cls, algebra: Presentation, arity: int) -> "TensorElement":
         return tensor_product(*[algebra.one()] * arity)
 

@@ -146,7 +146,7 @@ def test_tensor_multiply_matches_fractions_at_every_arity(make):
             product = tensor_multiply(s, t)
             assert product == tensor_multiply_by_fractions(s, t)
             assert product == _iterated(H, a * b, arity)
-            zero = TensorElement.zero(pres, arity)
+            zero = TensorElement(pres, arity, {})
             assert not tensor_multiply(s, zero)
             assert not tensor_multiply(zero, t)
             assert tensor_multiply(zero, s).arity == arity
@@ -169,7 +169,7 @@ def test_tensor_multiply_matches_the_table_algorithm(make):
     for a, b in _pairs(H, 83, count=4):
         for arity in (1, 2, 3):
             s, t = _iterated(H, a, arity), _iterated(H, b, arity)
-            zero = TensorElement.zero(pres, arity)
+            zero = TensorElement(pres, arity, {})
             for x, y in ((s, t), (t, s), (s, s), (s, zero), (zero, t),
                          (zero, zero)):
                 expect = tensor_multiply_by_tables(x, y)
@@ -303,7 +303,7 @@ def test_apply_to_leg_sums_images_over_a_running_lcm(seed):
     u, v, w = rng.sample(_KEY_MONOS, 3)
     a = rng.choice((1, -1, 7))
     for out in (1, 2):
-        zero = pres.zero() if out == 1 else TensorElement.zero(pres, out)
+        zero = pres.zero() if out == 1 else TensorElement(pres, out, {})
         piece = lambda mono, c: _leg_piece(pres, out, mono, c)
         table = {legs[0]: piece(u, Fraction(1, 2)) + piece(w, Fraction(a, 2)),
                  legs[1]: piece(v, Fraction(1, 3)) + piece(w, Fraction(-a, 3)),

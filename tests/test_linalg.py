@@ -34,7 +34,8 @@ def test_kernel_of_single_equation():
 def test_solver_membership_and_coefficients():
     cols = [{0: F(1), 1: F(1)}, {1: F(1), 2: F(1)}]
     s = LinearSolver(cols)
-    assert s.rank == 2 and s.independent
+    assert s.independent
+    assert len(s._rows) == len(rref_by_pivot_size(cols, 3)[0]) == 2
     target = {0: F(2), 1: F(5), 2: F(3)}
     coeffs = s.solve(target)
     assert coeffs == [F(2), F(3)]
@@ -44,9 +45,10 @@ def test_solver_membership_and_coefficients():
 
 
 def test_solver_detects_dependence():
-    s = LinearSolver([{0: F(1)}, {0: F(2)}])
+    vectors = [{0: F(1)}, {0: F(2)}]
+    s = LinearSolver(vectors)
     assert not s.independent
-    assert s.rank == 1
+    assert len(s._rows) == len(rref_by_pivot_size(vectors, 1)[0]) == 1
 
 
 def test_solver_residual_is_linear_and_canonical():

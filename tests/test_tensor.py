@@ -140,7 +140,7 @@ def test_tensor_str():
     assert str(tensor_product(X, Y) * Fraction(-1, 2)) == "-1/2*X@Y"
     assert str(tensor_product(X, one) - 3 * tensor_product(X, Y)
                + tensor_product(one, X)) == "1@X + X@1 - 3*X@Y"
-    assert str(TensorElement.zero(pres, 2)) == "0"
+    assert str(TensorElement(pres, 2, {})) == "0"
 
 
 @pytest.mark.parametrize("combine", [lambda t: t + 0, lambda t: t - 1,
@@ -203,4 +203,4 @@ def test_constructors_drop_zero_coefficients(arity):
         if arity == 1:
             assert x.weight == y.weight
     assert make({keys[0]: Fraction(0)}) == (pres.zero() if arity == 1
-                                             else TensorElement.zero(pres, 2))
+                                             else TensorElement(pres, 2, {}))
