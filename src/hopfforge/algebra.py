@@ -7,16 +7,18 @@ j > i.  Words are rewritten toward ascending index,
     x_j * x_i  ->  x_i * x_j + [x_j, x_i]      (j > i),
 
 so the ordered monomials x_0^a0 * x_1^a1 * ... form the working basis.
-Rewriting terminates whenever every table entry has weight strictly below
-the weight of the pair it replaces (check_termination_weights).  Ordered
-monomials then form an actual basis iff the overlaps x_k*x_j*x_i resolve,
-that is, iff the normal-form product is associative on them (Bergman's
-diamond lemma, Adv. Math. 29, 1978): check_confluence, which checks
-termination first, compares (x_k*x_j)*x_i with x_k*(x_j*x_i).  No other
-module runs the two checks: Presentation.certify() keeps their report
-once it passes, as pure memoization like the one product memo
-``id_products``, so a guard tests its presence.  Values are otherwise
-immutable and every operation is pure.
+Rewriting works on int numerators, each rule stored once over its
+entry's denominator, and linalg.combine sums its leaves.  It terminates
+whenever every table entry has weight strictly below the weight of the
+pair it replaces (check_termination_weights).  Ordered monomials then
+form an actual basis iff the overlaps x_k*x_j*x_i resolve, that is, iff
+the normal-form product is associative on them (Bergman's diamond
+lemma, Adv. Math. 29, 1978): check_confluence, which checks termination
+first, compares (x_k*x_j)*x_i with x_k*(x_j*x_i).  No other module runs
+the two checks: Presentation.certify() keeps their report once it
+passes, as pure memoization like the one product memo ``id_products``,
+so a guard tests its presence.  Values are otherwise immutable and every
+operation is pure.
 
 An ``Element`` keys its terms by ``mono_id`` as a tensor leg does
 (``terms`` is the tuple view; a read numbers no monomial).  Every map
@@ -30,13 +32,13 @@ defects that certify it.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from operator import mul
+from itertools import chain, combinations, compress, count, repeat
+from operator import add, gt, mul
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import (ONE, ZERO, Scaled, add_term, as_fraction, extend_scaled,
-                     multiply_legs, scaled_equal, split)
+from .linalg import (ZERO, Scaled, add_term, as_fraction, combine,
+                     extend_scaled, join, multiply_legs, scaled_equal, split)
 from .report import Report
 
 Monomial = tuple  # exponent vector over the presentation's generators
@@ -84,8 +86,9 @@ class Presentation:
                     f"commutator [{self.names[j]},{self.names[i]}] {fault}")
             table[(j, i)] = self._clean_terms(value)
         self.table = table
-        self._words = {pair: [(self.word_of(m), c) for m, c in terms.items()]
-                       for pair, terms in table.items()}  # for reduce_word
+        self._rules = {pair: (den, [(self.word_of(m), n) for m, n in nums.items()])
+                       for pair, (nums, den) in zip(table, map(split, table.values()))}
+        self._entries: dict = {}  # commutator_entry's scaled pairs, by (j, i)
         self.certificate: Report | None = None  # set by certify() once it passes
         # the one product memo, filled by product_ids; _prod_cache is the
         # name under which the benchmark's traced runs read its size
@@ -121,8 +124,8 @@ class Presentation:
     def as_monomial(self, mono) -> Monomial:
         """mono as a tuple of int exponents; ValueError unless it has one
         entry per generator and none negative."""
-        mono = tuple(int(e) for e in mono)
-        if len(mono) != self.ngens or any(e < 0 for e in mono):
+        mono = tuple(map(int, mono))
+        if len(mono) != self.ngens or min(mono, default=0) < 0:
             raise ValueError(f"bad monomial {mono}")
         return mono
 
@@ -148,10 +151,13 @@ class Presentation:
         return out
 
     def commutator_entry(self, j, i) -> "Element":
-        """The table entry [x_j, x_i] as an element (zero if the pair commutes)."""
-        j, i = self._resolve(j), self._resolve(i)
-        elt = Element(self, dict(self.table.get((max(j, i), min(j, i)), {})))
-        return -elt if j < i else elt
+        """The table entry [x_j, x_i] as an element (zero if the pair
+        commutes), on its scaled pair, built once per orientation."""
+        pair = self._resolve(j), self._resolve(i)
+        if pair not in self._entries:
+            elt = Element(self, self.table.get((max(pair), min(pair)), {}))
+            self._entries[pair] = (elt if pair[0] > pair[1] else -elt).scaled
+        return Element.from_scaled(self, *self._entries[pair])
 
     def monomial_weight(self, mono: Monomial) -> int:
         return sum(map(mul, mono, self.weights))
@@ -194,7 +200,7 @@ class Presentation:
 
     def gen(self, g) -> "Element":
         i = self._resolve(g)
-        mono = tuple(1 if k == i else 0 for k in range(self.ngens))
+        mono = (0,) * i + (1,) + (0,) * (self.ngens - 1 - i)
         return Element.from_scaled(self, {self.mono_id(mono): 1}, 1)
 
     def monomial(self, mono: Monomial) -> "Element":
@@ -206,45 +212,47 @@ class Presentation:
     # -- rewriting -------------------------------------------------------
 
     def word_of(self, mono: Monomial) -> tuple[int, ...]:
-        return tuple(i for i, e in enumerate(mono) for _ in range(e))
+        return tuple(chain.from_iterable(map(repeat, count(), mono)))
 
-    def _mono_of_sorted_word(self, word) -> Monomial:
-        mono = [0] * self.ngens
-        for i in word:
-            mono[i] += 1
-        return tuple(mono)
+    def _rewrite(self, word: tuple, rng) -> tuple[dict, int]:
+        """The normal form of the word, scaled, on monomials: each stacked
+        word carries the products of its rules' numerators and denominators.
+        It rewrites the first descent w[p] > w[p+1], or with rng one chosen
+        by rng.choice (the confluence oracle: once the presentation is
+        confluent the result does not depend on the choice)."""
+        rules, leaves, stack = self._rules, [], [(word, 1, 1)]
+        while stack:
+            w, n, d = stack.pop()
+            descents = compress(count(), map(gt, w, w[1:]))
+            if rng is not None:
+                descents = list(descents)
+                descents = iter([rng.choice(descents)] if descents else ())
+            p = next(descents, None)
+            if p is None:  # an ascending word: a leaf
+                mono = [0] * self.ngens
+                for g in w:
+                    mono[g] += 1
+                leaves.append((n, ({tuple(mono): 1}, d)))
+                continue
+            j, i = w[p], w[p + 1]
+            head, tail = w[:p], w[p + 2:]
+            stack.append((head + (i, j) + tail, n, d))
+            rd, terms = rules.get((j, i), (1, ()))
+            for rw, rn in terms:
+                stack.append((head + rw + tail, n * rn, d * rd))
+        return combine(leaves, 1)
 
     def reduce_word(self, word: Iterable[int], rng=None) -> dict[Monomial, Fraction]:
-        """Normal form of x_{w0} x_{w1} ... as a terms dict.
-
-        With rng given, the rewrite position among the misordered adjacent
-        pairs is chosen at random at every step (used by the confluence
-        oracle); the result must not depend on that choice once the
-        presentation is confluent.
-        """
-        result: dict[Monomial, Fraction] = {}
-        stack: list[tuple[tuple[int, ...], Fraction]] = [(tuple(word), ONE)]
-        while stack:
-            w, c = stack.pop()
-            positions = [p for p in range(len(w) - 1) if w[p] > w[p + 1]]
-            if not positions:
-                add_term(result, self._mono_of_sorted_word(w), c)
-                continue
-            p = positions[0] if rng is None else rng.choice(positions)
-            j, i = w[p], w[p + 1]
-            stack.append((w[:p] + (i, j) + w[p + 2:], c))
-            for word, pc in self._words.get((j, i), ()):
-                stack.append((w[:p] + word + w[p + 2:], c * pc))
-        return result
+        """Normal form of x_{w0} x_{w1} ... as a terms dict: _rewrite's view."""
+        return join(*self._rewrite(tuple(word), rng))
 
     def product_terms(self, m1: Monomial, m2: Monomial) -> tuple[dict, int]:
         """The normal form of m1 * m2, scaled and not memoized: the words
         are rewritten only if a generator of m2 precedes the last one of m1
         (and the table is nonempty); otherwise it is the exponent sum."""
-        last = max((g for g, e in enumerate(m1) if e), default=0)
-        if self.table and any(m2[:last]):
-            return split(self.reduce_word(self.word_of(m1) + self.word_of(m2)))
-        return {tuple(a + b for a, b in zip(m1, m2)): 1}, 1
+        if self.table and any(m2[:max(compress(count(), m1), default=0)]):
+            return self._rewrite(self.word_of(m1) + self.word_of(m2), None)
+        return {tuple(map(add, m1, m2)): 1}, 1
 
     def product_ids(self, key: int) -> tuple[dict, int]:
         """product_terms of ids i, j (key = i << MONO_ID_BITS | j) on ids,
@@ -437,10 +445,10 @@ class GeneratorMap:
             if not any(mono):
                 memo[i] = self.unit.scaled
                 break
-            occurring = [g for g, e in enumerate(mono) if e]
+            occurring = list(compress(count(), mono))
             k = occurring[-1] if self.anti else occurring[0]
             chain.append((i, k))
-            i = ids(tuple(e - 1 if g == k else e for g, e in enumerate(mono)))
+            i = ids(mono[:k] + (mono[k] - 1,) + mono[k + 1:])
         value, images, like = memo[i], self.images, self.unit._like
         for m, k in reversed(chain):
             value = memo[m] = (images[k] * like(*value)).scaled
@@ -513,7 +521,7 @@ def check_confluence(pres: Presentation) -> Report:
         return report
     gens, table = [pres.gen(g) for g in range(pres.ngens)], pres.table
     lie, zero = pres.lie_constants(), pres.zero()
-    for k, j, i in itertools.combinations(range(pres.ngens - 1, -1, -1), 3):
+    for k, j, i in combinations(range(pres.ngens - 1, -1, -1), 3):
         name = f"overlap ({pres.names[k]},{pres.names[j]},{pres.names[i]})"
         if not (table.get((k, j)) or table.get((j, i)) or table.get((k, i))):
             report.add(name, True)

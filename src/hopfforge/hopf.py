@@ -27,10 +27,10 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import linalg
-from .algebra import (ONE, Element, GeneratorMap, Presentation,
-                      PresentationMismatchError, format_monomial)
+from .algebra import (Element, GeneratorMap, Presentation,
+                      PresentationMismatchError)
 from .report import Report
-from .tensor import TensorElement, pack, unpack
+from .tensor import TensorElement, leg_ids, tensor_product
 
 
 class HopfAlgebraError(Exception):
@@ -89,20 +89,18 @@ class PresentedHopfAlgebra:
         elif value.algebra is not pres or value.arity != 2:
             raise ValueError("coproduct data must be an arity-2 tensor over "
                              "the same presentation")
-        nums, den = value.scaled
-        g, w, one = pres.names[i], pres.weights[i], pres.identity_monomial()
-        gen = tuple(1 if k == i else 0 for k in range(pres.ngens))
-        ends = (pack(pres, (one, gen)), pack(pres, (gen, one)))
-        if nums.get(ends[0]) != den or nums.get(ends[1]) != den:
+        (nums, den), g, w = value.scaled, pres.names[i], pres.weights[i]
+        (one,), (gen,) = pres.one().scaled[0], pres.gen(i).scaled[0]
+        legs, weights = leg_ids(value), pres.id_weights
+        ends = [key for key, ids in legs.items() if ids in ((one, gen), (gen, one))]
+        if len(ends) != 2 or nums[ends[0]] != den or nums[ends[1]] != den:
             raise ValueError(
                 f"coproduct of {g} must contain 1@{g} and {g}@1 with coefficient 1")
-        for key in nums:
-            m1, m2 = unpack(pres, 2, key)
-            if (m1 == one or m2 == one) and key not in ends:
-                raise ValueError(
-                    f"coproduct of {g} has a stray identity leg in "
-                    f"{format_monomial(pres, m1)}@{format_monomial(pres, m2)}")
-            weight = pres.monomial_weight(m1) + pres.monomial_weight(m2)
+        for key, (a, b) in legs.items():
+            if one in (a, b) and key not in ends:  # the term's view words it
+                raise ValueError(f"coproduct of {g} has a stray identity leg "
+                                 f"in {value._like({key: 1}, 1)}")
+            weight = weights[a] + weights[b]
             if weight > w:
                 raise ValueError(
                     f"coproduct of {g} has a term of weight {weight} "
@@ -196,10 +194,9 @@ class PresentedHopfAlgebra:
         if cached is None:
             pres = self.presentation
             if n == 1:
-                x, one = Element.from_scaled(pres, {i: 1}, 1), pres.identity_monomial()
-                (mono,) = x.terms
-                cached = (self._coproduct(x) - TensorElement(
-                    pres, 2, {(one, mono): ONE, (mono, one): ONE})).scaled
+                x, one = Element.from_scaled(pres, {i: 1}, 1), pres.one()
+                cached = (self._coproduct(x) - tensor_product(one, x)
+                          - tensor_product(x, one)).scaled
             else:
                 cached = TensorElement.from_scaled(
                     pres, n, *self._reduced_iterate_monomial(i, n - 1)

@@ -14,7 +14,9 @@ lcm of their denominators; ``multiply_legs`` sums a tensor product (an
 ``Element`` product is its arity-1 case) per pair of terms over a running
 lcm (``widen``), each leg's product read from the one memo on ids.
 ``Scaled`` owns the linear structure of both classes; public
-coefficients (``terms``, solver results) are Fractions.
+coefficients (``terms``, solver results) are Fractions.  Rewriting
+(``Presentation._rewrite``) keeps int numerators too, and ``combine``
+sums its leaves.
 
 Vectors are sparse dicts {column index: Fraction}.  ``LinearSolver`` is
 the one exact elimination: ``rref`` reads its rows, and ``kernel_basis``
@@ -22,13 +24,8 @@ reads ``rref``.  Reduced forms and kernel bases are bit-for-bit
 reproducible because the reduced row echelon form of a matrix is unique,
 whatever the order of elimination.
 
-``rank`` alone has a fast path: it first takes the rank modulo the prime
-p = 2^61 - 1 and returns it when it reaches the trivial upper bound
-min(#nonzero rows, #nonzero columns).  That is sound because reduction
-mod p is a ring map on the rationals whose denominators p does not
-divide, so rank mod p <= rank over Q <= the bound, and equality at the
-ends forces the exact rank.  Otherwise (or when p divides some
-denominator) it runs the exact ``rref``.  ``rref``, ``kernel_basis`` and
+``rank`` alone has a fast path, the rank modulo a prime, sound by the
+argument in its docstring; ``rref``, ``kernel_basis`` and
 ``LinearSolver`` are always exact.
 
 ``kernel`` owns the matrix layout of every kernel in the package: it
@@ -265,8 +262,9 @@ def rank(rows: Sequence[Vector], ncols: int) -> int:
 
     Always equal to ``len(rref(rows, ncols)[0])``.  The rank mod
     RANK_PRIME is returned only when it equals the bound
-    min(#nonzero rows, #nonzero columns): rank mod p <= rank over Q <=
-    bound, so the three are then equal.  When it falls short, or p
+    min(#nonzero rows, #nonzero columns): reduction mod p is a ring map
+    on the rationals whose denominators p does not divide, so rank mod p
+    <= rank over Q <= bound, and the three are then equal.  When it falls short, or p
     divides a denominator, the exact rref decides.
     """
     support: set = set()

@@ -24,9 +24,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .algebra import Presentation, format_linear
+from .algebra import Element, Presentation, format_linear
 from .hopf import PresentedHopfAlgebra
 from .linalg import add_term
+from .tensor import TensorElement
 
 # a polynomial is {mono-key: int or Fraction}; a mono-key is a tuple of
 # (generator name, exponent) pairs in declaration order, () meaning 1
@@ -374,8 +375,7 @@ def _poly_terms(poly: Poly, index: dict) -> dict:
 
 def _relation_table(relations: list, index: dict) -> dict:
     """{(gj, gi): terms} of parsed relations, for generators numbered by
-    index; a pair given twice raises ValueError, as
-    Presentation.indexed does for a repeated key."""
+    index; a repeated pair raises ValueError, as in Presentation.indexed."""
     table: dict = {}
     for gj, gi, poly in relations:
         if (gj, gi) in table:
@@ -385,21 +385,21 @@ def _relation_table(relations: list, index: dict) -> dict:
 
 
 def build_algebra(df: DefinitionFile) -> tuple[PresentedHopfAlgebra, list[SubBlock]]:
-    """Instantiate the parsed definition (uncertified; certify separately)."""
+    """Instantiate the parsed definition (uncertified; certify separately),
+    coproducts and antipodes as TensorElements and Elements on mono ids."""
     index = {g: i for i, (g, _) in enumerate(df.generators)}
     pres = Presentation(df.generators, _relation_table(df.relations, index))
-    coproducts = {}
-    for g, terms in df.coproducts.items():
-        coproducts[g] = {
-            (_exponent_vector(k1, index), _exponent_vector(k2, index)): c
-            for (k1, k2), c in terms.items()}
+    coproducts = {g: TensorElement(pres, 2, {
+        tuple(map(_exponent_vector, key, (index, index))): c
+        for key, c in terms.items()}) for g, terms in df.coproducts.items()}
     antipodes = None
     if df.antipodes:
         missing = [g for g in index if g not in df.antipodes]
         if missing:
             raise ValueError("antipode lines must cover all generators or "
                              "none; missing: " + ", ".join(missing))
-        antipodes = {g: _poly_terms(p, index) for g, p in df.antipodes.items()}
+        antipodes = {g: Element(pres, _poly_terms(p, index))
+                     for g, p in df.antipodes.items()}
     H = PresentedHopfAlgebra(pres, coproducts, antipodes, name=df.name)
     return H, df.subs
 

@@ -9,11 +9,11 @@ The scaled form and hopf's tensor-valued memo tables key a term by one
 packed int: leg k (from 0) holds its monomial's ``Presentation.mono_id``
 in bits [LEG_BITS*k, LEG_BITS*(k+1)); an ``Element`` is its arity-1 case.
 Only this module reads that layout; ``terms``, ``leg_cofactors``,
-``__str__`` and ``from_terms`` show a key as a tuple of monomials (a
-winding reads a leg only through ``leg_cofactors``).  Each
-leg's product in ``tensor_multiply`` and ``contract``, like an ``Element``
-product, reads the presentation's one product memo on mono ids,
-``id_products``.
+``__str__`` and ``from_terms`` show a key as a tuple of monomials, and
+``leg_ids`` as its legs' ids (a winding reads a leg only through
+``leg_cofactors``).  Each leg's product in ``tensor_multiply`` and
+``contract``, like an ``Element`` product, reads the presentation's one
+product memo on mono ids, ``id_products``.
 """
 
 from __future__ import annotations
@@ -44,6 +44,11 @@ def unpack(algebra: Presentation, arity: int, key: int) -> TensorKey:
     """The tuple of monomials of a packed key."""
     return tuple([algebra.monos[key >> shift & LEG_MASK]
                   for shift in range(0, LEG_BITS * arity, LEG_BITS)])
+
+
+def leg_ids(t: "TensorElement") -> dict[int, tuple[int, int]]:
+    """{packed key: (leg 1's mono id, leg 2's)} of an arity-2 tensor."""
+    return {key: (key & LEG_MASK, key >> LEG_BITS) for key in t.scaled[0]}
 
 
 class TensorElement(Scaled):

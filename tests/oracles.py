@@ -5,13 +5,12 @@ from fractions import Fraction
 from math import lcm
 
 from hopfforge import linalg
-from hopfforge.algebra import (ONE, Element, GeneratorMap,
-                               check_termination_weights)
+from hopfforge.algebra import Element, GeneratorMap, check_termination_weights
 from hopfforge.coideal import register_subalgebra
 from hopfforge.grading import _leading_terms
 from hopfforge.hopf import HopfAlgebraError
 from hopfforge.lantern import lantern
-from hopfforge.linalg import add_term, rescale, vec_add_scaled
+from hopfforge.linalg import ONE, add_term, rescale, vec_add_scaled
 from hopfforge.report import Report
 from hopfforge.tensor import LEG_BITS, LEG_MASK, TensorElement, contract
 
@@ -171,6 +170,32 @@ def membership_by_cutoff(spec, cutoff: int):
         return Element(spec.presentation,
                        {m: c for m, c in zip(monomials, coeffs) if c})
     return represent
+
+
+def reduce_word_by_fractions(pres, word, rng=None) -> dict:
+    """The normal form of the word by rewriting with Fraction
+    coefficients, each table entry read as it is stored: the loop that
+    Presentation.reduce_word replaces by an engine on int numerators
+    (rng, if given, picks the descent to rewrite, as there)."""
+    rules = {pair: [(pres.word_of(m), c) for m, c in terms.items()]
+             for pair, terms in pres.table.items()}
+    result: dict = {}
+    stack = [(tuple(word), ONE)]
+    while stack:
+        w, c = stack.pop()
+        positions = [p for p in range(len(w) - 1) if w[p] > w[p + 1]]
+        if not positions:
+            mono = [0] * pres.ngens
+            for i in w:
+                mono[i] += 1
+            add_term(result, tuple(mono), c)
+            continue
+        p = positions[0] if rng is None else rng.choice(positions)
+        j, i = w[p], w[p + 1]
+        stack.append((w[:p] + (i, j) + w[p + 2:], c))
+        for rule, rc in rules.get((j, i), ()):
+            stack.append((w[:p] + rule + w[p + 2:], c * rc))
+    return result
 
 
 # Fraction-arithmetic structure maps: the loops the integer kernels of

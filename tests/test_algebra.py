@@ -1,4 +1,5 @@
 import ast
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -16,6 +17,7 @@ from hopfforge.parser import build_algebra, parse, sub_arguments
 from hopfforge.tensor import contract, tensor_multiply, tensor_product
 
 from oracles import (confluence_by_normal_forms, monomials_up_to,
+                     reduce_word_by_fractions,
                      overlap_checks_by_resolution)
 
 DATA = Path(__file__).parent / "data"
@@ -610,3 +612,63 @@ def test_products_are_the_rewriting_of_their_words(make):
             pres.mono_id(m1) << algebra.MONO_ID_BITS | pres.mono_id(m2))
         assert ({pres.monos[i]: n for i, n in nums.items()}, den) == expect
     assert ascending == ({True, False} if pres.ngens > 1 else {True})
+
+
+@pytest.mark.parametrize("make", _builtin_presentations())
+def test_rewriting_engine_matches_the_fraction_loop(make):
+    """reduce_word (the Fraction view of the integer rewriting engine)
+    against the Fraction loop it replaces, on seeded random words: with
+    the first descent rewritten, and with descents picked by two rngs
+    seeded alike, so both make the same choices."""
+    pres = make()
+    rng = random.Random(93)
+    for _ in range(30):
+        word = [rng.randrange(pres.ngens) for _ in range(rng.randint(0, 5))]
+        assert pres.reduce_word(word) == reduce_word_by_fractions(pres, word)
+        seed = rng.randrange(10 ** 6)
+        assert pres.reduce_word(word, rng=random.Random(seed)) \
+            == reduce_word_by_fractions(pres, word, random.Random(seed))
+
+
+@pytest.mark.parametrize("make", [
+    *[pytest.param(lambda lam=lam: catalog.build_b_lambda(lam), id=f"B:{lam}")
+      for lam in ("0", "1", "-2", "1/2", "-2/3")],
+    pytest.param(catalog.build_e, id="E"),
+    pytest.param(lambda: catalog.build_e(2, -1, 1, 3), id="E(2,-1,1,3)"),
+])
+def test_every_product_entry_of_a_certified_host_is_its_normal_form(make):
+    """Each entry of a certified host's product memo, as certification
+    and a round of products filled it, is the Fraction loop's normal form
+    of the two monomials' words."""
+    H = make()
+    pres = H.presentation
+    for a, b in itertools.product(monomials_up_to(pres, 2), repeat=2):
+        pres.monomial(a) * pres.monomial(b)
+    assert H.certification.passed and len(pres.id_products) > 20
+    for key, (nums, den) in pres.id_products.items():
+        i, j = divmod(key, 1 << algebra.MONO_ID_BITS)
+        word = pres.word_of(pres.monos[i]) + pres.word_of(pres.monos[j])
+        assert {pres.monos[k]: Fraction(n, den) for k, n in nums.items()} \
+            == reduce_word_by_fractions(pres, word)
+
+
+def test_commutator_entries_share_no_view_with_their_cache():
+    """Each orientation's scaled pair is built once; changing the terms
+    view of one commutator_entry result, in either orientation, changes
+    neither the next call's value nor a later certification."""
+    from hopfforge.grading import certify
+    text = (DATA / "b_lambda.hopf").read_text()
+    H, pristine = (build_algebra(parse(text))[0] for _ in range(2))
+    pres = H.presentation
+    for pair in (("Z", "Y"), ("Y", "Z"), ("Z", "X"), ("X", "Z")):
+        first = pres.commutator_entry(*pair)
+        expect = dict(first.terms)
+        first.terms.clear()
+        first.terms[(3, 0, 0)] = Fraction(5)
+        again = pres.commutator_entry(*pair)
+        assert again is not first and again.terms == expect
+        assert again == pres.element(expect)
+        assert str(again) == str(pristine.presentation.commutator_entry(*pair))
+    lines = [[(c.name, c.passed, c.details) for c in certify(host, 6).checks]
+             for host in (H, pristine)]
+    assert lines[0] == lines[1] and H.certification.passed

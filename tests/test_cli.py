@@ -71,7 +71,9 @@ def test_parse_failure_exit_2(capsys, tmp_path):
     ("not_utf8.hopf", "cannot read {}: not valid UTF-8 (byte 0xe9 at offset 30)"),
     ("parse_error.hopf", "parse error: line 5, column 15: expected a nonzero "
                          "integer denominator"),
-], ids=["not UTF-8", "parse error"])
+    ("stray_identity_leg.hopf", "bad definition: coproduct of X has a stray "
+                                "identity leg in 1@Y"),
+], ids=["not UTF-8", "parse error", "stray identity leg"])
 def test_unreadable_file_exit_2(capsys, name, message):
     path = str(DATA / "unparsable" / name)
     assert run(["verify", path]) == 2

@@ -380,6 +380,28 @@ def test_coproduct_outside_the_normal_form_exit_2(delta, line, message,
     assert capsys.readouterr() == ("", f"bad definition: {message}\n")
 
 
+@pytest.mark.parametrize("delta,line,message", _BAD_COPRODUCTS.values(),
+                         ids=_BAD_COPRODUCTS.keys())
+def test_coproduct_refusals_read_the_same_from_dicts_and_the_parser(
+        delta, line, message):
+    """The checks on mono ids refuse a {(m1, m2): c} dict and the
+    parser's TensorElement with the same message."""
+    pres = Presentation([("X", 1), ("Y", 1)])
+    one, X, Y = pres.one(), pres.gen("X"), pres.gen("Y")
+    refusals = []
+    for build in (
+            lambda: PresentedHopfAlgebra(pres, {
+                "X": dict(delta(one, X, Y).terms),
+                "Y": {((0, 0), (0, 1)): 1, ((0, 1), (0, 0)): 1}}),
+            lambda: build_algebra(parse(
+                "hopf A\ngen X weight 1\ngen Y weight 1\n"
+                f"coprod X = {line}\ncoprod Y = 1@Y + Y@1\n"))):
+        with pytest.raises(ValueError) as refused:
+            build()
+        refusals.append(str(refused.value))
+    assert refusals == [message, message]
+
+
 def test_certificate_gating():
     pres = Presentation([("X", 1)], {})
     one = pres.one()
